@@ -40,6 +40,7 @@ from .metrics import (
     BilinearEvaluator,
     ConicLagrangianEvaluator,
     FiniteSumMinimaxEvaluator,
+    constraint_violation,
     estimate_m_star,
     minimax_gap,
     proj_kkt,
@@ -48,7 +49,7 @@ from .metrics import (
 )
 from .oracles import BilinearOracle, NeymanPearsonOracle, TanhOracle
 from .prox import PositivePartSum, ScaledL1, ScaledL2, ZeroFunction
-from .saps import SapsProblem, run_saps, saps_step, streaming_average
+from .saps import SapsProblem, run_saps
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config", "run_experiment", "main"]
 
@@ -193,20 +194,23 @@ def _validate(config: ExperimentConfig) -> None:
             f"{config.experiment!r} (expected one of {COMPATIBLE[config.experiment]})")
     if config.regularizer not in REGULARIZERS:
         raise ConfigError(f"unknown regularizer {config.regularizer!r}")
-    if config.schedule not in ("const_over_sqrt_n", "scaled_const", "harmonic", "inv_sqrt_k"):
-        raise ConfigError(f"unknown schedule {config.schedule!r}")
     if config.trials < 1:
         raise ConfigError("trials must be >= 1")
     if config.n < 1 or config.m_classes < 2:
         raise ConfigError("need n >= 1 and m_classes >= 2")
     if config.subsample_per_class < 1 or config.subsample_per_class > SUBSAMPLE_CAP:
         raise ConfigError(f"subsample_per_class must be in [1, {SUBSAMPLE_CAP}]")
-    if config.mu < 0.0:
-        raise ConfigError("mu must be nonnegative")
     if config.lam <= 0.0:
         raise ConfigError("lambda must be positive")
-    if config.schedule == "scaled_const" and (config.dist_estimate is None or config.M_estimate is None):
-        raise ConfigError("scaled_const schedule needs dist_estimate and M_estimate")
+    if config.ref_pool_size < 1 or config.ref_iters < 1:
+        raise ConfigError("need ref_pool_size >= 1 and ref_iters >= 1")
+    # The schedule and regularizer classes own their parameter rules.
+    try:
+        for N in config.N_list:
+            _schedule_for(config, N)
+        _regularizer(config.regularizer, config.mu)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _regularizer(kind: str, mu: float):
@@ -271,33 +275,22 @@ def _tanh_reference(config: ExperimentConfig):
     """Frozen draw pool, label anchors, and a deterministic reference point.
 
     The reference problem is the empirical average over ref_pool_size frozen
-    draws; its approximate saddle is computed once by a long deterministic
-    prox-gradient descent-ascent pass with inverse-sqrt steps and weighted
-    averaging, then shared by every trial.
+    draws; its approximate saddle is the weighted average of a long SAPS run
+    with inverse-sqrt steps on that deterministic oracle, computed once and
+    shared by every trial.
     """
     rng, xbar, ybar = _tanh_anchors(config)
     oracle = TanhOracle(xbar, ybar)
     pool = [oracle.draw(rng) for _ in range(config.ref_pool_size)]
     theta = _regularizer(config.regularizer, config.mu)
     evaluator = FiniteSumMinimaxEvaluator(oracle, pool, theta, theta, 1.0)
-    problem = SapsProblem(oracle, theta, theta)
-
     z = PrimalDualPoint(rng.uniform(-1.0, 1.0, size=config.n),
                         rng.uniform(-1.0, 1.0, size=config.n))
-    avg, weight = z, 0.0
-    for k in range(1, config.ref_iters + 1):
-        gamma = 1.0 / math.sqrt(k)
-        avg, weight = streaming_average(avg, weight, z, gamma)
-        value, gx, gy = evaluator.coupling_and_grads(z)
-        z = saps_step(problem, z, gamma, _FullGradSample(value, gx, gy))
-    return {"xbar": xbar, "ybar": ybar, "z_ref": avg}
-
-
-@dataclass(frozen=True, eq=False)
-class _FullGradSample:
-    value: float
-    grad_x: np.ndarray
-    grad_y: np.ndarray
+    run_cfg = RunConfig(horizon=config.ref_iters, seed=config.seed,
+                        schedule=StepSchedule("inv_sqrt_k", theta=1.0),
+                        trace_thinning=config.ref_iters, initial=z)
+    z_ref = run_saps(SapsProblem(evaluator, theta, theta), run_cfg).final_average
+    return {"xbar": xbar, "ybar": ybar, "z_ref": z_ref}
 
 
 def _experiment_shared(config: ExperimentConfig):
@@ -399,7 +392,7 @@ def _run_np_trial(config, run_cfg, init_rng, shared):
     def hooks(k, z, avg):
         fb_avg = oracle.full_batch(avg.x)
         return {
-            "constraint_violation": float(np.linalg.norm(problem.cone.polar_project(fb_avg.g_value))),
+            "constraint_violation": constraint_violation(problem.cone, fb_avg.g_value),
             "proj_kkt": proj_kkt(oracle, problem.cone, problem.feasible, avg),
             "grad_norm_raw": float(np.linalg.norm(evaluator.grad_l(z))),
             "grad_norm_avg": float(np.linalg.norm(evaluator.grad_l(avg))),

@@ -255,7 +255,6 @@ class ProblemConstants:
     diagnostics.
 
     M_star        second-moment bound on (subgradient + oracle) norms
-    kappa0        sup-norm bound on oracle outputs
     R             diameter of the compact primal feasible set
     nu_g          sup-norm bound on sampled constraint values
     kappa_f       sup-norm bound on sampled objective gradients
@@ -267,7 +266,6 @@ class ProblemConstants:
     """
 
     M_star: float | None = None
-    kappa0: float | None = None
     R: float | None = None
     nu_g: float | None = None
     kappa_f: float | None = None
@@ -278,7 +276,7 @@ class ProblemConstants:
     estimated: bool = False  # True when produced by sampled maximization
 
     def __post_init__(self):
-        for name in ("M_star", "kappa0", "R", "nu_g", "kappa_f", "kappa_g", "nu_f", "slater_margin"):
+        for name in ("M_star", "R", "nu_g", "kappa_f", "kappa_g", "nu_f", "slater_margin"):
             value = getattr(self, name)
             if value is not None and not (value > 0.0 and math.isfinite(value)):
                 raise ValueError(f"{name} must be strictly positive and finite, got {value}")

@@ -15,6 +15,7 @@ import numpy as np
 
 from .core import PrimalDualPoint
 from .cones import ConvexCone
+from .oracles import MinimaxSample
 from .prox import ProximableFunction
 
 __all__ = [
@@ -56,31 +57,22 @@ class FiniteSumMinimaxEvaluator:
     """
 
     def __init__(self, oracle, draws, theta: ProximableFunction, omega: ProximableFunction, mu: float = 1.0):
-        self.oracle = oracle
-        self.draws = list(draws)
-        if not self.draws:
+        draws = list(draws)
+        if not draws:
             raise ValueError("need at least one frozen draw")
+        self.oracle = oracle
+        self.draws = np.stack(draws)
         self.theta = theta
         self.omega = omega
         self.mu = float(mu)
 
-    def coupling_and_grads(self, z: PrimalDualPoint):
-        if hasattr(self.oracle, "evaluate_batch"):
-            s = self.oracle.evaluate_batch(z, np.stack(self.draws))
-            return s.value, s.grad_x, s.grad_y
-        value = 0.0
-        gx = np.zeros_like(z.x)
-        gy = np.zeros_like(z.y)
-        for d in self.draws:
-            s = self.oracle.evaluate(z, d)
-            value += s.value
-            gx += s.grad_x
-            gy += s.grad_y
-        scale = 1.0 / len(self.draws)
-        return value * scale, gx * scale, gy * scale
+    def sample(self, rng, z: PrimalDualPoint) -> MinimaxSample:
+        """Pool-mean value and gradients at z; `rng` is ignored, so the
+        evaluator serves as a deterministic oracle for run_saps."""
+        return self.oracle.evaluate_batch(z, self.draws)
 
     def phi(self, x: np.ndarray, y: np.ndarray) -> float:
-        value, _, _ = self.coupling_and_grads(PrimalDualPoint(x, y))
+        value = self.sample(None, PrimalDualPoint(x, y)).value
         return self.mu * self.theta.value(x) + value - self.mu * self.omega.value(y)
 
 

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from saddle_sa import cli
 from saddle_sa.cli import (
     ConfigError,
     ExperimentConfig,
@@ -13,6 +14,9 @@ from saddle_sa.cli import (
     main,
     run_experiment,
 )
+from saddle_sa.core import PrimalDualPoint
+from saddle_sa.oracles import TanhOracle
+from saddle_sa.saps import SapsProblem, saps_step, streaming_average
 
 
 def bilinear_text(**overrides):
@@ -158,6 +162,35 @@ class TestRunExperiment:
         assert header2[-1] == "elapsed_ms"
 
 
+def hand_rolled_tanh_reference(config):
+    """The tanh reference solve written out as a plain loop, without run_saps."""
+    rng, xbar, ybar = cli._tanh_anchors(config)
+    oracle = TanhOracle(xbar, ybar)
+    draws = np.stack([oracle.draw(rng) for _ in range(config.ref_pool_size)])
+    theta = cli._regularizer(config.regularizer, config.mu)
+    problem = SapsProblem(oracle, theta, theta)
+    z = PrimalDualPoint(rng.uniform(-1.0, 1.0, size=config.n),
+                        rng.uniform(-1.0, 1.0, size=config.n))
+    avg, weight = z, 0.0
+    for k in range(1, config.ref_iters + 1):
+        gamma = 1.0 / math.sqrt(k)
+        avg, weight = streaming_average(avg, weight, z, gamma)
+        z = saps_step(problem, z, gamma, oracle.evaluate_batch(z, draws))
+    return avg
+
+
+class TestTanhReference:
+    @pytest.mark.parametrize("regularizer", ["max", "l1"])
+    def test_matches_hand_rolled_loop_bit_for_bit(self, regularizer):
+        cfg = load_config(
+            "experiment=tanh\nalgorithm=saps\nn=3\nN_list=10\nseed=4\n"
+            f"regularizer={regularizer}\nref_pool_size=30\nref_iters=200\n")
+        z_ref = cli._tanh_reference(cfg)["z_ref"]
+        expect = hand_rolled_tanh_reference(cfg)
+        assert np.array_equal(z_ref.x, expect.x)
+        assert np.array_equal(z_ref.y, expect.y)
+
+
 class TestMainEntry:
     def test_run_roundtrip(self, tmp_path, capsys):
         cfg_path = tmp_path / "exp.cfg"
@@ -170,6 +203,25 @@ class TestMainEntry:
         cfg_path = tmp_path / "bad.cfg"
         cfg_path.write_text("experiment=neyman_pearson\nalgorithm=saps\nN_list=10\n", encoding="utf-8")
         assert main(["run", str(cfg_path)]) == 1
+
+    @pytest.mark.parametrize("overrides", [
+        ["theta=-1"],
+        ["schedule=scaled_const", "M_estimate=1", "dist_estimate=-1"],
+        ["mu=-1"],
+        ["ref_pool_size=0"],
+        ["ref_iters=0"],
+    ], ids=["theta", "dist_estimate", "mu", "ref_pool_size", "ref_iters"])
+    def test_bad_value_is_config_error(self, tmp_path, capsys, overrides):
+        cfg_path = tmp_path / "tanh.cfg"
+        cfg_path.write_text("experiment=tanh\nalgorithm=saps\nN_list=10\ntrials=1\nparallel=1\n"
+                            "ref_pool_size=5\nref_iters=5\n", encoding="utf-8")
+        argv = ["run", str(cfg_path), "--out", str(tmp_path / "out")]
+        for kv in overrides:
+            argv += ["--set", kv]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
     def test_missing_file_exit_code(self, capsys):
         assert main(["run", "/nonexistent/config.cfg"]) == 1

@@ -190,6 +190,11 @@ class TestEvaluators:
         manual = np.mean([oracle.evaluate(z, d).value for d in draws])
         expect = theta.value(z.x) + manual - theta.value(z.y)
         assert ev.phi(z.x, z.y) == pytest.approx(expect, rel=1e-12)
+        pooled = ev.sample(None, z)
+        per_draw = [oracle.evaluate(z, d) for d in draws]
+        assert pooled.value == pytest.approx(manual, rel=1e-12)
+        np.testing.assert_allclose(pooled.grad_x, np.mean([s.grad_x for s in per_draw], axis=0), rtol=1e-12)
+        np.testing.assert_allclose(pooled.grad_y, np.mean([s.grad_y for s in per_draw], axis=0), rtol=1e-12)
 
     def test_conic_lagrangian_gradient(self):
         oracle = TinyConicOracle(-1.0)
