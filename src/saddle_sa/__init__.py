@@ -69,13 +69,13 @@ from .data import (
 )
 from .metrics import (
     BilinearEvaluator,
-    ConicLagrangianEvaluator,
     FiniteSumMinimaxEvaluator,
     KktErrors,
     SlopeFit,
     constraint_violation,
     estimate_m_star,
     kkt_errors,
+    lagrangian_grad,
     minimax_gap,
     proj_kkt,
     rate_slope_fit,

@@ -38,10 +38,11 @@ from .data import DataError, ParseError, parse_libsvm, synth_gaussian_classes
 from .lsaal import LsaalProblem, estimate_constants, multiplier_bound_diagnostics, run_laam, run_lsaal
 from .metrics import (
     BilinearEvaluator,
-    ConicLagrangianEvaluator,
     FiniteSumMinimaxEvaluator,
     constraint_violation,
     estimate_m_star,
+    kkt_errors,
+    lagrangian_grad,
     minimax_gap,
     proj_kkt,
     rate_slope_fit,
@@ -100,13 +101,6 @@ class ExperimentConfig:
     ref_iters: int = 20000           # deterministic solve length for the reference point
 
 
-_BOOL_KEYS = {"normalize", "averaging", "include_timing"}
-_INT_KEYS = {"n", "m_classes", "points_per_class", "subsample_per_class", "trials",
-             "inner_max_iters", "seed", "trace_thinning", "parallel",
-             "ref_pool_size", "ref_iters"}
-_FLOAT_KEYS = {"mu", "lam", "r", "separation", "theta", "dist_estimate", "M_estimate",
-               "sigma", "inner_tol", "tail_multiplier"}
-_STR_KEYS = {"experiment", "algorithm", "regularizer", "dataset_path", "schedule", "output_dir"}
 _KEY_ALIASES = {"lambda": "lam"}
 
 
@@ -119,27 +113,26 @@ def _parse_bool(raw: str, key: str) -> bool:
     raise ConfigError(f"key {key!r}: expected a boolean, got {raw!r}")
 
 
+def _parse_n_list(raw: str) -> tuple:
+    values = tuple(int(tok) for tok in raw.split(",") if tok.strip())
+    if not values or any(v < 1 for v in values):
+        raise ValueError
+    return values
+
+
+# Parsers follow the ExperimentConfig annotations; None is only ever a default.
+_KEY_TYPES = {f.name: f.type.removesuffix(" | None") for f in fields(ExperimentConfig)}
+_PARSERS = {"int": int, "float": float, "str": str, "tuple": _parse_n_list}
+
+
 def _parse_value(key: str, raw: str):
     raw = raw.strip()
+    if _KEY_TYPES[key] == "bool":
+        return _parse_bool(raw, key)
     try:
-        if key == "N_list":
-            values = tuple(int(tok) for tok in raw.split(",") if tok.strip())
-            if not values or any(v < 1 for v in values):
-                raise ValueError
-            return values
-        if key in _BOOL_KEYS:
-            return _parse_bool(raw, key)
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        if key in _STR_KEYS:
-            return raw
-    except ConfigError:
-        raise
+        return _PARSERS[_KEY_TYPES[key]](raw)
     except ValueError:
         raise ConfigError(f"key {key!r}: cannot parse value {raw!r}") from None
-    raise ConfigError(f"unknown config key {key!r}")
 
 
 def load_config(source, overrides=()) -> ExperimentConfig:
@@ -167,11 +160,10 @@ def load_config(source, overrides=()) -> ExperimentConfig:
             raise ConfigError(f"override {item!r} is not key=value")
         pairs[key.strip()] = value
 
-    known = {f.name for f in fields(ExperimentConfig)}
     parsed = {}
     for key, raw in pairs.items():
         key = _KEY_ALIASES.get(key, key)
-        if key not in known:
+        if key not in _KEY_TYPES:
             raise ConfigError(f"unknown config key {key!r}")
         parsed[key] = _parse_value(key, raw)
 
@@ -200,12 +192,24 @@ def _validate(config: ExperimentConfig) -> None:
         raise ConfigError("need n >= 1 and m_classes >= 2")
     if config.subsample_per_class < 1 or config.subsample_per_class > SUBSAMPLE_CAP:
         raise ConfigError(f"subsample_per_class must be in [1, {SUBSAMPLE_CAP}]")
-    if config.lam <= 0.0:
-        raise ConfigError("lambda must be positive")
+    for name, value in (("lambda", config.lam), ("sigma", config.sigma), ("r", config.r)):
+        if value is not None and not 0.0 < value < math.inf:
+            raise ConfigError(f"{name} must be positive and finite")
+    if not config.inner_tol > 0.0 or config.inner_max_iters < 1:
+        raise ConfigError("need inner_tol > 0 and inner_max_iters >= 1")
+    if config.points_per_class < 1:
+        raise ConfigError("points_per_class must be >= 1")
+    if not math.isfinite(config.separation):
+        raise ConfigError("separation must be finite")
+    if not config.tail_multiplier > 0.0:
+        raise ConfigError("tail_multiplier must be positive")
+    if config.parallel < 0 or config.trace_thinning < 0:
+        raise ConfigError("need parallel >= 0 and trace_thinning >= 0")
     if config.ref_pool_size < 1 or config.ref_iters < 1:
         raise ConfigError("need ref_pool_size >= 1 and ref_iters >= 1")
-    # The schedule and regularizer classes own their parameter rules.
+    # The random-stream, schedule and regularizer classes own their parameter rules.
     try:
+        RandomSource(config.seed)
         for N in config.N_list:
             _schedule_for(config, N)
         _regularizer(config.regularizer, config.mu)
@@ -384,18 +388,17 @@ def _run_np_trial(config, run_cfg, init_rng, shared):
     problem = LsaalProblem(oracle, oracle.cone, oracle.feasible_set,
                            sigma=config.sigma, inner_tol=config.inner_tol,
                            inner_max_iters=config.inner_max_iters)
-    evaluator = ConicLagrangianEvaluator(oracle)
     x0 = oracle.feasible_set.prox(1.0, init_rng.uniform(-1.0, 1.0, size=oracle.dim))
     z0 = PrimalDualPoint(x0, np.zeros(oracle.cone.dim))
-    base_norm = float(np.linalg.norm(evaluator.grad_l(z0)))
+    base_norm = float(np.linalg.norm(lagrangian_grad(oracle.full_batch(z0.x), z0.y)))
 
     def hooks(k, z, avg):
         fb_avg = oracle.full_batch(avg.x)
         return {
             "constraint_violation": constraint_violation(problem.cone, fb_avg.g_value),
-            "proj_kkt": proj_kkt(oracle, problem.cone, problem.feasible, avg),
-            "grad_norm_raw": float(np.linalg.norm(evaluator.grad_l(z))),
-            "grad_norm_avg": float(np.linalg.norm(evaluator.grad_l(avg))),
+            "proj_kkt": proj_kkt(fb_avg, problem.cone, problem.feasible, avg),
+            "grad_norm_raw": float(np.linalg.norm(lagrangian_grad(oracle.full_batch(z.x), z.y))),
+            "grad_norm_avg": float(np.linalg.norm(lagrangian_grad(fb_avg, avg.y))),
             "y_norm": float(np.linalg.norm(z.y)),
         }
 
@@ -404,10 +407,9 @@ def _run_np_trial(config, run_cfg, init_rng, shared):
 
     # Relative KKT errors over the recorded trace, scored against the start.
     if base_norm > 0.0 and record.metrics:
-        raw = [base_norm] + [row["grad_norm_raw"] for row in record.metrics]
-        avg_rel = [row["grad_norm_avg"] / base_norm for row in record.metrics]
-        record.final_metrics["rerror"] = min(raw) / base_norm
-        record.final_metrics["raerror"] = float(np.mean(avg_rel))
+        errors = kkt_errors([base_norm] + [row["grad_norm_raw"] for row in record.metrics],
+                            [row["grad_norm_avg"] for row in record.metrics])
+        record.final_metrics.update(rerror=errors.rerror, raerror=errors.raerror)
     return record
 
 
@@ -450,6 +452,13 @@ def _emit_trace(out_dir: Path, config: ExperimentConfig, result: TrialResult) ->
     return path
 
 
+def _available_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the OS has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 @dataclass
 class ExperimentResult:
     output_dir: Path
@@ -471,9 +480,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     shared = _experiment_shared(config)
     tasks = [(N, trial) for N in config.N_list for trial in range(config.trials)]
 
-    workers = config.parallel if config.parallel > 0 else (os.cpu_count() or 1)
+    workers = min(config.parallel or _available_cpus(), len(tasks))
     results = {}
-    if workers == 1 or len(tasks) == 1:
+    if workers == 1:
         for N, trial in tasks:
             results[(N, trial)] = run_single_trial(config, N, trial, shared)
     else:

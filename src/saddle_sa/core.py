@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -143,7 +144,7 @@ class StepSchedule:
     def __post_init__(self):
         if self.kind not in SCHEDULE_KINDS:
             raise ValueError(f"unknown schedule kind {self.kind!r}; expected one of {SCHEDULE_KINDS}")
-        if self.theta <= 0.0:
+        if not self.theta > 0.0:
             raise ValueError("theta must be positive")
         if self.kind in _HORIZON_BOUND:
             if self.horizon is None or self.horizon < 1:
@@ -151,7 +152,7 @@ class StepSchedule:
         if self.kind == "scaled_const":
             if self.dist_estimate is None or self.M_estimate is None:
                 raise ValueError("scaled_const requires dist_estimate and M_estimate")
-            if self.dist_estimate <= 0.0 or self.M_estimate <= 0.0:
+            if not (self.dist_estimate > 0.0 and self.M_estimate > 0.0):
                 raise ValueError("dist_estimate and M_estimate must be positive")
 
     def gamma(self, k: int) -> float:
@@ -316,10 +317,13 @@ def derive_stream_id(*parts) -> int:
     """Stable 63-bit stream id from integer/string parts (order-sensitive).
 
     Uses SHA-256 over a canonical encoding so ids do not depend on the Python
-    hash seed or on scheduling order.
+    hash seed or on scheduling order. Integral parts are encoded as Python
+    ints, so a numpy integer gives the same id as the equal Python int.
     """
     h = hashlib.sha256()
     for p in parts:
+        if isinstance(p, numbers.Integral):
+            p = int(p)
         h.update(repr(p).encode("utf-8"))
         h.update(b"\x1f")
     return int.from_bytes(h.digest()[:8], "big") >> 1

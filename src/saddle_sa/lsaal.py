@@ -72,9 +72,9 @@ class LsaalProblem:
     def __post_init__(self):
         if not self.feasible.is_indicator:
             raise ValueError("feasible must be an indicator function with a projection")
-        if self.sigma is not None and self.sigma <= 0.0:
-            raise ValueError("sigma must be positive")
-        if self.inner_tol <= 0.0 or self.inner_max_iters < 1:
+        if self.sigma is not None and not 0.0 < self.sigma < math.inf:
+            raise ValueError("sigma must be positive and finite")
+        if not self.inner_tol > 0.0 or self.inner_max_iters < 1:
             raise ValueError("inner_tol must be positive and inner_max_iters >= 1")
 
     def resolve_sigma(self, horizon: int) -> float:

@@ -21,8 +21,8 @@ from .prox import ProximableFunction
 __all__ = [
     "BilinearEvaluator",
     "FiniteSumMinimaxEvaluator",
-    "ConicLagrangianEvaluator",
     "minimax_gap",
+    "lagrangian_grad",
     "KktErrors",
     "kkt_errors",
     "constraint_violation",
@@ -76,25 +76,6 @@ class FiniteSumMinimaxEvaluator:
         return self.mu * self.theta.value(x) + value - self.mu * self.omega.value(y)
 
 
-class ConicLagrangianEvaluator:
-    """Full-batch Lagrangian l(x,y) = f(x) + <y, g(x)> of a conic instance.
-
-    grad_l stacks (grad_x l, grad_y l) = (grad f + Dg^T y, g(x)).
-    """
-
-    def __init__(self, oracle):
-        self.oracle = oracle
-
-    def phi(self, x: np.ndarray, y: np.ndarray) -> float:
-        fb = self.oracle.full_batch(x)
-        return fb.f_value + float(y @ fb.g_value)
-
-    def grad_l(self, z: PrimalDualPoint) -> np.ndarray:
-        fb = self.oracle.full_batch(z.x)
-        grad_x = fb.f_grad + fb.g_jacobian.rmatvec(z.y)
-        return np.concatenate([grad_x, fb.g_value])
-
-
 def minimax_gap(evaluator, z: PrimalDualPoint, z_star: PrimalDualPoint) -> float:
     """Optimality measure phi(x, y*) - phi(x*, y); zero exactly at saddles.
 
@@ -104,29 +85,31 @@ def minimax_gap(evaluator, z: PrimalDualPoint, z_star: PrimalDualPoint) -> float
     return evaluator.phi(z.x, z_star.y) - evaluator.phi(z_star.x, z.y)
 
 
+def lagrangian_grad(fb, y: np.ndarray) -> np.ndarray:
+    """Stacked gradient (grad_x l, grad_y l) = (grad f + Dg^T y, g(x)) of the
+    Lagrangian l(x,y) = f(x) + <y, g(x)>, from the full-batch sample `fb` at x."""
+    return np.concatenate([fb.f_grad + fb.g_jacobian.rmatvec(y), fb.g_value])
+
+
 @dataclass(frozen=True)
 class KktErrors:
     rerror: float   # best-so-far gradient norm over the raw trace, relative to the start
     raerror: float  # mean gradient norm over the averaged trace, relative to the start
 
 
-def kkt_errors(evaluator, trace, averaged_trace) -> KktErrors:
+def kkt_errors(norms, averaged_norms) -> KktErrors:
     """Relative Lagrangian-gradient errors over a recorded trace.
 
-    `trace` holds the raw iterates starting at the initial point z^0 and
-    `averaged_trace` the running averages; both are scored against the
-    gradient norm at z^0, which must be nonzero.
+    `norms` holds the gradient norms at the raw iterates, starting at the
+    initial point z^0, and `averaged_norms` those at the running averages;
+    both are scored against norms[0], which must be nonzero.
     """
-    trace = list(trace)
-    averaged_trace = list(averaged_trace)
-    if not trace or not averaged_trace:
+    if len(norms) == 0 or len(averaged_norms) == 0:
         raise ValueError("traces must be nonempty")
-    norms = [float(np.linalg.norm(evaluator.grad_l(z))) for z in trace]
-    base = norms[0]
+    base = float(norms[0])
     if base == 0.0:
         raise ValueError("degenerate start: gradient norm at z^0 is zero")
-    avg_norms = [float(np.linalg.norm(evaluator.grad_l(z))) for z in averaged_trace]
-    return KktErrors(min(norms) / base, float(np.mean(avg_norms)) / base)
+    return KktErrors(float(min(norms)) / base, float(np.mean(np.asarray(averaged_norms) / base)))
 
 
 def constraint_violation(cone: ConvexCone, g_value: np.ndarray) -> float:
@@ -134,8 +117,9 @@ def constraint_violation(cone: ConvexCone, g_value: np.ndarray) -> float:
     return float(np.linalg.norm(cone.polar_project(g_value)))
 
 
-def proj_kkt(oracle, cone: ConvexCone, feasible: ProximableFunction, z: PrimalDualPoint) -> float:
-    """Projected KKT residual of a conic instance at (x, y).
+def proj_kkt(fb, cone: ConvexCone, feasible: ProximableFunction, z: PrimalDualPoint) -> float:
+    """Projected KKT residual of a conic instance at (x, y), from the
+    full-batch sample `fb` at x.
 
     Sum of the stationarity residual dist(-grad_x l(x,y), N_X(x)), with N_X
     the normal cone of the feasible set at x, and the combined feasibility/
@@ -144,8 +128,7 @@ def proj_kkt(oracle, cone: ConvexCone, feasible: ProximableFunction, z: PrimalDu
     used instead of the raw gradient norm, which need not vanish at
     constrained optima.
     """
-    fb = oracle.full_batch(z.x)
-    grad_x_l = fb.f_grad + fb.g_jacobian.rmatvec(z.y)
+    grad_x_l = lagrangian_grad(fb, z.y)[:z.n]
     stationarity = feasible.normal_cone_distance(z.x, -grad_x_l)
     complementarity = float(np.linalg.norm(fb.g_value - cone.project(fb.g_value + z.y)))
     return stationarity + complementarity

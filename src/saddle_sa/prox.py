@@ -103,7 +103,7 @@ class ScaledL1(ProximableFunction):
     mu: float
 
     def __post_init__(self):
-        if self.mu < 0.0:
+        if not self.mu >= 0.0:
             raise ValueError("mu must be nonnegative")
 
     def value(self, v):
@@ -125,7 +125,7 @@ class ScaledL2(ProximableFunction):
     mu: float
 
     def __post_init__(self):
-        if self.mu < 0.0:
+        if not self.mu >= 0.0:
             raise ValueError("mu must be nonnegative")
 
     def value(self, v):
@@ -159,7 +159,7 @@ class PositivePartSum(ProximableFunction):
     mu: float
 
     def __post_init__(self):
-        if self.mu < 0.0:
+        if not self.mu >= 0.0:
             raise ValueError("mu must be nonnegative")
 
     def value(self, v):

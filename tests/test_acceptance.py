@@ -278,7 +278,7 @@ def test_criterion_08_lsaal_rate(lsaal_sweep):
         for rec in records:
             fb = oracle.full_batch(rec.final_average.x)
             viols.append(M.constraint_violation(oracle.cone, fb.g_value))
-            pks.append(M.proj_kkt(oracle, oracle.cone, oracle.feasible_set, rec.final_average))
+            pks.append(M.proj_kkt(fb, oracle.cone, oracle.feasible_set, rec.final_average))
         med_viol.append(float(np.median(viols)))
         med_pk.append(float(np.median(pks)))
     nonincreasing = all(a >= b - 1e-15 for a, b in zip(med_viol, med_viol[1:]))

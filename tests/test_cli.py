@@ -1,6 +1,10 @@
 import csv
 import math
 import os
+import tempfile
+import warnings
+from concurrent.futures import Future
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +19,7 @@ from saddle_sa.cli import (
     run_experiment,
 )
 from saddle_sa.core import PrimalDualPoint
-from saddle_sa.oracles import TanhOracle
+from saddle_sa.oracles import NeymanPearsonOracle, TanhOracle
 from saddle_sa.saps import SapsProblem, saps_step, streaming_average
 
 
@@ -191,6 +195,24 @@ class TestTanhReference:
         assert np.array_equal(z_ref.y, expect.y)
 
 
+BAD_VALUES = {
+    "theta": ["theta=-1"],
+    "dist_estimate": ["schedule=scaled_const", "M_estimate=1", "dist_estimate=-1"],
+    "mu": ["mu=-1"],
+    "ref_pool_size": ["ref_pool_size=0"],
+    "ref_iters": ["ref_iters=0"],
+    "scaled_const_nan": ["schedule=scaled_const", "M_estimate=nan", "dist_estimate=1"],
+    **{kv: [kv] for kv in (
+        "seed=-1", "mu=nan", "theta=nan", "lam=nan", "lam=inf",
+        "sigma=0", "sigma=-1", "sigma=-inf", "sigma=nan", "sigma=inf",
+        "inner_tol=0", "inner_tol=-1", "inner_tol=-inf", "inner_tol=nan",
+        "inner_max_iters=0", "inner_max_iters=-1", "points_per_class=0", "points_per_class=-1",
+        "separation=nan", "separation=inf", "separation=-inf",
+        "r=nan", "r=inf", "r=-inf", "r=0", "r=-1",
+        "tail_multiplier=0", "tail_multiplier=-1", "parallel=-1", "trace_thinning=-1")},
+}
+
+
 class TestMainEntry:
     def test_run_roundtrip(self, tmp_path, capsys):
         cfg_path = tmp_path / "exp.cfg"
@@ -204,13 +226,7 @@ class TestMainEntry:
         cfg_path.write_text("experiment=neyman_pearson\nalgorithm=saps\nN_list=10\n", encoding="utf-8")
         assert main(["run", str(cfg_path)]) == 1
 
-    @pytest.mark.parametrize("overrides", [
-        ["theta=-1"],
-        ["schedule=scaled_const", "M_estimate=1", "dist_estimate=-1"],
-        ["mu=-1"],
-        ["ref_pool_size=0"],
-        ["ref_iters=0"],
-    ], ids=["theta", "dist_estimate", "mu", "ref_pool_size", "ref_iters"])
+    @pytest.mark.parametrize("overrides", list(BAD_VALUES.values()), ids=list(BAD_VALUES))
     def test_bad_value_is_config_error(self, tmp_path, capsys, overrides):
         cfg_path = tmp_path / "tanh.cfg"
         cfg_path.write_text("experiment=tanh\nalgorithm=saps\nN_list=10\ntrials=1\nparallel=1\n"
@@ -289,3 +305,103 @@ class TestParallelDeterminism:
         run_experiment(cfg_par)
         for name in sorted(p.name for p in serial_dir.iterdir()):
             assert (serial_dir / name).read_bytes() == (par_dir / name).read_bytes()
+
+
+class TestWorkerCount:
+    def test_available_cpus_follows_affinity(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert cli._available_cpus() == 2
+
+    def test_available_cpus_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert cli._available_cpus() == 3
+
+    def test_pool_never_larger_than_task_count(self, tmp_path, monkeypatch):
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(cli, "_available_cpus", lambda: 1)
+        run_experiment(load_config(bilinear_text(N_list="5", trials=2, parallel=0,
+                                                 output_dir=tmp_path / "auto")))
+        assert sizes == []  # one available CPU: trials run in this process
+        run_experiment(load_config(bilinear_text(N_list="5", trials=2, parallel=1000,
+                                                 output_dir=tmp_path / "wide")))
+        assert sizes == [2]
+
+
+class TestNeymanPearsonHook:
+    def test_one_full_batch_per_distinct_point(self, tmp_path, monkeypatch):
+        calls = []
+        full_batch = NeymanPearsonOracle.full_batch
+
+        def counted(self, x):
+            calls.append(1)
+            return full_batch(self, x)
+
+        monkeypatch.setattr(NeymanPearsonOracle, "full_batch", counted)
+        cfg = load_config("experiment=neyman_pearson\nalgorithm=lsaal\nn=4\nm_classes=2\n"
+                          "points_per_class=10\nN_list=30\ntrials=1\ntrace_thinning=4\n")
+        shared = cli._experiment_shared(cfg)
+        result = cli.run_single_trial(cfg, 30, 0, shared)
+        assert len(result.rows) == 8
+        assert len(calls) == 1 + 2 * len(result.rows)
+
+
+def _numeric_keys():
+    return sorted(f.name for f in fields(ExperimentConfig)
+                  if f.type.removesuffix(" | None") in ("int", "float", "tuple"))
+
+
+TINY_CONFIGS = {
+    "bilinear": "experiment=bilinear\nalgorithm=saps\nn=2\n",
+    "tanh": "experiment=tanh\nalgorithm=saps\nn=2\nref_pool_size=4\nref_iters=4\n",
+    "lsaal": "experiment=neyman_pearson\nalgorithm=lsaal\nn=3\nm_classes=2\npoints_per_class=5\n",
+    "laam": "experiment=neyman_pearson\nalgorithm=laam\nn=3\nm_classes=2\npoints_per_class=5\n",
+}
+
+
+class TestAnyNumericValue:
+    def test_main_exits_0_1_or_2(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        values = st.one_of(
+            st.integers(-3, 12).map(str),
+            st.floats(allow_nan=True, allow_infinity=True).map(repr),
+            st.sampled_from(["nan", "-inf", "inf", "-0.0", "1e308", "5e-324", "2.5", "", "1,2"]),
+        )
+
+        @hypothesis.settings(max_examples=200, deadline=None, derandomize=True,
+                             suppress_health_check=[hypothesis.HealthCheck.too_slow])
+        @hypothesis.given(st.sampled_from(sorted(TINY_CONFIGS)), st.sampled_from(_numeric_keys()),
+                          values)
+        def check(pair, key, value):
+            # Without the override the run has one (N, trial) task, and a
+            # `parallel` override leaves it at one, so no worker process starts.
+            with tempfile.TemporaryDirectory() as tmp:
+                cfg_path = Path(tmp) / "tiny.cfg"
+                cfg_path.write_text(TINY_CONFIGS[pair] + "N_list=4\ntrials=1\nparallel=1\n",
+                                    encoding="utf-8")
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", RuntimeWarning)
+                    code = main(["run", str(cfg_path), "--out", str(Path(tmp) / "out"),
+                                 "--set", f"{key}={value}"])
+            assert code in (0, 1, 2)
+
+        check()

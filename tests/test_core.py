@@ -96,6 +96,11 @@ class TestRandomSource:
         assert derive_stream_id(1, 100, 2) != derive_stream_id(2, 100, 1)
         assert 0 <= derive_stream_id(0) < 2**63
 
+    def test_derive_stream_id_canonicalises_integers(self):
+        expect = derive_stream_id(1, 100, 2, "init")
+        assert expect == 3544436831749058048  # the id Python ints have always had
+        assert derive_stream_id(np.int64(1), np.int64(100), np.uint8(2), "init") == expect
+
 
 class TestRunRecord:
     def test_append_and_validate(self):

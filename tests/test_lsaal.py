@@ -278,7 +278,8 @@ class TestRunners:
         residuals = []
 
         def hook(k, z, avg):
-            residuals.append(proj_kkt(np_instance, np_instance.cone, np_instance.feasible_set, z))
+            residuals.append(proj_kkt(np_instance.full_batch(z.x), np_instance.cone,
+                                      np_instance.feasible_set, z))
             return {}
 
         run_laam(problem, run_config(50, seed=1, thin=1), [hook])

@@ -8,7 +8,6 @@ from saddle_sa import (
     BilinearEvaluator,
     BilinearOracle,
     BoxIndicator,
-    ConicLagrangianEvaluator,
     ConicSample,
     DenseLinearMap,
     FiniteSumMinimaxEvaluator,
@@ -22,6 +21,7 @@ from saddle_sa import (
     constraint_violation,
     estimate_m_star,
     kkt_errors,
+    lagrangian_grad,
     minimax_gap,
     proj_kkt,
     rate_slope_fit,
@@ -56,41 +56,49 @@ class TestMinimaxGap:
         assert minimax_gap(Shifted(), z, z_star) == pytest.approx(minimax_gap(ev, z, z_star), rel=1e-12)
 
 
-class TestKktErrors:
-    class LinearEval:
-        def grad_l(self, z):
-            return z.stacked()
+def grad_norms(trace):
+    """Gradient norms of the linear Lagrangian l with grad l(z) = z."""
+    return [float(np.linalg.norm(z.stacked())) for z in trace]
 
+
+class TestKktErrors:
     def test_ratio(self):
-        ev = self.LinearEval()
-        trace = [PrimalDualPoint([4.0], [0.0]), PrimalDualPoint([1.0], [0.0])]
-        out = kkt_errors(ev, trace, trace)
+        trace = grad_norms([PrimalDualPoint([4.0], [0.0]), PrimalDualPoint([1.0], [0.0])])
+        out = kkt_errors(trace, trace)
         assert out.rerror == pytest.approx(0.25)
 
     def test_constant_trace_is_one(self):
-        ev = self.LinearEval()
         z = PrimalDualPoint([2.0], [1.0])
-        out = kkt_errors(ev, [z, z, z], [z, z, z])
+        out = kkt_errors(grad_norms([z, z, z]), grad_norms([z, z, z]))
         assert out.rerror == pytest.approx(1.0)
         assert out.raerror == pytest.approx(1.0)
 
     def test_exact_kkt_point_gives_zero(self):
-        ev = self.LinearEval()
-        trace = [PrimalDualPoint([1.0], [0.0]), PrimalDualPoint([0.0], [0.0])]
-        assert kkt_errors(ev, trace, trace).rerror == pytest.approx(0.0)
+        trace = grad_norms([PrimalDualPoint([1.0], [0.0]), PrimalDualPoint([0.0], [0.0])])
+        assert kkt_errors(trace, trace).rerror == pytest.approx(0.0)
 
     def test_degenerate_start_rejected(self):
-        ev = self.LinearEval()
         z0 = PrimalDualPoint([0.0], [0.0])
         with pytest.raises(ValueError):
-            kkt_errors(ev, [z0], [z0])
+            kkt_errors(grad_norms([z0]), grad_norms([z0]))
+        with pytest.raises(ValueError):
+            kkt_errors([], [1.0])
 
     def test_rerror_nonincreasing_as_trace_extends(self):
-        ev = self.LinearEval()
         rng = RandomSource(3).generator()
-        trace = [PrimalDualPoint(rng.normal(size=2), rng.normal(size=1)) for _ in range(20)]
-        values = [kkt_errors(ev, trace[:k], trace[:k]).rerror for k in range(1, 21)]
+        trace = grad_norms([PrimalDualPoint(rng.normal(size=2), rng.normal(size=1)) for _ in range(20)])
+        values = [kkt_errors(trace[:k], trace[:k]).rerror for k in range(1, 21)]
         assert all(a >= b - 1e-15 for a, b in zip(values, values[1:]))
+
+    def test_matches_inline_formulas_exactly(self):
+        # the formulas the CLI wrote to aggregate.csv before kkt_errors took norms
+        rng = RandomSource(5).generator()
+        base = float(rng.uniform(0.5, 2.0))
+        raw_norms = rng.uniform(0.0, 3.0, size=37).tolist()
+        avg_norms = rng.uniform(0.0, 3.0, size=37).tolist()
+        out = kkt_errors([base] + raw_norms, avg_norms)
+        assert out.rerror == min([base] + raw_norms) / base
+        assert out.raerror == float(np.mean([v / base for v in avg_norms]))
 
 
 class TestConstraintViolation:
@@ -123,24 +131,24 @@ class TestProjKkt:
         # min x s.t. x <= 0 over [-1,1]: optimum x=-1 (X boundary), y=0
         oracle = TinyConicOracle(1.0)
         z = PrimalDualPoint([-1.0], [0.0])
-        assert proj_kkt(oracle, oracle.cone, oracle.feasible_set, z) == pytest.approx(0.0, abs=1e-12)
+        assert proj_kkt(oracle.full_batch(z.x), oracle.cone, oracle.feasible_set, z) == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_at_active_kkt_point(self):
         # min -x s.t. x <= 0 over [-1,1]: optimum x=0 with multiplier y=1
         oracle = TinyConicOracle(-1.0)
         z = PrimalDualPoint([0.0], [1.0])
-        assert proj_kkt(oracle, oracle.cone, oracle.feasible_set, z) == pytest.approx(0.0, abs=1e-12)
+        assert proj_kkt(oracle.full_batch(z.x), oracle.cone, oracle.feasible_set, z) == pytest.approx(0.0, abs=1e-12)
 
     def test_positive_away_from_kkt(self):
         oracle = TinyConicOracle(-1.0)
         z = PrimalDualPoint([0.5], [0.0])
-        assert proj_kkt(oracle, oracle.cone, oracle.feasible_set, z) > 0.4
+        assert proj_kkt(oracle.full_batch(z.x), oracle.cone, oracle.feasible_set, z) > 0.4
 
     def test_detects_complementarity_violation(self):
         # feasible x=-1 with a positive multiplier violates complementarity
         oracle = TinyConicOracle(1.0)
         z = PrimalDualPoint([-1.0], [2.0])
-        assert proj_kkt(oracle, oracle.cone, oracle.feasible_set, z) > 0.5
+        assert proj_kkt(oracle.full_batch(z.x), oracle.cone, oracle.feasible_set, z) > 0.5
 
 
 class TestRateSlopeFit:
@@ -198,12 +206,10 @@ class TestEvaluators:
 
     def test_conic_lagrangian_gradient(self):
         oracle = TinyConicOracle(-1.0)
-        ev = ConicLagrangianEvaluator(oracle)
         z = PrimalDualPoint([0.3], [2.0])
-        grad = ev.grad_l(z)
+        grad = lagrangian_grad(oracle.full_batch(z.x), z.y)
         # grad_x l = c + y * Dg = -1 + 2; grad_y l = g(x) = 0.3
         np.testing.assert_allclose(grad, [1.0, 0.3], atol=1e-15)
-        assert ev.phi(z.x, z.y) == pytest.approx(-0.3 + 2.0 * 0.3)
 
 
 class TestEstimateMStar:
