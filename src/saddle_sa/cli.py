@@ -35,7 +35,14 @@ from .core import (
     derive_stream_id,
 )
 from .data import DataError, ParseError, parse_libsvm, synth_gaussian_classes
-from .lsaal import LsaalProblem, estimate_constants, multiplier_bound_diagnostics, run_laam, run_lsaal
+from .lsaal import (
+    LsaalProblem,
+    check_sample,
+    estimate_constants,
+    multiplier_bound_diagnostics,
+    run_laam,
+    run_lsaal,
+)
 from .metrics import (
     BilinearEvaluator,
     FiniteSumMinimaxEvaluator,
@@ -390,14 +397,20 @@ def _run_np_trial(config, run_cfg, init_rng, shared):
                            inner_max_iters=config.inner_max_iters)
     x0 = oracle.feasible_set.prox(1.0, init_rng.uniform(-1.0, 1.0, size=oracle.dim))
     z0 = PrimalDualPoint(x0, np.zeros(oracle.cone.dim))
-    base_norm = float(np.linalg.norm(lagrangian_grad(oracle.full_batch(z0.x), z0.y)))
+
+    def full_batch(x, k):
+        # Hook values run outside the solver's guard: a non-finite one is
+        # divergence at the recorded iteration k (0 for the start point).
+        return check_sample(oracle.full_batch(x), oracle.dim, oracle.cone, k)
+
+    base_norm = float(np.linalg.norm(lagrangian_grad(full_batch(z0.x, 0), z0.y)))
 
     def hooks(k, z, avg):
-        fb_avg = oracle.full_batch(avg.x)
+        fb_avg = full_batch(avg.x, k)
         return {
             "constraint_violation": constraint_violation(problem.cone, fb_avg.g_value),
             "proj_kkt": proj_kkt(fb_avg, problem.cone, problem.feasible, avg),
-            "grad_norm_raw": float(np.linalg.norm(lagrangian_grad(oracle.full_batch(z.x), z.y))),
+            "grad_norm_raw": float(np.linalg.norm(lagrangian_grad(full_batch(z.x, k), z.y))),
             "grad_norm_avg": float(np.linalg.norm(lagrangian_grad(fb_avg, avg.y))),
             "y_norm": float(np.linalg.norm(z.y)),
         }

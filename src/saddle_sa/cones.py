@@ -37,21 +37,28 @@ class ConvexCone:
         return as_vector(y, dim=self.dim, name="cone argument")
 
     def project(self, y: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        return self._project(self._check(y))
 
     def polar_project(self, y: np.ndarray) -> np.ndarray:
         """Projection onto the polar cone, via the Moreau residual."""
-        y = self._check(y)
-        return y - self.project(y)
+        return self._polar_project(self._check(y))
+
+    def _project(self, y: np.ndarray) -> np.ndarray:
+        """Projection of a finite 1-D float array of length dim; unchecked."""
+        raise NotImplementedError
+
+    def _polar_project(self, y: np.ndarray) -> np.ndarray:
+        """Unchecked polar projection, for arrays built from checked data."""
+        return y - self._project(y)
 
     def contains(self, y: np.ndarray, tol: float = 1e-10) -> bool:
         y = self._check(y)
-        return float(np.linalg.norm(y - self.project(y))) <= tol
+        return float(np.linalg.norm(y - self._project(y))) <= tol
 
     def polar_contains(self, y: np.ndarray, tol: float = 1e-10) -> bool:
         # y lies in the polar cone iff its projection onto this cone is 0.
         y = self._check(y)
-        return float(np.linalg.norm(self.project(y))) <= tol
+        return float(np.linalg.norm(self._project(y))) <= tol
 
     def interior_distance(self, y: np.ndarray) -> float:
         """Distance from y to the cone boundary; 0 when y is not interior.
@@ -62,16 +69,16 @@ class ConvexCone:
 
 
 class NonnegativeOrthant(ConvexCone):
-    def project(self, y):
-        return np.maximum(self._check(y), 0.0)
+    def _project(self, y):
+        return np.maximum(y, 0.0)
 
     def interior_distance(self, y):
         return float(max(0.0, self._check(y).min()))
 
 
 class NonpositiveOrthant(ConvexCone):
-    def project(self, y):
-        return np.minimum(self._check(y), 0.0)
+    def _project(self, y):
+        return np.minimum(y, 0.0)
 
     def interior_distance(self, y):
         return float(max(0.0, -self._check(y).max()))
@@ -85,8 +92,7 @@ class SecondOrderCone(ConvexCone):
         if self.dim < 2:
             raise ValueError("second-order cone needs dimension >= 2")
 
-    def project(self, y):
-        y = self._check(y)
+    def _project(self, y):
         u, t = y[:-1], float(y[-1])
         nu = float(np.linalg.norm(u))
         if nu <= t:
@@ -108,8 +114,7 @@ class SecondOrderCone(ConvexCone):
 class ZeroCone(ConvexCone):
     """{0}; its polar is the whole space."""
 
-    def project(self, y):
-        self._check(y)
+    def _project(self, y):
         return np.zeros(self.dim)
 
     def interior_distance(self, y):
@@ -120,8 +125,8 @@ class ZeroCone(ConvexCone):
 class FreeCone(ConvexCone):
     """The whole space; its polar is {0}."""
 
-    def project(self, y):
-        return self._check(y).copy()
+    def _project(self, y):
+        return y.copy()
 
     def interior_distance(self, y):
         self._check(y)
@@ -140,9 +145,8 @@ class ProductCone(ConvexCone):
         offsets = np.cumsum([0] + [c.dim for c in factors])
         self._slices = [slice(int(a), int(b)) for a, b in zip(offsets[:-1], offsets[1:])]
 
-    def project(self, y):
-        y = self._check(y)
-        return np.concatenate([c.project(y[s]) for c, s in zip(self.factors, self._slices)])
+    def _project(self, y):
+        return np.concatenate([c._project(y[s]) for c, s in zip(self.factors, self._slices)])
 
     def interior_distance(self, y):
         y = self._check(y)

@@ -42,6 +42,7 @@ __all__ = [
     "x_subproblem_gradient",
     "solve_x_subproblem",
     "y_update",
+    "check_sample",
     "run_lsaal",
     "run_laam",
     "MultiplierDiagnostics",
@@ -103,7 +104,7 @@ def x_subproblem_objective(spec: XSubproblemSpec, x: np.ndarray) -> float:
     s = spec.sample
     dx = x - spec.x_k
     w = spec.y_k + spec.sigma * spec.linearized_g(x)
-    pw = spec.cone.polar_project(w)
+    pw = spec.cone._polar_project(w)  # w is built from checked data
     return (
         float(s.f_grad @ dx)
         + float(pw @ pw) / (2.0 * spec.sigma)
@@ -120,7 +121,7 @@ def x_subproblem_gradient(spec: XSubproblemSpec, x: np.ndarray) -> np.ndarray:
     """
     s = spec.sample
     w = spec.y_k + spec.sigma * spec.linearized_g(x)
-    return s.f_grad + s.g_jacobian.rmatvec(spec.cone.polar_project(w)) + (x - spec.x_k) / spec.sigma
+    return s.f_grad + s.g_jacobian.rmatvec(spec.cone._polar_project(w)) + (x - spec.x_k) / spec.sigma
 
 
 def solve_x_subproblem(spec: XSubproblemSpec, feasible: ProximableFunction) -> np.ndarray:
@@ -175,6 +176,23 @@ def y_update(cone: ConvexCone, y_k: np.ndarray, sigma: float, sample: ConicSampl
     return cone.polar_project(y_k + sigma * lin)
 
 
+def check_sample(sample: ConicSample, dim: int, cone: ConvexCone, k: int) -> ConicSample:
+    """Validate one conic-oracle output at (outer) iteration k.
+
+    Shapes that do not fit a dim-dimensional point and the cone raise
+    ValueError; non-finite gradient, constraint or Jacobian entries raise
+    DivergenceError(k).
+    """
+    jac = sample.g_jacobian.matrix
+    if sample.f_grad.shape != (dim,) or sample.g_value.shape != (cone.dim,) or jac.shape != (cone.dim, dim):
+        raise ValueError(f"sample shapes do not match a {dim}-dimensional point and a "
+                         f"{cone.dim}-dimensional cone")
+    if not (np.isfinite(sample.f_grad).all() and np.isfinite(sample.g_value).all()
+            and np.isfinite(jac).all()):
+        raise DivergenceError(k, f"non-finite oracle sample at iteration {k}")
+    return sample
+
+
 def run_lsaal(problem: LsaalProblem, config: RunConfig, metric_hooks=()) -> RunRecord:
     """Stochastic run: one oracle sample per outer iteration."""
     return _run_augmented(problem, config, metric_hooks, full_batch=False)
@@ -213,10 +231,8 @@ def _run_augmented(problem: LsaalProblem, config: RunConfig, metric_hooks, full_
     record = RunRecord()
     t0 = time.perf_counter()
     for k in range(1, N + 1):
-        if full_batch:
-            sample = oracle.full_batch(x)
-        else:
-            sample = oracle.sample(rng, x)
+        sample = check_sample(oracle.full_batch(x) if full_batch else oracle.sample(rng, x),
+                              x.shape[0], problem.cone, k)
         spec = XSubproblemSpec(x, y, sample, sigma, problem.inner_tol,
                                problem.inner_max_iters, problem.cone)
         try:

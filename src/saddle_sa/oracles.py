@@ -213,6 +213,8 @@ class NeymanPearsonOracle:
         self.feasible_set = BlockSeparable([(BallIndicator(zero, self.lam), self.n)] * self.m)
         self._matrices = [dataset.class_matrix(label) for label in self.labels]
         self._counts = [mat.shape[0] for mat in self._matrices]
+        self._off_diagonal = ~np.eye(self.m, dtype=bool)
+        self._others = [np.flatnonzero(row) for row in self._off_diagonal]
 
     def blocks(self, x: np.ndarray) -> np.ndarray:
         x = as_vector(x, dim=self.dim, name="stacked x")
@@ -228,51 +230,47 @@ class NeymanPearsonOracle:
         return self.evaluate(x, self.draw(rng))
 
     def evaluate(self, x: np.ndarray, idx) -> ConicSample:
-        # Runs the full-batch path on singleton rows, so a one-point-per-class
-        # dataset reproduces full_batch bit for bit.
+        # The full-batch arithmetic on one point per class, without the class
+        # loop, so a one-point-per-class dataset reproduces full_batch bit for bit.
+        m, n = self.m, self.n
         X = self.blocks(x)
-        rows = [self._matrices[i][idx[i]:idx[i] + 1] for i in range(self.m)]
-        proj = [row @ X.T for row in rows]
-        return self._assemble(X, rows, proj)
+        rows = [self._matrices[i][idx[i]:idx[i] + 1] for i in range(m)]
+        # One product per class: a stacked Psi @ X.T can round differently.
+        margins = np.concatenate([row @ X.T for row in rows])  # (m, m): psi_i . x_l
+        t = (np.diagonal(margins)[:, None] - margins)[self._off_diagonal].reshape(m, m - 1)
+        values = _phi(t).sum(axis=1)
+        w = _phi_prime(t)
+        coef = np.diag(w.sum(axis=1))
+        coef[self._off_diagonal] = -w.reshape(-1)
+        # grads[i, l] = coef[i, l] * psi_i is class i's gradient in block l;
+        # adding 0.0 gives zeros the sign that full_batch's np.zeros gives them.
+        grads = coef[:, :, None] * np.concatenate(rows)[:, None, :] + 0.0
+        return ConicSample(
+            float(values[0]),
+            grads[0].reshape(-1),
+            values[1:] - self.r,
+            DenseLinearMap(grads[1:].reshape(m - 1, m * n)),
+        )
 
     def full_batch(self, x: np.ndarray) -> ConicSample:
         """Exact finite-sum version over the empirical class distributions."""
-        X = self.blocks(x)
-        mats = self._matrices
-        proj = [mat @ X.T for mat in mats]  # per class: (points, m)
-        return self._assemble(X, mats, proj)
-
-    def _assemble(self, X, mats, proj) -> ConicSample:
         m, n = self.m, self.n
-        f_value = 0.0
-        f_grad = np.zeros((m, n))
-        g_value = np.empty(m - 1)
-        jac = np.zeros((m - 1, m, n))
-        for i in range(m):
-            P = proj[i]  # (p_i, m) projections of class-i points on all blocks
-            A = mats[i]
-            p_count = P.shape[0]
-            others = [l for l in range(m) if l != i]
+        X = self.blocks(x)
+        grads = np.zeros((m, m, n))  # class 0: objective gradient; class i: Jacobian row i-1
+        values = np.empty(m)
+        for i, A in enumerate(self._matrices):
+            P = A @ X.T  # (p_i, m) projections of class-i points on all blocks
+            others = self._others[i]
             t = P[:, [i]] - P[:, others]  # (p_i, m-1)
-            val = float(_phi(t).mean(axis=0).sum())
-            w = _phi_prime(t) / p_count  # (p_i, m-1) averaged weights
-            own = A.T @ w.sum(axis=1)
-            cross = A.T @ w  # (n, m-1) per-other-block contributions
-            if i == 0:
-                f_value = val
-                f_grad[0] += own
-                for j, l in enumerate(others):
-                    f_grad[l] -= cross[:, j]
-            else:
-                g_value[i - 1] = val - self.r[i - 1]
-                jac[i - 1, i] += own
-                for j, l in enumerate(others):
-                    jac[i - 1, l] -= cross[:, j]
+            values[i] = _phi(t).mean(axis=0).sum()
+            w = _phi_prime(t) / P.shape[0]  # (p_i, m-1) averaged weights
+            grads[i, i] += A.T @ w.sum(axis=1)
+            grads[i, others] -= (A.T @ w).T  # per-other-block contributions
         return ConicSample(
-            f_value,
-            f_grad.reshape(-1),
-            g_value,
-            DenseLinearMap(jac.reshape(m - 1, m * n)),
+            float(values[0]),
+            grads[0].reshape(-1),
+            values[1:] - self.r,
+            DenseLinearMap(grads[1:].reshape(m - 1, m * n)),
         )
 
     def envelope_constants(self) -> dict:

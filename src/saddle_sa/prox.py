@@ -34,6 +34,10 @@ class ProximableFunction:
 
     is_indicator = False
 
+    # Unchecked row-wise prox `_prox_rows(gamma, V)` of a 2-D float array V,
+    # one block per row; None for kinds without one.
+    _prox_rows = None
+
     def value(self, v: np.ndarray) -> float:
         raise NotImplementedError
 
@@ -201,6 +205,19 @@ class BallIndicator(ProximableFunction):
             return v.copy()
         return self.center + (self.radius / nrm) * d
 
+    def _prox_rows(self, gamma, V):
+        if V.shape[1] != self.center.shape[0]:
+            raise ValueError(f"blocks must have dimension {self.center.shape[0]}, got {V.shape[1]}")
+        D = V - self.center
+        # A (1, n) @ (n, 1) product per row rounds as the 1-D norm in prox
+        # does; axis norms, einsum and (D*D).sum(1) can differ in the last bit.
+        nrm = np.sqrt(np.matmul(D[:, None, :], D[:, :, None]).reshape(-1))
+        far = nrm > self.radius
+        if not far.any():
+            return V.copy()
+        scale = self.radius / np.maximum(nrm, self.radius)
+        return np.where(far[:, None], self.center + scale[:, None] * D, V)
+
     def subgradient(self, v):
         if not self.contains(v):
             raise ValueError("subgradient of an indicator is undefined outside its domain")
@@ -277,7 +294,9 @@ class BlockSeparable(ProximableFunction):
 
     Realizes feasible sets that are products of per-block sets (for example a
     product of per-class norm balls) while keeping the prox an exact blockwise
-    closed form.
+    closed form. When every part is the same function over blocks of equal
+    size and that function has a row-wise prox, all blocks are projected at
+    once as the rows of one (blocks, size) array.
     """
 
     def __init__(self, parts):
@@ -294,6 +313,9 @@ class BlockSeparable(ProximableFunction):
             offset += dim
         self.dim = offset
         self.is_indicator = all(fn.is_indicator for fn, _, _ in self.parts)
+        first, _, size = self.parts[0]  # the first block spans [0, size)
+        uniform = all(fn is first and b - a == size for fn, a, b in self.parts)
+        self._rows = (first, len(self.parts), size) if uniform and first._prox_rows else None
 
     def _blocks(self, v):
         v = as_vector(v, dim=self.dim)
@@ -305,8 +327,12 @@ class BlockSeparable(ProximableFunction):
 
     def prox(self, gamma, v):
         self._check_gamma(gamma)
-        _, blocks = self._blocks(v)
-        return np.concatenate([fn.prox(gamma, blk) for fn, blk in blocks])
+        if self._rows is None:
+            _, blocks = self._blocks(v)
+            return np.concatenate([fn.prox(gamma, blk) for fn, blk in blocks])
+        fn, count, size = self._rows
+        V = as_vector(v, dim=self.dim).reshape(count, size)
+        return fn._prox_rows(gamma, V).reshape(-1)
 
     def subgradient(self, v):
         _, blocks = self._blocks(v)

@@ -109,6 +109,9 @@ def run_saps(problem: SapsProblem, config: RunConfig, metric_hooks=()) -> RunRec
                 values.update(hook(k, z, avg))
             record.append(k, gamma, z, avg, values, time.perf_counter() - t0)
         sample = problem.oracle.sample(rng, z)
+        # A shape mismatch is a programming error, not divergence.
+        if sample.grad_x.shape != z.x.shape or sample.grad_y.shape != z.y.shape:
+            raise ValueError(f"sample gradient dimensions do not match the iterate at iteration {k}")
         try:
             z = saps_step(problem, z, gamma, sample)
         except ValueError as exc:

@@ -19,7 +19,7 @@ from saddle_sa.cli import (
     run_experiment,
 )
 from saddle_sa.core import PrimalDualPoint
-from saddle_sa.oracles import NeymanPearsonOracle, TanhOracle
+from saddle_sa.oracles import ConicSample, NeymanPearsonOracle, TanhOracle
 from saddle_sa.saps import SapsProblem, saps_step, streaming_average
 
 
@@ -362,6 +362,31 @@ class TestNeymanPearsonHook:
         result = cli.run_single_trial(cfg, 30, 0, shared)
         assert len(result.rows) == 8
         assert len(calls) == 1 + 2 * len(result.rows)
+
+
+    def test_non_finite_hook_value_is_divergence(self, tmp_path, monkeypatch, capsys):
+        # The hooks run outside the solver's guard; a non-finite full-batch
+        # value there must mark the trial diverged, not escape as ValueError.
+        full_batch = NeymanPearsonOracle.full_batch
+        calls = []
+
+        def poisoned(self, x):
+            calls.append(1)
+            fb = full_batch(self, x)
+            if len(calls) > 3:
+                fb = ConicSample(fb.f_value, fb.f_grad, fb.g_value * np.nan, fb.g_jacobian)
+            return fb
+
+        monkeypatch.setattr(NeymanPearsonOracle, "full_batch", poisoned)
+        text = ("experiment=neyman_pearson\nalgorithm=lsaal\nn=4\nm_classes=2\n"
+                "points_per_class=10\nN_list=30\ntrials=1\ntrace_thinning=4\nparallel=1\n")
+        cfg = load_config(text)
+        result = cli.run_single_trial(cfg, 30, 0, cli._experiment_shared(cfg))
+        assert result.diverged
+        assert "iteration 8" in result.error
+        cfg_path = tmp_path / "np.cfg"
+        cfg_path.write_text(text, encoding="utf-8")
+        assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
 
 
 def _numeric_keys():

@@ -87,6 +87,15 @@ class TestClosedForms:
         with pytest.raises(ValueError):
             NonnegativeOrthant(3).project(np.array([1.0, 2.0]))
 
+    @pytest.mark.parametrize("cone", all_cone_kinds(), ids=lambda c: type(c).__name__)
+    @pytest.mark.parametrize("method", ["project", "polar_project", "contains", "polar_contains"])
+    def test_non_finite_argument_rejected(self, cone, method):
+        for bad in (math.nan, math.inf, -math.inf):
+            y = np.zeros(cone.dim)
+            y[-1] = bad
+            with pytest.raises(ValueError):
+                getattr(cone, method)(y)
+
 
 class TestMoreauProperties:
     N_VECTORS = 500  # the full 1e4-vector sweep runs in the acceptance suite

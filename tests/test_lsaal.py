@@ -9,6 +9,7 @@ from saddle_sa import (
     ConicSample,
     ConvergenceError,
     DenseLinearMap,
+    DivergenceError,
     LsaalProblem,
     NonpositiveOrthant,
     PrimalDualPoint,
@@ -302,6 +303,48 @@ class TestRunners:
         rec = run_lsaal(problem, run_config(25, seed=0))
         assert rec.final_metrics["sigma"] == pytest.approx(0.2)
         assert rec.gammas[-1] == pytest.approx(0.2)
+
+
+class CorruptingOracle:
+    """Wraps an oracle; from sample call `at` on, `corrupt` edits each sample."""
+
+    def __init__(self, oracle, at, corrupt):
+        self.oracle, self.at, self.corrupt = oracle, at, corrupt
+        self.dim, self.calls = oracle.dim, 0
+
+    def sample(self, rng, x):
+        self.calls += 1
+        s = self.oracle.sample(rng, x)
+        if self.calls < self.at:
+            return s
+        return self.corrupt(s)
+
+
+NON_FINITE = {
+    "f_grad": lambda s: ConicSample(s.f_value, np.full_like(s.f_grad, np.nan), s.g_value, s.g_jacobian),
+    "g_value": lambda s: ConicSample(s.f_value, s.f_grad, s.g_value + np.inf, s.g_jacobian),
+    "jacobian": lambda s: ConicSample(s.f_value, s.f_grad, s.g_value,
+                                      DenseLinearMap(s.g_jacobian.matrix * np.nan)),
+}
+
+
+class TestSampleGuard:
+    @pytest.mark.parametrize("field", sorted(NON_FINITE))
+    def test_non_finite_sample_diverges_at_its_iteration(self, np_instance, field):
+        oracle = CorruptingOracle(np_instance, 7, NON_FINITE[field])
+        problem = LsaalProblem(oracle, np_instance.cone, np_instance.feasible_set)
+        with pytest.raises(DivergenceError) as err:
+            run_lsaal(problem, run_config(20, seed=2))
+        assert err.value.iteration == 7
+
+    def test_shape_mismatch_is_value_error(self, np_instance):
+        def short_grad(s):
+            return ConicSample(s.f_value, s.f_grad[:-1], s.g_value, s.g_jacobian)
+
+        problem = LsaalProblem(CorruptingOracle(np_instance, 3, short_grad),
+                               np_instance.cone, np_instance.feasible_set)
+        with pytest.raises(ValueError):
+            run_lsaal(problem, run_config(20, seed=2))
 
 
 class TestLinearizedPolarMonotonicity:

@@ -5,12 +5,51 @@ import pytest
 
 from saddle_sa import (
     BilinearOracle,
+    ClassGroupedDataset,
     NeymanPearsonOracle,
     PrimalDualPoint,
     RandomSource,
     TanhOracle,
     synth_gaussian_classes,
 )
+
+
+def class_loop_assemble(oracle, X, mats):
+    """Reference ConicSample data (f_value, f_grad, g_value, Jacobian matrix)
+    of a Neyman-Pearson oracle, one class and one other block at a time."""
+    m, n = oracle.m, oracle.n
+    f_value = 0.0
+    f_grad = np.zeros((m, n))
+    g_value = np.empty(m - 1)
+    jac = np.zeros((m - 1, m, n))
+    for i in range(m):
+        A = mats[i]
+        P = A @ X.T
+        others = [l for l in range(m) if l != i]
+        t = P[:, [i]] - P[:, others]
+        val = float(np.logaddexp(0.0, -t).mean(axis=0).sum())
+        w = -0.5 * (1.0 - np.tanh(0.5 * t)) / P.shape[0]
+        own = A.T @ w.sum(axis=1)
+        cross = A.T @ w
+        if i == 0:
+            f_value = val
+            f_grad[0] += own
+            for j, l in enumerate(others):
+                f_grad[l] -= cross[:, j]
+        else:
+            g_value[i - 1] = val - oracle.r[i - 1]
+            jac[i - 1, i] += own
+            for j, l in enumerate(others):
+                jac[i - 1, l] -= cross[:, j]
+    return f_value, f_grad.reshape(-1), g_value, jac.reshape(m - 1, m * n)
+
+
+def assert_sample_equals(sample, expect):
+    f_value, f_grad, g_value, jac = expect
+    assert sample.f_value == f_value
+    assert np.array_equal(sample.f_grad, f_grad)
+    assert np.array_equal(sample.g_value, g_value)
+    assert np.array_equal(sample.g_jacobian.matrix, jac)
 
 
 def finite_diff_check(value_fn, grad, point, step=1e-6, rel_tol=1e-5):
@@ -217,6 +256,24 @@ class TestNeymanPearsonOracle:
             lhs = np.linalg.norm(oracle.cone.polar_project(lin))
             rhs = np.linalg.norm(oracle.cone.polar_project(fz.g_value))
             assert lhs <= rhs + 1e-8
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_evaluate_and_full_batch_match_class_loop_bit_for_bit(self, m):
+        rng = np.random.default_rng(700 + m)
+        ds = synth_gaussian_classes(rng, m, 6, 12, 1.5)
+        # Unequal class sizes, so the full-batch means divide by different counts.
+        ds = ClassGroupedDataset({label: ds.classes[label][:5 + 3 * i]
+                                  for i, label in enumerate(ds.labels)}, ds.feature_dim)
+        oracle = NeymanPearsonOracle(ds, 3.0, r=rng.uniform(0.5, 2.0, size=m - 1))
+        mats = [ds.class_matrix(label) for label in ds.labels]
+        for _ in range(25):
+            # Scaled up to reach saturated margins, then onto the feasible balls.
+            x = oracle.feasible_set.prox(1.0, rng.normal(size=oracle.dim) * 4.0)
+            X = x.reshape(m, oracle.n)
+            idx = oracle.draw(rng)
+            rows = [mat[j:j + 1] for mat, j in zip(mats, idx)]
+            assert_sample_equals(oracle.evaluate(x, idx), class_loop_assemble(oracle, X, rows))
+            assert_sample_equals(oracle.full_batch(x), class_loop_assemble(oracle, X, mats))
 
     def test_needs_two_classes(self):
         rng = np.random.default_rng(0)

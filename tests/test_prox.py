@@ -167,6 +167,49 @@ class TestBlockSeparable:
         out = f.prox(1.0, np.array([3.0, -0.5, 2.0]))
         np.testing.assert_allclose(out, [2.0, 0.0, 2.0], atol=1e-15)
 
+    @pytest.mark.parametrize("m,n", [(1, 1), (2, 3), (3, 10), (5, 7)])
+    def test_equal_balls_match_per_block_prox_bit_for_bit(self, m, n):
+        # Identical balls over equal blocks take the row-wise projection; it
+        # must reproduce the per-block BallIndicator.prox exactly. Rows are
+        # drawn inside, outside, exactly on the sphere (a 3-4-5 multiple
+        # around an integer center), and at zero.
+        rng = np.random.default_rng(100 * m + n)
+        for trial in range(200):
+            scale = 2.0 ** int(rng.integers(-3, 4))
+            center = rng.integers(-2, 3, size=n).astype(float) if trial % 2 else np.zeros(n)
+            ball = BallIndicator(center, 5.0 * scale)
+            f = BlockSeparable([(ball, n)] * m)
+            assert f._rows is not None
+            on_sphere = np.zeros(n)
+            on_sphere[0] = 5.0 * scale
+            if n > 1:
+                on_sphere[:2] = [3.0 * scale, -4.0 * scale]
+            kinds = [
+                center + rng.uniform(-1.0, 1.0, size=n) * scale,
+                center + rng.normal(size=n) * 20.0 * scale,
+                center + on_sphere,
+                np.zeros(n),
+            ]
+            V = np.stack([kinds[int(k)] for k in rng.integers(0, 4, size=m)])
+            expect = np.concatenate([ball.prox(1.0, row) for row in V])
+            assert np.array_equal(f.prox(0.7, V.reshape(-1)), expect)
+
+    def test_mixed_parts_keep_the_block_loop(self):
+        a, b = BallIndicator(np.zeros(2), 1.0), BallIndicator(np.zeros(2), 1.0)
+        assert BlockSeparable([(a, 2), (b, 2)])._rows is None  # equal, not the same
+        assert BlockSeparable([(a, 2), (ZeroFunction(), 2)])._rows is None
+        assert BlockSeparable([(ScaledL1(1.0), 2)] * 2)._rows is None
+
+    def test_bad_input_rejected(self):
+        f = BlockSeparable([(BallIndicator(np.zeros(2), 1.0), 2)] * 3)
+        for v in ([0.0] * 5, [0.0] * 5 + [math.nan], [math.inf] + [0.0] * 5):
+            with pytest.raises(ValueError):
+                f.prox(1.0, np.array(v))
+        with pytest.raises(ValueError):
+            f.prox(0.0, np.zeros(6))
+        with pytest.raises(ValueError):
+            BlockSeparable([(BallIndicator(np.zeros(1), 1.0), 2)] * 2).prox(1.0, np.zeros(4))
+
 
 class TestNormalConeDistance:
     def test_ball_interior_and_boundary(self):

@@ -208,6 +208,18 @@ class TestRunSaps:
             run_saps(prob, make_config(10))
         assert err.value.iteration == 1
 
+    def test_gradient_shape_mismatch_is_value_error(self):
+        class ShortGradOracle:
+            n = 2
+            m = 2
+
+            def sample(self, rng, z):
+                return MinimaxSample(0.0, np.zeros(1), np.zeros(2))
+
+        prob = SapsProblem(ShortGradOracle(), ZeroFunction(), ZeroFunction())
+        with pytest.raises(ValueError):
+            run_saps(prob, make_config(10))
+
     def test_averaging_disabled_passes_iterate(self):
         prob = SapsProblem(BilinearOracle(2), ScaledL1(1.0), ScaledL1(1.0))
         rec = run_saps(prob, make_config(5, thin=1, averaging=False))
