@@ -57,7 +57,7 @@ from .metrics import (
 )
 from .oracles import BilinearOracle, NeymanPearsonOracle, TanhOracle
 from .prox import PositivePartSum, ScaledL1, ScaledL2, ZeroFunction
-from .saps import SapsProblem, run_saps
+from .saps import SapsProblem, run_saps, run_saps_batch
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config", "run_experiment", "main"]
 
@@ -323,45 +323,81 @@ class TrialResult:
     error: str = ""
 
 
-def run_single_trial(config: ExperimentConfig, N: int, trial: int, shared: dict) -> TrialResult:
-    """Execute one (N, trial) run; deterministic given (config, N, trial)."""
-    stream = derive_stream_id(config.seed, N, trial)
-    init_rng = RandomSource(config.seed, derive_stream_id(config.seed, N, trial, "init")).generator()
+def _trial_setup(config: ExperimentConfig, N: int, trial: int):
+    """The trial's run config, on its own stream, and its initial-point stream."""
     run_cfg = RunConfig(
         horizon=N,
         seed=config.seed,
         schedule=_schedule_for(config, N),
         trace_thinning=_auto_thinning(config, N),
         averaging=config.averaging,
-        stream_id=stream,
+        stream_id=derive_stream_id(config.seed, N, trial),
     )
+    init_rng = RandomSource(config.seed, derive_stream_id(config.seed, N, trial, "init")).generator()
+    return run_cfg, init_rng
 
-    try:
-        if config.experiment == "bilinear":
-            record = _run_bilinear_trial(config, run_cfg, init_rng)
-        elif config.experiment == "tanh":
-            record = _run_tanh_trial(config, run_cfg, init_rng, shared)
-        else:
-            record = _run_np_trial(config, run_cfg, init_rng, shared)
-    except (DivergenceError, ConvergenceError) as exc:
-        return TrialResult(N, trial, [], {}, diverged=True, error=str(exc))
 
-    rows = [(k, g, m, e) for k, g, m, e in zip(record.ks, record.gammas, record.metrics, record.elapsed)]
-    final_values = dict(record.metrics[-1]) if record.metrics else {}
-    final_values.update(record.final_metrics)
+def _trial_result(N: int, trial: int, outcome) -> TrialResult:
+    """A finished run's RunRecord, or the error that ended it, as a TrialResult."""
+    if isinstance(outcome, (DivergenceError, ConvergenceError)):
+        return TrialResult(N, trial, [], {}, diverged=True, error=str(outcome))
+    rows = [(k, g, m, e) for k, g, m, e in zip(outcome.ks, outcome.gammas, outcome.metrics, outcome.elapsed)]
+    final_values = dict(outcome.metrics[-1]) if outcome.metrics else {}
+    final_values.update(outcome.final_metrics)
     return TrialResult(N, trial, rows, final_values)
 
 
-def _run_bilinear_trial(config, run_cfg, init_rng):
-    oracle = BilinearOracle(config.n)
-    theta = _regularizer(config.regularizer, config.mu)
-    z_star = PrimalDualPoint(np.zeros(config.n), np.zeros(config.n))
-    problem = SapsProblem(oracle, theta, theta, known_saddle=z_star)
-    evaluator = BilinearEvaluator(oracle, theta, theta, 1.0)
-    initial = PrimalDualPoint(init_rng.uniform(-1.0, 1.0, size=config.n),
-                              init_rng.uniform(-1.0, 1.0, size=config.n))
+def run_trial_batch(config: ExperimentConfig, N: int, trials, shared: dict) -> list:
+    """Execute the given trials of horizon N, one TrialResult each.
 
-    def hooks(k, z, avg):
+    Each result is deterministic given (config, N, trial), whatever else is
+    in the batch: bilinear and tanh trials advance together through
+    run_saps_batch, Neyman-Pearson trials run one after another.
+    """
+    if config.experiment == "neyman_pearson":
+        return [run_single_trial(config, N, trial, shared) for trial in trials]
+    problem, hooks = _saps_experiment(config, shared)
+    configs = []
+    for trial in trials:
+        run_cfg, init_rng = _trial_setup(config, N, trial)
+        initial = PrimalDualPoint(init_rng.uniform(-1.0, 1.0, size=config.n),
+                                  init_rng.uniform(-1.0, 1.0, size=config.n))
+        configs.append(replace(run_cfg, initial=initial))
+    outcomes = run_saps_batch(problem, configs, [hooks])
+    return [_trial_result(N, trial, outcome) for trial, outcome in zip(trials, outcomes)]
+
+
+def run_single_trial(config: ExperimentConfig, N: int, trial: int, shared: dict) -> TrialResult:
+    """Execute one (N, trial) run; deterministic given (config, N, trial)."""
+    if config.experiment != "neyman_pearson":
+        return run_trial_batch(config, N, [trial], shared)[0]
+    run_cfg, init_rng = _trial_setup(config, N, trial)
+    try:
+        outcome = _run_np_trial(config, run_cfg, init_rng, shared)
+    except (DivergenceError, ConvergenceError) as exc:
+        outcome = exc
+    return _trial_result(N, trial, outcome)
+
+
+def _saps_experiment(config: ExperimentConfig, shared: dict):
+    """The bilinear or tanh problem and the metric hook its trials share."""
+    theta = _regularizer(config.regularizer, config.mu)
+    if config.experiment == "tanh":
+        z_ref = shared["z_ref"]
+
+        def tanh_hooks(k, z, avg):
+            return {
+                "dist_avg_to_ref": avg.distance_to(z_ref),
+                "dist_last_to_ref": z.distance_to(z_ref),
+            }
+
+        return SapsProblem(TanhOracle(shared["xbar"], shared["ybar"]), theta, theta), tanh_hooks
+
+    oracle = BilinearOracle(config.n)
+    z_star = PrimalDualPoint(np.zeros(config.n), np.zeros(config.n))
+    evaluator = BilinearEvaluator(oracle, theta, theta, 1.0)
+
+    def bilinear_hooks(k, z, avg):
         gap = minimax_gap(evaluator, avg, z_star)
         return {
             "minimax_gap": max(gap, 0.0),
@@ -370,24 +406,7 @@ def _run_bilinear_trial(config, run_cfg, init_rng):
             "dist_last": z.distance_to(z_star),
         }
 
-    return run_saps(problem, replace(run_cfg, initial=initial), [hooks])
-
-
-def _run_tanh_trial(config, run_cfg, init_rng, shared):
-    oracle = TanhOracle(shared["xbar"], shared["ybar"])
-    theta = _regularizer(config.regularizer, config.mu)
-    problem = SapsProblem(oracle, theta, theta)
-    z_ref = shared["z_ref"]
-    initial = PrimalDualPoint(init_rng.uniform(-1.0, 1.0, size=config.n),
-                              init_rng.uniform(-1.0, 1.0, size=config.n))
-
-    def hooks(k, z, avg):
-        return {
-            "dist_avg_to_ref": avg.distance_to(z_ref),
-            "dist_last_to_ref": z.distance_to(z_ref),
-        }
-
-    return run_saps(problem, replace(run_cfg, initial=initial), [hooks])
+    return SapsProblem(oracle, theta, theta, known_saddle=z_star), bilinear_hooks
 
 
 def _run_np_trial(config, run_cfg, init_rng, shared):
@@ -486,24 +505,26 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run every (N, trial) pair, write trace/aggregate/summary CSVs.
 
     Trials execute in parallel when config.parallel != 1; aggregation folds
-    the (N, trial)-sorted results, so outputs never depend on scheduling.
+    the (N, trial)-sorted results, so outputs never depend on scheduling or
+    on how trials are batched.
     """
     out_dir = Path(config.output_dir or os.environ.get(ENV_OUTPUT_DIR) or "saddle_sa_out")
     out_dir.mkdir(parents=True, exist_ok=True)
     shared = _experiment_shared(config)
-    tasks = [(N, trial) for N in config.N_list for trial in range(config.trials)]
+    workers = min(config.parallel or _available_cpus(), len(config.N_list) * config.trials)
+    # One task per (N, contiguous chunk of trials), at most `workers` chunks
+    # per N: a serial run takes each horizon whole.
+    chunks = min(workers, config.trials)
+    bounds = [config.trials * i // chunks for i in range(chunks + 1)]
+    tasks = [(N, range(lo, hi)) for N in config.N_list for lo, hi in zip(bounds, bounds[1:])]
 
-    workers = min(config.parallel or _available_cpus(), len(tasks))
-    results = {}
     if workers == 1:
-        for N, trial in tasks:
-            results[(N, trial)] = run_single_trial(config, N, trial, shared)
+        batches = [run_trial_batch(config, N, trials, shared) for N, trials in tasks]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {(N, trial): pool.submit(run_single_trial, config, N, trial, shared)
-                       for N, trial in tasks}
-            for key, fut in futures.items():
-                results[key] = fut.result()
+            futures = [pool.submit(run_trial_batch, config, N, trials, shared) for N, trials in tasks]
+            batches = [fut.result() for fut in futures]
+    results = {(res.N, res.trial): res for batch in batches for res in batch}
 
     trace_paths = []
     diverged = {N: 0 for N in config.N_list}

@@ -56,6 +56,16 @@ class ConvergenceError(RuntimeError):
 _F64 = np.dtype(np.float64)
 
 
+def _row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Dot product of each row of A with the matching row of B (or with B
+    itself when it is 1-D).
+
+    A (1, n) @ (n, 1) product per row rounds as the 1-D `a @ b` does; axis
+    sums and einsum can differ from it in the last bit.
+    """
+    return np.matmul(A[:, None, :], B[..., None]).reshape(A.shape[0])
+
+
 def as_vector(v, dim: int | None = None, name: str = "vector") -> np.ndarray:
     """Coerce to a 1-D float64 array and reject non-finite entries."""
     if type(v) is np.ndarray and v.dtype == _F64 and v.ndim == 1:
@@ -144,16 +154,22 @@ class StepSchedule:
     def __post_init__(self):
         if self.kind not in SCHEDULE_KINDS:
             raise ValueError(f"unknown schedule kind {self.kind!r}; expected one of {SCHEDULE_KINDS}")
-        if not self.theta > 0.0:
-            raise ValueError("theta must be positive")
+        if not 0.0 < self.theta < math.inf:
+            raise ValueError("theta must be positive and finite")
         if self.kind in _HORIZON_BOUND:
             if self.horizon is None or self.horizon < 1:
                 raise ValueError(f"schedule {self.kind!r} requires a positive horizon")
         if self.kind == "scaled_const":
             if self.dist_estimate is None or self.M_estimate is None:
                 raise ValueError("scaled_const requires dist_estimate and M_estimate")
-            if not (self.dist_estimate > 0.0 and self.M_estimate > 0.0):
-                raise ValueError("dist_estimate and M_estimate must be positive")
+            if not (0.0 < self.dist_estimate < math.inf and 0.0 < self.M_estimate < math.inf):
+                raise ValueError("dist_estimate and M_estimate must be positive and finite")
+        if self.horizon is not None:
+            # Steps never grow with k, so the one at the horizon is the smallest.
+            last = gamma_at(self, self.horizon)
+            if not 0.0 < last < math.inf:
+                raise ValueError(f"the step size at the horizon N={self.horizon} is {last!r}; "
+                                 "it must be positive and finite")
 
     def gamma(self, k: int) -> float:
         return gamma_at(self, k)

@@ -61,7 +61,7 @@ class FiniteSumMinimaxEvaluator:
         if not draws:
             raise ValueError("need at least one frozen draw")
         self.oracle = oracle
-        self.draws = np.stack(draws)
+        self.pool = np.stack(draws)
         self.theta = theta
         self.omega = omega
         self.mu = float(mu)
@@ -69,7 +69,19 @@ class FiniteSumMinimaxEvaluator:
     def sample(self, rng, z: PrimalDualPoint) -> MinimaxSample:
         """Pool-mean value and gradients at z; `rng` is ignored, so the
         evaluator serves as a deterministic oracle for run_saps."""
-        return self.oracle.evaluate_batch(z, self.draws)
+        return self.oracle.evaluate_batch(z, self.pool)
+
+    def draws(self, rng, count: int) -> np.ndarray:
+        """The pool is frozen: each draw is empty and the stream is untouched."""
+        return np.empty((count, 0))
+
+    def evaluate_rows(self, X: np.ndarray, Y: np.ndarray, draws=None) -> MinimaxSample:
+        """Pool-mean value and gradients at each row (x, y)."""
+        values, GX, GY = np.empty(X.shape[0]), np.empty_like(X), np.empty_like(Y)
+        for t, (x, y) in enumerate(zip(X, Y)):
+            s = self.sample(None, PrimalDualPoint(x, y))
+            values[t], GX[t], GY[t] = s.value, s.grad_x, s.grad_y
+        return MinimaxSample(values, GX, GY)
 
     def phi(self, x: np.ndarray, y: np.ndarray) -> float:
         value = self.sample(None, PrimalDualPoint(x, y)).value

@@ -7,7 +7,10 @@ constraint data with a Jacobian exposed as a linear map.
 
 Each oracle splits sampling into `draw` (consumes randomness) and `evaluate`
 (deterministic given the draw), so tests can freeze a draw and probe
-gradients by finite differences.
+gradients by finite differences. The minimax oracles also draw and evaluate
+row-wise: `draws(rng, count)` stacks count draws, with the bits of count
+`draw` calls, and `evaluate_rows(X, Y, draws)` evaluates row t of (X, Y) at
+draw t, each row rounding as `evaluate` does.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PrimalDualPoint, as_vector
+from .core import PrimalDualPoint, _row_dots, as_vector
 from .cones import NonpositiveOrthant
 from .data import ClassGroupedDataset, DataError
 from .prox import BallIndicator, BlockSeparable
@@ -98,12 +101,18 @@ class BilinearOracle:
         return np.full((self.n, self.n), 0.25) + (1.0 / 3.0 - 0.25) * np.eye(self.n)
 
     def draw(self, rng: np.random.Generator) -> np.ndarray:
-        return rng.random(self.n)
+        return self.draws(rng, 1)[0]
+
+    def draws(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        return rng.random((count, self.n))
 
     def evaluate(self, z: PrimalDualPoint, xi: np.ndarray) -> MinimaxSample:
-        tx = float(xi @ z.x)
-        ty = float(xi @ z.y)
-        return MinimaxSample(tx * ty, xi * ty, xi * tx)
+        return _first_row(self.evaluate_rows(z.x[None], z.y[None], np.asarray(xi, dtype=float)[None]))
+
+    def evaluate_rows(self, X: np.ndarray, Y: np.ndarray, xi: np.ndarray) -> MinimaxSample:
+        tx = _row_dots(xi, X)
+        ty = _row_dots(xi, Y)
+        return MinimaxSample(tx * ty, xi * ty[:, None], xi * tx[:, None])
 
     def sample(self, rng: np.random.Generator, z: PrimalDualPoint) -> MinimaxSample:
         return self.evaluate(z, self.draw(rng))
@@ -115,8 +124,17 @@ class BilinearOracle:
         return float(z.x @ gx), gx, gy
 
 
-def _sign(t: float) -> float:
-    return 1.0 if t >= 0.0 else -1.0
+def _first_row(sample: MinimaxSample) -> MinimaxSample:
+    return MinimaxSample(float(sample.value[0]), sample.grad_x[0], sample.grad_y[0])
+
+
+def _sign_rows(t: np.ndarray) -> np.ndarray:
+    return np.where(t >= 0.0, 1.0, -1.0)
+
+
+def _tanh_rows(t: np.ndarray) -> np.ndarray:
+    # math.tanh per entry: np.tanh can differ from it in the last bit.
+    return np.array([math.tanh(v) for v in t.tolist()])
 
 
 class TanhOracle:
@@ -136,16 +154,22 @@ class TanhOracle:
         self.m = self.n
 
     def draw(self, rng: np.random.Generator) -> np.ndarray:
-        return rng.random((2, self.n))
+        return self.draws(rng, 1)[0]
+
+    def draws(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        return rng.random((count, 2, self.n))
 
     def evaluate(self, z: PrimalDualPoint, u: np.ndarray) -> MinimaxSample:
-        u1, u2 = u[0], u[1]
-        v1 = _sign(float(self.xbar @ u1))
-        v2 = _sign(float(self.ybar @ u2))
-        a = math.tanh(v1 * float(z.x @ u1))
-        b = math.tanh(v2 * float(z.y @ u2))
-        grad_x = (-v1 * (1.0 - a * a) * b) * u1
-        grad_y = (-v2 * a * (1.0 - b * b)) * u2
+        return _first_row(self.evaluate_rows(z.x[None], z.y[None], np.asarray(u, dtype=float)[None]))
+
+    def evaluate_rows(self, X: np.ndarray, Y: np.ndarray, U: np.ndarray) -> MinimaxSample:
+        u1, u2 = U[:, 0], U[:, 1]
+        v1 = _sign_rows(_row_dots(u1, self.xbar))
+        v2 = _sign_rows(_row_dots(u2, self.ybar))
+        a = _tanh_rows(v1 * _row_dots(u1, X))
+        b = _tanh_rows(v2 * _row_dots(u2, Y))
+        grad_x = (-v1 * (1.0 - a * a) * b)[:, None] * u1
+        grad_y = (-v2 * a * (1.0 - b * b))[:, None] * u2
         return MinimaxSample(1.0 - a * b, grad_x, grad_y)
 
     def sample(self, rng: np.random.Generator, z: PrimalDualPoint) -> MinimaxSample:
@@ -155,12 +179,12 @@ class TanhOracle:
         """Mean value and gradients over a stack of frozen draws (k, 2, n)."""
         U = np.asarray(draws, dtype=float)
         u1, u2 = U[:, 0, :], U[:, 1, :]
-        v1 = np.where(u1 @ self.xbar >= 0.0, 1.0, -1.0)
-        v2 = np.where(u2 @ self.ybar >= 0.0, 1.0, -1.0)
+        v1 = _sign_rows(u1 @ self.xbar)
+        v2 = _sign_rows(u2 @ self.ybar)
         a = np.tanh(v1 * (u1 @ z.x))
         b = np.tanh(v2 * (u2 @ z.y))
         k = U.shape[0]
-        value = float(np.mean(1.0 - a * b))
+        value = float((1.0 - a * b).sum() / k)  # np.mean's sum and division, without its overhead
         grad_x = u1.T @ (-v1 * (1.0 - a * a) * b) / k
         grad_y = u2.T @ (-v2 * a * (1.0 - b * b)) / k
         return MinimaxSample(value, grad_x, grad_y)

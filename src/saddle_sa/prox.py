@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PrimalDualPoint, as_vector
+from .core import PrimalDualPoint, _row_dots, as_vector
 
 __all__ = [
     "ProximableFunction",
@@ -35,7 +35,8 @@ class ProximableFunction:
     is_indicator = False
 
     # Unchecked row-wise prox `_prox_rows(gamma, V)` of a 2-D float array V,
-    # one block per row; None for kinds without one.
+    # one block per row, each row rounding as `prox` does on it alone; None
+    # for kinds without one.
     _prox_rows = None
 
     def value(self, v: np.ndarray) -> float:
@@ -83,8 +84,10 @@ class ZeroFunction(ProximableFunction):
         return 0.0
 
     def prox(self, gamma, v):
-        self._check_gamma(gamma)
-        return as_vector(v).copy()
+        return self._prox_rows(self._check_gamma(gamma), as_vector(v))
+
+    def _prox_rows(self, gamma, V):
+        return V.copy()
 
     def subgradient(self, v):
         return np.zeros_like(as_vector(v))
@@ -114,9 +117,12 @@ class ScaledL1(ProximableFunction):
         return self.mu * float(np.abs(as_vector(v)).sum())
 
     def prox(self, gamma, v):
-        t = self.mu * self._check_gamma(gamma)
-        v = as_vector(v)
-        return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
+        # Elementwise, so the row-wise form serves a single vector too.
+        return self._prox_rows(self._check_gamma(gamma), as_vector(v))
+
+    def _prox_rows(self, gamma, V):
+        t = self.mu * gamma
+        return np.sign(V) * np.maximum(np.abs(V) - t, 0.0)
 
     def subgradient(self, v):
         return self.mu * np.sign(as_vector(v))
@@ -136,12 +142,14 @@ class ScaledL2(ProximableFunction):
         return self.mu * float(np.linalg.norm(as_vector(v)))
 
     def prox(self, gamma, v):
-        t = self.mu * self._check_gamma(gamma)
-        v = as_vector(v)
-        nrm = float(np.linalg.norm(v))
-        if nrm <= t:
-            return np.zeros_like(v)
-        return (1.0 - t / nrm) * v
+        return self._prox_rows(self._check_gamma(gamma), as_vector(v)[None])[0]
+
+    def _prox_rows(self, gamma, V):
+        t = self.mu * gamma
+        nrm = np.sqrt(_row_dots(V, V))
+        far = nrm > t  # rows inside the ball of radius t map to 0
+        scale = 1.0 - t / np.where(far, nrm, 1.0)
+        return np.where(far[:, None], scale[:, None] * V, 0.0)
 
     def subgradient(self, v):
         v = as_vector(v)
@@ -170,10 +178,12 @@ class PositivePartSum(ProximableFunction):
         return self.mu * float(np.maximum(as_vector(v), 0.0).sum())
 
     def prox(self, gamma, v):
-        t = self.mu * self._check_gamma(gamma)
-        v = as_vector(v)
-        out = np.where(v >= t, v - t, np.where(v < 0.0, v, 0.0))
-        return np.asarray(out, dtype=float)
+        # Elementwise, so the row-wise form serves a single vector too.
+        return self._prox_rows(self._check_gamma(gamma), as_vector(v))
+
+    def _prox_rows(self, gamma, V):
+        t = self.mu * gamma
+        return np.where(V >= t, V - t, np.where(V < 0.0, V, 0.0))
 
     def subgradient(self, v):
         # Minimum-norm selection: mu on the positive side, 0 at and below the kink.
@@ -209,9 +219,7 @@ class BallIndicator(ProximableFunction):
         if V.shape[1] != self.center.shape[0]:
             raise ValueError(f"blocks must have dimension {self.center.shape[0]}, got {V.shape[1]}")
         D = V - self.center
-        # A (1, n) @ (n, 1) product per row rounds as the 1-D norm in prox
-        # does; axis norms, einsum and (D*D).sum(1) can differ in the last bit.
-        nrm = np.sqrt(np.matmul(D[:, None, :], D[:, :, None]).reshape(-1))
+        nrm = np.sqrt(_row_dots(D, D))  # rounds as the 1-D norm in prox does
         far = nrm > self.radius
         if not far.any():
             return V.copy()

@@ -14,6 +14,7 @@ import pytest
 
 from saddle_sa import (
     BallIndicator,
+    BilinearOracle,
     BoxIndicator,
     NeymanPearsonOracle,
     PositivePartSum,
@@ -109,6 +110,20 @@ def grid_prox_2d(f, gamma: float, v: np.ndarray, bound: float,
     if isinstance(f, BallIndicator):
         return _grid_prox_2d_ball(f, np.asarray(v, dtype=float), final_step)
     return _grid_prox_2d_cartesian(f, gamma, np.asarray(v, dtype=float), bound, final_step)
+
+
+def scalar_evaluate(oracle, z, d):
+    """Bilinear or tanh `evaluate` as a 1-D formula: (value, grad_x, grad_y)."""
+    if isinstance(oracle, BilinearOracle):
+        tx = float(d @ z.x)
+        ty = float(d @ z.y)
+        return tx * ty, d * ty, d * tx
+    u1, u2 = d[0], d[1]
+    v1 = 1.0 if float(oracle.xbar @ u1) >= 0.0 else -1.0
+    v2 = 1.0 if float(oracle.ybar @ u2) >= 0.0 else -1.0
+    a = math.tanh(v1 * float(z.x @ u1))
+    b = math.tanh(v2 * float(z.y @ u2))
+    return 1.0 - a * b, (-v1 * (1.0 - a * a) * b) * u1, (-v2 * a * (1.0 - b * b)) * u2
 
 
 def random_prox_instances(rng: np.random.Generator, dim: int):

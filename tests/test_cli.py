@@ -202,6 +202,13 @@ BAD_VALUES = {
     "ref_pool_size": ["ref_pool_size=0"],
     "ref_iters": ["ref_iters=0"],
     "scaled_const_nan": ["schedule=scaled_const", "M_estimate=nan", "dist_estimate=1"],
+    # Non-finite schedule parameters, and finite ones whose step is 0 at the horizon.
+    "scaled_const_M_inf": ["schedule=scaled_const", "dist_estimate=1", "M_estimate=inf"],
+    "scaled_const_dist_inf": ["schedule=scaled_const", "dist_estimate=inf", "M_estimate=1"],
+    "scaled_const_underflow": ["schedule=scaled_const", "dist_estimate=1e-300", "M_estimate=1e300"],
+    "harmonic_theta_inf": ["schedule=harmonic", "theta=inf"],
+    "inv_sqrt_k_theta_inf": ["schedule=inv_sqrt_k", "theta=inf"],
+    "harmonic_underflow": ["schedule=harmonic", "theta=5e-324"],
     **{kv: [kv] for kv in (
         "seed=-1", "mu=nan", "theta=nan", "lam=nan", "lam=inf",
         "sigma=0", "sigma=-1", "sigma=-inf", "sigma=nan", "sigma=inf",
@@ -284,10 +291,11 @@ class TestDivergenceReporting:
     def test_all_trials_diverged_gives_exit_code_2(self, tmp_path, monkeypatch):
         from saddle_sa import cli as cli_mod
 
-        def fake_trial(config, N, trial, shared):
-            return cli_mod.TrialResult(N, trial, [], {}, diverged=True, error="blew up")
+        def fake_batch(config, N, trials, shared):
+            return [cli_mod.TrialResult(N, trial, [], {}, diverged=True, error="blew up")
+                    for trial in trials]
 
-        monkeypatch.setattr(cli_mod, "run_single_trial", fake_trial)
+        monkeypatch.setattr(cli_mod, "run_trial_batch", fake_batch)
         cfg = load_config(bilinear_text(N_list="10", trials=2, output_dir=tmp_path))
         result = cli_mod.run_experiment(cfg)
         assert result.exit_code == 2
@@ -306,6 +314,20 @@ class TestParallelDeterminism:
         for name in sorted(p.name for p in serial_dir.iterdir()):
             assert (serial_dir / name).read_bytes() == (par_dir / name).read_bytes()
 
+    @pytest.mark.parametrize("text", [
+        bilinear_text(N_list="20,45", trials=5),
+        "experiment=tanh\nalgorithm=saps\nn=3\nN_list=20,45\ntrials=5\nseed=2\n"
+        "ref_pool_size=10\nref_iters=50\n",
+    ], ids=["bilinear", "tanh"])
+    def test_output_bytes_do_not_depend_on_chunking(self, tmp_path, text):
+        # parallel=2 and 3 split each horizon's five trials into 2+3 and 1+2+2.
+        digests = set()
+        for parallel in (1, 2, 3):
+            out = tmp_path / f"p{parallel}"
+            run_experiment(load_config(text + f"parallel={parallel}\noutput_dir={out}\n"))
+            digests.add(tuple((p.name, p.read_bytes()) for p in sorted(out.iterdir())))
+        assert len(digests) == 1
+
 
 class TestWorkerCount:
     def test_available_cpus_follows_affinity(self, monkeypatch):
@@ -319,7 +341,7 @@ class TestWorkerCount:
         assert cli._available_cpus() == 3
 
     def test_pool_never_larger_than_task_count(self, tmp_path, monkeypatch):
-        sizes = []
+        sizes, chunks = [], []
 
         class SerialPool:
             def __init__(self, max_workers):
@@ -332,6 +354,7 @@ class TestWorkerCount:
                 return False
 
             def submit(self, fn, *args):
+                chunks.append((args[1], list(args[2])))  # (N, trials)
                 future = Future()
                 future.set_result(fn(*args))
                 return future
@@ -344,6 +367,11 @@ class TestWorkerCount:
         run_experiment(load_config(bilinear_text(N_list="5", trials=2, parallel=1000,
                                                  output_dir=tmp_path / "wide")))
         assert sizes == [2]
+        # One task per (N, contiguous chunk of trials), at most `parallel` chunks per N.
+        chunks.clear()
+        run_experiment(load_config(bilinear_text(N_list="5,6", trials=5, parallel=2,
+                                                 output_dir=tmp_path / "chunks")))
+        assert chunks == [(5, [0, 1]), (5, [2, 3, 4]), (6, [0, 1]), (6, [2, 3, 4])]
 
 
 class TestNeymanPearsonHook:
@@ -427,6 +455,61 @@ class TestAnyNumericValue:
                     warnings.simplefilter("ignore", RuntimeWarning)
                     code = main(["run", str(cfg_path), "--out", str(Path(tmp) / "out"),
                                  "--set", f"{key}={value}"])
+            assert code in (0, 1, 2)
+
+        check()
+
+
+# Every run sets the four schedule keys; these values include ones whose step
+# is not positive and finite at the horizon.
+SCHEDULE_TEXT = {
+    "schedule": ["scaled_const", "harmonic", "inv_sqrt_k", "const_over_sqrt_n", "geometric"],
+    "theta": ["1", "inf", "5e-324", "nan", "0", "-1", "1e308"],
+    "dist_estimate": ["1", "1e-300", "inf", "1e300", "0", "nan"],
+    "M_estimate": ["1", "inf", "1e300", "1e-300", "-inf", ""],
+}
+OTHER_TEXT = {
+    "mu": ["0", "1", "-1", "nan", "1e308"],
+    "regularizer": ["l1", "l2", "max", "huber"],
+    "averaging": ["true", "false", "maybe"],
+    "trace_thinning": ["0", "1", "3", "-2"],
+    "N_list": ["4", "1,2", "0", "3,x"],
+    "n": ["1", "2", "0"],
+    "seed": ["0", "7", "-1"],
+    "frobnicate": ["1"],
+}
+
+
+class TestFreeFormOverrides:
+    def test_main_exits_0_1_or_2(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        schedule = st.fixed_dictionaries({key: st.sampled_from(values)
+                                          for key, values in SCHEDULE_TEXT.items()})
+        listed = st.one_of(*(st.tuples(st.just(key), st.sampled_from(values))
+                             for key, values in OTHER_TEXT.items()))
+        # Any short value text for any key, not only the listed values.
+        free = st.tuples(st.sampled_from(sorted(SCHEDULE_TEXT) + sorted(OTHER_TEXT)),
+                         st.text(st.characters(codec="ascii", exclude_characters="\n\r\x00"),
+                                 max_size=8))
+
+        @hypothesis.settings(max_examples=150, deadline=None, derandomize=True,
+                             suppress_health_check=[hypothesis.HealthCheck.too_slow])
+        @hypothesis.given(st.sampled_from(sorted(TINY_CONFIGS)), schedule,
+                          st.lists(st.one_of(listed, free), max_size=3))
+        def check(pair, schedule_keys, others):
+            # The base has one (N, trial) task; an N_list override adds at
+            # most two, and parallel=1 keeps every run in this process.
+            with tempfile.TemporaryDirectory() as tmp:
+                cfg_path = Path(tmp) / "tiny.cfg"
+                cfg_path.write_text(TINY_CONFIGS[pair] + "N_list=4\ntrials=1\nparallel=1\n",
+                                    encoding="utf-8")
+                argv = ["run", str(cfg_path), "--out", str(Path(tmp) / "out"), "--parallel", "1"]
+                for key, value in [*schedule_keys.items(), *others]:
+                    argv += ["--set", f"{key}={value}"]
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", RuntimeWarning)
+                    code = main(argv)
             assert code in (0, 1, 2)
 
         check()

@@ -56,6 +56,21 @@ class TestStepSchedule:
         with pytest.raises(ValueError):
             StepSchedule("const_over_sqrt_n")
 
+    @pytest.mark.parametrize("kind,kwargs", [
+        ("harmonic", {"theta": math.inf}),
+        ("inv_sqrt_k", {"theta": math.inf}),
+        ("scaled_const", {"dist_estimate": math.inf, "M_estimate": 1.0}),
+        ("scaled_const", {"dist_estimate": 1.0, "M_estimate": math.inf}),
+        # finite parameters whose step underflows to 0 or overflows to inf
+        ("scaled_const", {"dist_estimate": 1e-300, "M_estimate": 1e300}),
+        ("scaled_const", {"theta": 1e300, "dist_estimate": 1e300, "M_estimate": 1e-300}),
+        ("harmonic", {"theta": 5e-324}),
+        ("inv_sqrt_k", {"theta": 5e-324}),
+    ])
+    def test_step_at_horizon_must_be_positive_and_finite(self, kind, kwargs):
+        with pytest.raises(ValueError):
+            StepSchedule(kind, horizon=10, **kwargs)
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             StepSchedule("geometric")

@@ -204,6 +204,21 @@ class TestEvaluators:
         np.testing.assert_allclose(pooled.grad_x, np.mean([s.grad_x for s in per_draw], axis=0), rtol=1e-12)
         np.testing.assert_allclose(pooled.grad_y, np.mean([s.grad_y for s in per_draw], axis=0), rtol=1e-12)
 
+    def test_finite_sum_rows_are_pool_means_of_each_row(self):
+        rng = RandomSource(4).generator()
+        oracle = TanhOracle(rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3))
+        ev = FiniteSumMinimaxEvaluator(oracle, [oracle.draw(rng) for _ in range(15)],
+                                       ScaledL1(1.0), ScaledL1(1.0))
+        X, Y = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
+        before = rng.bit_generator.state
+        draws = ev.draws(rng, 4)
+        assert draws.shape == (4, 0) and rng.bit_generator.state == before
+        rows = ev.evaluate_rows(X, Y, draws)
+        for t in range(4):
+            one = ev.sample(None, PrimalDualPoint(X[t], Y[t]))
+            assert rows.value[t] == one.value
+            assert np.array_equal(rows.grad_x[t], one.grad_x) and np.array_equal(rows.grad_y[t], one.grad_y)
+
     def test_conic_lagrangian_gradient(self):
         oracle = TinyConicOracle(-1.0)
         z = PrimalDualPoint([0.3], [2.0])

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import scalar_evaluate
 from saddle_sa import (
     BilinearOracle,
     ClassGroupedDataset,
@@ -61,6 +62,37 @@ def finite_diff_check(value_fn, grad, point, step=1e-6, rel_tol=1e-5):
         fd[i] = (value_fn(point + e) - value_fn(point - e)) / (2.0 * step)
     scale = max(1.0, float(np.linalg.norm(grad)))
     assert np.linalg.norm(fd - grad) / scale <= rel_tol
+
+
+class TestRowWiseSampling:
+    """draws/evaluate_rows against one draw/evaluate at a time, bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    def test_rows_match_scalar_formulas(self, n):
+        rng = np.random.default_rng(40 + n)
+        for oracle in (BilinearOracle(n), TanhOracle(rng.uniform(-1, 1, n), rng.uniform(-1, 1, n))):
+            for T in (1, 2, 7):
+                X = rng.normal(size=(T, n)) * 3.0
+                Y = rng.normal(size=(T, n)) * 3.0
+                D = oracle.draws(rng, T)
+                rows = oracle.evaluate_rows(X, Y, D)
+                assert rows.grad_x.shape == (T, n) and rows.grad_y.shape == (T, n)
+                for t in range(T):
+                    z = PrimalDualPoint(X[t], Y[t])
+                    value, gx, gy = scalar_evaluate(oracle, z, D[t])
+                    assert rows.value[t] == value
+                    assert np.array_equal(rows.grad_x[t], gx) and np.array_equal(rows.grad_y[t], gy)
+                    one = oracle.evaluate(z, D[t])
+                    assert one.value == value and type(one.value) is float
+                    assert np.array_equal(one.grad_x, gx) and np.array_equal(one.grad_y, gy)
+
+    @pytest.mark.parametrize("oracle", [BilinearOracle(3), TanhOracle(np.ones(3), -np.ones(3))],
+                             ids=["bilinear", "tanh"])
+    def test_block_of_draws_has_the_bits_of_single_draws(self, oracle):
+        block = oracle.draws(RandomSource(3, 9).generator(), 50)
+        rng = RandomSource(3, 9).generator()
+        singles = np.stack([oracle.draw(rng) for _ in range(50)])
+        assert np.array_equal(block, singles)
 
 
 class TestBilinearOracle:

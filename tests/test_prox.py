@@ -198,7 +198,18 @@ class TestBlockSeparable:
         a, b = BallIndicator(np.zeros(2), 1.0), BallIndicator(np.zeros(2), 1.0)
         assert BlockSeparable([(a, 2), (b, 2)])._rows is None  # equal, not the same
         assert BlockSeparable([(a, 2), (ZeroFunction(), 2)])._rows is None
-        assert BlockSeparable([(ScaledL1(1.0), 2)] * 2)._rows is None
+        box = BoxIndicator(np.zeros(2), np.ones(2))  # a kind without a row-wise form
+        assert BlockSeparable([(box, 2)] * 2)._rows is None
+
+    @pytest.mark.parametrize("fn", [ZeroFunction(), ScaledL1(0.8), ScaledL2(0.8), PositivePartSum(0.8)])
+    def test_equal_parts_match_per_block_prox_bit_for_bit(self, fn):
+        rng = np.random.default_rng(5)
+        f = BlockSeparable([(fn, 3)] * 4)
+        assert f._rows is not None
+        for _ in range(100):
+            v = rng.normal(size=12) * 2.0 ** int(rng.integers(-4, 4))
+            expect = np.concatenate([fn.prox(0.6, blk) for blk in v.reshape(4, 3)])
+            assert np.array_equal(f.prox(0.6, v), expect)
 
     def test_bad_input_rejected(self):
         f = BlockSeparable([(BallIndicator(np.zeros(2), 1.0), 2)] * 3)
@@ -209,6 +220,38 @@ class TestBlockSeparable:
             f.prox(0.0, np.zeros(6))
         with pytest.raises(ValueError):
             BlockSeparable([(BallIndicator(np.zeros(1), 1.0), 2)] * 2).prox(1.0, np.zeros(4))
+
+
+def block_soft_threshold_1d(mu, gamma, v):
+    """ScaledL2.prox written as a 1-D formula with np.linalg.norm."""
+    t = mu * gamma
+    nrm = float(np.linalg.norm(v))
+    if nrm <= t:
+        return np.zeros_like(v)
+    return (1.0 - t / nrm) * v
+
+
+class TestRowWiseProx:
+    @pytest.mark.parametrize("n", [1, 3, 10])
+    def test_block_soft_threshold_matches_1d_formula_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(500):
+            mu, gamma = float(rng.uniform(0.0, 2.0)), float(rng.uniform(0.01, 2.0))
+            v = rng.normal(size=n) * 2.0 ** int(rng.integers(-6, 6))
+            if rng.random() < 0.1:
+                v = v * 0.0
+            assert np.array_equal(ScaledL2(mu).prox(gamma, v), block_soft_threshold_1d(mu, gamma, v))
+
+    @pytest.mark.parametrize("fn", [ZeroFunction(), ScaledL1(0.7), ScaledL2(0.7), PositivePartSum(0.7),
+                                    BallIndicator(np.array([0.5, -1.0, 0.0]), 1.5)])
+    def test_rows_match_prox_of_each_row(self, fn):
+        rng = np.random.default_rng(9)
+        V = rng.normal(size=(40, 3)) * rng.uniform(0.01, 5.0, size=(40, 1))
+        V[::7] = 0.0
+        out = fn._prox_rows(0.9, V)
+        assert out.shape == V.shape
+        for row, v in zip(out, V):
+            assert np.array_equal(row, fn.prox(0.9, v))
 
 
 class TestNormalConeDistance:

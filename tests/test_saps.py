@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import scalar_evaluate
 from saddle_sa import (
     BilinearEvaluator,
     BilinearOracle,
@@ -10,17 +11,22 @@ from saddle_sa import (
     MinimaxSample,
     PrimalDualPoint,
     RunConfig,
+    RunRecord,
     SapsProblem,
     ScaledL1,
     ScaledL2,
     PositivePartSum,
     StepSchedule,
+    TanhOracle,
     ZeroFunction,
+    gamma_at,
     minimax_gap,
     run_saps,
+    run_saps_batch,
     saps_step,
     streaming_average,
 )
+from saddle_sa import saps as saps_module
 
 
 class FrozenXiOracle:
@@ -227,6 +233,220 @@ class TestRunSaps:
             assert it.allclose(avg)
 
 
+def scalar_reference(problem, config, hooks=()):
+    """The SAPS loop one iteration and one draw at a time, in 1-D arithmetic:
+    the reference every row of the batch kernel must reproduce bit for bit."""
+    rng = config.random_source().generator()
+    oracle = problem.oracle
+    if config.initial is None:
+        v = rng.uniform(-1.0, 1.0, size=oracle.n + oracle.m)
+        x, y = v[:oracle.n], v[oracle.n:]
+    else:
+        x, y = config.initial.x, config.initial.y
+    ax, ay, weight = x, y, 0.0
+    out = {"ks": [], "gammas": [], "metrics": []}
+    N = config.horizon
+    for k in range(1, N + 1):
+        gamma = gamma_at(config.schedule, k)
+        if not config.averaging:
+            ax, ay = x, y
+        elif weight == 0.0:
+            ax, ay, weight = x.copy(), y.copy(), gamma
+        else:
+            weight += gamma
+            step = gamma / weight
+            ax, ay = ax + step * (x - ax), ay + step * (y - ay)
+        if k % config.trace_thinning == 0 or k == N:
+            values = {}
+            for hook in hooks:
+                values.update(hook(k, PrimalDualPoint(x, y), PrimalDualPoint(ax, ay)))
+            out["ks"].append(k)
+            out["gammas"].append(gamma)
+            out["metrics"].append(values)
+        _, gx, gy = scalar_evaluate(oracle, PrimalDualPoint(x, y), oracle.draw(rng))
+        x = problem.theta.prox(gamma, x - gamma * gx)
+        y = problem.omega.prox(gamma, y + gamma * gy)
+    out["average"], out["iterate"] = np.concatenate([ax, ay]), np.concatenate([x, y])
+    return out
+
+
+def probe_hook(k, z, avg):
+    return {"avg_sum": float(avg.x.sum() - avg.y.sum()), "z_norm": z.norm()}
+
+
+def assert_same_run(a: RunRecord, b: RunRecord):
+    assert np.array_equal(a.final_average.stacked(), b.final_average.stacked())
+    assert np.array_equal(a.final_iterate.stacked(), b.final_iterate.stacked())
+    assert a.ks == b.ks and a.gammas == b.gammas and a.metrics == b.metrics
+
+
+def kernel_problem(kind, reg):
+    theta = {"l1": ScaledL1(0.8), "l2": ScaledL2(0.8), "max": PositivePartSum(0.8),
+             "mu0": ZeroFunction()}[reg]
+    if kind == "bilinear":
+        oracle = BilinearOracle(3)
+    else:
+        rng = np.random.default_rng(21)
+        oracle = TanhOracle(rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3))
+    return SapsProblem(oracle, theta, theta)
+
+
+def trial_config(t, N, thin, averaging, given):
+    initial = None
+    if given:
+        rng = np.random.default_rng(500 + t)
+        initial = PrimalDualPoint(rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3))
+    return RunConfig(horizon=N, seed=4, stream_id=11 * t + 1,
+                     schedule=StepSchedule("inv_sqrt_k", theta=1.5, horizon=N),
+                     trace_thinning=thin, averaging=averaging, initial=initial)
+
+
+KINDS = [(kind, reg) for kind in ("bilinear", "tanh") for reg in ("l1", "l2", "max", "mu0")]
+
+
+class TestBatchKernel:
+    @pytest.mark.parametrize("kind,reg", KINDS)
+    def test_solo_run_matches_scalar_reference(self, kind, reg):
+        problem = kernel_problem(kind, reg)
+        N = 25
+        for averaging in (True, False):
+            for thin in (1, 3, N):
+                for given in (True, False):
+                    cfg = trial_config(0, N, thin, averaging, given)
+                    rec = run_saps(problem, cfg, [probe_hook])
+                    ref = scalar_reference(problem, cfg, [probe_hook])
+                    assert np.array_equal(rec.final_average.stacked(), ref["average"])
+                    assert np.array_equal(rec.final_iterate.stacked(), ref["iterate"])
+                    assert (rec.ks, rec.gammas, rec.metrics) == (ref["ks"], ref["gammas"], ref["metrics"])
+
+    @pytest.mark.parametrize("kind,reg", KINDS)
+    def test_rows_match_solo_runs(self, kind, reg, monkeypatch):
+        problem = kernel_problem(kind, reg)
+        N = 25
+        solo = {}
+        for averaging in (True, False):
+            for thin in (1, 3, N):
+                for given in (True, False):
+                    for t in range(5):
+                        solo[averaging, thin, given, t] = run_saps(
+                            problem, trial_config(t, N, thin, averaging, given), [probe_hook])
+        # Small prefetch blocks: the batch refills its draws six times in N = 25.
+        monkeypatch.setattr(saps_module, "PREFETCH_ROWS", 4)
+        for T in (1, 2, 5):
+            for averaging in (True, False):
+                for thin in (1, 3, N):
+                    for given in (True, False):
+                        configs = [trial_config(t, N, thin, averaging, given) for t in range(T)]
+                        records = run_saps_batch(problem, configs, [probe_hook])
+                        for t, rec in enumerate(records):
+                            assert_same_run(rec, solo[averaging, thin, given, t])
+
+    def test_mismatched_settings_rejected(self):
+        problem = kernel_problem("bilinear", "l1")
+        with pytest.raises(ValueError):
+            run_saps_batch(problem, [trial_config(0, 10, 1, True, True), trial_config(1, 11, 1, True, True)])
+        with pytest.raises(ValueError):
+            run_saps_batch(problem, [trial_config(0, 10, 1, True, True), trial_config(1, 10, 2, True, True)])
+        assert run_saps_batch(problem, []) == []
+
+
+class BlowUpOracle(BilinearOracle):
+    """Bilinear oracle whose gradients are scaled by `factor` at iteration
+    `at` of the trial on stream `stream`; the mark travels with the draws."""
+
+    def __init__(self, n, stream, at, factor):
+        super().__init__(n)
+        self.stream, self.at, self.factor = stream, at, factor
+        self.drawn = {}
+
+    def draws(self, rng, count):
+        start = self.drawn.get(id(rng), 0)
+        self.drawn[id(rng)] = start + count
+        scale = np.ones((count, 1))
+        if rng.bit_generator.seed_seq.spawn_key == (self.stream,) and start < self.at <= start + count:
+            scale[self.at - start - 1] = self.factor
+        return np.concatenate([super().draws(rng, count), scale], axis=1)
+
+    def evaluate_rows(self, X, Y, draws):
+        s = super().evaluate_rows(X, Y, draws[:, :-1])
+        return MinimaxSample(s.value, s.grad_x * draws[:, -1:], s.grad_y * draws[:, -1:])
+
+
+class BlowUpSampler:
+    """The same blow-up for an oracle that only has sample(rng, z)."""
+
+    n = m = 3
+
+    def __init__(self, stream, at, factor):
+        self.inner = BilinearOracle(3)
+        self.stream, self.at, self.factor = stream, at, factor
+        self.calls = {}
+
+    def sample(self, rng, z):
+        self.calls[id(rng)] = call = self.calls.get(id(rng), 0) + 1
+        s = self.inner.sample(rng, z)
+        if call == self.at and rng.bit_generator.seed_seq.spawn_key == (self.stream,):
+            return MinimaxSample(s.value, s.grad_x * self.factor, s.grad_y * self.factor)
+        return s
+
+
+class TestBatchDivergence:
+    @pytest.mark.parametrize("factor", [math.nan, math.inf, 1e15])
+    @pytest.mark.parametrize("form", ["rows", "sample"])
+    def test_diverged_row_leaves_and_others_run_on(self, form, factor, monkeypatch):
+        monkeypatch.setattr(saps_module, "PREFETCH_ROWS", 4)
+        N = 20
+        configs = [trial_config(t, N, 3, True, t % 2 == 0) for t in range(5)]
+        stream = configs[2].stream_id
+
+        def problem():
+            oracle = BlowUpOracle(3, stream, 7, factor) if form == "rows" else BlowUpSampler(stream, 7, factor)
+            return SapsProblem(oracle, ZeroFunction(), ZeroFunction())
+
+        outcomes = run_saps_batch(problem(), configs, [probe_hook])
+        with pytest.raises(DivergenceError) as solo_error:
+            run_saps(problem(), configs[2], [probe_hook])
+        assert isinstance(outcomes[2], DivergenceError)
+        assert outcomes[2].iteration == solo_error.value.iteration == 7
+        assert str(outcomes[2]) == str(solo_error.value)
+        for t in (0, 1, 3, 4):
+            assert_same_run(outcomes[t], run_saps(problem(), configs[t], [probe_hook]))
+
+    def test_hook_divergence_ends_only_its_row(self):
+        def hook(k, z, avg):
+            if k == 6 and z.x[0] > 0.0:
+                raise DivergenceError(k, f"hook rejected the iterate at iteration {k}")
+            return probe_hook(k, z, avg)
+
+        problem = kernel_problem("bilinear", "mu0")
+        configs = [trial_config(t, 20, 3, True, True) for t in range(6)]
+        outcomes = run_saps_batch(problem, configs, [hook])
+        kinds = set()
+        for config, outcome in zip(configs, outcomes):
+            try:
+                solo = run_saps(problem, config, [hook])
+            except DivergenceError as exc:
+                kinds.add("diverged")
+                assert outcome.iteration == exc.iteration == 6 and str(outcome) == str(exc)
+            else:
+                kinds.add("finished")
+                assert_same_run(outcome, solo)
+        assert kinds == {"diverged", "finished"}
+
+    def test_every_row_diverging_ends_the_batch(self):
+        class Exploding:
+            n = m = 1
+
+            def sample(self, rng, z):
+                return MinimaxSample(0.0, np.array([-1e13]), np.array([0.0]))
+
+        problem = SapsProblem(Exploding(), ZeroFunction(), ZeroFunction())
+        configs = [RunConfig(horizon=10, seed=0, stream_id=t, trace_thinning=1,
+                             schedule=StepSchedule("const_over_sqrt_n", horizon=10)) for t in range(3)]
+        outcomes = run_saps_batch(problem, configs)
+        assert [o.iteration for o in outcomes] == [1, 1, 1]
+
+
 class TestGapTrend:
     def test_median_error_nonincreasing_in_horizon(self):
         # statistical: median final error over 20 seeds shrinks as the horizon
@@ -244,8 +464,7 @@ class TestGapTrend:
             medians = []
             for N in (100, 1000, 10000):
                 finals = []
-                for seed in range(20):
-                    rec = run_saps(prob, make_config(N, seed=seed))
+                for rec in run_saps_batch(prob, [make_config(N, seed=seed) for seed in range(20)]):
                     if use_gap:
                         finals.append(minimax_gap(ev, rec.final_average, z_star))
                     else:
