@@ -44,7 +44,7 @@ from .oracles import (
     NeymanPearsonOracle,
     TanhOracle,
 )
-from .saps import SapsProblem, run_saps, run_saps_batch, saps_step, streaming_average
+from .saps import SapsProblem, run_saps, run_saps_batch
 from .lsaal import (
     LsaalProblem,
     MultiplierDiagnostics,

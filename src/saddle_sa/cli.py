@@ -214,6 +214,8 @@ def _validate(config: ExperimentConfig) -> None:
         raise ConfigError("need parallel >= 0 and trace_thinning >= 0")
     if config.ref_pool_size < 1 or config.ref_iters < 1:
         raise ConfigError("need ref_pool_size >= 1 and ref_iters >= 1")
+    if len(set(config.N_list)) != len(config.N_list):
+        raise ConfigError(f"N_list repeats a horizon: {','.join(map(str, config.N_list))}")
     # The random-stream, schedule and regularizer classes own their parameter rules.
     try:
         RandomSource(config.seed)
@@ -368,9 +370,7 @@ def run_trial_batch(config: ExperimentConfig, N: int, trials, shared: dict) -> l
 
 
 def run_single_trial(config: ExperimentConfig, N: int, trial: int, shared: dict) -> TrialResult:
-    """Execute one (N, trial) run; deterministic given (config, N, trial)."""
-    if config.experiment != "neyman_pearson":
-        return run_trial_batch(config, N, [trial], shared)[0]
+    """Execute one Neyman-Pearson (N, trial) run; deterministic given (config, N, trial)."""
     run_cfg, init_rng = _trial_setup(config, N, trial)
     try:
         outcome = _run_np_trial(config, run_cfg, init_rng, shared)

@@ -105,11 +105,6 @@ class PrimalDualPoint:
     def stacked(self) -> np.ndarray:
         return np.concatenate([self.x, self.y])
 
-    @classmethod
-    def from_stacked(cls, v: np.ndarray, n: int) -> "PrimalDualPoint":
-        v = as_vector(v, name="stacked vector")
-        return cls(v[:n], v[n:])
-
     def norm(self) -> float:
         return math.hypot(float(np.linalg.norm(self.x)), float(np.linalg.norm(self.y)))
 
@@ -171,9 +166,6 @@ class StepSchedule:
                 raise ValueError(f"the step size at the horizon N={self.horizon} is {last!r}; "
                                  "it must be positive and finite")
 
-    def gamma(self, k: int) -> float:
-        return gamma_at(self, k)
-
 
 def gamma_at(schedule: StepSchedule, k: int) -> float:
     """Step size at (1-based) iteration k; horizon-bound kinds require 1 <= k <= N."""
@@ -218,43 +210,30 @@ class RunConfig:
 class RunRecord:
     """Append-only trace of a single run.
 
-    One row per recorded iteration: iteration index, step size, the (possibly
-    thinned) iterate, the running weighted average, metric values, and elapsed
-    wall time in seconds. Run-level scalars land in `final_metrics`.
+    One row per recorded (possibly thinned) iteration: iteration index, step
+    size, metric values, and elapsed wall time in seconds. The points of a
+    row reach the metric hooks and are not stored; the run's last iterate and
+    average land in `final_iterate`/`final_average`, run-level scalars in
+    `final_metrics`.
     """
 
     ks: list = field(default_factory=list)
     gammas: list = field(default_factory=list)
-    iterates: list = field(default_factory=list)
-    averages: list = field(default_factory=list)
     metrics: list = field(default_factory=list)
     elapsed: list = field(default_factory=list)
     final_average: PrimalDualPoint | None = None
     final_iterate: PrimalDualPoint | None = None
     final_metrics: dict = field(default_factory=dict)
 
-    def append(self, k, gamma, iterate, average, metric_values, elapsed_s):
+    def append(self, k, gamma, metric_values, elapsed_s):
         if self.ks and k <= self.ks[-1]:
             raise ValueError(f"recorded iterations must strictly increase ({k} after {self.ks[-1]})")
         if self.elapsed and elapsed_s < self.elapsed[-1]:
             raise ValueError("elapsed time must be nondecreasing")
         self.ks.append(int(k))
         self.gammas.append(float(gamma))
-        self.iterates.append(iterate)
-        self.averages.append(average)
         self.metrics.append(dict(metric_values))
         self.elapsed.append(float(elapsed_s))
-
-    def validate(self) -> None:
-        ks = np.asarray(self.ks)
-        if ks.size and not (np.diff(ks) > 0).all():
-            raise ValueError("recorded iterations are not strictly increasing")
-        el = np.asarray(self.elapsed)
-        if el.size and not (np.diff(el) >= 0.0).all():
-            raise ValueError("elapsed times are not nondecreasing")
-        lengths = {len(self.ks), len(self.gammas), len(self.iterates), len(self.averages), len(self.metrics), len(self.elapsed)}
-        if len(lengths) != 1:
-            raise ValueError("trace columns have inconsistent lengths")
 
     def metric_names(self) -> list:
         names = set()

@@ -90,8 +90,6 @@ class XSubproblemSpec:
     y_k: np.ndarray
     sample: ConicSample
     sigma: float
-    inner_tol: float
-    inner_max_iters: int
     cone: ConvexCone
 
     def linearized_g(self, x: np.ndarray) -> np.ndarray:
@@ -124,11 +122,12 @@ def x_subproblem_gradient(spec: XSubproblemSpec, x: np.ndarray) -> np.ndarray:
     return s.f_grad + s.g_jacobian.rmatvec(spec.cone._polar_project(w)) + (x - spec.x_k) / spec.sigma
 
 
-def solve_x_subproblem(spec: XSubproblemSpec, feasible: ProximableFunction) -> np.ndarray:
+def solve_x_subproblem(spec: XSubproblemSpec, feasible: ProximableFunction,
+                       inner_tol: float, inner_max_iters: int) -> np.ndarray:
     """Projected gradient descent with backtracking, warm-started at x_k.
 
     Terminates when the projected-gradient residual
-    ||x - P_X(x - s*grad(x))|| / s drops below spec.inner_tol for the last
+    ||x - P_X(x - s*grad(x))|| / s drops below inner_tol for the last
     accepted step size s; raises ConvergenceError past inner_max_iters.
     """
     x = np.asarray(spec.x_k, dtype=float).copy()
@@ -136,11 +135,11 @@ def solve_x_subproblem(spec: XSubproblemSpec, feasible: ProximableFunction) -> n
     step = spec.sigma
     residual = math.inf
     slack = 16.0 * np.finfo(float).eps * (1.0 + abs(fx))
-    for _ in range(spec.inner_max_iters):
+    for _ in range(inner_max_iters):
         g = x_subproblem_gradient(spec, x)
         trial = feasible.prox(1.0, x - step * g)
         residual = float(np.linalg.norm(x - trial)) / step
-        if residual <= spec.inner_tol:
+        if residual <= inner_tol:
             return x
         # Backtracking restarts from sigma each outer pass.
         s = spec.sigma
@@ -233,10 +232,9 @@ def _run_augmented(problem: LsaalProblem, config: RunConfig, metric_hooks, full_
     for k in range(1, N + 1):
         sample = check_sample(oracle.full_batch(x) if full_batch else oracle.sample(rng, x),
                               x.shape[0], problem.cone, k)
-        spec = XSubproblemSpec(x, y, sample, sigma, problem.inner_tol,
-                               problem.inner_max_iters, problem.cone)
+        spec = XSubproblemSpec(x, y, sample, sigma, problem.cone)
         try:
-            x_next = solve_x_subproblem(spec, feasible)
+            x_next = solve_x_subproblem(spec, feasible, problem.inner_tol, problem.inner_max_iters)
             y_next = y_update(problem.cone, y, sigma, sample, x_next, x)
         except ConvergenceError as exc:
             raise ConvergenceError(exc.residual, f"inner solver failed at outer iteration {k}: {exc}") from exc
@@ -265,12 +263,13 @@ def _run_augmented(problem: LsaalProblem, config: RunConfig, metric_hooks, full_
         x, y = x_next, y_next
 
         if k % config.trace_thinning == 0 or k == N:
+            # avg_x/avg_y are updated in place, so the hooks get a copy.
             iterate = PrimalDualPoint(x, y)
             average = PrimalDualPoint(avg_x.copy(), avg_y.copy())
             values = {}
             for hook in metric_hooks:
                 values.update(hook(k, iterate, average))
-            record.append(k, sigma, iterate, average, values, time.perf_counter() - t0)
+            record.append(k, sigma, values, time.perf_counter() - t0)
 
     record.final_iterate = PrimalDualPoint(x, y)
     record.final_average = PrimalDualPoint(avg_x, avg_y)
@@ -282,7 +281,6 @@ def _run_augmented(problem: LsaalProblem, config: RunConfig, metric_hooks, full_
     if audit_bounds:
         record.final_metrics["x_step_bound_ratio_max"] = x_ratio_max
         record.final_metrics["y_step_bound_ratio_max"] = y_ratio_max
-    record.validate()
     return record
 
 

@@ -59,12 +59,6 @@ class ProximableFunction:
     def contains(self, v: np.ndarray, tol: float = 1e-10) -> bool:
         raise NotImplementedError
 
-    def project(self, v: np.ndarray) -> np.ndarray:
-        """Metric projection onto the domain (indicator kinds only)."""
-        if not self.is_indicator:
-            raise ValueError("project is only defined for indicator functions")
-        return self.prox(1.0, v)
-
     def normal_cone_distance(self, x: np.ndarray, v: np.ndarray) -> float:
         """Euclidean distance of v to the normal cone of the domain at x."""
         raise NotImplementedError

@@ -32,10 +32,9 @@ from .core import (
     RunRecord,
     gamma_at,
 )
-from .oracles import MinimaxSample
 from .prox import ProximableFunction
 
-__all__ = ["SapsProblem", "saps_step", "streaming_average", "run_saps", "run_saps_batch"]
+__all__ = ["SapsProblem", "run_saps", "run_saps_batch"]
 
 # Oracle draws taken from each trial's stream at a time: bounds the prefetch
 # buffer at PREFETCH_ROWS x T draws.
@@ -53,7 +52,7 @@ class SapsProblem:
 
 
 # ---------------------------------------------------------------------------
-# The update, row by row. The batch loop and the one-row public calls share it.
+# The update, row by row
 # ---------------------------------------------------------------------------
 
 
@@ -67,11 +66,6 @@ def _fold(avg, weight: float, z, gamma: float):
     if weight == 0.0:
         return z, total
     return avg + (gamma / total) * (z - avg), total
-
-
-def _prox_arguments(X, Y, GX, GY, gamma: float):
-    """Descent in x and ascent in y along the sampled gradients."""
-    return X - gamma * GX, Y + gamma * GY
 
 
 def _nonfinite_rows(Vx, Vy):
@@ -89,35 +83,6 @@ def _prox_rows(fn: ProximableFunction, gamma: float, V):
     if fn._prox_rows is not None:
         return fn._prox_rows(gamma, V)
     return np.stack([fn.prox(gamma, v) for v in V])
-
-
-def saps_step(problem: SapsProblem, z: PrimalDualPoint, gamma: float,
-              sample: MinimaxSample) -> PrimalDualPoint:
-    """One prox-subgradient update at step size gamma."""
-    if not 0.0 < gamma < math.inf:
-        raise ValueError(f"gamma must be positive and finite, got {gamma}")
-    if sample.grad_x.shape != z.x.shape or sample.grad_y.shape != z.y.shape:
-        raise ValueError("sample gradient dimensions do not match the iterate")
-    Vx, Vy = _prox_arguments(z.x[None], z.y[None], sample.grad_x[None], sample.grad_y[None], gamma)
-    if _nonfinite_rows(Vx, Vy) is not None:
-        raise ValueError("vector has non-finite entries")
-    return PrimalDualPoint(_prox_rows(problem.theta, gamma, Vx)[0],
-                           _prox_rows(problem.omega, gamma, Vy)[0])
-
-
-def streaming_average(prev_avg: PrimalDualPoint, prev_weight: float,
-                      z_new: PrimalDualPoint, gamma_new: float):
-    """Fold one iterate into the gamma-weighted running average.
-
-    Returns (updated average, updated total weight); after k folds the average
-    equals sum(gamma_j z^j) / sum(gamma_j) exactly.
-    """
-    if prev_weight < 0.0:
-        raise ValueError("prev_weight must be nonnegative")
-    if gamma_new <= 0.0:
-        raise ValueError("gamma_new must be positive")
-    avg, total = _fold(prev_avg.stacked(), prev_weight, z_new.stacked(), gamma_new)
-    return PrimalDualPoint.from_stacked(avg, z_new.n), total
 
 
 # ---------------------------------------------------------------------------
@@ -240,8 +205,9 @@ def run_saps_batch(problem: SapsProblem, configs, metric_hooks=()) -> list:
         errors = {}  # row -> the DivergenceError that ends it at this iteration
         if k % thinning == 0 or k == horizon:
             for row, record in enumerate(trials.records):
-                z = PrimalDualPoint(Z[row, :n].copy(), Z[row, n:].copy())
-                a = PrimalDualPoint(avg[row, :n].copy(), avg[row, n:].copy()) if averaging else z
+                # Views: the loop rebinds Z and avg and never writes them in place.
+                z = PrimalDualPoint(Z[row, :n], Z[row, n:])
+                a = PrimalDualPoint(avg[row, :n], avg[row, n:]) if averaging else z
                 values = {}
                 try:
                     for hook in metric_hooks:
@@ -249,12 +215,12 @@ def run_saps_batch(problem: SapsProblem, configs, metric_hooks=()) -> list:
                 except DivergenceError as exc:
                     errors[row] = exc
                     continue
-                record.append(k, gamma, z, a, values, time.perf_counter() - t0)
+                record.append(k, gamma, values, time.perf_counter() - t0)
         GX, GY = trials.gradients(Z[:, :n], Z[:, n:])
         # A shape mismatch is a programming error, not divergence.
         if GX.shape != (Z.shape[0], n) or GY.shape != (Z.shape[0], Z.shape[1] - n):
             raise ValueError(f"sample gradient dimensions do not match the iterate at iteration {k}")
-        Vx, Vy = _prox_arguments(Z[:, :n], Z[:, n:], GX, GY, gamma)
+        Vx, Vy = Z[:, :n] - gamma * GX, Z[:, n:] + gamma * GY  # descent in x, ascent in y
         bad = _nonfinite_rows(Vx, Vy)
         if bad is not None:
             message = f"non-finite iterate at iteration {k}: vector has non-finite entries"
@@ -275,7 +241,6 @@ def run_saps_batch(problem: SapsProblem, configs, metric_hooks=()) -> list:
     for row, (i, record) in enumerate(zip(trials.index, trials.records)):
         record.final_average = PrimalDualPoint(avg[row, :n].copy(), avg[row, n:].copy())
         record.final_iterate = PrimalDualPoint(Z[row, :n].copy(), Z[row, n:].copy())
-        record.validate()
         outcomes[i] = record
     return outcomes
 
@@ -285,7 +250,9 @@ def run_saps(problem: SapsProblem, config: RunConfig, metric_hooks=()) -> RunRec
 
     The average covers the pre-update iterates z^1..z^N (the returned final
     iterate z^{N+1} is not folded in). Metric hooks are called at recorded
-    iterations as hook(k, iterate, average) and return name->value maps.
+    iterations as hook(k, iterate, average) and return name->value maps;
+    the points share memory with the solver's state, which is never updated
+    in place, so a hook may keep them but must not write to them.
     With averaging disabled the averaged slots carry the raw iterate.
     This is the one-trial case of run_saps_batch.
     """

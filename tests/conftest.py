@@ -126,6 +126,16 @@ def scalar_evaluate(oracle, z, d):
     return 1.0 - a * b, (-v1 * (1.0 - a * a) * b) * u1, (-v2 * a * (1.0 - b * b)) * u2
 
 
+def recording_hook(seen: list):
+    """Metric hook that appends each (k, iterate, average) it receives to seen."""
+
+    def hook(k, z, avg):
+        seen.append((k, z, avg))
+        return {}
+
+    return hook
+
+
 def random_prox_instances(rng: np.random.Generator, dim: int):
     """One random instance of every prox kind, with a value-grid bound."""
     mu = float(rng.uniform(0.1, 2.0))

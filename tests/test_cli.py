@@ -20,7 +20,6 @@ from saddle_sa.cli import (
 )
 from saddle_sa.core import PrimalDualPoint
 from saddle_sa.oracles import ConicSample, NeymanPearsonOracle, TanhOracle
-from saddle_sa.saps import SapsProblem, saps_step, streaming_average
 
 
 def bilinear_text(**overrides):
@@ -172,15 +171,21 @@ def hand_rolled_tanh_reference(config):
     oracle = TanhOracle(xbar, ybar)
     draws = np.stack([oracle.draw(rng) for _ in range(config.ref_pool_size)])
     theta = cli._regularizer(config.regularizer, config.mu)
-    problem = SapsProblem(oracle, theta, theta)
-    z = PrimalDualPoint(rng.uniform(-1.0, 1.0, size=config.n),
-                        rng.uniform(-1.0, 1.0, size=config.n))
-    avg, weight = z, 0.0
+    x = rng.uniform(-1.0, 1.0, size=config.n)
+    y = rng.uniform(-1.0, 1.0, size=config.n)
+    ax, ay, weight = x, y, 0.0
     for k in range(1, config.ref_iters + 1):
         gamma = 1.0 / math.sqrt(k)
-        avg, weight = streaming_average(avg, weight, z, gamma)
-        z = saps_step(problem, z, gamma, oracle.evaluate_batch(z, draws))
-    return avg
+        if weight == 0.0:
+            ax, ay, weight = x, y, gamma
+        else:
+            weight += gamma
+            step = gamma / weight
+            ax, ay = ax + step * (x - ax), ay + step * (y - ay)
+        s = oracle.evaluate_batch(PrimalDualPoint(x, y), draws)
+        x = theta.prox(gamma, x - gamma * s.grad_x)
+        y = theta.prox(gamma, y + gamma * s.grad_y)
+    return PrimalDualPoint(ax, ay)
 
 
 class TestTanhReference:
@@ -209,6 +214,7 @@ BAD_VALUES = {
     "harmonic_theta_inf": ["schedule=harmonic", "theta=inf"],
     "inv_sqrt_k_theta_inf": ["schedule=inv_sqrt_k", "theta=inf"],
     "harmonic_underflow": ["schedule=harmonic", "theta=5e-324"],
+    "N_list_duplicate": ["N_list=10,10,20"],
     **{kv: [kv] for kv in (
         "seed=-1", "mu=nan", "theta=nan", "lam=nan", "lam=inf",
         "sigma=0", "sigma=-1", "sigma=-inf", "sigma=nan", "sigma=inf",

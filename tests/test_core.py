@@ -85,8 +85,9 @@ class TestPrimalDualPoint:
 
     def test_stacking_roundtrip(self):
         z = PrimalDualPoint([1.0, 2.0], [3.0])
-        w = PrimalDualPoint.from_stacked(z.stacked(), 2)
-        assert z.allclose(w)
+        v = z.stacked()
+        assert v.tolist() == [1.0, 2.0, 3.0]
+        assert z.allclose(PrimalDualPoint(v[:z.n], v[z.n:]))
         assert z.n == 2 and z.m == 1
 
     def test_distance(self):
@@ -120,26 +121,23 @@ class TestRandomSource:
 class TestRunRecord:
     def test_append_and_validate(self):
         rec = RunRecord()
-        z = PrimalDualPoint([0.0], [0.0])
-        rec.append(1, 0.5, z, z, {"m": 1.0}, 0.0)
-        rec.append(3, 0.5, z, z, {"m": 2.0}, 0.1)
-        rec.validate()
+        rec.append(1, 0.5, {"m": 1.0}, 0.0)
+        rec.append(3, 0.25, {"m": 2.0}, 0.1)
+        assert (rec.ks, rec.gammas, rec.elapsed) == ([1, 3], [0.5, 0.25], [0.0, 0.1])
         assert rec.metric_series("m").tolist() == [1.0, 2.0]
         assert rec.metric_names() == ["m"]
 
     def test_nonincreasing_k_rejected(self):
         rec = RunRecord()
-        z = PrimalDualPoint([0.0], [0.0])
-        rec.append(2, 0.5, z, z, {}, 0.0)
+        rec.append(2, 0.5, {}, 0.0)
         with pytest.raises(ValueError):
-            rec.append(2, 0.5, z, z, {}, 0.1)
+            rec.append(2, 0.5, {}, 0.1)
 
     def test_decreasing_time_rejected(self):
         rec = RunRecord()
-        z = PrimalDualPoint([0.0], [0.0])
-        rec.append(1, 0.5, z, z, {}, 1.0)
+        rec.append(1, 0.5, {}, 1.0)
         with pytest.raises(ValueError):
-            rec.append(2, 0.5, z, z, {}, 0.5)
+            rec.append(2, 0.5, {}, 0.5)
 
 
 class TestRunConfig:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import recording_hook
 from saddle_sa import (
     BallIndicator,
     BoxIndicator,
@@ -39,7 +40,7 @@ def sample_1d(f_grad=1.0, g_value=0.5, dg=1.0):
 
 def spec_1d(sigma=1.0, x_k=0.0, y_k=0.0, **kw):
     return XSubproblemSpec(np.array([x_k]), np.array([y_k]), sample_1d(**kw),
-                           sigma, 1e-10, 500, NonpositiveOrthant(1))
+                           sigma, NonpositiveOrthant(1))
 
 
 def run_config(N, seed=0, thin=None, initial=None):
@@ -73,8 +74,7 @@ class TestSubproblemGradient:
                 DenseLinearMap(rng.normal(size=(m, n))),
             )
             spec = XSubproblemSpec(rng.normal(size=n), np.abs(rng.normal(size=m)),
-                                   sample, float(rng.uniform(0.2, 2.0)), 1e-8, 500,
-                                   NonpositiveOrthant(m))
+                                   sample, float(rng.uniform(0.2, 2.0)), NonpositiveOrthant(m))
             x = rng.normal(size=n)
             grad = x_subproblem_gradient(spec, x)
             fd = np.empty(n)
@@ -90,9 +90,9 @@ class TestSolveSubproblem:
     def test_zero_data_returns_warm_start(self):
         spec = XSubproblemSpec(np.array([0.3]), np.array([0.0]),
                                sample_1d(f_grad=0.0, g_value=0.0, dg=0.0),
-                               1.0, 1e-12, 100, NonpositiveOrthant(1))
+                               1.0, NonpositiveOrthant(1))
         box = BoxIndicator(np.array([-1.0]), np.array([1.0]))
-        out = solve_x_subproblem(spec, box)
+        out = solve_x_subproblem(spec, box, 1e-12, 100)
         np.testing.assert_allclose(out, [0.3], atol=1e-11)
 
     def test_1d_worked_instance_hits_boundary(self):
@@ -100,7 +100,7 @@ class TestSolveSubproblem:
         # minimizer is the left endpoint
         spec = spec_1d()
         box = BoxIndicator(np.array([-1.0]), np.array([1.0]))
-        out = solve_x_subproblem(spec, box)
+        out = solve_x_subproblem(spec, box, 1e-10, 500)
         grid = np.arange(-1.0, 1.0 + 1e-5, 1e-5)
         obj = grid + np.maximum(0.5 + grid, 0.0) ** 2 / 2.0 + grid ** 2 / 2.0
         best = grid[int(np.argmin(obj))]
@@ -124,7 +124,7 @@ class TestSolveSubproblem:
             fg = rng.uniform(-0.3, 0.3, size=2)
             x_k = rng.normal(size=2) * 0.1
             sample = ConicSample(0.0, fg, G, DenseLinearMap(J))
-            spec = XSubproblemSpec(x_k, y, sample, sigma, 1e-12, 2000, NonpositiveOrthant(2))
+            spec = XSubproblemSpec(x_k, y, sample, sigma, NonpositiveOrthant(2))
             ball = BallIndicator(np.zeros(2), 50.0)  # effectively unconstrained
             # normal equations: (sigma I + I/sigma) dx = -(fg + y + sigma G)
             dx = np.linalg.solve((sigma + 1.0 / sigma) * np.eye(2), -(fg + y + sigma * G))
@@ -132,7 +132,7 @@ class TestSolveSubproblem:
             w = y + sigma * (G + J @ (x_expect - x_k))
             if not (w > 0.0).all():
                 continue  # identity-projection assumption broke; skip draw
-            out = solve_x_subproblem(spec, ball)
+            out = solve_x_subproblem(spec, ball, 1e-12, 2000)
             np.testing.assert_allclose(out, x_expect, atol=1e-9)
 
     def test_matches_dense_grid_search_2d(self):
@@ -149,8 +149,8 @@ class TestSolveSubproblem:
             y = np.abs(rng.normal(size=2))
             x_k = rng.uniform(-0.5, 0.5, size=2)
             sample = ConicSample(0.0, fg, G, DenseLinearMap(J))
-            spec = XSubproblemSpec(x_k, y, sample, sigma, 1e-8, 3000, NonpositiveOrthant(2))
-            out = solve_x_subproblem(spec, box)
+            spec = XSubproblemSpec(x_k, y, sample, sigma, NonpositiveOrthant(2))
+            out = solve_x_subproblem(spec, box, 1e-8, 3000)
 
             def objective(W):
                 dx = W - x_k
@@ -177,10 +177,10 @@ class TestSolveSubproblem:
 
     def test_budget_exhaustion_raises(self):
         spec = XSubproblemSpec(np.array([0.0]), np.array([0.0]), sample_1d(),
-                               1.0, 1e-16, 1, NonpositiveOrthant(1))
+                               1.0, NonpositiveOrthant(1))
         box = BoxIndicator(np.array([-1.0]), np.array([1.0]))
         with pytest.raises(ConvergenceError) as err:
-            solve_x_subproblem(spec, box)
+            solve_x_subproblem(spec, box, 1e-16, 1)
         assert err.value.residual > 0.0
 
 
@@ -218,15 +218,19 @@ class TestYUpdate:
 class TestRunners:
     def test_single_iteration_average_is_first_computed_pair(self, np_instance):
         problem = LsaalProblem(np_instance, np_instance.cone, np_instance.feasible_set)
-        rec = run_lsaal(problem, run_config(1, seed=5))
+        seen = []
+        rec = run_lsaal(problem, run_config(1, seed=5), [recording_hook(seen)])
         assert rec.ks == [1]
         assert rec.final_average.allclose(rec.final_iterate)
-        assert rec.averages[0].allclose(rec.iterates[0])
+        (_, z, avg), = seen
+        assert avg.allclose(z)
 
     def test_multipliers_stay_in_polar_cone(self, np_instance):
         problem = LsaalProblem(np_instance, np_instance.cone, np_instance.feasible_set)
-        rec = run_lsaal(problem, run_config(60, seed=2, thin=1))
-        for it in rec.iterates:
+        seen = []
+        run_lsaal(problem, run_config(60, seed=2, thin=1), [recording_hook(seen)])
+        assert len(seen) == 60
+        for _, it, _ in seen:
             assert np_instance.cone.polar_contains(it.y, tol=1e-10)
             assert np_instance.feasible_set.contains(it.x, tol=1e-10)
 
@@ -236,9 +240,11 @@ class TestRunners:
         ds = synth_gaussian_classes(rng, 3, 6, 1, 1.0).normalize()
         oracle = NeymanPearsonOracle(ds, 5.0)
         problem = LsaalProblem(oracle, oracle.cone, oracle.feasible_set)
-        a = run_lsaal(problem, run_config(40, seed=9, thin=1))
-        b = run_laam(problem, run_config(40, seed=9, thin=1))
-        for za, zb in zip(a.iterates, b.iterates):
+        a, b = [], []
+        run_lsaal(problem, run_config(40, seed=9, thin=1), [recording_hook(a)])
+        run_laam(problem, run_config(40, seed=9, thin=1), [recording_hook(b)])
+        assert len(a) == len(b) == 40
+        for (_, za, _), (_, zb, _) in zip(a, b):
             assert np.array_equal(za.stacked(), zb.stacked())
 
     def test_laam_fixed_point_at_interior_kkt(self):
@@ -267,9 +273,11 @@ class TestRunners:
 
         oracle = QuadraticOracle()
         problem = LsaalProblem(oracle, oracle.cone, oracle.feasible_set, inner_tol=1e-12)
-        rec = run_laam(problem, run_config(30, seed=0, thin=1,
-                                           initial=PrimalDualPoint(center, np.zeros(1))))
-        for it in rec.iterates:
+        seen = []
+        run_laam(problem, run_config(30, seed=0, thin=1, initial=PrimalDualPoint(center, np.zeros(1))),
+                 [recording_hook(seen)])
+        assert len(seen) == 30
+        for _, it, _ in seen:
             np.testing.assert_allclose(it.x, center, atol=1e-9)
             np.testing.assert_allclose(it.y, np.zeros(1), atol=1e-9)
 

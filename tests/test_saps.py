@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import scalar_evaluate
+from conftest import recording_hook, scalar_evaluate
 from saddle_sa import (
     BilinearEvaluator,
     BilinearOracle,
@@ -23,8 +23,6 @@ from saddle_sa import (
     minimax_gap,
     run_saps,
     run_saps_batch,
-    saps_step,
-    streaming_average,
 )
 from saddle_sa import saps as saps_module
 
@@ -61,22 +59,36 @@ def make_config(N, seed=0, thin=None, **kw):
                      trace_thinning=thin or N, **kw)
 
 
+class ConstantSampleOracle:
+    """Deterministic oracle returning the same sample at every point."""
+
+    def __init__(self, sample, n, m):
+        self.fixed, self.n, self.m = sample, n, m
+
+    def sample(self, rng, z):
+        return self.fixed
+
+
+def one_step(problem, z, gamma):
+    """The iterate after one run_saps step of size gamma from z."""
+    cfg = RunConfig(horizon=1, seed=0, schedule=StepSchedule("harmonic", theta=gamma), initial=z)
+    return run_saps(problem, cfg).final_iterate
+
+
 class TestSapsStep:
+    """One prox-subgradient update, observed as a horizon-1 run_saps."""
+
     def test_identity_prox_is_gradient_step(self):
-        prob = SapsProblem(BilinearOracle(2), ZeroFunction(), ZeroFunction())
-        z = PrimalDualPoint([1.0, 2.0], [3.0, 4.0])
         s = MinimaxSample(0.0, np.array([0.5, -0.5]), np.array([1.0, 0.0]))
-        out = saps_step(prob, z, 0.1, s)
+        prob = SapsProblem(ConstantSampleOracle(s, 2, 2), ZeroFunction(), ZeroFunction())
+        out = one_step(prob, PrimalDualPoint([1.0, 2.0], [3.0, 4.0]), 0.1)
         np.testing.assert_allclose(out.x, [0.95, 2.05], atol=1e-15)
         np.testing.assert_allclose(out.y, [3.1, 4.0], atol=1e-15)
 
     def test_hand_example_bilinear_l1(self):
         # frozen xi=0.5, z=(1,1), gamma=1: grads 0.25 -> z' = (0, 0.25)
-        oracle = FrozenXiOracle([0.5])
-        prob = SapsProblem(oracle, ScaledL1(1.0), ScaledL1(1.0))
-        z = PrimalDualPoint([1.0], [1.0])
-        s = oracle.sample(None, z)
-        out = saps_step(prob, z, 1.0, s)
+        prob = SapsProblem(FrozenXiOracle([0.5]), ScaledL1(1.0), ScaledL1(1.0))
+        out = one_step(prob, PrimalDualPoint([1.0], [1.0]), 1.0)
         np.testing.assert_allclose(out.x, [0.0], atol=1e-15)
         np.testing.assert_allclose(out.y, [0.25], atol=1e-15)
 
@@ -86,56 +98,72 @@ class TestSapsStep:
         z_star = PrimalDualPoint(np.zeros(3), np.zeros(3))
         z = z_star
         for gamma in (0.1, 1.0, 7.3):
-            z = saps_step(prob, z, gamma, prob.oracle.sample(None, z))
+            z = one_step(prob, z, gamma)
             assert z.allclose(z_star)
 
     def test_dimension_mismatch_rejected(self):
-        prob = SapsProblem(BilinearOracle(2), ZeroFunction(), ZeroFunction())
-        z = PrimalDualPoint([1.0, 2.0], [3.0, 4.0])
         bad = MinimaxSample(0.0, np.zeros(3), np.zeros(2))
-        with pytest.raises(ValueError):
-            saps_step(prob, z, 0.1, bad)
+        prob = SapsProblem(ConstantSampleOracle(bad, 2, 2), ZeroFunction(), ZeroFunction())
+        with pytest.raises(ValueError, match="dimensions"):
+            one_step(prob, PrimalDualPoint([1.0, 2.0], [3.0, 4.0]), 0.1)
 
     def test_gamma_positive_required(self):
+        # A horizon-less schedule is not checked up front: 5e-324 / 2 rounds
+        # to a zero step at k = 2, which the kernel rejects.
         prob = SapsProblem(BilinearOracle(1), ZeroFunction(), ZeroFunction())
-        z = PrimalDualPoint([1.0], [1.0])
-        with pytest.raises(ValueError):
-            saps_step(prob, z, 0.0, MinimaxSample(0.0, np.zeros(1), np.zeros(1)))
+        cfg = RunConfig(horizon=2, seed=0, schedule=StepSchedule("harmonic", theta=5e-324))
+        with pytest.raises(ValueError, match="gamma must be positive and finite, got 0.0 at iteration 2"):
+            run_saps(prob, cfg)
+
+
+def push_by(shift, gamma):
+    """Gradients under which one step of size gamma with the identity prox
+    moves the iterate by shift = (x shift, y shift)."""
+    return MinimaxSample(0.0, -np.asarray(shift[0]) / gamma, np.asarray(shift[1]) / gamma)
 
 
 class TestStreamingAverage:
+    """The step-size-weighted average of z^1..z^N, observed through run_saps
+    and a hook that keeps every iterate."""
+
     def test_equal_weights_mean(self):
-        a = PrimalDualPoint([1.0], [1.0])
-        b = PrimalDualPoint([3.0], [3.0])
-        avg, w = streaming_average(a, 0.0, a, 1.0)
-        avg, w = streaming_average(avg, w, b, 1.0)
-        np.testing.assert_allclose(avg.x, [2.0], atol=1e-15)
-        assert w == pytest.approx(2.0)
+        # gamma = 1/sqrt(2) twice; z1 = (1, 1) steps to z2 = (3, 3)
+        gamma = 1.0 / math.sqrt(2.0)
+        oracle = ConstantSampleOracle(push_by(([2.0], [2.0]), gamma), 1, 1)
+        prob = SapsProblem(oracle, ZeroFunction(), ZeroFunction())
+        seen = []
+        rec = run_saps(prob, make_config(2, thin=1, initial=PrimalDualPoint([1.0], [1.0])),
+                       [recording_hook(seen)])
+        np.testing.assert_allclose(seen[1][1].x, [3.0], atol=1e-15)
+        np.testing.assert_allclose(rec.final_average.x, [2.0], atol=1e-15)
+        np.testing.assert_allclose(rec.final_average.y, [2.0], atol=1e-15)
 
     def test_single_update_returns_point(self):
         z = PrimalDualPoint([4.0], [-2.0])
-        avg, w = streaming_average(PrimalDualPoint([9.0], [9.0]), 0.0, z, 0.3)
-        assert avg.allclose(z)
-        assert w == pytest.approx(0.3)
+        prob = SapsProblem(BilinearOracle(1), ZeroFunction(), ZeroFunction())
+        cfg = RunConfig(horizon=1, seed=0, schedule=StepSchedule("harmonic", theta=0.3), initial=z)
+        assert run_saps(prob, cfg).final_average.allclose(z)
 
     def test_weighted_example(self):
-        z1 = PrimalDualPoint([0.0], [0.0])
-        z2 = PrimalDualPoint([4.0], [4.0])
-        avg, w = streaming_average(z1, 0.0, z1, 1.0)
-        avg, w = streaming_average(avg, w, z2, 3.0)
-        np.testing.assert_allclose(avg.x, [3.0], atol=1e-15)
+        # harmonic theta=3: gamma 3 then 1.5; z1 = 0, z2 = 9 -> (3*0 + 1.5*9)/4.5 = 3
+        oracle = ConstantSampleOracle(push_by(([9.0], [9.0]), 3.0), 1, 1)
+        prob = SapsProblem(oracle, ZeroFunction(), ZeroFunction())
+        cfg = RunConfig(horizon=2, seed=0, schedule=StepSchedule("harmonic", theta=3.0),
+                        initial=PrimalDualPoint([0.0], [0.0]))
+        rec = run_saps(prob, cfg)
+        np.testing.assert_allclose(rec.final_average.x, [3.0], atol=1e-15)
 
     def test_matches_direct_weighted_sum(self):
-        rng = np.random.default_rng(2)
-        zs = [PrimalDualPoint(rng.normal(size=2), rng.normal(size=1)) for _ in range(1000)]
-        gammas = rng.uniform(0.01, 2.0, size=1000)
-        avg, w = zs[0], 0.0
-        for z, g in zip(zs, gammas):
-            avg, w = streaming_average(avg, w, z, float(g))
-        direct_x = sum(g * z.x for z, g in zip(zs, gammas)) / gammas.sum()
-        direct_y = sum(g * z.y for z, g in zip(zs, gammas)) / gammas.sum()
-        np.testing.assert_allclose(avg.x, direct_x, rtol=1e-12)
-        np.testing.assert_allclose(avg.y, direct_y, rtol=1e-12)
+        prob = SapsProblem(BilinearOracle(2), ScaledL1(0.1), ScaledL1(0.1))
+        cfg = RunConfig(horizon=1000, seed=2, schedule=StepSchedule("inv_sqrt_k", theta=0.5))
+        seen = []
+        rec = run_saps(prob, cfg, [recording_hook(seen)])
+        gammas = np.array([gamma_at(cfg.schedule, k) for k, _, _ in seen])
+        assert [k for k, _, _ in seen] == list(range(1, 1001))
+        direct_x = sum(g * z.x for (_, z, _), g in zip(seen, gammas)) / gammas.sum()
+        direct_y = sum(g * z.y for (_, z, _), g in zip(seen, gammas)) / gammas.sum()
+        np.testing.assert_allclose(rec.final_average.x, direct_x, rtol=1e-12)
+        np.testing.assert_allclose(rec.final_average.y, direct_y, rtol=1e-12)
 
 
 class TestRunSaps:
@@ -155,16 +183,16 @@ class TestRunSaps:
                         dist_estimate=math.sqrt(2.0), M_estimate=math.sqrt(2.0) / math.sqrt(2.0),
                         horizon=2), trace_thinning=1, initial=z0)
         # scaled_const with these estimates gives gamma = 1 exactly
-        assert cfg.schedule.gamma(1) == pytest.approx(1.0)
-        rec = run_saps(prob, cfg)
-        np.testing.assert_allclose(rec.iterates[1].x, [0.0], atol=1e-15)
-        np.testing.assert_allclose(rec.iterates[1].y, [0.25], atol=1e-15)
+        assert gamma_at(cfg.schedule, 1) == pytest.approx(1.0)
+        seen = []
+        rec = run_saps(prob, cfg, [recording_hook(seen)])
+        z2 = seen[1][1]
+        np.testing.assert_allclose(z2.x, [0.0], atol=1e-15)
+        np.testing.assert_allclose(z2.y, [0.25], atol=1e-15)
         np.testing.assert_allclose(rec.final_average.x, [0.5], atol=1e-15)
         np.testing.assert_allclose(rec.final_average.y, [0.625], atol=1e-15)
         # z3 continues with the same frozen draw at z2 = (0, 0.25)
-        s = oracle.sample(None, rec.iterates[1])
-        expect = saps_step(prob, rec.iterates[1], 1.0, s)
-        assert rec.final_iterate.allclose(expect)
+        assert rec.final_iterate.allclose(one_step(prob, z2, 1.0))
 
     def test_recorded_gammas_match_schedule(self):
         prob = SapsProblem(BilinearOracle(2), ScaledL1(1.0), ScaledL1(1.0))
@@ -228,8 +256,10 @@ class TestRunSaps:
 
     def test_averaging_disabled_passes_iterate(self):
         prob = SapsProblem(BilinearOracle(2), ScaledL1(1.0), ScaledL1(1.0))
-        rec = run_saps(prob, make_config(5, thin=1, averaging=False))
-        for it, avg in zip(rec.iterates, rec.averages):
+        seen = []
+        run_saps(prob, make_config(5, thin=1, averaging=False), [recording_hook(seen)])
+        assert len(seen) == 5
+        for _, it, avg in seen:
             assert it.allclose(avg)
 
 
@@ -340,6 +370,25 @@ class TestBatchKernel:
                         records = run_saps_batch(problem, configs, [probe_hook])
                         for t, rec in enumerate(records):
                             assert_same_run(rec, solo[averaging, thin, given, t])
+
+    @pytest.mark.parametrize("T", [1, 3])
+    @pytest.mark.parametrize("averaging", [True, False])
+    def test_kept_hook_points_stay_valid(self, T, averaging):
+        # The hook points share memory with the kernel's state; every point a
+        # hook keeps must still hold its row's values after the run.
+        problem = kernel_problem("bilinear", "l1")
+        configs = [trial_config(t, 25, 1, averaging, False) for t in range(T)]
+        seen = []
+        run_saps_batch(problem, configs, [recording_hook(seen)])
+        for t, cfg in enumerate(configs):
+            ref = []
+            scalar_reference(problem, cfg, [recording_hook(ref)])
+            rows = seen[t::T]  # hooks run row by row within each recorded k
+            assert len(rows) == len(ref) == 25
+            for (k, z, avg), (k_ref, z_ref, avg_ref) in zip(rows, ref):
+                assert k == k_ref
+                assert np.array_equal(z.stacked(), z_ref.stacked())
+                assert np.array_equal(avg.stacked(), avg_ref.stacked())
 
     def test_mismatched_settings_rejected(self):
         problem = kernel_problem("bilinear", "l1")
