@@ -39,7 +39,6 @@ from .cones import (
 from .oracles import (
     BilinearOracle,
     ConicSample,
-    DenseLinearMap,
     MinimaxSample,
     NeymanPearsonOracle,
     TanhOracle,

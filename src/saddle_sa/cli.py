@@ -611,6 +611,9 @@ def _diagnose(config: ExperimentConfig) -> int:
         for name in ("nu_g", "kappa_f", "kappa_g", "nu_f", "slater_margin"):
             print(f"{name}={getattr(constants, name)!r} (estimated)")
         print(f"beta0={constants.beta0!r} (estimated)")
+        if constants.slater_margin is None:
+            print("# multiplier diagnostics skipped: no Slater margin")
+            return 0
         diag = multiplier_bound_diagnostics(constants, sigma, s)
         for name in ("kappa1", "kappa2", "kappa3", "delta1", "theta_sigma_s"):
             print(f"{name}={getattr(diag, name)!r} (estimated)")
@@ -686,7 +689,7 @@ def main(argv=None) -> int:
         print(f"wrote {len(result.trace_paths)} trace files, aggregate.csv and summary.csv "
               f"to {result.output_dir}")
         return result.exit_code
-    except (ConfigError, ParseError, DataError, OSError) as exc:
+    except (ConfigError, ParseError, DataError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (DivergenceError, ConvergenceError) as exc:

@@ -235,22 +235,12 @@ class RunRecord:
         self.metrics.append(dict(metric_values))
         self.elapsed.append(float(elapsed_s))
 
-    def metric_names(self) -> list:
-        names = set()
-        for row in self.metrics:
-            names.update(row)
-        return sorted(names)
-
-    def metric_series(self, name: str) -> np.ndarray:
-        return np.array([row.get(name, math.nan) for row in self.metrics], dtype=float)
-
 
 @dataclass(frozen=True)
 class ProblemConstants:
     """Instance constants feeding schedules, step-bound audits, and multiplier
     diagnostics.
 
-    M_star        second-moment bound on (subgradient + oracle) norms
     R             diameter of the compact primal feasible set
     nu_g          sup-norm bound on sampled constraint values
     kappa_f       sup-norm bound on sampled objective gradients
@@ -261,7 +251,6 @@ class ProblemConstants:
     slater_point  strictly feasible primal point
     """
 
-    M_star: float | None = None
     R: float | None = None
     nu_g: float | None = None
     kappa_f: float | None = None
@@ -272,7 +261,7 @@ class ProblemConstants:
     estimated: bool = False  # True when produced by sampled maximization
 
     def __post_init__(self):
-        for name in ("M_star", "R", "nu_g", "kappa_f", "kappa_g", "nu_f", "slater_margin"):
+        for name in ("R", "nu_g", "kappa_f", "kappa_g", "nu_f", "slater_margin"):
             value = getattr(self, name)
             if value is not None and not (value > 0.0 and math.isfinite(value)):
                 raise ValueError(f"{name} must be strictly positive and finite, got {value}")

@@ -94,7 +94,7 @@ class XSubproblemSpec:
 
     def linearized_g(self, x: np.ndarray) -> np.ndarray:
         s = self.sample
-        return s.g_value + s.g_jacobian.matvec(x - self.x_k)
+        return s.g_value + s.g_jacobian @ (x - self.x_k)
 
 
 def x_subproblem_objective(spec: XSubproblemSpec, x: np.ndarray) -> float:
@@ -119,7 +119,7 @@ def x_subproblem_gradient(spec: XSubproblemSpec, x: np.ndarray) -> np.ndarray:
     """
     s = spec.sample
     w = spec.y_k + spec.sigma * spec.linearized_g(x)
-    return s.f_grad + s.g_jacobian.rmatvec(spec.cone._polar_project(w)) + (x - spec.x_k) / spec.sigma
+    return s.f_grad + s.g_jacobian.T @ spec.cone._polar_project(w) + (x - spec.x_k) / spec.sigma
 
 
 def solve_x_subproblem(spec: XSubproblemSpec, feasible: ProximableFunction,
@@ -171,7 +171,7 @@ def y_update(cone: ConvexCone, y_k: np.ndarray, sigma: float, sample: ConicSampl
     """Closed-form multiplier step; the result lies in the polar cone."""
     if sigma <= 0.0:
         raise ValueError("sigma must be positive")
-    lin = sample.g_value + sample.g_jacobian.matvec(np.asarray(x_next) - np.asarray(x_k))
+    lin = sample.g_value + sample.g_jacobian @ (np.asarray(x_next) - np.asarray(x_k))
     return cone.polar_project(y_k + sigma * lin)
 
 
@@ -182,7 +182,7 @@ def check_sample(sample: ConicSample, dim: int, cone: ConvexCone, k: int) -> Con
     ValueError; non-finite gradient, constraint or Jacobian entries raise
     DivergenceError(k).
     """
-    jac = sample.g_jacobian.matrix
+    jac = sample.g_jacobian
     if sample.f_grad.shape != (dim,) or sample.g_value.shape != (cone.dim,) or jac.shape != (cone.dim, dim):
         raise ValueError(f"sample shapes do not match a {dim}-dimensional point and a "
                          f"{cone.dim}-dimensional cone")
@@ -359,13 +359,13 @@ def estimate_constants(oracle, rng: np.random.Generator, n_full: int = 2000,
         fb = oracle.full_batch(random_feasible(i % 2 == 0))
         nu_g = max(nu_g, float(np.linalg.norm(fb.g_value)))
         kappa_f = max(kappa_f, float(np.linalg.norm(fb.f_grad)))
-        kappa_g = max(kappa_g, fb.g_jacobian.norm2())
+        kappa_g = max(kappa_g, float(np.linalg.norm(fb.g_jacobian, 2)))
     for i in range(n_sample):
         x = random_feasible(i % 2 == 0)
         s = oracle.sample(rng, x)
         nu_g = max(nu_g, float(np.linalg.norm(s.g_value)))
         kappa_f = max(kappa_f, float(np.linalg.norm(s.f_grad)))
-        kappa_g = max(kappa_g, s.g_jacobian.norm2())
+        kappa_g = max(kappa_g, float(np.linalg.norm(s.g_jacobian, 2)))
         nu_f = max(nu_f, abs(s.f_value - oracle.full_batch(x).f_value))
 
     slater_point = oracle.slater_point()

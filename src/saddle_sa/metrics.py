@@ -71,18 +71,6 @@ class FiniteSumMinimaxEvaluator:
         evaluator serves as a deterministic oracle for run_saps."""
         return self.oracle.evaluate_batch(z, self.pool)
 
-    def draws(self, rng, count: int) -> np.ndarray:
-        """The pool is frozen: each draw is empty and the stream is untouched."""
-        return np.empty((count, 0))
-
-    def evaluate_rows(self, X: np.ndarray, Y: np.ndarray, draws=None) -> MinimaxSample:
-        """Pool-mean value and gradients at each row (x, y)."""
-        values, GX, GY = np.empty(X.shape[0]), np.empty_like(X), np.empty_like(Y)
-        for t, (x, y) in enumerate(zip(X, Y)):
-            s = self.sample(None, PrimalDualPoint(x, y))
-            values[t], GX[t], GY[t] = s.value, s.grad_x, s.grad_y
-        return MinimaxSample(values, GX, GY)
-
     def phi(self, x: np.ndarray, y: np.ndarray) -> float:
         value = self.sample(None, PrimalDualPoint(x, y)).value
         return self.mu * self.theta.value(x) + value - self.mu * self.omega.value(y)
@@ -100,7 +88,7 @@ def minimax_gap(evaluator, z: PrimalDualPoint, z_star: PrimalDualPoint) -> float
 def lagrangian_grad(fb, y: np.ndarray) -> np.ndarray:
     """Stacked gradient (grad_x l, grad_y l) = (grad f + Dg^T y, g(x)) of the
     Lagrangian l(x,y) = f(x) + <y, g(x)>, from the full-batch sample `fb` at x."""
-    return np.concatenate([fb.f_grad + fb.g_jacobian.rmatvec(y), fb.g_value])
+    return np.concatenate([fb.f_grad + fb.g_jacobian.T @ y, fb.g_value])
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@
 Minimax oracles return a function value and the two block (sub)gradients of
 the sampled coupling term; the descent/ascent sign convention is applied by
 the solver step, not here. Conic oracles return sampled objective and
-constraint data with a Jacobian exposed as a linear map.
+constraint data with the constraint Jacobian as a dense array.
 
 Each oracle splits sampling into `draw` (consumes randomness) and `evaluate`
 (deterministic given the draw), so tests can freeze a draw and probe
@@ -28,7 +28,6 @@ from .prox import BallIndicator, BlockSeparable
 __all__ = [
     "MinimaxSample",
     "ConicSample",
-    "DenseLinearMap",
     "BilinearOracle",
     "TanhOracle",
     "NeymanPearsonOracle",
@@ -49,37 +48,15 @@ class MinimaxSample:
     grad_y: np.ndarray
 
 
-class DenseLinearMap:
-    """Dense linear operator with forward and adjoint application."""
-
-    def __init__(self, matrix: np.ndarray):
-        self.matrix = np.asarray(matrix, dtype=float)
-        if self.matrix.ndim != 2:
-            raise ValueError("linear map needs a 2-D matrix")
-
-    @property
-    def shape(self):
-        return self.matrix.shape
-
-    def matvec(self, h: np.ndarray) -> np.ndarray:
-        return self.matrix @ h
-
-    def rmatvec(self, w: np.ndarray) -> np.ndarray:
-        return self.matrix.T @ w
-
-    def norm2(self) -> float:
-        return float(np.linalg.norm(self.matrix, 2))
-
-
 @dataclass(frozen=True, eq=False)
 class ConicSample:
     """One conic-oracle call: objective value/gradient, constraint value, and
-    the constraint Jacobian as a linear map."""
+    the (constraints, dim) constraint Jacobian."""
 
     f_value: float
     f_grad: np.ndarray
     g_value: np.ndarray
-    g_jacobian: DenseLinearMap
+    g_jacobian: np.ndarray
 
 
 class BilinearOracle:
@@ -218,7 +195,7 @@ class NeymanPearsonOracle:
 
     def __init__(self, dataset: ClassGroupedDataset, lam: float, r=None):
         if dataset.num_classes < 2:
-            raise ValueError("need at least 2 classes")
+            raise DataError("need at least 2 classes")
         if lam <= 0.0:
             raise ValueError("lam must be positive")
         self.dataset = dataset
@@ -273,7 +250,7 @@ class NeymanPearsonOracle:
             float(values[0]),
             grads[0].reshape(-1),
             values[1:] - self.r,
-            DenseLinearMap(grads[1:].reshape(m - 1, m * n)),
+            grads[1:].reshape(m - 1, m * n),
         )
 
     def full_batch(self, x: np.ndarray) -> ConicSample:
@@ -294,7 +271,7 @@ class NeymanPearsonOracle:
             float(values[0]),
             grads[0].reshape(-1),
             values[1:] - self.r,
-            DenseLinearMap(grads[1:].reshape(m - 1, m * n)),
+            grads[1:].reshape(m - 1, m * n),
         )
 
     def envelope_constants(self) -> dict:

@@ -34,16 +34,17 @@ class ProximableFunction:
 
     is_indicator = False
 
-    # Unchecked row-wise prox `_prox_rows(gamma, V)` of a 2-D float array V,
-    # one block per row, each row rounding as `prox` does on it alone; None
-    # for kinds without one.
-    _prox_rows = None
-
     def value(self, v: np.ndarray) -> float:
         raise NotImplementedError
 
     def prox(self, gamma: float, v: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def _prox_rows(self, gamma: float, V: np.ndarray) -> np.ndarray:
+        """Unchecked prox of each row of the 2-D float array V, each row
+        rounding as `prox` does on it alone; kinds with a vectorized form
+        override this row loop."""
+        return np.array([self.prox(gamma, v) for v in V])
 
     def subgradient(self, v: np.ndarray) -> np.ndarray:
         """A minimum-norm subgradient at v (0 whenever 0 is a subgradient)."""
@@ -201,19 +202,13 @@ class BallIndicator(ProximableFunction):
         return 0.0 if self.contains(v) else math.inf
 
     def prox(self, gamma, v):
-        self._check_gamma(gamma)
-        v = as_vector(v, dim=self.center.shape[0])
-        d = v - self.center
-        nrm = float(np.linalg.norm(d))
-        if nrm <= self.radius:
-            return v.copy()
-        return self.center + (self.radius / nrm) * d
+        return self._prox_rows(self._check_gamma(gamma), as_vector(v)[None])[0]
 
     def _prox_rows(self, gamma, V):
         if V.shape[1] != self.center.shape[0]:
-            raise ValueError(f"blocks must have dimension {self.center.shape[0]}, got {V.shape[1]}")
+            raise ValueError(f"vector must have dimension {self.center.shape[0]}, got {V.shape[1]}")
         D = V - self.center
-        nrm = np.sqrt(_row_dots(D, D))  # rounds as the 1-D norm in prox does
+        nrm = np.sqrt(_row_dots(D, D))  # rounds as np.linalg.norm does on one row
         far = nrm > self.radius
         if not far.any():
             return V.copy()
@@ -297,8 +292,8 @@ class BlockSeparable(ProximableFunction):
     Realizes feasible sets that are products of per-block sets (for example a
     product of per-class norm balls) while keeping the prox an exact blockwise
     closed form. When every part is the same function over blocks of equal
-    size and that function has a row-wise prox, all blocks are projected at
-    once as the rows of one (blocks, size) array.
+    size, all blocks go through that function's row-wise prox at once as the
+    rows of one (blocks, size) array.
     """
 
     def __init__(self, parts):
@@ -317,7 +312,7 @@ class BlockSeparable(ProximableFunction):
         self.is_indicator = all(fn.is_indicator for fn, _, _ in self.parts)
         first, _, size = self.parts[0]  # the first block spans [0, size)
         uniform = all(fn is first and b - a == size for fn, a, b in self.parts)
-        self._rows = (first, len(self.parts), size) if uniform and first._prox_rows else None
+        self._rows = (first, len(self.parts), size) if uniform else None
 
     def _blocks(self, v):
         v = as_vector(v, dim=self.dim)

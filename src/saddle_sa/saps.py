@@ -78,13 +78,6 @@ def _nonfinite_rows(Vx, Vy):
     return bad if bad.any() else None
 
 
-def _prox_rows(fn: ProximableFunction, gamma: float, V):
-    """Row-wise prox; kinds without a row-wise form go one row at a time."""
-    if fn._prox_rows is not None:
-        return fn._prox_rows(gamma, V)
-    return np.stack([fn.prox(gamma, v) for v in V])
-
-
 # ---------------------------------------------------------------------------
 # The batch loop
 # ---------------------------------------------------------------------------
@@ -118,7 +111,7 @@ class _Trials:
         if not self.rows_form:
             samples = [self.oracle.sample(rng, PrimalDualPoint(x, y))
                        for rng, x, y in zip(self.rngs, X, Y)]
-            return np.stack([s.grad_x for s in samples]), np.stack([s.grad_y for s in samples])
+            return np.array([s.grad_x for s in samples]), np.array([s.grad_y for s in samples])
         if self.block is None or self.cursor == self.block.shape[0]:
             count = min(PREFETCH_ROWS, self.undrawn)
             self.block = np.stack([self.oracle.draws(rng, count) for rng in self.rngs], axis=1)
@@ -231,8 +224,8 @@ def run_saps_batch(problem: SapsProblem, configs, metric_hooks=()) -> list:
             Vx, Vy, avg = Vx[keep], Vy[keep], avg[keep]
             if not trials.index:
                 break
-        Z = np.concatenate((_prox_rows(problem.theta, gamma, Vx),
-                            _prox_rows(problem.omega, gamma, Vy)), axis=1)
+        Z = np.concatenate((problem.theta._prox_rows(gamma, Vx),
+                            problem.omega._prox_rows(gamma, Vy)), axis=1)
         if not np.abs(Z).max() <= DIVERGENCE_NORM_BOUND:
             keep = trials.drop(_guard(Z, n, k), outcomes)
             Z, avg = Z[keep], avg[keep]

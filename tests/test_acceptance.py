@@ -181,7 +181,7 @@ def test_criterion_04_oracle_unbiasedness_and_gradients(np_instance):
         sc = npo.evaluate(x, idx)
         grad_ok &= fd_ok(lambda w: npo.evaluate(w, idx).f_value, sc.f_grad, x)
         for row in range(npo.m - 1):
-            grad_ok &= fd_ok(lambda w, r=row: npo.evaluate(w, idx).g_value[r], sc.g_jacobian.matrix[row], x)
+            grad_ok &= fd_ok(lambda w, r=row: npo.evaluate(w, idx).g_value[r], sc.g_jacobian[row], x)
 
     ok = unbiased_ok and grad_ok
     check(4, "oracle unbiasedness and gradient consistency", ok,
@@ -230,7 +230,7 @@ def test_criterion_07_graph_convexity_suites(np_instance):
         zz = oracle.feasible_set.prox(1.0, rng.uniform(-6, 6, size=oracle.dim))
         fx = oracle.full_batch(x)
         fz = oracle.full_batch(zz)
-        lin = fx.g_value + fx.g_jacobian.matvec(zz - x)
+        lin = fx.g_value + fx.g_jacobian @ (zz - x)
         worst_lin = max(worst_lin, float((lin - fz.g_value).max()))
         worst_polar = max(worst_polar,
                           float(np.linalg.norm(cone.polar_project(lin))
@@ -241,7 +241,7 @@ def test_criterion_07_graph_convexity_suites(np_instance):
         idx = oracle.draw(rng)
         s_at_x = oracle.evaluate(x, idx)
         s_at_z = oracle.evaluate(zz, idx)
-        lin_s = s_at_x.g_value + s_at_x.g_jacobian.matvec(zz - x)
+        lin_s = s_at_x.g_value + s_at_x.g_jacobian @ (zz - x)
         lhs = np.linalg.norm(cone.polar_project(y + sigma * s_at_z.g_value)) ** 2
         rhs = np.linalg.norm(cone.polar_project(y + sigma * lin_s)) ** 2
         worst_l37 = max(worst_l37, rhs - lhs)

@@ -89,7 +89,7 @@ class TestRunExperiment:
         result = run_experiment(cfg)
         assert result.exit_code == 0
         assert len(result.trace_paths) == 1
-        rows = list(csv.reader(result.trace_paths[0].open()))
+        rows = list(csv.reader(result.trace_paths[0].read_text().splitlines()))
         assert len(rows) == 2  # header + one recorded iteration
         assert rows[0][:2] == ["k", "gamma"]
         assert (result.output_dir / "aggregate.csv").exists()
@@ -156,12 +156,12 @@ class TestRunExperiment:
     def test_timing_column_is_opt_in(self, tmp_path):
         cfg = load_config(bilinear_text(N_list="5", trials=1, output_dir=tmp_path / "no"))
         result = run_experiment(cfg)
-        header = result.trace_paths[0].open().readline().strip().split(",")
+        header = result.trace_paths[0].read_text().splitlines()[0].split(",")
         assert "elapsed_ms" not in header
         cfg2 = load_config(bilinear_text(N_list="5", trials=1, include_timing="true",
                                          output_dir=tmp_path / "yes"))
         result2 = run_experiment(cfg2)
-        header2 = result2.trace_paths[0].open().readline().strip().split(",")
+        header2 = result2.trace_paths[0].read_text().splitlines()[0].split(",")
         assert header2[-1] == "elapsed_ms"
 
 
@@ -278,6 +278,50 @@ class TestMainEntry:
         for key in ("kappa1", "kappa2", "kappa3", "delta1", "slater_margin", "beta0"):
             assert key in out
         assert "estimated" in out
+
+    def test_diagnose_without_slater_margin_skips_multiplier_bounds(self, tmp_path, capsys):
+        # With budget r=0.5 < log 2 per other class, the Slater point x=0 violates
+        # every constraint, so no multiplier bound applies; run still exits 0.
+        cfg_path = tmp_path / "np.cfg"
+        cfg_path.write_text(
+            "experiment=neyman_pearson\nalgorithm=lsaal\nn=4\nm_classes=3\nr=0.5\n"
+            "points_per_class=10\nN_list=100\n", encoding="utf-8")
+        assert main(["diagnose", str(cfg_path)]) == 0
+        out = capsys.readouterr().out
+        assert "slater_margin=None" in out and "beta0=" in out
+        assert "multiplier diagnostics skipped: no Slater margin" in out
+        assert "kappa1" not in out
+
+    def test_one_class_dataset_is_data_error(self, tmp_path, capsys):
+        data = tmp_path / "one.libsvm"
+        data.write_text("1 1:0.5 2:0.1\n1 1:0.2\n", encoding="utf-8")
+        cfg_path = tmp_path / "np.cfg"
+        cfg_path.write_text(f"experiment=neyman_pearson\nalgorithm=lsaal\nN_list=5\ntrials=1\n"
+                            f"parallel=1\ndataset_path={data}\n", encoding="utf-8")
+        for command in ("run", "diagnose"):
+            assert main([command, str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+            assert capsys.readouterr().err == "error: need at least 2 classes\n"
+
+    def test_non_utf8_config_exit_code(self, tmp_path, capsys):
+        cfg_path = tmp_path / "bad.cfg"
+        cfg_path.write_bytes(bilinear_text(N_list="5", trials=1).encode() + b"# \xff\n")
+        assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_non_utf8_dataset_exit_code(self, tmp_path, capsys):
+        data = tmp_path / "bad.libsvm"
+        data.write_bytes(b"1 1:0.5\n2 2:1.0 # \xff\n")
+        cfg_path = tmp_path / "np.cfg"
+        cfg_path.write_text(f"experiment=neyman_pearson\nalgorithm=lsaal\nN_list=5\ntrials=1\n"
+                            f"parallel=1\ndataset_path={data}\n", encoding="utf-8")
+        assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_non_utf8_check_data_exit_code(self, tmp_path, capsys):
+        data = tmp_path / "bad.libsvm"
+        data.write_bytes(b"1 1:0.5\n\xff 2:1.0\n")
+        assert main(["check-data", str(data)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_diagnose_saps(self, tmp_path, capsys):
         cfg_path = tmp_path / "b.cfg"

@@ -124,8 +124,7 @@ class TestRunRecord:
         rec.append(1, 0.5, {"m": 1.0}, 0.0)
         rec.append(3, 0.25, {"m": 2.0}, 0.1)
         assert (rec.ks, rec.gammas, rec.elapsed) == ([1, 3], [0.5, 0.25], [0.0, 0.1])
-        assert rec.metric_series("m").tolist() == [1.0, 2.0]
-        assert rec.metric_names() == ["m"]
+        assert rec.metrics == [{"m": 1.0}, {"m": 2.0}]
 
     def test_nonincreasing_k_rejected(self):
         rec = RunRecord()

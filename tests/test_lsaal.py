@@ -9,7 +9,6 @@ from saddle_sa import (
     BoxIndicator,
     ConicSample,
     ConvergenceError,
-    DenseLinearMap,
     DivergenceError,
     LsaalProblem,
     NonpositiveOrthant,
@@ -34,8 +33,7 @@ from saddle_sa.oracles import NeymanPearsonOracle
 
 
 def sample_1d(f_grad=1.0, g_value=0.5, dg=1.0):
-    return ConicSample(0.0, np.array([f_grad]), np.array([g_value]),
-                       DenseLinearMap(np.array([[dg]])))
+    return ConicSample(0.0, np.array([f_grad]), np.array([g_value]), np.array([[dg]]))
 
 
 def spec_1d(sigma=1.0, x_k=0.0, y_k=0.0, **kw):
@@ -71,7 +69,7 @@ class TestSubproblemGradient:
                 0.0,
                 rng.normal(size=n),
                 rng.normal(size=m),
-                DenseLinearMap(rng.normal(size=(m, n))),
+                rng.normal(size=(m, n)),
             )
             spec = XSubproblemSpec(rng.normal(size=n), np.abs(rng.normal(size=m)),
                                    sample, float(rng.uniform(0.2, 2.0)), NonpositiveOrthant(m))
@@ -123,7 +121,7 @@ class TestSolveSubproblem:
             y = rng.uniform(0.5, 1.5, size=2)
             fg = rng.uniform(-0.3, 0.3, size=2)
             x_k = rng.normal(size=2) * 0.1
-            sample = ConicSample(0.0, fg, G, DenseLinearMap(J))
+            sample = ConicSample(0.0, fg, G, J)
             spec = XSubproblemSpec(x_k, y, sample, sigma, NonpositiveOrthant(2))
             ball = BallIndicator(np.zeros(2), 50.0)  # effectively unconstrained
             # normal equations: (sigma I + I/sigma) dx = -(fg + y + sigma G)
@@ -148,7 +146,7 @@ class TestSolveSubproblem:
             J = rng.normal(size=(2, 2))
             y = np.abs(rng.normal(size=2))
             x_k = rng.uniform(-0.5, 0.5, size=2)
-            sample = ConicSample(0.0, fg, G, DenseLinearMap(J))
+            sample = ConicSample(0.0, fg, G, J)
             spec = XSubproblemSpec(x_k, y, sample, sigma, NonpositiveOrthant(2))
             out = solve_x_subproblem(spec, box, 1e-8, 3000)
 
@@ -209,7 +207,7 @@ class TestYUpdate:
         cone = NonpositiveOrthant(3)
         for _ in range(50):
             sample = ConicSample(0.0, np.zeros(2), rng.normal(size=3),
-                                 DenseLinearMap(rng.normal(size=(3, 2))))
+                                 rng.normal(size=(3, 2)))
             out = y_update(cone, np.abs(rng.normal(size=3)), float(rng.uniform(0.1, 2.0)),
                            sample, rng.normal(size=2), rng.normal(size=2))
             assert cone.polar_contains(out, tol=1e-12)
@@ -262,7 +260,7 @@ class TestRunners:
                     float(((x - center) ** 2).sum() / 2.0),
                     x - center,
                     np.array([((x - center) ** 2).sum() / 2.0 - 1.0]),
-                    DenseLinearMap((x - center)[None, :]),
+                    (x - center)[None, :],
                 )
 
             def sample(self, rng, x):
@@ -331,8 +329,7 @@ class CorruptingOracle:
 NON_FINITE = {
     "f_grad": lambda s: ConicSample(s.f_value, np.full_like(s.f_grad, np.nan), s.g_value, s.g_jacobian),
     "g_value": lambda s: ConicSample(s.f_value, s.f_grad, s.g_value + np.inf, s.g_jacobian),
-    "jacobian": lambda s: ConicSample(s.f_value, s.f_grad, s.g_value,
-                                      DenseLinearMap(s.g_jacobian.matrix * np.nan)),
+    "jacobian": lambda s: ConicSample(s.f_value, s.f_grad, s.g_value, s.g_jacobian * np.nan),
 }
 
 
@@ -370,7 +367,7 @@ class TestLinearizedPolarMonotonicity:
             idx = oracle.draw(rng)
             s_at_xk = oracle.evaluate(xk, idx)
             s_at_x = oracle.evaluate(x, idx)
-            lin = s_at_xk.g_value + s_at_xk.g_jacobian.matvec(x - xk)
+            lin = s_at_xk.g_value + s_at_xk.g_jacobian @ (x - xk)
             lhs = np.linalg.norm(cone.polar_project(y + sigma * s_at_x.g_value)) ** 2
             rhs = np.linalg.norm(cone.polar_project(y + sigma * lin)) ** 2
             assert lhs >= rhs - 1e-8

@@ -191,15 +191,22 @@ class TestBlockSeparable:
                 np.zeros(n),
             ]
             V = np.stack([kinds[int(k)] for k in rng.integers(0, 4, size=m)])
-            expect = np.concatenate([ball.prox(1.0, row) for row in V])
+            expect = np.concatenate([ball_projection_1d(center, 5.0 * scale, row) for row in V])
             assert np.array_equal(f.prox(0.7, V.reshape(-1)), expect)
+            assert np.array_equal(np.concatenate([ball.prox(0.7, row) for row in V]), expect)
 
     def test_mixed_parts_keep_the_block_loop(self):
         a, b = BallIndicator(np.zeros(2), 1.0), BallIndicator(np.zeros(2), 1.0)
         assert BlockSeparable([(a, 2), (b, 2)])._rows is None  # equal, not the same
         assert BlockSeparable([(a, 2), (ZeroFunction(), 2)])._rows is None
-        box = BoxIndicator(np.zeros(2), np.ones(2))  # a kind without a row-wise form
-        assert BlockSeparable([(box, 2)] * 2)._rows is None
+        assert BlockSeparable([(a, 2), (a, 3)])._rows is None  # same, but unequal blocks
+        # One function over equal blocks takes the row-wise path, also for a
+        # kind whose row-wise prox is the default loop over rows.
+        box = BoxIndicator(np.zeros(2), np.ones(2))
+        f = BlockSeparable([(box, 2)] * 2)
+        assert f._rows == (box, 2, 2)
+        v = np.array([-1.0, 0.5, 2.0, 0.25])
+        assert np.array_equal(f.prox(1.0, v), np.concatenate([box.prox(1.0, v[:2]), box.prox(1.0, v[2:])]))
 
     @pytest.mark.parametrize("fn", [ZeroFunction(), ScaledL1(0.8), ScaledL2(0.8), PositivePartSum(0.8)])
     def test_equal_parts_match_per_block_prox_bit_for_bit(self, fn):
@@ -222,6 +229,15 @@ class TestBlockSeparable:
             BlockSeparable([(BallIndicator(np.zeros(1), 1.0), 2)] * 2).prox(1.0, np.zeros(4))
 
 
+def ball_projection_1d(center, radius, v):
+    """BallIndicator.prox written as a 1-D formula with np.linalg.norm."""
+    d = v - center
+    nrm = float(np.linalg.norm(d))
+    if nrm <= radius:
+        return v.copy()
+    return center + (radius / nrm) * d
+
+
 def block_soft_threshold_1d(mu, gamma, v):
     """ScaledL2.prox written as a 1-D formula with np.linalg.norm."""
     t = mu * gamma
@@ -242,8 +258,21 @@ class TestRowWiseProx:
                 v = v * 0.0
             assert np.array_equal(ScaledL2(mu).prox(gamma, v), block_soft_threshold_1d(mu, gamma, v))
 
+    @pytest.mark.parametrize("n", [1, 3, 10])
+    def test_ball_projection_matches_1d_formula_bit_for_bit(self, n):
+        rng = np.random.default_rng(20 + n)
+        for _ in range(500):
+            scale = 2.0 ** int(rng.integers(-6, 6))
+            center = rng.normal(size=n) * scale if rng.random() < 0.5 else np.zeros(n)
+            radius = float(rng.uniform(0.1, 3.0)) * scale
+            v = center + rng.normal(size=n) * radius * float(rng.uniform(0.0, 2.0))
+            ball = BallIndicator(center, radius)
+            assert np.array_equal(ball.prox(0.5, v), ball_projection_1d(center, radius, v))
+
     @pytest.mark.parametrize("fn", [ZeroFunction(), ScaledL1(0.7), ScaledL2(0.7), PositivePartSum(0.7),
-                                    BallIndicator(np.array([0.5, -1.0, 0.0]), 1.5)])
+                                    BallIndicator(np.array([0.5, -1.0, 0.0]), 1.5),
+                                    BoxIndicator(np.array([-1.0, 0.0, -0.5]), np.array([1.0, 0.5, 2.0])),
+                                    BlockSeparable([(ScaledL1(0.7), 2), (BallIndicator(np.zeros(1), 0.5), 1)])])
     def test_rows_match_prox_of_each_row(self, fn):
         rng = np.random.default_rng(9)
         V = rng.normal(size=(40, 3)) * rng.uniform(0.01, 5.0, size=(40, 1))
