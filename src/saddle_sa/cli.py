@@ -309,7 +309,8 @@ def _tanh_reference(config: ExperimentConfig):
 def _experiment_shared(config: ExperimentConfig):
     """Heavy, trial-independent setup computed once and shipped to workers."""
     if config.experiment == "neyman_pearson":
-        return {"dataset": _build_dataset(config)}
+        dataset = _build_dataset(config)
+        return {"dataset": dataset, "oracle": _np_oracle(config, dataset)}
     if config.experiment == "tanh":
         return _tanh_reference(config)
     return {}
@@ -410,7 +411,7 @@ def _saps_experiment(config: ExperimentConfig, shared: dict):
 
 
 def _run_np_trial(config, run_cfg, init_rng, shared):
-    oracle = _np_oracle(config, shared["dataset"])
+    oracle = shared["oracle"]
     problem = LsaalProblem(oracle, oracle.cone, oracle.feasible_set,
                            sigma=config.sigma, inner_tol=config.inner_tol,
                            inner_max_iters=config.inner_max_iters)
@@ -509,8 +510,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     on how trials are batched.
     """
     out_dir = Path(config.output_dir or os.environ.get(ENV_OUTPUT_DIR) or "saddle_sa_out")
+    shared = _experiment_shared(config)  # a data error leaves no output directory behind
     out_dir.mkdir(parents=True, exist_ok=True)
-    shared = _experiment_shared(config)
     workers = min(config.parallel or _available_cpus(), len(config.N_list) * config.trials)
     # One task per (N, contiguous chunk of trials), at most `workers` chunks
     # per N: a serial run takes each horizon whole.
@@ -600,8 +601,7 @@ def _summarize(config: ExperimentConfig, aggregate_rows: list) -> list:
 def _diagnose(config: ExperimentConfig) -> int:
     N = max(config.N_list)
     if config.experiment == "neyman_pearson":
-        shared = _experiment_shared(config)
-        oracle = _np_oracle(config, shared["dataset"])
+        oracle = _experiment_shared(config)["oracle"]
         rng = RandomSource(config.seed, derive_stream_id(config.seed, "diagnose")).generator()
         constants = estimate_constants(oracle, rng)
         sigma = config.sigma if config.sigma is not None else 1.0 / math.sqrt(N)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from .core import (
     PrimalDualPoint,
     RunConfig,
     RunRecord,
+    as_vector,
 )
 from .cones import ConvexCone
 from .oracles import ConicSample
@@ -51,6 +52,8 @@ __all__ = [
 ]
 
 ARMIJO_FACTOR = 1e-4
+# A decrease below _SLACK * (1 + |f|) is evaluation noise.
+_SLACK = 16.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,27 +87,39 @@ class LsaalProblem:
 
 @dataclass(frozen=True, eq=False)
 class XSubproblemSpec:
-    """Frozen data of one primal subproblem (current point, multiplier, sample)."""
+    """Frozen data of one primal subproblem (current point, multiplier, sample).
+
+    The spec remembers x - x_k and the polar projection at the last read-only
+    point it was evaluated at, so the objective and the gradient at one point
+    of the solver (whose points are read-only) share one projection. A
+    writable point is never remembered and may change between calls.
+    """
 
     x_k: np.ndarray
     y_k: np.ndarray
     sample: ConicSample
     sigma: float
     cone: ConvexCone
+    _last: tuple = field(default=(None, None, None), init=False, repr=False)
 
-    def linearized_g(self, x: np.ndarray) -> np.ndarray:
+    def _at(self, x: np.ndarray):
+        """(x - x_k, P_polar(y_k + sigma*l_g(x))) with l_g the linearized constraint."""
+        last, dx, pw = self._last
+        if last is x:
+            return dx, pw
         s = self.sample
-        return s.g_value + s.g_jacobian @ (x - self.x_k)
+        dx = x - self.x_k
+        pw = self.cone._polar_project(self.y_k + self.sigma * (s.g_value + s.g_jacobian @ dx))
+        if type(x) is np.ndarray and not x.flags.writeable:
+            object.__setattr__(self, "_last", (x, dx, pw))
+        return dx, pw
 
 
 def x_subproblem_objective(spec: XSubproblemSpec, x: np.ndarray) -> float:
     """Subproblem objective up to an additive constant (enough for line search)."""
-    s = spec.sample
-    dx = x - spec.x_k
-    w = spec.y_k + spec.sigma * spec.linearized_g(x)
-    pw = spec.cone._polar_project(w)  # w is built from checked data
+    dx, pw = spec._at(x)
     return (
-        float(s.f_grad @ dx)
+        float(spec.sample.f_grad @ dx)
         + float(pw @ pw) / (2.0 * spec.sigma)
         + float(dx @ dx) / (2.0 * spec.sigma)
     )
@@ -118,8 +133,18 @@ def x_subproblem_gradient(spec: XSubproblemSpec, x: np.ndarray) -> np.ndarray:
     grad = grad F + DG^T P_polar(y_k + sigma*l_g(x)) + (x - x_k)/sigma.
     """
     s = spec.sample
-    w = spec.y_k + spec.sigma * spec.linearized_g(x)
-    return s.f_grad + s.g_jacobian.T @ spec.cone._polar_project(w) + (x - spec.x_k) / spec.sigma
+    dx, pw = spec._at(x)
+    return s.f_grad + s.g_jacobian.T @ pw + dx / spec.sigma
+
+
+def _project(feasible: ProximableFunction, v: np.ndarray) -> np.ndarray:
+    """Projection of v onto the feasible set as a read-only array, through the
+    unchecked row prox behind one finiteness screen."""
+    if not math.isfinite(v.sum()):  # a sum that merely overflows passes the exact scan
+        as_vector(v)
+    p = feasible._prox_rows(1.0, v[None])[0]
+    p.flags.writeable = False
+    return p
 
 
 def solve_x_subproblem(spec: XSubproblemSpec, feasible: ProximableFunction,
@@ -129,22 +154,26 @@ def solve_x_subproblem(spec: XSubproblemSpec, feasible: ProximableFunction,
     Terminates when the projected-gradient residual
     ||x - P_X(x - s*grad(x))|| / s drops below inner_tol for the last
     accepted step size s; raises ConvergenceError past inner_max_iters.
+    A non-finite projection argument raises ValueError.
     """
-    x = np.asarray(spec.x_k, dtype=float).copy()
+    sigma = spec.sigma
+    x = np.array(spec.x_k, dtype=float)
+    x.flags.writeable = False
     fx = x_subproblem_objective(spec, x)
-    step = spec.sigma
+    step = sigma
     residual = math.inf
-    slack = 16.0 * np.finfo(float).eps * (1.0 + abs(fx))
+    slack = _SLACK * (1.0 + abs(fx))
     for _ in range(inner_max_iters):
         g = x_subproblem_gradient(spec, x)
-        trial = feasible.prox(1.0, x - step * g)
+        trial = _project(feasible, x - step * g)
         residual = float(np.linalg.norm(x - trial)) / step
         if residual <= inner_tol:
-            return x
-        # Backtracking restarts from sigma each outer pass.
-        s = spec.sigma
+            return x.copy()
+        # Backtracking restarts from sigma each outer pass, so after a full
+        # step its first candidate is the trial point.
+        s = sigma
+        x_new = trial if step == sigma else _project(feasible, x - s * g)
         while True:
-            x_new = feasible.prox(1.0, x - s * g)
             f_new = x_subproblem_objective(spec, x_new)
             if f_new <= fx + ARMIJO_FACTOR * float(g @ (x_new - x)):
                 break
@@ -154,15 +183,16 @@ def solve_x_subproblem(spec: XSubproblemSpec, feasible: ProximableFunction,
                 # oscillating (non-contracting) step.
                 g_new = x_subproblem_gradient(spec, x_new)
                 r_here = float(np.linalg.norm(x - x_new)) / s
-                r_new = float(np.linalg.norm(x_new - feasible.prox(1.0, x_new - s * g_new))) / s
+                r_new = float(np.linalg.norm(x_new - _project(feasible, x_new - s * g_new))) / s
                 if r_new <= 0.9 * r_here:
                     break
             s *= 0.5
-            if s < spec.sigma * 1e-18:
+            if s < sigma * 1e-18:
                 # Line search stalled in rounding; report current residual.
                 raise ConvergenceError(residual, "line search stalled before reaching inner_tol")
+            x_new = _project(feasible, x - s * g)
         x, fx, step = x_new, f_new, s
-        slack = 16.0 * np.finfo(float).eps * (1.0 + abs(fx))
+        slack = _SLACK * (1.0 + abs(fx))
     raise ConvergenceError(residual)
 
 
@@ -186,7 +216,10 @@ def check_sample(sample: ConicSample, dim: int, cone: ConvexCone, k: int) -> Con
     if sample.f_grad.shape != (dim,) or sample.g_value.shape != (cone.dim,) or jac.shape != (cone.dim, dim):
         raise ValueError(f"sample shapes do not match a {dim}-dimensional point and a "
                          f"{cone.dim}-dimensional cone")
-    if not (np.isfinite(sample.f_grad).all() and np.isfinite(sample.g_value).all()
+    # Any non-finite entry makes the sum non-finite; a sum that merely
+    # overflows costs the exact scan and finds nothing.
+    if not math.isfinite(sample.f_grad.sum() + sample.g_value.sum() + jac.sum()) and not (
+            np.isfinite(sample.f_grad).all() and np.isfinite(sample.g_value).all()
             and np.isfinite(jac).all()):
         raise DivergenceError(k, f"non-finite oracle sample at iteration {k}")
     return sample

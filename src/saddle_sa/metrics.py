@@ -53,7 +53,8 @@ class FiniteSumMinimaxEvaluator:
 
     Approximates the expectation objective by the mean over `draws`; serves as
     the reproducible reference problem for oracles without a closed-form
-    expectation.
+    expectation. The oracle provides `labels(draws)`, computed once for the
+    pool, and `evaluate_batch(z, draws, labels)`.
     """
 
     def __init__(self, oracle, draws, theta: ProximableFunction, omega: ProximableFunction, mu: float = 1.0):
@@ -62,6 +63,7 @@ class FiniteSumMinimaxEvaluator:
             raise ValueError("need at least one frozen draw")
         self.oracle = oracle
         self.pool = np.stack(draws)
+        self._labels = oracle.labels(self.pool)
         self.theta = theta
         self.omega = omega
         self.mu = float(mu)
@@ -69,7 +71,7 @@ class FiniteSumMinimaxEvaluator:
     def sample(self, rng, z: PrimalDualPoint) -> MinimaxSample:
         """Pool-mean value and gradients at z; `rng` is ignored, so the
         evaluator serves as a deterministic oracle for run_saps."""
-        return self.oracle.evaluate_batch(z, self.pool)
+        return self.oracle.evaluate_batch(z, self.pool, self._labels)
 
     def phi(self, x: np.ndarray, y: np.ndarray) -> float:
         value = self.sample(None, PrimalDualPoint(x, y)).value

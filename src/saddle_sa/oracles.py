@@ -152,12 +152,17 @@ class TanhOracle:
     def sample(self, rng: np.random.Generator, z: PrimalDualPoint) -> MinimaxSample:
         return self.evaluate(z, self.draw(rng))
 
-    def evaluate_batch(self, z: PrimalDualPoint, draws) -> MinimaxSample:
-        """Mean value and gradients over a stack of frozen draws (k, 2, n)."""
+    def labels(self, draws):
+        """The label signs (v1, v2) of a stack of draws (k, 2, n)."""
+        U = np.asarray(draws, dtype=float)
+        return _sign_rows(U[:, 0, :] @ self.xbar), _sign_rows(U[:, 1, :] @ self.ybar)
+
+    def evaluate_batch(self, z: PrimalDualPoint, draws, labels) -> MinimaxSample:
+        """Mean value and gradients over a stack of frozen draws (k, 2, n)
+        whose label signs are `labels` = `labels(draws)`."""
         U = np.asarray(draws, dtype=float)
         u1, u2 = U[:, 0, :], U[:, 1, :]
-        v1 = _sign_rows(u1 @ self.xbar)
-        v2 = _sign_rows(u2 @ self.ybar)
+        v1, v2 = labels
         a = np.tanh(v1 * (u1 @ z.x))
         b = np.tanh(v2 * (u2 @ z.y))
         k = U.shape[0]
@@ -214,6 +219,9 @@ class NeymanPearsonOracle:
         self.feasible_set = BlockSeparable([(BallIndicator(zero, self.lam), self.n)] * self.m)
         self._matrices = [dataset.class_matrix(label) for label in self.labels]
         self._counts = [mat.shape[0] for mat in self._matrices]
+        # Every class's points stacked, class i's starting at row _starts[i].
+        self._points = np.concatenate(self._matrices)
+        self._starts = np.cumsum([0] + self._counts[:-1])
         self._off_diagonal = ~np.eye(self.m, dtype=bool)
         self._others = [np.flatnonzero(row) for row in self._off_diagonal]
 
@@ -235,9 +243,9 @@ class NeymanPearsonOracle:
         # loop, so a one-point-per-class dataset reproduces full_batch bit for bit.
         m, n = self.m, self.n
         X = self.blocks(x)
-        rows = [self._matrices[i][idx[i]:idx[i] + 1] for i in range(m)]
-        # One product per class: a stacked Psi @ X.T can round differently.
-        margins = np.concatenate([row @ X.T for row in rows])  # (m, m): psi_i . x_l
+        Psi = self._points[self._starts + idx]  # (m, n): row i is class i's point
+        # A (1, n) @ (n, m) product per class: a plain Psi @ X.T can round differently.
+        margins = np.matmul(Psi[:, None, :], X.T).reshape(m, m)  # psi_i . x_l
         t = (np.diagonal(margins)[:, None] - margins)[self._off_diagonal].reshape(m, m - 1)
         values = _phi(t).sum(axis=1)
         w = _phi_prime(t)
@@ -245,7 +253,7 @@ class NeymanPearsonOracle:
         coef[self._off_diagonal] = -w.reshape(-1)
         # grads[i, l] = coef[i, l] * psi_i is class i's gradient in block l;
         # adding 0.0 gives zeros the sign that full_batch's np.zeros gives them.
-        grads = coef[:, :, None] * np.concatenate(rows)[:, None, :] + 0.0
+        grads = coef[:, :, None] * Psi[:, None, :] + 0.0
         return ConicSample(
             float(values[0]),
             grads[0].reshape(-1),

@@ -323,13 +323,17 @@ class BlockSeparable(ProximableFunction):
         return float(sum(fn.value(blk) for fn, blk in blocks))
 
     def prox(self, gamma, v):
-        self._check_gamma(gamma)
+        gamma = self._check_gamma(gamma)
         if self._rows is None:
             _, blocks = self._blocks(v)
             return np.concatenate([fn.prox(gamma, blk) for fn, blk in blocks])
-        fn, count, size = self._rows
-        V = as_vector(v, dim=self.dim).reshape(count, size)
-        return fn._prox_rows(gamma, V).reshape(-1)
+        return self._prox_rows(gamma, as_vector(v, dim=self.dim)[None])[0]
+
+    def _prox_rows(self, gamma, V):
+        if self._rows is None:
+            return super()._prox_rows(gamma, V)  # mixed parts: prox row by row
+        fn, _, size = self._rows
+        return fn._prox_rows(gamma, V.reshape(-1, size)).reshape(V.shape)
 
     def subgradient(self, v):
         _, blocks = self._blocks(v)

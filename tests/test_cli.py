@@ -182,7 +182,7 @@ def hand_rolled_tanh_reference(config):
             weight += gamma
             step = gamma / weight
             ax, ay = ax + step * (x - ax), ay + step * (y - ay)
-        s = oracle.evaluate_batch(PrimalDualPoint(x, y), draws)
+        s = oracle.evaluate_batch(PrimalDualPoint(x, y), draws, oracle.labels(draws))
         x = theta.prox(gamma, x - gamma * s.grad_x)
         y = theta.prox(gamma, y + gamma * s.grad_y)
     return PrimalDualPoint(ax, ay)
@@ -301,6 +301,19 @@ class TestMainEntry:
         for command in ("run", "diagnose"):
             assert main([command, str(cfg_path), "--out", str(tmp_path / "out")]) == 1
             assert capsys.readouterr().err == "error: need at least 2 classes\n"
+
+    @pytest.mark.parametrize("dataset", ["missing", "one_class"])
+    def test_data_error_leaves_no_output_directory(self, tmp_path, capsys, dataset):
+        data = tmp_path / "data.libsvm"
+        if dataset == "one_class":
+            data.write_text("1 1:0.5 2:0.1\n1 1:0.2\n", encoding="utf-8")
+        cfg_path = tmp_path / "np.cfg"
+        cfg_path.write_text(f"experiment=neyman_pearson\nalgorithm=lsaal\nN_list=5\ntrials=1\n"
+                            f"parallel=1\ndataset_path={data}\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["run", str(cfg_path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
 
     def test_non_utf8_config_exit_code(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.cfg"

@@ -182,6 +182,107 @@ class TestSolveSubproblem:
         assert err.value.residual > 0.0
 
 
+def reference_objective(spec, x):
+    """The subproblem objective as written before the solver shared one
+    polar projection per point."""
+    s = spec.sample
+    dx = x - spec.x_k
+    w = spec.y_k + spec.sigma * (s.g_value + s.g_jacobian @ (x - spec.x_k))
+    pw = spec.cone._polar_project(w)
+    return (
+        float(s.f_grad @ dx)
+        + float(pw @ pw) / (2.0 * spec.sigma)
+        + float(dx @ dx) / (2.0 * spec.sigma)
+    )
+
+
+def reference_gradient(spec, x):
+    s = spec.sample
+    w = spec.y_k + spec.sigma * (s.g_value + s.g_jacobian @ (x - spec.x_k))
+    return s.f_grad + s.g_jacobian.T @ spec.cone._polar_project(w) + (x - spec.x_k) / spec.sigma
+
+
+def reference_solve(spec, feasible, inner_tol, inner_max_iters, seen):
+    """The projected-gradient solver with a checked prox per candidate; `seen`
+    counts accepted steps below sigma and accepted tiny decreases."""
+    x = np.asarray(spec.x_k, dtype=float).copy()
+    fx = reference_objective(spec, x)
+    step = spec.sigma
+    residual = math.inf
+    slack = 16.0 * np.finfo(float).eps * (1.0 + abs(fx))
+    for _ in range(inner_max_iters):
+        g = reference_gradient(spec, x)
+        trial = feasible.prox(1.0, x - step * g)
+        residual = float(np.linalg.norm(x - trial)) / step
+        if residual <= inner_tol:
+            return x
+        s = spec.sigma
+        while True:
+            x_new = feasible.prox(1.0, x - s * g)
+            f_new = reference_objective(spec, x_new)
+            if f_new <= fx + 1e-4 * float(g @ (x_new - x)):
+                break
+            if f_new <= fx + slack:
+                g_new = reference_gradient(spec, x_new)
+                r_here = float(np.linalg.norm(x - x_new)) / s
+                r_new = float(np.linalg.norm(x_new - feasible.prox(1.0, x_new - s * g_new))) / s
+                if r_new <= 0.9 * r_here:
+                    seen["tiny_decrease"] += 1
+                    break
+            s *= 0.5
+            if s < spec.sigma * 1e-18:
+                raise ConvergenceError(residual, "line search stalled before reaching inner_tol")
+        seen["below_sigma"] += s < spec.sigma
+        x, fx, step = x_new, f_new, s
+        slack = 16.0 * np.finfo(float).eps * (1.0 + abs(fx))
+    raise ConvergenceError(residual)
+
+
+class TestSolverMatchesReference:
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_random_neyman_pearson_subproblems_bit_for_bit(self, m):
+        rng = np.random.default_rng(80 + m)
+        oracle = NeymanPearsonOracle(synth_gaussian_classes(rng, m, 5, 15, 1.5), 3.0)
+        seen = {"below_sigma": 0, "tiny_decrease": 0, "budget": 0}
+        for sigma in (1 / math.sqrt(250), 1 / math.sqrt(4000), 1.0, 10.0):
+            for _ in range(8):
+                x_k = oracle.feasible_set.prox(1.0, rng.normal(size=oracle.dim) * 2.0)
+                y_k = np.maximum(rng.normal(size=m - 1), 0.0) * 2.0
+                sample = oracle.sample(rng, x_k)
+                outcomes = []
+                for solve in (lambda spec: reference_solve(spec, oracle.feasible_set, 1e-8, 200, seen),
+                              lambda spec: solve_x_subproblem(spec, oracle.feasible_set, 1e-8, 200)):
+                    try:
+                        outcomes.append(solve(XSubproblemSpec(x_k, y_k, sample, sigma, oracle.cone)))
+                    except ConvergenceError as exc:
+                        outcomes.append((exc.residual, str(exc)))
+                expected, got = outcomes
+                if isinstance(expected, tuple):
+                    seen["budget"] += 1
+                    assert got == expected
+                else:
+                    assert np.array_equal(got, expected)
+        # The instances reach every branch: backtracking below sigma,
+        # acceptance on a decrease below rounding noise, an exhausted budget.
+        assert min(seen.values()) > 0, seen
+
+    def test_result_is_writable_and_writable_points_are_not_remembered(self, np_instance):
+        rng = np.random.default_rng(5)
+        x_k = np_instance.feasible_set.prox(1.0, rng.normal(size=np_instance.dim))
+        spec = XSubproblemSpec(x_k, np.ones(np_instance.cone.dim), np_instance.sample(rng, x_k),
+                               0.1, np_instance.cone)
+        out = solve_x_subproblem(spec, np_instance.feasible_set, 1e-8, 500)
+        assert out.flags.writeable
+        x_subproblem_objective(spec, out)
+        out += 0.5  # a writable point is never remembered by the spec
+        assert x_subproblem_objective(spec, out) == reference_objective(spec, out)
+        assert np.array_equal(x_subproblem_gradient(spec, out), reference_gradient(spec, out))
+        frozen = out - 0.25
+        frozen.flags.writeable = False
+        assert x_subproblem_objective(spec, frozen) == reference_objective(spec, frozen)
+        assert np.array_equal(x_subproblem_gradient(spec, frozen), reference_gradient(spec, frozen))
+
+
 class TestYUpdate:
     def test_clip_example(self):
         cone = NonpositiveOrthant(1)
@@ -350,6 +451,33 @@ class TestSampleGuard:
                                np_instance.cone, np_instance.feasible_set)
         with pytest.raises(ValueError):
             run_lsaal(problem, run_config(20, seed=2))
+
+
+class HugeGradientOracle:
+    """A 3-dimensional conic oracle with one inactive constraint whose
+    objective gradient jumps to 1e300 from sample call `at` on."""
+
+    dim = 3
+
+    def __init__(self, at):
+        self.at, self.calls = at, 0
+
+    def sample(self, rng, x):
+        self.calls += 1
+        f_grad = np.full(3, 1e300) if self.calls >= self.at else rng.normal(size=3)
+        return ConicSample(0.0, f_grad, np.array([-1.0]), np.zeros((1, 3)))
+
+
+class TestInnerSolverOverflow:
+    def test_overflowing_prox_argument_is_divergence_at_outer_iteration(self):
+        # x - s*g overflows to -inf inside the inner solver; the finiteness
+        # screen before the unchecked prox must classify it as divergence.
+        problem = LsaalProblem(HugeGradientOracle(4), NonpositiveOrthant(1),
+                               BallIndicator(np.zeros(3), 1.0), sigma=1e10)
+        with np.errstate(over="ignore"), pytest.raises(DivergenceError) as err:
+            run_lsaal(problem, run_config(10, seed=1))
+        assert err.value.iteration == 4
+        assert str(err.value).endswith("vector has non-finite entries")
 
 
 class TestLinearizedPolarMonotonicity:

@@ -207,6 +207,15 @@ class TestBlockSeparable:
         assert f._rows == (box, 2, 2)
         v = np.array([-1.0, 0.5, 2.0, 0.25])
         assert np.array_equal(f.prox(1.0, v), np.concatenate([box.prox(1.0, v[:2]), box.prox(1.0, v[2:])]))
+        # Mixed parts have no row-wise form: their rows go through prox one by one.
+        mixed = BlockSeparable([(a, 2), (ZeroFunction(), 2)])
+        rows_seen = []
+        checked = mixed.prox
+        mixed.prox = lambda gamma, row: rows_seen.append(row) or checked(gamma, row)
+        V = np.arange(12.0).reshape(3, 4) / 4.0
+        out = mixed._prox_rows(1.0, V)
+        assert len(rows_seen) == 3 and all(np.array_equal(r, v) for r, v in zip(rows_seen, V))
+        assert np.array_equal(out, np.array([checked(1.0, v) for v in V]))
 
     @pytest.mark.parametrize("fn", [ZeroFunction(), ScaledL1(0.8), ScaledL2(0.8), PositivePartSum(0.8)])
     def test_equal_parts_match_per_block_prox_bit_for_bit(self, fn):
@@ -272,7 +281,8 @@ class TestRowWiseProx:
     @pytest.mark.parametrize("fn", [ZeroFunction(), ScaledL1(0.7), ScaledL2(0.7), PositivePartSum(0.7),
                                     BallIndicator(np.array([0.5, -1.0, 0.0]), 1.5),
                                     BoxIndicator(np.array([-1.0, 0.0, -0.5]), np.array([1.0, 0.5, 2.0])),
-                                    BlockSeparable([(ScaledL1(0.7), 2), (BallIndicator(np.zeros(1), 0.5), 1)])])
+                                    BlockSeparable([(ScaledL1(0.7), 2), (BallIndicator(np.zeros(1), 0.5), 1)]),
+                                    BlockSeparable([(BallIndicator(np.array([0.3]), 0.8), 1)] * 3)])
     def test_rows_match_prox_of_each_row(self, fn):
         rng = np.random.default_rng(9)
         V = rng.normal(size=(40, 3)) * rng.uniform(0.01, 5.0, size=(40, 1))
