@@ -498,8 +498,13 @@ class ExperimentResult:
     trace_paths: list
     aggregate_rows: list
     summary_rows: list
-    diverged: dict      # N -> count
+    failures: dict      # N -> the TrialResults that diverged, in trial order
     exit_code: int
+
+    @property
+    def diverged(self) -> dict:
+        """N -> number of diverged trials."""
+        return {N: len(failed) for N, failed in self.failures.items()}
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
@@ -528,17 +533,17 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     results = {(res.N, res.trial): res for batch in batches for res in batch}
 
     trace_paths = []
-    diverged = {N: 0 for N in config.N_list}
+    failures = {N: [] for N in config.N_list}
     finals = {N: [] for N in config.N_list}
     for N, trial in sorted(results):
         res = results[(N, trial)]
         if res.diverged:
-            diverged[N] += 1
+            failures[N].append(res)
             continue
         trace_paths.append(_emit_trace(out_dir, config, res))
         finals[N].append(res.final_values)
 
-    aggregate_rows = _aggregate(config, finals, diverged)
+    aggregate_rows = _aggregate(config, finals, failures)
     _write_csv(out_dir / "aggregate.csv",
                ["N", "metric", "mean", "median", "stderr", "min", "max", "tail_fraction"],
                aggregate_rows)
@@ -549,10 +554,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                summary_rows)
 
     exit_code = 2 if any(not finals[N] for N in config.N_list) else 0
-    return ExperimentResult(out_dir, trace_paths, aggregate_rows, summary_rows, diverged, exit_code)
+    return ExperimentResult(out_dir, trace_paths, aggregate_rows, summary_rows, failures, exit_code)
 
 
-def _aggregate(config: ExperimentConfig, finals: dict, diverged: dict) -> list:
+def _aggregate(config: ExperimentConfig, finals: dict, failures: dict) -> list:
     rows = []
     for N in sorted(finals):
         values_by_metric = {}
@@ -568,8 +573,8 @@ def _aggregate(config: ExperimentConfig, finals: dict, diverged: dict) -> list:
                 float(vals.min()), float(vals.max()),
                 tail_tally(vals, config.tail_multiplier * median),
             ])
-        rows.append([N, "diverged_trials", float(diverged[N]), float(diverged[N]), 0.0,
-                     float(diverged[N]), float(diverged[N]), 0.0])
+        count = float(len(failures[N]))
+        rows.append([N, "diverged_trials", count, count, 0.0, count, count, 0.0])
     return rows
 
 
@@ -683,9 +688,10 @@ def main(argv=None) -> int:
         if args.command == "diagnose":
             return _diagnose(config)
         result = run_experiment(config)
-        for N, count in sorted(result.diverged.items()):
-            if count:
-                print(f"warning: {count} diverged trial(s) at N={N}", file=sys.stderr)
+        for N, failed in sorted(result.failures.items()):
+            if failed:
+                print(f"warning: {len(failed)} diverged trial(s) at N={N} "
+                      f"(trial {failed[0].trial}: {failed[0].error})", file=sys.stderr)
         print(f"wrote {len(result.trace_paths)} trace files, aggregate.csv and summary.csv "
               f"to {result.output_dir}")
         return result.exit_code

@@ -7,8 +7,9 @@ the current point, solves the proximal subproblem
                   + (1/(2*sigma)) ||P_polar(y_k + sigma*(G + DG (x - x_k)))||^2
                   + (1/(2*sigma)) ||x - x_k||^2
 
-by projected gradient descent with backtracking, then updates the multiplier
-in closed form:  y_{k+1} = P_polar(y_k + sigma*(G + DG (x_{k+1} - x_k))).
+by projected gradient descent with backtracking, and takes the closed-form
+multiplier step  y_{k+1} = P_polar(y_k + sigma*(G + DG (x_{k+1} - x_k))),
+which the inner solver has already computed at its last point.
 The deterministic variant replaces every sample by the full-batch average.
 
 Multiplier-bound diagnostics expose the constants that control E||y_k||:
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,101 +88,87 @@ class LsaalProblem:
 
 @dataclass(frozen=True, eq=False)
 class XSubproblemSpec:
-    """Frozen data of one primal subproblem (current point, multiplier, sample).
-
-    The spec remembers x - x_k and the polar projection at the last read-only
-    point it was evaluated at, so the objective and the gradient at one point
-    of the solver (whose points are read-only) share one projection. A
-    writable point is never remembered and may change between calls.
-    """
+    """Frozen data of one primal subproblem (current point, multiplier, sample)."""
 
     x_k: np.ndarray
     y_k: np.ndarray
     sample: ConicSample
     sigma: float
     cone: ConvexCone
-    _last: tuple = field(default=(None, None, None), init=False, repr=False)
 
-    def _at(self, x: np.ndarray):
-        """(x - x_k, P_polar(y_k + sigma*l_g(x))) with l_g the linearized constraint."""
-        last, dx, pw = self._last
-        if last is x:
-            return dx, pw
-        s = self.sample
-        dx = x - self.x_k
-        pw = self.cone._polar_project(self.y_k + self.sigma * (s.g_value + s.g_jacobian @ dx))
-        if type(x) is np.ndarray and not x.flags.writeable:
-            object.__setattr__(self, "_last", (x, dx, pw))
-        return dx, pw
+
+def _linearized(y_k: np.ndarray, sigma: float, sample: ConicSample, dx: np.ndarray) -> np.ndarray:
+    """y_k + sigma*(G + DG dx): the multiplier step's argument before the polar projection."""
+    return y_k + sigma * (sample.g_value + sample.g_jacobian @ dx)
+
+
+def _evaluate(spec: XSubproblemSpec, x: np.ndarray):
+    """(objective, gradient, multiplier step) of the subproblem at x.
+
+    The objective is exact up to an additive constant (enough for line
+    search). The multiplier step y(x) = P_polar(y_k + sigma*l_g(x)), with l_g
+    the linearized constraint, is also the gradient of the squared
+    polar-projection norm term before DG^T is applied, so the chain rule gives
+    grad = grad F + DG^T y(x) + (x - x_k)/sigma.
+    """
+    s, sigma = spec.sample, spec.sigma
+    dx = x - spec.x_k
+    y = spec.cone._polar_project(_linearized(spec.y_k, sigma, s, dx))
+    f = float(s.f_grad @ dx) + float(y @ y) / (2.0 * sigma) + float(dx @ dx) / (2.0 * sigma)
+    return f, s.f_grad + s.g_jacobian.T @ y + dx / sigma, y
 
 
 def x_subproblem_objective(spec: XSubproblemSpec, x: np.ndarray) -> float:
     """Subproblem objective up to an additive constant (enough for line search)."""
-    dx, pw = spec._at(x)
-    return (
-        float(spec.sample.f_grad @ dx)
-        + float(pw @ pw) / (2.0 * spec.sigma)
-        + float(dx @ dx) / (2.0 * spec.sigma)
-    )
+    return _evaluate(spec, x)[0]
 
 
 def x_subproblem_gradient(spec: XSubproblemSpec, x: np.ndarray) -> np.ndarray:
-    """Gradient of the smooth subproblem objective.
-
-    The squared polar-projection norm is differentiable with gradient equal to
-    the polar projection itself, so the chain rule gives
-    grad = grad F + DG^T P_polar(y_k + sigma*l_g(x)) + (x - x_k)/sigma.
-    """
-    s = spec.sample
-    dx, pw = spec._at(x)
-    return s.f_grad + s.g_jacobian.T @ pw + dx / spec.sigma
+    """Gradient of the smooth subproblem objective."""
+    return _evaluate(spec, x)[1]
 
 
 def _project(feasible: ProximableFunction, v: np.ndarray) -> np.ndarray:
-    """Projection of v onto the feasible set as a read-only array, through the
-    unchecked row prox behind one finiteness screen."""
+    """Projection of v onto the feasible set, through the unchecked row prox
+    behind one finiteness screen."""
     if not math.isfinite(v.sum()):  # a sum that merely overflows passes the exact scan
         as_vector(v)
-    p = feasible._prox_rows(1.0, v[None])[0]
-    p.flags.writeable = False
-    return p
+    return feasible._prox_rows(1.0, v[None])[0]
 
 
 def solve_x_subproblem(spec: XSubproblemSpec, feasible: ProximableFunction,
-                       inner_tol: float, inner_max_iters: int) -> np.ndarray:
+                       inner_tol: float, inner_max_iters: int) -> tuple[np.ndarray, np.ndarray]:
     """Projected gradient descent with backtracking, warm-started at x_k.
 
-    Terminates when the projected-gradient residual
+    Returns the solution x and the multiplier step y(x) there, which is the
+    next multiplier. Terminates when the projected-gradient residual
     ||x - P_X(x - s*grad(x))|| / s drops below inner_tol for the last
     accepted step size s; raises ConvergenceError past inner_max_iters.
     A non-finite projection argument raises ValueError.
     """
     sigma = spec.sigma
     x = np.array(spec.x_k, dtype=float)
-    x.flags.writeable = False
-    fx = x_subproblem_objective(spec, x)
+    fx, g, y = _evaluate(spec, x)
     step = sigma
     residual = math.inf
     slack = _SLACK * (1.0 + abs(fx))
     for _ in range(inner_max_iters):
-        g = x_subproblem_gradient(spec, x)
         trial = _project(feasible, x - step * g)
         residual = float(np.linalg.norm(x - trial)) / step
         if residual <= inner_tol:
-            return x.copy()
+            return x, y
         # Backtracking restarts from sigma each outer pass, so after a full
         # step its first candidate is the trial point.
         s = sigma
         x_new = trial if step == sigma else _project(feasible, x - s * g)
         while True:
-            f_new = x_subproblem_objective(spec, x_new)
+            f_new, g_new, y_new = _evaluate(spec, x_new)
             if f_new <= fx + ARMIJO_FACTOR * float(g @ (x_new - x)):
                 break
             if f_new <= fx + slack:
                 # Decrease smaller than evaluation noise. Accept only on real
                 # fixed-point progress, so rounding cannot mask an
                 # oscillating (non-contracting) step.
-                g_new = x_subproblem_gradient(spec, x_new)
                 r_here = float(np.linalg.norm(x - x_new)) / s
                 r_new = float(np.linalg.norm(x_new - _project(feasible, x_new - s * g_new))) / s
                 if r_new <= 0.9 * r_here:
@@ -191,7 +178,7 @@ def solve_x_subproblem(spec: XSubproblemSpec, feasible: ProximableFunction,
                 # Line search stalled in rounding; report current residual.
                 raise ConvergenceError(residual, "line search stalled before reaching inner_tol")
             x_new = _project(feasible, x - s * g)
-        x, fx, step = x_new, f_new, s
+        x, fx, g, y, step = x_new, f_new, g_new, y_new, s
         slack = _SLACK * (1.0 + abs(fx))
     raise ConvergenceError(residual)
 
@@ -199,10 +186,9 @@ def solve_x_subproblem(spec: XSubproblemSpec, feasible: ProximableFunction,
 def y_update(cone: ConvexCone, y_k: np.ndarray, sigma: float, sample: ConicSample,
              x_next: np.ndarray, x_k: np.ndarray) -> np.ndarray:
     """Closed-form multiplier step; the result lies in the polar cone."""
-    if sigma <= 0.0:
-        raise ValueError("sigma must be positive")
-    lin = sample.g_value + sample.g_jacobian @ (np.asarray(x_next) - np.asarray(x_k))
-    return cone.polar_project(y_k + sigma * lin)
+    if not 0.0 < sigma < math.inf:
+        raise ValueError("sigma must be positive and finite")
+    return cone.polar_project(_linearized(y_k, sigma, sample, np.asarray(x_next) - np.asarray(x_k)))
 
 
 def check_sample(sample: ConicSample, dim: int, cone: ConvexCone, k: int) -> ConicSample:
@@ -244,9 +230,10 @@ def _run_augmented(problem: LsaalProblem, config: RunConfig, metric_hooks, full_
 
     if config.initial is not None:
         x = feasible.prox(1.0, np.asarray(config.initial.x, dtype=float))
+        y = as_vector(config.initial.y, dim=problem.cone.dim, name="initial y")
     else:
         x = feasible.prox(1.0, rng.uniform(-1.0, 1.0, size=oracle.dim))
-    y = np.zeros(problem.cone.dim)
+        y = np.zeros(problem.cone.dim)
 
     avg_x = np.zeros_like(x)
     avg_y = np.zeros_like(y)
@@ -254,7 +241,7 @@ def _run_augmented(problem: LsaalProblem, config: RunConfig, metric_hooks, full_
     constants = problem.constants
     audit_bounds = constants is not None and None not in (
         constants.R, constants.nu_g, constants.kappa_f, constants.kappa_g)
-    y_norm = 0.0
+    y_norm = float(np.linalg.norm(y))
     y_norm_max = 0.0
     y_step_max = 0.0
     x_ratio_max = 0.0
@@ -267,8 +254,7 @@ def _run_augmented(problem: LsaalProblem, config: RunConfig, metric_hooks, full_
                               x.shape[0], problem.cone, k)
         spec = XSubproblemSpec(x, y, sample, sigma, problem.cone)
         try:
-            x_next = solve_x_subproblem(spec, feasible, problem.inner_tol, problem.inner_max_iters)
-            y_next = y_update(problem.cone, y, sigma, sample, x_next, x)
+            x_next, y_next = solve_x_subproblem(spec, feasible, problem.inner_tol, problem.inner_max_iters)
         except ConvergenceError as exc:
             raise ConvergenceError(exc.residual, f"inner solver failed at outer iteration {k}: {exc}") from exc
         except ValueError as exc:
@@ -287,8 +273,8 @@ def _run_augmented(problem: LsaalProblem, config: RunConfig, metric_hooks, full_
             y_ratio_max = max(y_ratio_max, y_step / (sigma * constants.beta0))
 
         if config.averaging:
-            avg_x += (x_next - avg_x) / k
-            avg_y += (y_next - avg_y) / k
+            avg_x = avg_x + (x_next - avg_x) / k
+            avg_y = avg_y + (y_next - avg_y) / k
         else:
             avg_x, avg_y = x_next, y_next
         y_norm = y_norm_next
@@ -296,9 +282,8 @@ def _run_augmented(problem: LsaalProblem, config: RunConfig, metric_hooks, full_
         x, y = x_next, y_next
 
         if k % config.trace_thinning == 0 or k == N:
-            # avg_x/avg_y are updated in place, so the hooks get a copy.
             iterate = PrimalDualPoint(x, y)
-            average = PrimalDualPoint(avg_x.copy(), avg_y.copy())
+            average = PrimalDualPoint(avg_x, avg_y)
             values = {}
             for hook in metric_hooks:
                 values.update(hook(k, iterate, average))
@@ -348,8 +333,8 @@ def multiplier_bound_diagnostics(constants: ProblemConstants, sigma: float, s: i
     eps0 = constants.slater_margin
     if eps0 is None or eps0 <= 0.0:
         raise ValueError("no Slater margin: slater_margin must be positive")
-    if sigma <= 0.0:
-        raise ValueError("sigma must be positive")
+    if not 0.0 < sigma < math.inf:
+        raise ValueError("sigma must be positive and finite")
     s = int(s)
     if s < 1:
         raise ValueError("window length s must be a positive integer")

@@ -366,6 +366,26 @@ class TestDivergenceReporting:
         agg = (tmp_path / "aggregate.csv").read_text()
         assert "diverged_trials" in agg
 
+    def test_warning_names_the_first_failed_trial(self, tmp_path, monkeypatch, capsys):
+        from saddle_sa import cli as cli_mod
+        real_batch = cli_mod.run_trial_batch
+
+        def fake_batch(config, N, trials, shared):
+            # Every trial diverges except trial 0 at N=20.
+            return [res if (N, res.trial) == (20, 0) else
+                    cli_mod.TrialResult(N, res.trial, [], {}, diverged=True,
+                                        error=f"blew up in trial {res.trial}")
+                    for res in real_batch(config, N, trials, shared)]
+
+        monkeypatch.setattr(cli_mod, "run_trial_batch", fake_batch)
+        cfg_path = tmp_path / "bilinear.cfg"
+        cfg_path.write_text(bilinear_text(N_list="10,20", trials=3), encoding="utf-8")
+        assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: 3 diverged trial(s) at N=10 (trial 0: blew up in trial 0)",
+            "warning: 2 diverged trial(s) at N=20 (trial 1: blew up in trial 1)",
+        ]
+
 
 class TestParallelDeterminism:
     def test_parallel_matches_serial(self, tmp_path):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -90,7 +91,7 @@ class TestSolveSubproblem:
                                sample_1d(f_grad=0.0, g_value=0.0, dg=0.0),
                                1.0, NonpositiveOrthant(1))
         box = BoxIndicator(np.array([-1.0]), np.array([1.0]))
-        out = solve_x_subproblem(spec, box, 1e-12, 100)
+        out, _ = solve_x_subproblem(spec, box, 1e-12, 100)
         np.testing.assert_allclose(out, [0.3], atol=1e-11)
 
     def test_1d_worked_instance_hits_boundary(self):
@@ -98,7 +99,7 @@ class TestSolveSubproblem:
         # minimizer is the left endpoint
         spec = spec_1d()
         box = BoxIndicator(np.array([-1.0]), np.array([1.0]))
-        out = solve_x_subproblem(spec, box, 1e-10, 500)
+        out, _ = solve_x_subproblem(spec, box, 1e-10, 500)
         grid = np.arange(-1.0, 1.0 + 1e-5, 1e-5)
         obj = grid + np.maximum(0.5 + grid, 0.0) ** 2 / 2.0 + grid ** 2 / 2.0
         best = grid[int(np.argmin(obj))]
@@ -130,7 +131,7 @@ class TestSolveSubproblem:
             w = y + sigma * (G + J @ (x_expect - x_k))
             if not (w > 0.0).all():
                 continue  # identity-projection assumption broke; skip draw
-            out = solve_x_subproblem(spec, ball, 1e-12, 2000)
+            out, _ = solve_x_subproblem(spec, ball, 1e-12, 2000)
             np.testing.assert_allclose(out, x_expect, atol=1e-9)
 
     def test_matches_dense_grid_search_2d(self):
@@ -148,7 +149,7 @@ class TestSolveSubproblem:
             x_k = rng.uniform(-0.5, 0.5, size=2)
             sample = ConicSample(0.0, fg, G, J)
             spec = XSubproblemSpec(x_k, y, sample, sigma, NonpositiveOrthant(2))
-            out = solve_x_subproblem(spec, box, 1e-8, 3000)
+            out, _ = solve_x_subproblem(spec, box, 1e-8, 3000)
 
             def objective(W):
                 dx = W - x_k
@@ -249,32 +250,36 @@ class TestSolverMatchesReference:
                 x_k = oracle.feasible_set.prox(1.0, rng.normal(size=oracle.dim) * 2.0)
                 y_k = np.maximum(rng.normal(size=m - 1), 0.0) * 2.0
                 sample = oracle.sample(rng, x_k)
-                outcomes = []
-                for solve in (lambda spec: reference_solve(spec, oracle.feasible_set, 1e-8, 200, seen),
-                              lambda spec: solve_x_subproblem(spec, oracle.feasible_set, 1e-8, 200)):
-                    try:
-                        outcomes.append(solve(XSubproblemSpec(x_k, y_k, sample, sigma, oracle.cone)))
-                    except ConvergenceError as exc:
-                        outcomes.append((exc.residual, str(exc)))
-                expected, got = outcomes
-                if isinstance(expected, tuple):
+                spec = XSubproblemSpec(x_k, y_k, sample, sigma, oracle.cone)
+                try:
+                    expected = reference_solve(spec, oracle.feasible_set, 1e-8, 200, seen)
+                except ConvergenceError as exc:
                     seen["budget"] += 1
-                    assert got == expected
-                else:
-                    assert np.array_equal(got, expected)
+                    with pytest.raises(ConvergenceError) as err:
+                        solve_x_subproblem(spec, oracle.feasible_set, 1e-8, 200)
+                    assert (err.value.residual, str(err.value)) == (exc.residual, str(exc))
+                    continue
+                x, y = solve_x_subproblem(spec, oracle.feasible_set, 1e-8, 200)
+                assert np.array_equal(x, expected)
+                # The multiplier is the closed-form step at the solution.
+                assert np.array_equal(y, y_update(oracle.cone, y_k, sigma, sample, expected, x_k))
         # The instances reach every branch: backtracking below sigma,
         # acceptance on a decrease below rounding noise, an exhausted budget.
         assert min(seen.values()) > 0, seen
 
     def test_result_is_writable_and_writable_points_are_not_remembered(self, np_instance):
+        # The spec keeps no state between calls: a point changed in place
+        # is evaluated afresh, and so is a read-only point.
         rng = np.random.default_rng(5)
         x_k = np_instance.feasible_set.prox(1.0, rng.normal(size=np_instance.dim))
         spec = XSubproblemSpec(x_k, np.ones(np_instance.cone.dim), np_instance.sample(rng, x_k),
                                0.1, np_instance.cone)
-        out = solve_x_subproblem(spec, np_instance.feasible_set, 1e-8, 500)
-        assert out.flags.writeable
+        out, y = solve_x_subproblem(spec, np_instance.feasible_set, 1e-8, 500)
+        assert out.flags.writeable and y.flags.writeable
+        assert out is not spec.x_k
         x_subproblem_objective(spec, out)
-        out += 0.5  # a writable point is never remembered by the spec
+        x_subproblem_gradient(spec, out)
+        out += 0.5
         assert x_subproblem_objective(spec, out) == reference_objective(spec, out)
         assert np.array_equal(x_subproblem_gradient(spec, out), reference_gradient(spec, out))
         frozen = out - 0.25
@@ -312,6 +317,12 @@ class TestYUpdate:
             out = y_update(cone, np.abs(rng.normal(size=3)), float(rng.uniform(0.1, 2.0)),
                            sample, rng.normal(size=2), rng.normal(size=2))
             assert cone.polar_contains(out, tol=1e-12)
+
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan, math.inf])
+    def test_sigma_must_be_positive_and_finite(self, sigma):
+        with pytest.raises(ValueError, match="positive and finite"):
+            y_update(NonpositiveOrthant(1), np.array([0.0]), sigma, sample_1d(),
+                     np.array([0.0]), np.array([0.0]))
 
 
 class TestRunners:
@@ -410,6 +421,55 @@ class TestRunners:
         rec = run_lsaal(problem, run_config(25, seed=0))
         assert rec.final_metrics["sigma"] == pytest.approx(0.2)
         assert rec.gammas[-1] == pytest.approx(0.2)
+
+    def test_initial_multiplier_is_used(self, np_instance):
+        problem = LsaalProblem(np_instance, np_instance.cone, np_instance.feasible_set)
+        x_init = np.full(np_instance.dim, 0.3)
+        x0 = np_instance.feasible_set.prox(1.0, x_init)
+        runs = {}
+        for y0 in (np.zeros(np_instance.cone.dim), np.full(np_instance.cone.dim, 0.7)):
+            seen = []
+            cfg = run_config(20, seed=6, thin=1, initial=PrimalDualPoint(x_init, y0))
+            run_lsaal(problem, cfg, [recording_hook(seen)])
+            runs[y0[0]] = seen
+            # With an initial point no start is drawn, so the first sample is
+            # the stream's first draw at x0.
+            sample = np_instance.sample(cfg.random_source().generator(), x0)
+            (_, z1, _) = seen[0]
+            assert np.array_equal(z1.y, y_update(np_instance.cone, y0, problem.resolve_sigma(20),
+                                                 sample, z1.x, x0))
+        assert not np.array_equal(runs[0.0][-1][1].stacked(), runs[0.7][-1][1].stacked())
+
+    def test_initial_multiplier_of_wrong_length_rejected(self, np_instance):
+        problem = LsaalProblem(np_instance, np_instance.cone, np_instance.feasible_set)
+        x0 = np.zeros(np_instance.dim)
+        bad = PrimalDualPoint(x0, np.zeros(np_instance.cone.dim + 1))
+        with pytest.raises(ValueError, match="initial y"):
+            run_lsaal(problem, run_config(5, initial=bad))
+
+    @pytest.mark.parametrize("runner", [run_lsaal, run_laam])
+    @pytest.mark.parametrize("averaging", [True, False])
+    def test_kept_hook_points_stay_valid(self, np_instance, runner, averaging):
+        # The hook points share memory with the solver's state; every point a
+        # hook keeps must still hold the values it had when the hook ran, and
+        # the average must be the running mean of the iterates.
+        problem = LsaalProblem(np_instance, np_instance.cone, np_instance.feasible_set)
+        seen, then = [], []
+
+        def snapshot(k, z, avg):
+            then.append((z.stacked(), avg.stacked()))
+            return {}
+
+        cfg = replace(run_config(25, seed=3, thin=1), averaging=averaging)
+        rec = runner(problem, cfg, [recording_hook(seen), snapshot])
+        assert len(seen) == len(then) == 25
+        avg_ref = np.zeros(np_instance.dim + np_instance.cone.dim)
+        for (k, z, avg), (z_then, avg_then) in zip(seen, then):
+            assert np.array_equal(z.stacked(), z_then)
+            assert np.array_equal(avg.stacked(), avg_then)
+            avg_ref = avg_ref + (z_then - avg_ref) / k if averaging else z_then
+            assert np.array_equal(avg_then, avg_ref)
+        assert np.array_equal(rec.final_average.stacked(), avg_ref)
 
 
 class CorruptingOracle:
@@ -555,6 +615,11 @@ class TestMultiplierDiagnostics:
             multiplier_bound_diagnostics(c, 0.0, 1)
         with pytest.raises(ValueError):
             multiplier_bound_diagnostics(c, 1.0, 0)
+
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf])
+    def test_rejects_non_finite_sigma(self, sigma):
+        with pytest.raises(ValueError, match="positive and finite"):
+            multiplier_bound_diagnostics(self.worked_constants(), sigma, 1)
 
 
 class TestEstimateConstants:
