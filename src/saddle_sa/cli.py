@@ -31,6 +31,7 @@ from .core import (
     PrimalDualPoint,
     RandomSource,
     RunConfig,
+    RunRecord,
     StepSchedule,
     derive_stream_id,
 )
@@ -246,10 +247,6 @@ def _schedule_for(config: ExperimentConfig, N: int) -> StepSchedule:
     )
 
 
-def _auto_thinning(config: ExperimentConfig, N: int) -> int:
-    return config.trace_thinning if config.trace_thinning > 0 else max(1, N // 200)
-
-
 # ---------------------------------------------------------------------------
 # Experiment registry: shared (per-experiment) setup plus per-trial runners.
 # ---------------------------------------------------------------------------
@@ -316,68 +313,34 @@ def _experiment_shared(config: ExperimentConfig):
     return {}
 
 
-@dataclass
-class TrialResult:
-    N: int
-    trial: int
-    rows: list          # (k, gamma, metrics dict, elapsed seconds)
-    final_values: dict  # last-row metrics merged with run-level metrics
-    diverged: bool = False
-    error: str = ""
-
-
-def _trial_setup(config: ExperimentConfig, N: int, trial: int):
-    """The trial's run config, on its own stream, and its initial-point stream."""
-    run_cfg = RunConfig(
-        horizon=N,
-        seed=config.seed,
-        schedule=_schedule_for(config, N),
-        trace_thinning=_auto_thinning(config, N),
-        averaging=config.averaging,
-        stream_id=derive_stream_id(config.seed, N, trial),
-    )
-    init_rng = RandomSource(config.seed, derive_stream_id(config.seed, N, trial, "init")).generator()
-    return run_cfg, init_rng
-
-
-def _trial_result(N: int, trial: int, outcome) -> TrialResult:
-    """A finished run's RunRecord, or the error that ended it, as a TrialResult."""
-    if isinstance(outcome, (DivergenceError, ConvergenceError)):
-        return TrialResult(N, trial, [], {}, diverged=True, error=str(outcome))
-    rows = [(k, g, m, e) for k, g, m, e in zip(outcome.ks, outcome.gammas, outcome.metrics, outcome.elapsed)]
-    final_values = dict(outcome.metrics[-1]) if outcome.metrics else {}
-    final_values.update(outcome.final_metrics)
-    return TrialResult(N, trial, rows, final_values)
-
-
 def run_trial_batch(config: ExperimentConfig, N: int, trials, shared: dict) -> list:
-    """Execute the given trials of horizon N, one TrialResult each.
+    """Execute the given trials of horizon N; one outcome per trial, in order.
 
-    Each result is deterministic given (config, N, trial), whatever else is
-    in the batch: bilinear and tanh trials advance together through
-    run_saps_batch, Neyman-Pearson trials run one after another.
+    An outcome is the trial's RunRecord, or the DivergenceError or
+    ConvergenceError that ended it. Each is deterministic given (config, N,
+    trial), whatever else is in the batch: bilinear and tanh trials advance
+    together through run_saps_batch, Neyman-Pearson trials run one after
+    another.
     """
+    base = RunConfig(horizon=N, seed=config.seed, schedule=_schedule_for(config, N),
+                     trace_thinning=config.trace_thinning or max(1, N // 200),  # 0: about 200 rows
+                     averaging=config.averaging)
+    starts = [(replace(base, stream_id=derive_stream_id(config.seed, N, trial)),
+               RandomSource(config.seed, derive_stream_id(config.seed, N, trial, "init")).generator())
+              for trial in trials]
     if config.experiment == "neyman_pearson":
-        return [run_single_trial(config, N, trial, shared) for trial in trials]
+        outcomes = []
+        for run_cfg, init_rng in starts:
+            try:
+                outcomes.append(_run_np_trial(config, run_cfg, init_rng, shared))
+            except (DivergenceError, ConvergenceError) as exc:
+                outcomes.append(exc)
+        return outcomes
     problem, hooks = _saps_experiment(config, shared)
-    configs = []
-    for trial in trials:
-        run_cfg, init_rng = _trial_setup(config, N, trial)
-        initial = PrimalDualPoint(init_rng.uniform(-1.0, 1.0, size=config.n),
-                                  init_rng.uniform(-1.0, 1.0, size=config.n))
-        configs.append(replace(run_cfg, initial=initial))
-    outcomes = run_saps_batch(problem, configs, [hooks])
-    return [_trial_result(N, trial, outcome) for trial, outcome in zip(trials, outcomes)]
-
-
-def run_single_trial(config: ExperimentConfig, N: int, trial: int, shared: dict) -> TrialResult:
-    """Execute one Neyman-Pearson (N, trial) run; deterministic given (config, N, trial)."""
-    run_cfg, init_rng = _trial_setup(config, N, trial)
-    try:
-        outcome = _run_np_trial(config, run_cfg, init_rng, shared)
-    except (DivergenceError, ConvergenceError) as exc:
-        outcome = exc
-    return _trial_result(N, trial, outcome)
+    configs = [replace(run_cfg, initial=PrimalDualPoint(init_rng.uniform(-1.0, 1.0, size=config.n),
+                                                        init_rng.uniform(-1.0, 1.0, size=config.n)))
+               for run_cfg, init_rng in starts]
+    return run_saps_batch(problem, configs, [hooks])
 
 
 def _saps_experiment(config: ExperimentConfig, shared: dict):
@@ -469,18 +432,18 @@ def _trace_path(out_dir: Path, config: ExperimentConfig, N: int, trial: int) -> 
     return out_dir / f"trace_{config.experiment}_{config.algorithm}_N{N}_trial{trial}.csv"
 
 
-def _emit_trace(out_dir: Path, config: ExperimentConfig, result: TrialResult) -> Path:
-    names = sorted({name for _, _, metrics, _ in result.rows for name in metrics})
+def _emit_trace(out_dir: Path, config: ExperimentConfig, N: int, trial: int, record: RunRecord) -> Path:
+    names = sorted({name for metrics in record.metrics for name in metrics})
     header = ["k", "gamma"] + names
     if config.include_timing:
         header.append("elapsed_ms")
     rows = []
-    for k, gamma, metrics, elapsed in result.rows:
+    for k, gamma, metrics, elapsed in zip(record.ks, record.gammas, record.metrics, record.elapsed):
         row = [k, float(gamma)] + [float(metrics.get(n, math.nan)) for n in names]
         if config.include_timing:
             row.append(elapsed * 1e3)
         rows.append(row)
-    path = _trace_path(out_dir, config, result.N, result.trial)
+    path = _trace_path(out_dir, config, N, trial)
     _write_csv(path, header, rows)
     return path
 
@@ -498,7 +461,7 @@ class ExperimentResult:
     trace_paths: list
     aggregate_rows: list
     summary_rows: list
-    failures: dict      # N -> the TrialResults that diverged, in trial order
+    failures: dict      # N -> (trial, DivergenceError | ConvergenceError) pairs, in trial order
     exit_code: int
 
     @property
@@ -530,18 +493,18 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(run_trial_batch, config, N, trials, shared) for N, trials in tasks]
             batches = [fut.result() for fut in futures]
-    results = {(res.N, res.trial): res for batch in batches for res in batch}
+    outcomes = {(N, trial): outcome
+                for (N, trials), batch in zip(tasks, batches) for trial, outcome in zip(trials, batch)}
 
     trace_paths = []
     failures = {N: [] for N in config.N_list}
     finals = {N: [] for N in config.N_list}
-    for N, trial in sorted(results):
-        res = results[(N, trial)]
-        if res.diverged:
-            failures[N].append(res)
+    for (N, trial), outcome in sorted(outcomes.items()):
+        if isinstance(outcome, (DivergenceError, ConvergenceError)):
+            failures[N].append((trial, outcome))
             continue
-        trace_paths.append(_emit_trace(out_dir, config, res))
-        finals[N].append(res.final_values)
+        trace_paths.append(_emit_trace(out_dir, config, N, trial, outcome))
+        finals[N].append({**outcome.metrics[-1], **outcome.final_metrics})
 
     aggregate_rows = _aggregate(config, finals, failures)
     _write_csv(out_dir / "aggregate.csv",
@@ -591,7 +554,7 @@ def _summarize(config: ExperimentConfig, aggregate_rows: list) -> list:
             continue
         for stat, values in (("mean", [(N, m) for N, m, _ in points]),
                              ("median", [(N, md) for N, _, md in points])):
-            if any(v <= 0.0 for _, v in values):
+            if not all(v > 0.0 for _, v in values):
                 continue
             fit = rate_slope_fit(values)
             rows.append([name, stat, fit.slope, fit.intercept, fit.r2])
@@ -690,8 +653,9 @@ def main(argv=None) -> int:
         result = run_experiment(config)
         for N, failed in sorted(result.failures.items()):
             if failed:
+                trial, error = failed[0]
                 print(f"warning: {len(failed)} diverged trial(s) at N={N} "
-                      f"(trial {failed[0].trial}: {failed[0].error})", file=sys.stderr)
+                      f"(trial {trial}: {error})", file=sys.stderr)
         print(f"wrote {len(result.trace_paths)} trace files, aggregate.csv and summary.csv "
               f"to {result.output_dir}")
         return result.exit_code

@@ -41,6 +41,9 @@ class DivergenceError(RuntimeError):
         self.iteration = iteration
         super().__init__(message or f"iterate diverged at iteration {iteration}")
 
+    def __reduce__(self):
+        return type(self), (self.iteration, str(self))
+
 
 class ConvergenceError(RuntimeError):
     """An inner solver exhausted its iteration budget.
@@ -51,6 +54,9 @@ class ConvergenceError(RuntimeError):
     def __init__(self, residual: float, message: str = ""):
         self.residual = residual
         super().__init__(message or f"inner solver did not converge (residual {residual:.3e})")
+
+    def __reduce__(self):
+        return type(self), (self.residual, str(self))
 
 
 _F64 = np.dtype(np.float64)

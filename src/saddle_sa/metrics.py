@@ -155,9 +155,9 @@ def rate_slope_fit(points) -> SlopeFit:
     errs = np.array([float(p[1]) for p in points])
     if len(set(ns.tolist())) != len(points):
         raise ValueError("N values must be distinct")
-    if (ns <= 0.0).any():
+    if not (ns > 0.0).all():
         raise ValueError("N values must be positive")
-    if (errs <= 0.0).any():
+    if not (errs > 0.0).all():
         raise ValueError("errors must be strictly positive")
     lx, ly = np.log(ns), np.log(errs)
     slope, intercept = np.polyfit(lx, ly, 1)

@@ -99,14 +99,19 @@ class ZeroFunction(ProximableFunction):
 
 
 @dataclass(frozen=True)
-class ScaledL1(ProximableFunction):
-    """f(v) = mu * sum |v_i|; prox is the componentwise soft threshold at mu*gamma."""
+class _Weighted(ProximableFunction):
+    """A penalty scaled by the weight mu, with 0 <= mu < inf."""
 
     mu: float
 
     def __post_init__(self):
-        if not self.mu >= 0.0:
-            raise ValueError("mu must be nonnegative")
+        if not 0.0 <= self.mu < math.inf:
+            raise ValueError("mu must be nonnegative and finite")
+
+
+@dataclass(frozen=True)
+class ScaledL1(_Weighted):
+    """f(v) = mu * sum |v_i|; prox is the componentwise soft threshold at mu*gamma."""
 
     def value(self, v):
         return self.mu * float(np.abs(as_vector(v)).sum())
@@ -124,14 +129,8 @@ class ScaledL1(ProximableFunction):
 
 
 @dataclass(frozen=True)
-class ScaledL2(ProximableFunction):
+class ScaledL2(_Weighted):
     """f(v) = mu * ||v||_2; prox is the block soft threshold (shrink toward 0)."""
-
-    mu: float
-
-    def __post_init__(self):
-        if not self.mu >= 0.0:
-            raise ValueError("mu must be nonnegative")
 
     def value(self, v):
         return self.mu * float(np.linalg.norm(as_vector(v)))
@@ -155,19 +154,13 @@ class ScaledL2(ProximableFunction):
 
 
 @dataclass(frozen=True)
-class PositivePartSum(ProximableFunction):
+class PositivePartSum(_Weighted):
     """f(v) = mu * sum max(v_i, 0); one-sided soft threshold.
 
     prox_i = v_i - mu*gamma  if v_i >= mu*gamma
            = 0               if 0 <= v_i < mu*gamma
            = v_i             if v_i < 0
     """
-
-    mu: float
-
-    def __post_init__(self):
-        if not self.mu >= 0.0:
-            raise ValueError("mu must be nonnegative")
 
     def value(self, v):
         return self.mu * float(np.maximum(as_vector(v), 0.0).sum())

@@ -18,7 +18,7 @@ from saddle_sa.cli import (
     main,
     run_experiment,
 )
-from saddle_sa.core import PrimalDualPoint
+from saddle_sa.core import ConvergenceError, DivergenceError, PrimalDualPoint
 from saddle_sa.oracles import ConicSample, NeymanPearsonOracle, TanhOracle
 
 
@@ -216,7 +216,7 @@ BAD_VALUES = {
     "harmonic_underflow": ["schedule=harmonic", "theta=5e-324"],
     "N_list_duplicate": ["N_list=10,10,20"],
     **{kv: [kv] for kv in (
-        "seed=-1", "mu=nan", "theta=nan", "lam=nan", "lam=inf",
+        "seed=-1", "mu=nan", "mu=inf", "theta=nan", "lam=nan", "lam=inf",
         "sigma=0", "sigma=-1", "sigma=-inf", "sigma=nan", "sigma=inf",
         "inner_tol=0", "inner_tol=-1", "inner_tol=-inf", "inner_tol=nan",
         "inner_max_iters=0", "inner_max_iters=-1", "points_per_class=0", "points_per_class=-1",
@@ -355,14 +355,14 @@ class TestDivergenceReporting:
         from saddle_sa import cli as cli_mod
 
         def fake_batch(config, N, trials, shared):
-            return [cli_mod.TrialResult(N, trial, [], {}, diverged=True, error="blew up")
-                    for trial in trials]
+            return [DivergenceError(1, "blew up") for trial in trials]
 
         monkeypatch.setattr(cli_mod, "run_trial_batch", fake_batch)
         cfg = load_config(bilinear_text(N_list="10", trials=2, output_dir=tmp_path))
         result = cli_mod.run_experiment(cfg)
         assert result.exit_code == 2
         assert result.diverged[10] == 2
+        assert [(trial, str(error)) for trial, error in result.failures[10]] == [(0, "blew up"), (1, "blew up")]
         agg = (tmp_path / "aggregate.csv").read_text()
         assert "diverged_trials" in agg
 
@@ -372,10 +372,8 @@ class TestDivergenceReporting:
 
         def fake_batch(config, N, trials, shared):
             # Every trial diverges except trial 0 at N=20.
-            return [res if (N, res.trial) == (20, 0) else
-                    cli_mod.TrialResult(N, res.trial, [], {}, diverged=True,
-                                        error=f"blew up in trial {res.trial}")
-                    for res in real_batch(config, N, trials, shared)]
+            return [outcome if (N, trial) == (20, 0) else DivergenceError(1, f"blew up in trial {trial}")
+                    for trial, outcome in zip(trials, real_batch(config, N, trials, shared))]
 
         monkeypatch.setattr(cli_mod, "run_trial_batch", fake_batch)
         cfg_path = tmp_path / "bilinear.cfg"
@@ -385,6 +383,25 @@ class TestDivergenceReporting:
             "warning: 3 diverged trial(s) at N=10 (trial 0: blew up in trial 0)",
             "warning: 2 diverged trial(s) at N=20 (trial 1: blew up in trial 1)",
         ]
+
+    @pytest.mark.parametrize("text, error_type", [
+        (bilinear_text(N_list="10,20", trials=3, schedule="harmonic", theta=1e13, mu=0), DivergenceError),
+        ("experiment=neyman_pearson\nalgorithm=lsaal\nn=3\nm_classes=2\npoints_per_class=5\n"
+         "N_list=10,20\ntrials=3\ninner_max_iters=1\n", ConvergenceError),
+    ], ids=["diverged", "not_converged"])
+    def test_failures_cross_the_process_pool(self, tmp_path, capsys, text, error_type):
+        # Every trial fails. Worker processes send the errors back by pickling:
+        # they keep their type, and the report matches the serial run's.
+        cfg_path = tmp_path / "fail.cfg"
+        cfg_path.write_text(text, encoding="utf-8")
+        reports = []
+        for parallel in ("1", "2"):
+            argv = ["run", str(cfg_path), "--out", str(tmp_path / parallel), "--parallel", parallel]
+            reports.append((main(argv), capsys.readouterr().err))
+        assert reports[0] == reports[1]
+        assert reports[0][0] == 2 and reports[0][1].count("warning: 3 diverged trial(s)") == 2
+        result = run_experiment(load_config(text, ["parallel=2", f"output_dir={tmp_path / 'direct'}"]))
+        assert {type(error) for failed in result.failures.values() for _, error in failed} == {error_type}
 
 
 class TestParallelDeterminism:
@@ -470,9 +487,9 @@ class TestNeymanPearsonHook:
         cfg = load_config("experiment=neyman_pearson\nalgorithm=lsaal\nn=4\nm_classes=2\n"
                           "points_per_class=10\nN_list=30\ntrials=1\ntrace_thinning=4\n")
         shared = cli._experiment_shared(cfg)
-        result = cli.run_single_trial(cfg, 30, 0, shared)
-        assert len(result.rows) == 8
-        assert len(calls) == 1 + 2 * len(result.rows)
+        [record] = cli.run_trial_batch(cfg, 30, [0], shared)
+        assert len(record.ks) == 8
+        assert len(calls) == 1 + 2 * len(record.ks)
 
 
     def test_non_finite_hook_value_is_divergence(self, tmp_path, monkeypatch, capsys):
@@ -492,9 +509,9 @@ class TestNeymanPearsonHook:
         text = ("experiment=neyman_pearson\nalgorithm=lsaal\nn=4\nm_classes=2\n"
                 "points_per_class=10\nN_list=30\ntrials=1\ntrace_thinning=4\nparallel=1\n")
         cfg = load_config(text)
-        result = cli.run_single_trial(cfg, 30, 0, cli._experiment_shared(cfg))
-        assert result.diverged
-        assert "iteration 8" in result.error
+        [outcome] = cli.run_trial_batch(cfg, 30, [0], cli._experiment_shared(cfg))
+        assert isinstance(outcome, DivergenceError)
+        assert outcome.iteration == 8 and "iteration 8" in str(outcome)
         cfg_path = tmp_path / "np.cfg"
         cfg_path.write_text(text, encoding="utf-8")
         assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 2

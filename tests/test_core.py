@@ -1,9 +1,12 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
 
 from saddle_sa import (
+    ConvergenceError,
+    DivergenceError,
     PrimalDualPoint,
     ProblemConstants,
     RandomSource,
@@ -137,6 +140,24 @@ class TestRunRecord:
         rec.append(1, 0.5, {}, 1.0)
         with pytest.raises(ValueError):
             rec.append(2, 0.5, {}, 0.5)
+
+
+class TestSolverErrors:
+    # Errors are trial outcomes, so they cross the process pool by pickling.
+    @pytest.mark.parametrize("error, attr, value, text", [
+        (DivergenceError(7), "iteration", 7, "iterate diverged at iteration 7"),
+        (DivergenceError(1, "iterate norm exceeded 1e+12 at iteration 1"), "iteration", 1,
+         "iterate norm exceeded 1e+12 at iteration 1"),
+        (ConvergenceError(2.5e-3), "residual", 2.5e-3,
+         "inner solver did not converge (residual 2.500e-03)"),
+        (ConvergenceError(0.5, "stalled"), "residual", 0.5, "stalled"),
+    ], ids=["divergence", "divergence_message", "convergence", "convergence_message"])
+    def test_pickle_round_trip(self, error, attr, value, text):
+        copy = pickle.loads(pickle.dumps(error))
+        assert type(copy) is type(error)
+        assert getattr(copy, attr) == value
+        assert str(copy) == str(error) == text
+        assert copy.args == error.args == (text,)
 
 
 class TestRunConfig:

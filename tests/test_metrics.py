@@ -174,6 +174,14 @@ class TestRateSlopeFit:
         with pytest.raises(ValueError):
             rate_slope_fit([(1, 1.0), (2, 0.0), (4, 0.25)])
 
+    @pytest.mark.parametrize("points", [
+        [(1, 1.0), (2, math.nan), (4, 0.25)],
+        [(math.nan, 1.0), (2, 0.5), (4, 0.25)],
+    ], ids=["nan_error", "nan_N"])
+    def test_nan_rejected(self, points):
+        with pytest.raises(ValueError, match="positive"):
+            rate_slope_fit(points)
+
 
 class TestTailTally:
     def test_examples(self):

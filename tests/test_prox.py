@@ -56,6 +56,13 @@ class TestClosedForms:
         with pytest.raises(ValueError):
             prox(ScaledL1(1.0), -1.0, np.array([1.0]))
 
+    @pytest.mark.parametrize("kind", [ScaledL1, ScaledL2, PositivePartSum])
+    def test_weight_must_be_nonnegative_and_finite(self, kind):
+        assert kind(0.0).mu == 0.0
+        for mu in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                kind(mu)
+
 
 class TestProxJoint:
     def test_identity_blocks(self):
