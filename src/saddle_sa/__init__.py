@@ -53,9 +53,6 @@ from .lsaal import (
     run_laam,
     run_lsaal,
     solve_x_subproblem,
-    x_subproblem_gradient,
-    x_subproblem_objective,
-    y_update,
 )
 from .data import (
     ClassGroupedDataset,

@@ -293,7 +293,7 @@ def _tanh_reference(config: ExperimentConfig):
     oracle = TanhOracle(xbar, ybar)
     pool = [oracle.draw(rng) for _ in range(config.ref_pool_size)]
     theta = _regularizer(config.regularizer, config.mu)
-    evaluator = FiniteSumMinimaxEvaluator(oracle, pool, theta, theta, 1.0)
+    evaluator = FiniteSumMinimaxEvaluator(oracle, pool, theta, theta)
     z = PrimalDualPoint(rng.uniform(-1.0, 1.0, size=config.n),
                         rng.uniform(-1.0, 1.0, size=config.n))
     run_cfg = RunConfig(horizon=config.ref_iters, seed=config.seed,
@@ -359,7 +359,7 @@ def _saps_experiment(config: ExperimentConfig, shared: dict):
 
     oracle = BilinearOracle(config.n)
     z_star = PrimalDualPoint(np.zeros(config.n), np.zeros(config.n))
-    evaluator = BilinearEvaluator(oracle, theta, theta, 1.0)
+    evaluator = BilinearEvaluator(oracle, theta, theta)
 
     def bilinear_hooks(k, z, avg):
         gap = minimax_gap(evaluator, avg, z_star)
@@ -373,11 +373,14 @@ def _saps_experiment(config: ExperimentConfig, shared: dict):
     return SapsProblem(oracle, theta, theta, known_saddle=z_star), bilinear_hooks
 
 
+def _np_problem(config: ExperimentConfig, oracle) -> LsaalProblem:
+    return LsaalProblem(oracle, oracle.cone, oracle.feasible_set, sigma=config.sigma,
+                        inner_tol=config.inner_tol, inner_max_iters=config.inner_max_iters)
+
+
 def _run_np_trial(config, run_cfg, init_rng, shared):
     oracle = shared["oracle"]
-    problem = LsaalProblem(oracle, oracle.cone, oracle.feasible_set,
-                           sigma=config.sigma, inner_tol=config.inner_tol,
-                           inner_max_iters=config.inner_max_iters)
+    problem = _np_problem(config, oracle)
     x0 = oracle.feasible_set.prox(1.0, init_rng.uniform(-1.0, 1.0, size=oracle.dim))
     z0 = PrimalDualPoint(x0, np.zeros(oracle.cone.dim))
 
@@ -466,7 +469,7 @@ class ExperimentResult:
 
     @property
     def diverged(self) -> dict:
-        """N -> number of diverged trials."""
+        """N -> number of failed trials, of either kind."""
         return {N: len(failed) for N, failed in self.failures.items()}
 
 
@@ -554,7 +557,7 @@ def _summarize(config: ExperimentConfig, aggregate_rows: list) -> list:
             continue
         for stat, values in (("mean", [(N, m) for N, m, _ in points]),
                              ("median", [(N, md) for N, _, md in points])):
-            if not all(v > 0.0 for _, v in values):
+            if not all(0.0 < v < math.inf for _, v in values):
                 continue
             fit = rate_slope_fit(values)
             rows.append([name, stat, fit.slope, fit.intercept, fit.r2])
@@ -572,7 +575,7 @@ def _diagnose(config: ExperimentConfig) -> int:
         oracle = _experiment_shared(config)["oracle"]
         rng = RandomSource(config.seed, derive_stream_id(config.seed, "diagnose")).generator()
         constants = estimate_constants(oracle, rng)
-        sigma = config.sigma if config.sigma is not None else 1.0 / math.sqrt(N)
+        sigma = _np_problem(config, oracle).resolve_sigma(N)
         s = math.isqrt(N - 1) + 1  # ceil(sqrt(N))
         print(f"# constants estimated by sampled maximization (N={N}, sigma={sigma!r}, s={s})")
         print(f"R={constants.R!r} (exact from feasible-set geometry)")
@@ -652,10 +655,12 @@ def main(argv=None) -> int:
             return _diagnose(config)
         result = run_experiment(config)
         for N, failed in sorted(result.failures.items()):
-            if failed:
-                trial, error = failed[0]
-                print(f"warning: {len(failed)} diverged trial(s) at N={N} "
-                      f"(trial {trial}: {error})", file=sys.stderr)
+            for kind, error_type in (("diverged", DivergenceError), ("not-converged", ConvergenceError)):
+                of_kind = [(trial, error) for trial, error in failed if isinstance(error, error_type)]
+                if of_kind:
+                    trial, error = of_kind[0]
+                    print(f"warning: {len(of_kind)} {kind} trial(s) at N={N} "
+                          f"(trial {trial}: {error})", file=sys.stderr)
         print(f"wrote {len(result.trace_paths)} trace files, aggregate.csv and summary.csv "
               f"to {result.output_dir}")
         return result.exit_code

@@ -40,10 +40,7 @@ from .prox import ProximableFunction
 __all__ = [
     "LsaalProblem",
     "XSubproblemSpec",
-    "x_subproblem_objective",
-    "x_subproblem_gradient",
     "solve_x_subproblem",
-    "y_update",
     "check_sample",
     "run_lsaal",
     "run_laam",
@@ -97,11 +94,6 @@ class XSubproblemSpec:
     cone: ConvexCone
 
 
-def _linearized(y_k: np.ndarray, sigma: float, sample: ConicSample, dx: np.ndarray) -> np.ndarray:
-    """y_k + sigma*(G + DG dx): the multiplier step's argument before the polar projection."""
-    return y_k + sigma * (sample.g_value + sample.g_jacobian @ dx)
-
-
 def _evaluate(spec: XSubproblemSpec, x: np.ndarray):
     """(objective, gradient, multiplier step) of the subproblem at x.
 
@@ -113,19 +105,9 @@ def _evaluate(spec: XSubproblemSpec, x: np.ndarray):
     """
     s, sigma = spec.sample, spec.sigma
     dx = x - spec.x_k
-    y = spec.cone._polar_project(_linearized(spec.y_k, sigma, s, dx))
+    y = spec.cone._polar_project(spec.y_k + sigma * (s.g_value + s.g_jacobian @ dx))
     f = float(s.f_grad @ dx) + float(y @ y) / (2.0 * sigma) + float(dx @ dx) / (2.0 * sigma)
     return f, s.f_grad + s.g_jacobian.T @ y + dx / sigma, y
-
-
-def x_subproblem_objective(spec: XSubproblemSpec, x: np.ndarray) -> float:
-    """Subproblem objective up to an additive constant (enough for line search)."""
-    return _evaluate(spec, x)[0]
-
-
-def x_subproblem_gradient(spec: XSubproblemSpec, x: np.ndarray) -> np.ndarray:
-    """Gradient of the smooth subproblem objective."""
-    return _evaluate(spec, x)[1]
 
 
 def _project(feasible: ProximableFunction, v: np.ndarray) -> np.ndarray:
@@ -181,14 +163,6 @@ def solve_x_subproblem(spec: XSubproblemSpec, feasible: ProximableFunction,
         x, fx, g, y, step = x_new, f_new, g_new, y_new, s
         slack = _SLACK * (1.0 + abs(fx))
     raise ConvergenceError(residual)
-
-
-def y_update(cone: ConvexCone, y_k: np.ndarray, sigma: float, sample: ConicSample,
-             x_next: np.ndarray, x_k: np.ndarray) -> np.ndarray:
-    """Closed-form multiplier step; the result lies in the polar cone."""
-    if not 0.0 < sigma < math.inf:
-        raise ValueError("sigma must be positive and finite")
-    return cone.polar_project(_linearized(y_k, sigma, sample, np.asarray(x_next) - np.asarray(x_k)))
 
 
 def check_sample(sample: ConicSample, dim: int, cone: ConvexCone, k: int) -> ConicSample:

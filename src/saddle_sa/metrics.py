@@ -35,17 +35,17 @@ __all__ = [
 
 
 class BilinearEvaluator:
-    """Exact objective mu*theta(x) + x^T Q y - mu*omega(y) for the bilinear
-    benchmark; deterministic by construction."""
+    """Exact objective theta(x) + x^T Q y - omega(y) for the bilinear
+    benchmark; deterministic by construction. The regularizers carry their
+    own weight, so this is the objective the solver is given."""
 
-    def __init__(self, oracle, theta: ProximableFunction, omega: ProximableFunction, mu: float = 1.0):
+    def __init__(self, oracle, theta: ProximableFunction, omega: ProximableFunction):
         self.Q = oracle.Q
         self.theta = theta
         self.omega = omega
-        self.mu = float(mu)
 
     def phi(self, x: np.ndarray, y: np.ndarray) -> float:
-        return self.mu * self.theta.value(x) + float(x @ self.Q @ y) - self.mu * self.omega.value(y)
+        return self.theta.value(x) + float(x @ self.Q @ y) - self.omega.value(y)
 
 
 class FiniteSumMinimaxEvaluator:
@@ -53,11 +53,13 @@ class FiniteSumMinimaxEvaluator:
 
     Approximates the expectation objective by the mean over `draws`; serves as
     the reproducible reference problem for oracles without a closed-form
-    expectation. The oracle provides `labels(draws)`, computed once for the
-    pool, and `evaluate_batch(z, draws, labels)`.
+    expectation. The objective is theta(x) + mean coupling - omega(y), with
+    the weight carried by the regularizers. The oracle provides
+    `labels(draws)`, computed once for the pool, and
+    `evaluate_batch(z, draws, labels)`.
     """
 
-    def __init__(self, oracle, draws, theta: ProximableFunction, omega: ProximableFunction, mu: float = 1.0):
+    def __init__(self, oracle, draws, theta: ProximableFunction, omega: ProximableFunction):
         draws = list(draws)
         if not draws:
             raise ValueError("need at least one frozen draw")
@@ -66,7 +68,6 @@ class FiniteSumMinimaxEvaluator:
         self._labels = oracle.labels(self.pool)
         self.theta = theta
         self.omega = omega
-        self.mu = float(mu)
 
     def sample(self, rng, z: PrimalDualPoint) -> MinimaxSample:
         """Pool-mean value and gradients at z; `rng` is ignored, so the
@@ -75,7 +76,7 @@ class FiniteSumMinimaxEvaluator:
 
     def phi(self, x: np.ndarray, y: np.ndarray) -> float:
         value = self.sample(None, PrimalDualPoint(x, y)).value
-        return self.mu * self.theta.value(x) + value - self.mu * self.omega.value(y)
+        return self.theta.value(x) + value - self.omega.value(y)
 
 
 def minimax_gap(evaluator, z: PrimalDualPoint, z_star: PrimalDualPoint) -> float:
@@ -146,7 +147,8 @@ class SlopeFit:
 def rate_slope_fit(points) -> SlopeFit:
     """Ordinary least squares of log(err) on log(N).
 
-    Needs at least 3 points with distinct N and strictly positive errors.
+    Needs at least 3 points with distinct N; every N and error must be
+    positive and finite.
     """
     points = list(points)
     if len(points) < 3:
@@ -155,10 +157,10 @@ def rate_slope_fit(points) -> SlopeFit:
     errs = np.array([float(p[1]) for p in points])
     if len(set(ns.tolist())) != len(points):
         raise ValueError("N values must be distinct")
-    if not (ns > 0.0).all():
-        raise ValueError("N values must be positive")
-    if not (errs > 0.0).all():
-        raise ValueError("errors must be strictly positive")
+    if not ((ns > 0.0) & (ns < math.inf)).all():
+        raise ValueError("N values must be positive and finite")
+    if not ((errs > 0.0) & (errs < math.inf)).all():
+        raise ValueError("errors must be positive and finite")
     lx, ly = np.log(ns), np.log(errs)
     slope, intercept = np.polyfit(lx, ly, 1)
     resid = ly - (slope * lx + intercept)

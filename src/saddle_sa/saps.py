@@ -219,7 +219,9 @@ def run_saps_batch(problem: SapsProblem, configs, metric_hooks=()) -> list:
             message = f"non-finite iterate at iteration {k}: vector has non-finite entries"
             for row in np.flatnonzero(bad):
                 errors.setdefault(row, DivergenceError(k, message))
-        if errors:  # leave before the prox, which rejects non-finite rows
+        # Leave before the prox: the row prox is unchecked, and some (PositivePartSum)
+        # map NaN to 0, so a NaN gradient would turn silently into a finite iterate.
+        if errors:
             keep = trials.drop(errors, outcomes)
             Vx, Vy, avg = Vx[keep], Vy[keep], avg[keep]
             if not trials.index:

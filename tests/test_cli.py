@@ -113,6 +113,16 @@ class TestRunExperiment:
         metrics = {row[0] for row in result.summary_rows}
         assert "dist_to_saddle" in metrics
 
+    def test_summary_skips_a_stat_outside_the_fit_range(self):
+        # A mean that overflowed to inf (or a zero median) has no log-log fit;
+        # the other stat of the same metric still gets one.
+        cfg = load_config(bilinear_text())
+        rows = [[N, "err", mean, median, 0.0, 0.0, 0.0, 0.0]
+                for N, mean, median in ((10, 1.0, 1.0), (20, math.inf, 0.5), (40, 0.25, 0.0))]
+        assert [row[:2] for row in cli._summarize(cfg, rows)] == []
+        rows[2][3] = 0.25
+        assert [row[:2] for row in cli._summarize(cfg, rows)] == [["err", "median"]]
+
     def test_aggregate_layout(self, tmp_path):
         cfg = load_config(bilinear_text(N_list="20", trials=3, output_dir=tmp_path))
         result = run_experiment(cfg)
@@ -371,8 +381,11 @@ class TestDivergenceReporting:
         real_batch = cli_mod.run_trial_batch
 
         def fake_batch(config, N, trials, shared):
-            # Every trial diverges except trial 0 at N=20.
-            return [outcome if (N, trial) == (20, 0) else DivergenceError(1, f"blew up in trial {trial}")
+            # Every trial fails except trial 0 at N=20, where trial 1's inner
+            # solver does not converge and trial 2 diverges.
+            return [outcome if (N, trial) == (20, 0)
+                    else ConvergenceError(0.5, f"stalled in trial {trial}") if (N, trial) == (20, 1)
+                    else DivergenceError(1, f"blew up in trial {trial}")
                     for trial, outcome in zip(trials, real_batch(config, N, trials, shared))]
 
         monkeypatch.setattr(cli_mod, "run_trial_batch", fake_batch)
@@ -381,15 +394,17 @@ class TestDivergenceReporting:
         assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.splitlines() == [
             "warning: 3 diverged trial(s) at N=10 (trial 0: blew up in trial 0)",
-            "warning: 2 diverged trial(s) at N=20 (trial 1: blew up in trial 1)",
+            "warning: 1 diverged trial(s) at N=20 (trial 2: blew up in trial 2)",
+            "warning: 1 not-converged trial(s) at N=20 (trial 1: stalled in trial 1)",
         ]
 
-    @pytest.mark.parametrize("text, error_type", [
-        (bilinear_text(N_list="10,20", trials=3, schedule="harmonic", theta=1e13, mu=0), DivergenceError),
+    @pytest.mark.parametrize("text, error_type, kind", [
+        (bilinear_text(N_list="10,20", trials=3, schedule="harmonic", theta=1e13, mu=0),
+         DivergenceError, "diverged"),
         ("experiment=neyman_pearson\nalgorithm=lsaal\nn=3\nm_classes=2\npoints_per_class=5\n"
-         "N_list=10,20\ntrials=3\ninner_max_iters=1\n", ConvergenceError),
+         "N_list=10,20\ntrials=3\ninner_max_iters=1\n", ConvergenceError, "not-converged"),
     ], ids=["diverged", "not_converged"])
-    def test_failures_cross_the_process_pool(self, tmp_path, capsys, text, error_type):
+    def test_failures_cross_the_process_pool(self, tmp_path, capsys, text, error_type, kind):
         # Every trial fails. Worker processes send the errors back by pickling:
         # they keep their type, and the report matches the serial run's.
         cfg_path = tmp_path / "fail.cfg"
@@ -399,7 +414,7 @@ class TestDivergenceReporting:
             argv = ["run", str(cfg_path), "--out", str(tmp_path / parallel), "--parallel", parallel]
             reports.append((main(argv), capsys.readouterr().err))
         assert reports[0] == reports[1]
-        assert reports[0][0] == 2 and reports[0][1].count("warning: 3 diverged trial(s)") == 2
+        assert reports[0][0] == 2 and reports[0][1].count(f"warning: 3 {kind} trial(s)") == 2
         result = run_experiment(load_config(text, ["parallel=2", f"output_dir={tmp_path / 'direct'}"]))
         assert {type(error) for failed in result.failures.values() for _, error in failed} == {error_type}
 

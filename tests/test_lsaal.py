@@ -25,11 +25,9 @@ from saddle_sa import (
     run_laam,
     run_lsaal,
     solve_x_subproblem,
-    x_subproblem_gradient,
-    x_subproblem_objective,
-    y_update,
     synth_gaussian_classes,
 )
+from saddle_sa.lsaal import _evaluate
 from saddle_sa.oracles import NeymanPearsonOracle
 
 
@@ -53,13 +51,13 @@ class TestSubproblemGradient:
         # y=0 and G strictly inside the cone: polar projection is 0, so the
         # gradient at x_k is just the sampled objective gradient
         spec = spec_1d(g_value=-0.5)
-        g = x_subproblem_gradient(spec, np.array([0.0]))
+        g = _evaluate(spec, np.array([0.0]))[1]
         np.testing.assert_allclose(g, [1.0], atol=0.0)
 
     def test_hand_example(self):
         # grad = 1 + P_{R+}(0.5) + 0 = 1.5
         spec = spec_1d()
-        g = x_subproblem_gradient(spec, np.array([0.0]))
+        g = _evaluate(spec, np.array([0.0]))[1]
         np.testing.assert_allclose(g, [1.5], atol=0.0)
 
     def test_matches_finite_differences(self):
@@ -75,13 +73,13 @@ class TestSubproblemGradient:
             spec = XSubproblemSpec(rng.normal(size=n), np.abs(rng.normal(size=m)),
                                    sample, float(rng.uniform(0.2, 2.0)), NonpositiveOrthant(m))
             x = rng.normal(size=n)
-            grad = x_subproblem_gradient(spec, x)
+            grad = _evaluate(spec, x)[1]
             fd = np.empty(n)
             h = 1e-6
             for i in range(n):
                 e = np.zeros(n)
                 e[i] = h
-                fd[i] = (x_subproblem_objective(spec, x + e) - x_subproblem_objective(spec, x - e)) / (2 * h)
+                fd[i] = (_evaluate(spec, x + e)[0] - _evaluate(spec, x - e)[0]) / (2 * h)
             assert np.linalg.norm(fd - grad) / max(1.0, np.linalg.norm(grad)) <= 1e-5
 
 
@@ -183,15 +181,18 @@ class TestSolveSubproblem:
         assert err.value.residual > 0.0
 
 
-def reference_objective(spec, x):
-    """The subproblem objective as written before the solver shared one
-    polar projection per point."""
+def reference_multiplier(spec, x):
+    """The closed-form multiplier step P_polar(y_k + sigma*(G + DG (x - x_k)))."""
     s = spec.sample
+    return spec.cone.polar_project(spec.y_k + spec.sigma * (s.g_value + s.g_jacobian @ (x - spec.x_k)))
+
+
+def reference_objective(spec, x):
+    """The subproblem objective, up to an additive constant."""
     dx = x - spec.x_k
-    w = spec.y_k + spec.sigma * (s.g_value + s.g_jacobian @ (x - spec.x_k))
-    pw = spec.cone._polar_project(w)
+    pw = reference_multiplier(spec, x)
     return (
-        float(s.f_grad @ dx)
+        float(spec.sample.f_grad @ dx)
         + float(pw @ pw) / (2.0 * spec.sigma)
         + float(dx @ dx) / (2.0 * spec.sigma)
     )
@@ -199,8 +200,7 @@ def reference_objective(spec, x):
 
 def reference_gradient(spec, x):
     s = spec.sample
-    w = spec.y_k + spec.sigma * (s.g_value + s.g_jacobian @ (x - spec.x_k))
-    return s.f_grad + s.g_jacobian.T @ spec.cone._polar_project(w) + (x - spec.x_k) / spec.sigma
+    return s.f_grad + s.g_jacobian.T @ reference_multiplier(spec, x) + (x - spec.x_k) / spec.sigma
 
 
 def reference_solve(spec, feasible, inner_tol, inner_max_iters, seen):
@@ -262,7 +262,7 @@ class TestSolverMatchesReference:
                 x, y = solve_x_subproblem(spec, oracle.feasible_set, 1e-8, 200)
                 assert np.array_equal(x, expected)
                 # The multiplier is the closed-form step at the solution.
-                assert np.array_equal(y, y_update(oracle.cone, y_k, sigma, sample, expected, x_k))
+                assert np.array_equal(y, reference_multiplier(spec, expected))
         # The instances reach every branch: backtracking below sigma,
         # acceptance on a decrease below rounding noise, an exhausted budget.
         assert min(seen.values()) > 0, seen
@@ -277,36 +277,32 @@ class TestSolverMatchesReference:
         out, y = solve_x_subproblem(spec, np_instance.feasible_set, 1e-8, 500)
         assert out.flags.writeable and y.flags.writeable
         assert out is not spec.x_k
-        x_subproblem_objective(spec, out)
-        x_subproblem_gradient(spec, out)
+        _evaluate(spec, out)
         out += 0.5
-        assert x_subproblem_objective(spec, out) == reference_objective(spec, out)
-        assert np.array_equal(x_subproblem_gradient(spec, out), reference_gradient(spec, out))
         frozen = out - 0.25
         frozen.flags.writeable = False
-        assert x_subproblem_objective(spec, frozen) == reference_objective(spec, frozen)
-        assert np.array_equal(x_subproblem_gradient(spec, frozen), reference_gradient(spec, frozen))
+        for point in (out, frozen):
+            f, g, y = _evaluate(spec, point)
+            assert f == reference_objective(spec, point)
+            assert np.array_equal(g, reference_gradient(spec, point))
+            assert np.array_equal(y, reference_multiplier(spec, point))
 
 
 class TestYUpdate:
+    """The multiplier step y(x) = P_polar(y_k + sigma*(G + DG (x - x_k))) that
+    _evaluate returns with the objective and gradient."""
+
     def test_clip_example(self):
-        cone = NonpositiveOrthant(1)
-        out = y_update(cone, np.array([1.0]), 0.5,
-                       sample_1d(g_value=-4.0, dg=0.0), np.array([0.0]), np.array([0.0]))
-        np.testing.assert_allclose(out, [0.0], atol=0.0)
+        spec = spec_1d(sigma=0.5, y_k=1.0, g_value=-4.0, dg=0.0)
+        np.testing.assert_allclose(_evaluate(spec, np.array([0.0]))[2], [0.0], atol=0.0)
 
     def test_passthrough_example(self):
-        cone = NonpositiveOrthant(1)
-        out = y_update(cone, np.array([0.0]), 1.0,
-                       sample_1d(g_value=2.0, dg=0.0), np.array([0.0]), np.array([0.0]))
-        np.testing.assert_allclose(out, [2.0], atol=0.0)
+        spec = spec_1d(g_value=2.0, dg=0.0)
+        np.testing.assert_allclose(_evaluate(spec, np.array([0.0]))[2], [2.0], atol=0.0)
 
     def test_continuation_of_worked_instance(self):
         # x+ = -1: y+ = P_{R+}(0 + 1*(0.5 + 1*(-1))) = 0
-        cone = NonpositiveOrthant(1)
-        out = y_update(cone, np.array([0.0]), 1.0, sample_1d(),
-                       np.array([-1.0]), np.array([0.0]))
-        np.testing.assert_allclose(out, [0.0], atol=0.0)
+        np.testing.assert_allclose(_evaluate(spec_1d(), np.array([-1.0]))[2], [0.0], atol=0.0)
 
     def test_result_lies_in_polar_cone(self):
         rng = RandomSource(4).generator()
@@ -314,15 +310,17 @@ class TestYUpdate:
         for _ in range(50):
             sample = ConicSample(0.0, np.zeros(2), rng.normal(size=3),
                                  rng.normal(size=(3, 2)))
-            out = y_update(cone, np.abs(rng.normal(size=3)), float(rng.uniform(0.1, 2.0)),
-                           sample, rng.normal(size=2), rng.normal(size=2))
+            y_k, sigma = np.abs(rng.normal(size=3)), float(rng.uniform(0.1, 2.0))
+            x_next, x_k = rng.normal(size=2), rng.normal(size=2)
+            out = _evaluate(XSubproblemSpec(x_k, y_k, sample, sigma, cone), x_next)[2]
             assert cone.polar_contains(out, tol=1e-12)
 
     @pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan, math.inf])
     def test_sigma_must_be_positive_and_finite(self, sigma):
+        # The step's sigma comes from LsaalProblem, which owns its rule.
+        box = BoxIndicator(np.array([-1.0]), np.array([1.0]))
         with pytest.raises(ValueError, match="positive and finite"):
-            y_update(NonpositiveOrthant(1), np.array([0.0]), sigma, sample_1d(),
-                     np.array([0.0]), np.array([0.0]))
+            LsaalProblem(None, NonpositiveOrthant(1), box, sigma=sigma)
 
 
 class TestRunners:
@@ -436,8 +434,8 @@ class TestRunners:
             # the stream's first draw at x0.
             sample = np_instance.sample(cfg.random_source().generator(), x0)
             (_, z1, _) = seen[0]
-            assert np.array_equal(z1.y, y_update(np_instance.cone, y0, problem.resolve_sigma(20),
-                                                 sample, z1.x, x0))
+            spec = XSubproblemSpec(x0, y0, sample, problem.resolve_sigma(20), np_instance.cone)
+            assert np.array_equal(z1.y, reference_multiplier(spec, z1.x))
         assert not np.array_equal(runs[0.0][-1][1].stacked(), runs[0.7][-1][1].stacked())
 
     def test_initial_multiplier_of_wrong_length_rejected(self, np_instance):

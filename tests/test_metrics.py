@@ -177,9 +177,11 @@ class TestRateSlopeFit:
     @pytest.mark.parametrize("points", [
         [(1, 1.0), (2, math.nan), (4, 0.25)],
         [(math.nan, 1.0), (2, 0.5), (4, 0.25)],
-    ], ids=["nan_error", "nan_N"])
+        [(1, 1.0), (2, math.inf), (4, 0.25)],
+        [(1, 1.0), (2, 0.5), (math.inf, 0.25)],
+    ], ids=["nan_error", "nan_N", "inf_error", "inf_N"])
     def test_nan_rejected(self, points):
-        with pytest.raises(ValueError, match="positive"):
+        with pytest.raises(ValueError, match="positive and finite"):
             rate_slope_fit(points)
 
 
