@@ -291,7 +291,7 @@ def _tanh_reference(config: ExperimentConfig):
     """
     rng, xbar, ybar = _tanh_anchors(config)
     oracle = TanhOracle(xbar, ybar)
-    pool = [oracle.draw(rng) for _ in range(config.ref_pool_size)]
+    pool = oracle.draws(rng, config.ref_pool_size)
     theta = _regularizer(config.regularizer, config.mu)
     evaluator = FiniteSumMinimaxEvaluator(oracle, pool, theta, theta)
     z = PrimalDualPoint(rng.uniform(-1.0, 1.0, size=config.n),

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PrimalDualPoint
+from .core import PrimalDualPoint, _row_dots
 from .cones import ConvexCone
 from .oracles import MinimaxSample
 from .prox import ProximableFunction
@@ -55,8 +55,9 @@ class FiniteSumMinimaxEvaluator:
     the reproducible reference problem for oracles without a closed-form
     expectation. The objective is theta(x) + mean coupling - omega(y), with
     the weight carried by the regularizers. The oracle provides
-    `labels(draws)`, computed once for the pool, and
-    `evaluate_batch(z, draws, labels)`.
+    `signed_pool(draws)`, computed once for the pool, and
+    `evaluate_batch(x, y, pool)`. As an oracle for run_saps it has the
+    row form, with empty draws that use no randomness.
     """
 
     def __init__(self, oracle, draws, theta: ProximableFunction, omega: ProximableFunction):
@@ -65,14 +66,25 @@ class FiniteSumMinimaxEvaluator:
             raise ValueError("need at least one frozen draw")
         self.oracle = oracle
         self.pool = np.stack(draws)
-        self._labels = oracle.labels(self.pool)
+        self._signed = oracle.signed_pool(self.pool)
         self.theta = theta
         self.omega = omega
 
     def sample(self, rng, z: PrimalDualPoint) -> MinimaxSample:
-        """Pool-mean value and gradients at z; `rng` is ignored, so the
-        evaluator serves as a deterministic oracle for run_saps."""
-        return self.oracle.evaluate_batch(z, self.pool, self._labels)
+        """Pool-mean value and gradients at z; `rng` is ignored."""
+        return self.oracle.evaluate_batch(z.x, z.y, self._signed)
+
+    def draws(self, rng, count: int) -> np.ndarray:
+        return np.empty((count, 0))
+
+    def evaluate_rows(self, X: np.ndarray, Y: np.ndarray, _) -> MinimaxSample:
+        """Pool-mean values and gradients at each row of (X, Y), each row
+        rounding as `sample` does."""
+        V, GX, GY = np.empty(X.shape[0]), np.empty_like(X), np.empty_like(Y)
+        for t in range(X.shape[0]):
+            s = self.oracle.evaluate_batch(X[t], Y[t], self._signed)
+            V[t], GX[t], GY[t] = s.value, s.grad_x, s.grad_y
+        return MinimaxSample(V, GX, GY)
 
     def phi(self, x: np.ndarray, y: np.ndarray) -> float:
         value = self.sample(None, PrimalDualPoint(x, y)).value
@@ -188,8 +200,8 @@ def estimate_m_star(oracle, theta: ProximableFunction, omega: ProximableFunction
 
     Maximizes the per-point mean of ||(v_x + G_x, v_y - G_y)||^2 over points
     drawn uniformly from a centered cube of half-width `radius`, with v the
-    minimum-norm subgradients of the nonsmooth terms. An estimate, not a
-    certified bound.
+    minimum-norm subgradients of the nonsmooth terms. The oracle has the row
+    form (`draws`, `evaluate_rows`). An estimate, not a certified bound.
     """
     n, m = oracle.n, oracle.m
     worst = 0.0
@@ -198,11 +210,12 @@ def estimate_m_star(oracle, theta: ProximableFunction, omega: ProximableFunction
         z = PrimalDualPoint(v[:n], v[n:])
         vx = theta.subgradient(z.x)
         vy = omega.subgradient(z.y)
+        # One row-form call, with the bits and stream order of n_draws samples.
+        s = oracle.evaluate_rows(np.tile(z.x, (n_draws, 1)), np.tile(z.y, (n_draws, 1)),
+                                 oracle.draws(rng, n_draws))
+        DX, DY = vx + s.grad_x, vy - s.grad_y
         acc = 0.0
-        for _ in range(n_draws):
-            s = oracle.sample(rng, z)
-            dx = vx + s.grad_x
-            dy = vy - s.grad_y
-            acc += float(dx @ dx + dy @ dy)
+        for sq in (_row_dots(DX, DX) + _row_dots(DY, DY)).tolist():
+            acc += sq  # in draw order: sum() compensates on Python >= 3.12
         worst = max(worst, acc / n_draws)
     return math.sqrt(worst)

@@ -152,24 +152,24 @@ class TanhOracle:
     def sample(self, rng: np.random.Generator, z: PrimalDualPoint) -> MinimaxSample:
         return self.evaluate(z, self.draw(rng))
 
-    def labels(self, draws):
-        """The label signs (v1, v2) of a stack of draws (k, 2, n)."""
+    def signed_pool(self, draws) -> np.ndarray:
+        """A stack of draws (k, 2, n) with each u1 row multiplied by its label
+        v1 and each u2 row by v2: the pool `evaluate_batch` averages over."""
         U = np.asarray(draws, dtype=float)
-        return _sign_rows(U[:, 0, :] @ self.xbar), _sign_rows(U[:, 1, :] @ self.ybar)
+        signs = np.stack((_sign_rows(U[:, 0, :] @ self.xbar), _sign_rows(U[:, 1, :] @ self.ybar)), axis=1)
+        return U * signs[:, :, None]
 
-    def evaluate_batch(self, z: PrimalDualPoint, draws, labels) -> MinimaxSample:
-        """Mean value and gradients over a stack of frozen draws (k, 2, n)
-        whose label signs are `labels` = `labels(draws)`."""
-        U = np.asarray(draws, dtype=float)
-        u1, u2 = U[:, 0, :], U[:, 1, :]
-        v1, v2 = labels
-        a = np.tanh(v1 * (u1 @ z.x))
-        b = np.tanh(v2 * (u2 @ z.y))
-        k = U.shape[0]
-        value = float((1.0 - a * b).sum() / k)  # np.mean's sum and division, without its overhead
-        grad_x = u1.T @ (-v1 * (1.0 - a * a) * b) / k
-        grad_y = u2.T @ (-v2 * a * (1.0 - b * b)) / k
-        return MinimaxSample(value, grad_x, grad_y)
+    def evaluate_batch(self, x, y, pool) -> MinimaxSample:
+        """Mean value and gradients at (x, y) over a pool from `signed_pool`.
+        The signs are exact factors, and the reductions run on the pool's
+        strided (k, n) views: a contiguous copy rounds them differently."""
+        s1, s2 = pool[:, 0, :], pool[:, 1, :]
+        a, b = np.tanh(s1 @ x), np.tanh(s2 @ y)
+        k = pool.shape[0]
+        grad_x = s1.T @ ((a * a - 1.0) * b) / k  # a * a - 1.0 is -(1.0 - a * a) exactly
+        grad_y = s2.T @ (a * (b * b - 1.0)) / k
+        mean = float((1.0 - a * b).sum() / k)  # np.mean's arithmetic, not its overhead
+        return MinimaxSample(mean, grad_x, grad_y)
 
 
 def _phi(t):

@@ -286,7 +286,8 @@ class BlockSeparable(ProximableFunction):
     product of per-class norm balls) while keeping the prox an exact blockwise
     closed form. When every part is the same function over blocks of equal
     size, all blocks go through that function's row-wise prox at once as the
-    rows of one (blocks, size) array.
+    rows of one (blocks, size) array; otherwise each part's row-wise prox
+    takes its own column slice of the rows.
     """
 
     def __init__(self, parts):
@@ -309,32 +310,25 @@ class BlockSeparable(ProximableFunction):
 
     def _blocks(self, v):
         v = as_vector(v, dim=self.dim)
-        return v, [(fn, v[a:b]) for fn, a, b in self.parts]
+        return [(fn, v[a:b]) for fn, a, b in self.parts]
 
     def value(self, v):
-        _, blocks = self._blocks(v)
-        return float(sum(fn.value(blk) for fn, blk in blocks))
+        return float(sum(fn.value(blk) for fn, blk in self._blocks(v)))
 
     def prox(self, gamma, v):
-        gamma = self._check_gamma(gamma)
-        if self._rows is None:
-            _, blocks = self._blocks(v)
-            return np.concatenate([fn.prox(gamma, blk) for fn, blk in blocks])
-        return self._prox_rows(gamma, as_vector(v, dim=self.dim)[None])[0]
+        return self._prox_rows(self._check_gamma(gamma), as_vector(v, dim=self.dim)[None])[0]
 
     def _prox_rows(self, gamma, V):
-        if self._rows is None:
-            return super()._prox_rows(gamma, V)  # mixed parts: prox row by row
+        if self._rows is None:  # mixed parts: each on its own column slice
+            return np.concatenate([fn._prox_rows(gamma, V[:, a:b]) for fn, a, b in self.parts], axis=1)
         fn, _, size = self._rows
         return fn._prox_rows(gamma, V.reshape(-1, size)).reshape(V.shape)
 
     def subgradient(self, v):
-        _, blocks = self._blocks(v)
-        return np.concatenate([fn.subgradient(blk) for fn, blk in blocks])
+        return np.concatenate([fn.subgradient(blk) for fn, blk in self._blocks(v)])
 
     def contains(self, v, tol=1e-10):
-        _, blocks = self._blocks(v)
-        return all(fn.contains(blk, tol) for fn, blk in blocks)
+        return all(fn.contains(blk, tol) for fn, blk in self._blocks(v))
 
     def normal_cone_distance(self, x, v):
         x = as_vector(x, dim=self.dim)

@@ -6,6 +6,9 @@ sampled gradients, then applies the blockwise prox:
     x' = prox_{gamma * theta}(x - gamma * grad_x)
     y' = prox_{gamma * omega}(y + gamma * grad_y)
 
+taken on the stacked z = (x | y) as one BlockSeparable prox of z + gamma * D,
+with the direction D = (-grad_x | grad_y).
+
 The running average weights iterate k by its step size gamma_k and is
 maintained in streaming form so trace thinning never affects the final
 averaged point.
@@ -32,7 +35,7 @@ from .core import (
     RunRecord,
     gamma_at,
 )
-from .prox import ProximableFunction
+from .prox import BlockSeparable, ProximableFunction
 
 __all__ = ["SapsProblem", "run_saps", "run_saps_batch"]
 
@@ -66,16 +69,6 @@ def _fold(avg, weight: float, z, gamma: float):
     if weight == 0.0:
         return z, total
     return avg + (gamma / total) * (z - avg), total
-
-
-def _nonfinite_rows(Vx, Vy):
-    """Mask of the rows with a non-finite entry, or None when there are none."""
-    # Any non-finite entry makes the sum non-finite; a sum that merely
-    # overflows costs the exact scan and finds nothing.
-    if math.isfinite(Vx.sum() + Vy.sum()):
-        return None
-    bad = ~(np.isfinite(Vx).all(axis=1) & np.isfinite(Vy).all(axis=1))
-    return bad if bad.any() else None
 
 
 # ---------------------------------------------------------------------------
@@ -180,11 +173,14 @@ def run_saps_batch(problem: SapsProblem, configs, metric_hooks=()) -> list:
     rngs = [c.random_source().generator() for c in configs]
     starts = [c.initial if c.initial is not None else _default_initial(rng, oracle.n, oracle.m)
               for c, rng in zip(configs, rngs)]
-    n = starts[0].n
-    if any((z.n, z.m) != (n, starts[0].m) for z in starts):
+    n, m = starts[0].n, starts[0].m
+    if any((z.n, z.m) != (n, m) for z in starts):
         raise ValueError("initial points of one batch must have equal dimensions")
     trials = _Trials(oracle, rngs, horizon)
     Z = np.stack([z.stacked() for z in starts])
+    # With theta is omega (the same object) over blocks of equal size this is
+    # one row prox over 2T rows.
+    block_prox = BlockSeparable([(problem.theta, n), (problem.omega, m)])
     avg, weight = Z, 0.0
     t0 = time.perf_counter()
     for k in range(1, horizon + 1):
@@ -211,23 +207,23 @@ def run_saps_batch(problem: SapsProblem, configs, metric_hooks=()) -> list:
                 record.append(k, gamma, values, time.perf_counter() - t0)
         GX, GY = trials.gradients(Z[:, :n], Z[:, n:])
         # A shape mismatch is a programming error, not divergence.
-        if GX.shape != (Z.shape[0], n) or GY.shape != (Z.shape[0], Z.shape[1] - n):
+        if GX.shape != (Z.shape[0], n) or GY.shape != (Z.shape[0], m):
             raise ValueError(f"sample gradient dimensions do not match the iterate at iteration {k}")
-        Vx, Vy = Z[:, :n] - gamma * GX, Z[:, n:] + gamma * GY  # descent in x, ascent in y
-        bad = _nonfinite_rows(Vx, Vy)
-        if bad is not None:
+        V = Z + gamma * np.concatenate((-GX, GY), axis=1)  # descent in x, ascent in y
+        # Any non-finite entry makes the sum non-finite; a sum that merely
+        # overflows costs the exact scan and finds nothing.
+        if not math.isfinite(V.sum()):
             message = f"non-finite iterate at iteration {k}: vector has non-finite entries"
-            for row in np.flatnonzero(bad):
+            for row in np.flatnonzero(~np.isfinite(V).all(axis=1)):
                 errors.setdefault(row, DivergenceError(k, message))
         # Leave before the prox: the row prox is unchecked, and some (PositivePartSum)
         # map NaN to 0, so a NaN gradient would turn silently into a finite iterate.
         if errors:
             keep = trials.drop(errors, outcomes)
-            Vx, Vy, avg = Vx[keep], Vy[keep], avg[keep]
+            V, avg = V[keep], avg[keep]
             if not trials.index:
                 break
-        Z = np.concatenate((problem.theta._prox_rows(gamma, Vx),
-                            problem.omega._prox_rows(gamma, Vy)), axis=1)
+        Z = block_prox._prox_rows(gamma, V)
         if not np.abs(Z).max() <= DIVERGENCE_NORM_BOUND:
             keep = trials.drop(_guard(Z, n, k), outcomes)
             Z, avg = Z[keep], avg[keep]

@@ -180,6 +180,8 @@ def hand_rolled_tanh_reference(config):
     rng, xbar, ybar = cli._tanh_anchors(config)
     oracle = TanhOracle(xbar, ybar)
     draws = np.stack([oracle.draw(rng) for _ in range(config.ref_pool_size)])
+    u1, u2 = draws[:, 0, :], draws[:, 1, :]
+    v1, v2 = np.where(u1 @ xbar >= 0.0, 1.0, -1.0), np.where(u2 @ ybar >= 0.0, 1.0, -1.0)
     theta = cli._regularizer(config.regularizer, config.mu)
     x = rng.uniform(-1.0, 1.0, size=config.n)
     y = rng.uniform(-1.0, 1.0, size=config.n)
@@ -192,18 +194,23 @@ def hand_rolled_tanh_reference(config):
             weight += gamma
             step = gamma / weight
             ax, ay = ax + step * (x - ax), ay + step * (y - ay)
-        s = oracle.evaluate_batch(PrimalDualPoint(x, y), draws, oracle.labels(draws))
-        x = theta.prox(gamma, x - gamma * s.grad_x)
-        y = theta.prox(gamma, y + gamma * s.grad_y)
+        # The pool-mean gradients, with the label signs applied per draw.
+        a, b = np.tanh(v1 * (u1 @ x)), np.tanh(v2 * (u2 @ y))
+        grad_x = u1.T @ (-v1 * (1.0 - a * a) * b) / len(draws)
+        grad_y = u2.T @ (-v2 * a * (1.0 - b * b)) / len(draws)
+        x = theta.prox(gamma, x - gamma * grad_x)
+        y = theta.prox(gamma, y + gamma * grad_y)
     return PrimalDualPoint(ax, ay)
 
 
 class TestTanhReference:
-    @pytest.mark.parametrize("regularizer", ["max", "l1"])
-    def test_matches_hand_rolled_loop_bit_for_bit(self, regularizer):
+    @pytest.mark.parametrize("regularizer,pool", [
+        pytest.param(reg, pool, id=reg if pool == 30 else f"{reg}-pool{pool}")
+        for pool in (30, 500) for reg in ("max", "l1", "l2")])
+    def test_matches_hand_rolled_loop_bit_for_bit(self, regularizer, pool):
         cfg = load_config(
             "experiment=tanh\nalgorithm=saps\nn=3\nN_list=10\nseed=4\n"
-            f"regularizer={regularizer}\nref_pool_size=30\nref_iters=200\n")
+            f"regularizer={regularizer}\nref_pool_size={pool}\nref_iters=200\n")
         z_ref = cli._tanh_reference(cfg)["z_ref"]
         expect = hand_rolled_tanh_reference(cfg)
         assert np.array_equal(z_ref.x, expect.x)

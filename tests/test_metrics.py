@@ -14,6 +14,7 @@ from saddle_sa import (
     PrimalDualPoint,
     RandomSource,
     ScaledL1,
+    ScaledL2,
     SecondOrderCone,
     TanhOracle,
     ZeroFunction,
@@ -213,6 +214,27 @@ class TestEvaluators:
         np.testing.assert_allclose(pooled.grad_x, np.mean([s.grad_x for s in per_draw], axis=0), rtol=1e-12)
         np.testing.assert_allclose(pooled.grad_y, np.mean([s.grad_y for s in per_draw], axis=0), rtol=1e-12)
 
+    @pytest.mark.parametrize("T", [1, 3])
+    def test_finite_sum_rows_equal_sample_bit_for_bit(self, T):
+        rng = RandomSource(6).generator()
+        oracle = TanhOracle(rng.uniform(-1, 1, 4), rng.uniform(-1, 1, 4))
+        theta = ScaledL1(1.0)
+        ev = FiniteSumMinimaxEvaluator(oracle, oracle.draws(rng, 500), theta, theta)
+        draw_rng = RandomSource(7).generator()
+        state = draw_rng.bit_generator.state
+        for _ in range(50):
+            X, Y = rng.uniform(-2, 2, (T, 4)), rng.uniform(-2, 2, (T, 4))
+            empty = ev.draws(draw_rng, T)
+            assert empty.shape == (T, 0)
+            rows = ev.evaluate_rows(X, Y, empty)
+            assert rows.value.shape == (T,)
+            for t in range(T):
+                single = ev.sample(None, PrimalDualPoint(X[t], Y[t]))
+                assert rows.value[t] == single.value
+                assert np.array_equal(rows.grad_x[t], single.grad_x)
+                assert np.array_equal(rows.grad_y[t], single.grad_y)
+        assert draw_rng.bit_generator.state == state  # the evaluator's draws use no randomness
+
     def test_conic_lagrangian_gradient(self):
         oracle = TinyConicOracle(-1.0)
         z = PrimalDualPoint([0.3], [2.0])
@@ -221,7 +243,34 @@ class TestEvaluators:
         np.testing.assert_allclose(grad, [1.0, 0.3], atol=1e-15)
 
 
+def per_draw_m_star(oracle, theta, omega, rng, n_points, n_draws, radius):
+    """estimate_m_star with one oracle.sample call per draw."""
+    n, m = oracle.n, oracle.m
+    worst = 0.0
+    for _ in range(n_points):
+        v = rng.uniform(-radius, radius, size=n + m)
+        z = PrimalDualPoint(v[:n], v[n:])
+        vx, vy = theta.subgradient(z.x), omega.subgradient(z.y)
+        acc = 0.0
+        for _ in range(n_draws):
+            s = oracle.sample(rng, z)
+            dx, dy = vx + s.grad_x, vy - s.grad_y
+            acc += float(dx @ dx + dy @ dy)
+        worst = max(worst, acc / n_draws)
+    return math.sqrt(worst)
+
+
 class TestEstimateMStar:
+    @pytest.mark.parametrize("kind", ["bilinear", "tanh"])
+    @pytest.mark.parametrize("theta", [ScaledL1(1.0), ScaledL2(0.5), ZeroFunction()], ids=["l1", "l2", "zero"])
+    def test_row_form_matches_per_draw_loop_exactly(self, kind, theta):
+        rng = RandomSource(9).generator()
+        oracle = BilinearOracle(3) if kind == "bilinear" else TanhOracle(rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3))
+        rows_rng, loop_rng = RandomSource(10).generator(), RandomSource(10).generator()
+        got = estimate_m_star(oracle, theta, theta, rows_rng, n_points=40, n_draws=50, radius=2.0)
+        assert got == per_draw_m_star(oracle, theta, theta, loop_rng, 40, 50, 2.0)
+        assert rows_rng.bit_generator.state == loop_rng.bit_generator.state
+
     def test_upper_bounds_typical_draws(self):
         oracle = BilinearOracle(2)
         theta = ScaledL1(1.0)

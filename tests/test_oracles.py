@@ -192,7 +192,7 @@ class TestTanhOracle:
         oracle, rng = self.make(n=5, seed=13)
         z = PrimalDualPoint(rng.normal(size=5), rng.normal(size=5))
         draws = [oracle.draw(rng) for _ in range(40)]
-        batch = oracle.evaluate_batch(z, np.stack(draws), oracle.labels(np.stack(draws)))
+        batch = oracle.evaluate_batch(z.x, z.y, oracle.signed_pool(np.stack(draws)))
         singles = [oracle.evaluate(z, u) for u in draws]
         assert batch.value == pytest.approx(np.mean([s.value for s in singles]), rel=1e-12)
         np.testing.assert_allclose(batch.grad_x, np.mean([s.grad_x for s in singles], axis=0), rtol=1e-12)

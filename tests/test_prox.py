@@ -202,7 +202,7 @@ class TestBlockSeparable:
             assert np.array_equal(f.prox(0.7, V.reshape(-1)), expect)
             assert np.array_equal(np.concatenate([ball.prox(0.7, row) for row in V]), expect)
 
-    def test_mixed_parts_keep_the_block_loop(self):
+    def test_mixed_parts_keep_the_block_loop(self, monkeypatch):
         a, b = BallIndicator(np.zeros(2), 1.0), BallIndicator(np.zeros(2), 1.0)
         assert BlockSeparable([(a, 2), (b, 2)])._rows is None  # equal, not the same
         assert BlockSeparable([(a, 2), (ZeroFunction(), 2)])._rows is None
@@ -214,15 +214,37 @@ class TestBlockSeparable:
         assert f._rows == (box, 2, 2)
         v = np.array([-1.0, 0.5, 2.0, 0.25])
         assert np.array_equal(f.prox(1.0, v), np.concatenate([box.prox(1.0, v[:2]), box.prox(1.0, v[2:])]))
-        # Mixed parts have no row-wise form: their rows go through prox one by one.
+        # Mixed parts loop over their blocks, not over rows: each part's
+        # row-wise prox takes its own column slice of all rows in one call.
         mixed = BlockSeparable([(a, 2), (ZeroFunction(), 2)])
-        rows_seen = []
-        checked = mixed.prox
-        mixed.prox = lambda gamma, row: rows_seen.append(row) or checked(gamma, row)
+        slices_seen = []
+        ball_rows = BallIndicator._prox_rows
+        monkeypatch.setattr(BallIndicator, "_prox_rows",
+                            lambda self, gamma, V: slices_seen.append(V) or ball_rows(self, gamma, V))
         V = np.arange(12.0).reshape(3, 4) / 4.0
         out = mixed._prox_rows(1.0, V)
-        assert len(rows_seen) == 3 and all(np.array_equal(r, v) for r, v in zip(rows_seen, V))
-        assert np.array_equal(out, np.array([checked(1.0, v) for v in V]))
+        assert len(slices_seen) == 1 and np.array_equal(slices_seen[0], V[:, :2])
+        monkeypatch.undo()
+        expect = [np.concatenate([a.prox(1.0, v[:2]), v[2:]]) for v in V]
+        assert np.array_equal(out, np.array(expect))
+        assert np.array_equal(out, np.array([mixed.prox(1.0, v) for v in V]))
+
+    @pytest.mark.parametrize("T", [1, 4])
+    def test_mixed_part_rows_match_per_row_prox_bit_for_bit(self, T):
+        # Kinds with and without a row-wise form (BoxIndicator loops over rows),
+        # on column slices that are not contiguous when T > 1.
+        box = BoxIndicator(np.full(2, -0.5), np.full(2, 0.75))
+        f = BlockSeparable([(ScaledL2(0.8), 3), (box, 2), (ScaledL1(0.3), 4),
+                            (BallIndicator(np.ones(3), 1.5), 3), (PositivePartSum(0.4), 2)])
+        assert f._rows is None
+        rng = np.random.default_rng(17)
+        for _ in range(100):
+            V = rng.normal(size=(T, f.dim)) * 2.0 ** int(rng.integers(-3, 3))
+            gamma = float(rng.uniform(0.05, 2.0))
+            out = f._prox_rows(gamma, V)
+            assert np.array_equal(out, np.array([f.prox(gamma, v) for v in V]))
+            per_block = [np.concatenate([fn.prox(gamma, v[a:b].copy()) for fn, a, b in f.parts]) for v in V]
+            assert np.array_equal(out, np.array(per_block))
 
     @pytest.mark.parametrize("fn", [ZeroFunction(), ScaledL1(0.8), ScaledL2(0.8), PositivePartSum(0.8)])
     def test_equal_parts_match_per_block_prox_bit_for_bit(self, fn):

@@ -390,6 +390,26 @@ class TestBatchKernel:
                 assert np.array_equal(z.stacked(), z_ref.stacked())
                 assert np.array_equal(avg.stacked(), avg_ref.stacked())
 
+    @pytest.mark.parametrize("kind", ["bilinear", "tanh"])
+    def test_mixed_regularizers_match_scalar_reference(self, kind):
+        # theta != omega: the stacked prox applies each part to its own
+        # columns, a path the CLI (theta is omega) never takes.
+        oracle = kernel_problem(kind, "l1").oracle
+        problem = SapsProblem(oracle, ScaledL1(0.8), ScaledL2(0.8))
+        N = 25
+        for averaging in (True, False):
+            for thin in (1, 3, N):
+                for given in (True, False):
+                    for T in (1, 2, 5):
+                        configs = [trial_config(t, N, thin, averaging, given) for t in range(T)]
+                        records = [run_saps(problem, configs[0], [probe_hook])] if T == 1 else \
+                            run_saps_batch(problem, configs, [probe_hook])
+                        for cfg, rec in zip(configs, records):
+                            ref = scalar_reference(problem, cfg, [probe_hook])
+                            assert np.array_equal(rec.final_average.stacked(), ref["average"])
+                            assert np.array_equal(rec.final_iterate.stacked(), ref["iterate"])
+                            assert (rec.ks, rec.gammas, rec.metrics) == (ref["ks"], ref["gammas"], ref["metrics"])
+
     def test_mismatched_settings_rejected(self):
         problem = kernel_problem("bilinear", "l1")
         with pytest.raises(ValueError):
