@@ -24,8 +24,6 @@ from .prox import (
     ScaledL1,
     ScaledL2,
     ZeroFunction,
-    prox,
-    prox_joint,
 )
 from .cones import (
     ConvexCone,
@@ -58,7 +56,6 @@ from .data import (
     ClassGroupedDataset,
     DataError,
     ParseError,
-    SparseVector,
     parse_libsvm,
     synth_gaussian_classes,
     to_libsvm,

@@ -370,7 +370,7 @@ def _saps_experiment(config: ExperimentConfig, shared: dict):
             "dist_last": z.distance_to(z_star),
         }
 
-    return SapsProblem(oracle, theta, theta, known_saddle=z_star), bilinear_hooks
+    return SapsProblem(oracle, theta, theta), bilinear_hooks
 
 
 def _np_problem(config: ExperimentConfig, oracle) -> LsaalProblem:

@@ -3,21 +3,21 @@
 Supports the line-oriented LIBSVM sparse text format
 (``<label> <index>:<value> ...`` with 1-based ascending indices, ``#``
 comments, LF or CRLF endings) and synthetic Gaussian class mixtures for
-desk-scale runs. Datasets are immutable after construction.
+desk-scale runs. A dataset is one read-only dense (points, feature_dim)
+matrix per class, so parsing a file takes points x largest index x 8 bytes;
+a class whose matrix cannot be allocated is a DataError.
 """
 
 from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "ParseError",
     "DataError",
-    "SparseVector",
     "ClassGroupedDataset",
     "parse_libsvm",
     "to_libsvm",
@@ -26,7 +26,7 @@ __all__ = [
 
 
 class DataError(ValueError):
-    """Structurally invalid dataset (empty input, empty class, dim mismatch)."""
+    """Invalid dataset: empty input or class, wrong width, non-finite entry, or too big."""
 
 
 class ParseError(ValueError):
@@ -37,74 +37,37 @@ class ParseError(ValueError):
         super().__init__(f"line {line_number}: {message}")
 
 
-@dataclass(frozen=True, eq=False)
-class SparseVector:
-    """Sparse feature vector with strictly increasing 1-based indices."""
-
-    indices: tuple
-    values: tuple
-    dim: int
-
-    def __post_init__(self):
-        if len(self.indices) != len(self.values):
-            raise ValueError("indices and values must have equal length")
-        prev = 0
-        for idx in self.indices:
-            if idx <= prev:
-                raise ValueError("indices must be strictly increasing and >= 1")
-            prev = idx
-        for val in self.values:
-            if not math.isfinite(val):
-                raise ValueError("values must be finite")
-        if self.dim < prev:
-            raise ValueError("dim smaller than the largest index")
-
-    def to_dense(self, dim: int | None = None) -> np.ndarray:
-        dim = self.dim if dim is None else int(dim)
-        out = np.zeros(dim)
-        if self.indices:
-            out[np.asarray(self.indices) - 1] = self.values
-        return out
-
-    @classmethod
-    def from_dense(cls, arr) -> "SparseVector":
-        arr = np.asarray(arr, dtype=float)
-        nz = np.nonzero(arr)[0]
-        return cls(tuple(int(i) + 1 for i in nz), tuple(float(arr[i]) for i in nz), int(arr.shape[0]))
-
-    def norm(self) -> float:
-        return math.sqrt(sum(v * v for v in self.values))
-
-    def scaled(self, factor: float) -> "SparseVector":
-        return SparseVector(self.indices, tuple(v * factor for v in self.values), self.dim)
-
-    def __eq__(self, other):
-        if not isinstance(other, SparseVector):
-            return NotImplemented
-        return (self.indices, self.values, self.dim) == (other.indices, other.values, other.dim)
+def _row_norms(mat: np.ndarray) -> list:
+    # A Python sum over each row in index order: the zero entries add an exact
+    # 0.0, so this rounds as a sum over the nonzero entries alone.
+    return [math.sqrt(sum(v * v for v in row)) for row in mat.tolist()]
 
 
 class ClassGroupedDataset:
     """Feature vectors grouped by integer class label.
 
-    Labels keep their first-appearance order; positional class ids 1..m used
-    by the solvers follow that order. Every class is nonempty and all vectors
-    share `feature_dim`.
+    `classes` maps each label to a (points, feature_dim) float64 matrix, one
+    point per row, held as a read-only view of the array passed in (so the
+    caller must not write to that array either). Labels keep their
+    first-appearance order; positional class ids 1..m used by the solvers
+    follow that order. Every class is nonempty and every entry finite.
     """
 
-    def __init__(self, classes: dict, feature_dim: int, normalized: bool = False):
+    def __init__(self, classes: dict, feature_dim: int):
         if not classes:
             raise DataError("dataset has no classes")
-        self.classes = {int(label): list(vectors) for label, vectors in classes.items()}
         self.feature_dim = int(feature_dim)
-        self.normalized = bool(normalized)
-        for label, vectors in self.classes.items():
-            if not vectors:
+        self.classes = {}
+        for label, points in classes.items():
+            mat = np.asarray(points, dtype=np.float64).view()
+            if mat.shape[:1] == (0,):
                 raise DataError(f"class {label} is empty")
-            for vec in vectors:
-                if vec.dim > self.feature_dim:
-                    raise DataError(f"class {label} holds a vector of dim {vec.dim} > {self.feature_dim}")
-        self._dense_cache = {}
+            if mat.ndim != 2 or mat.shape[1] != self.feature_dim:
+                raise DataError(f"class {label} has shape {mat.shape}, not (points, {self.feature_dim})")
+            if not np.isfinite(mat).all():
+                raise DataError(f"class {label} has non-finite entries")
+            mat.flags.writeable = False
+            self.classes[int(label)] = mat
 
     @property
     def labels(self) -> list:
@@ -117,41 +80,30 @@ class ClassGroupedDataset:
     def num_points(self, label=None) -> int:
         if label is not None:
             return len(self.classes[label])
-        return sum(len(v) for v in self.classes.values())
-
-    def class_matrix(self, label) -> np.ndarray:
-        """Dense (points, feature_dim) matrix for one class; cached."""
-        if label not in self._dense_cache:
-            rows = [vec.to_dense(self.feature_dim) for vec in self.classes[label]]
-            self._dense_cache[label] = np.vstack(rows)
-        return self._dense_cache[label]
+        return sum(len(mat) for mat in self.classes.values())
 
     def normalize(self) -> "ClassGroupedDataset":
         """Unit l2-norm copy (zero vectors are left as zero)."""
         out = {}
-        for label, vectors in self.classes.items():
-            scaled = []
-            for vec in vectors:
-                nrm = vec.norm()
-                scaled.append(vec.scaled(1.0 / nrm) if nrm > 0.0 else vec)
-            out[label] = scaled
-        return ClassGroupedDataset(out, self.feature_dim, normalized=True)
+        for label, mat in self.classes.items():
+            scale = [1.0 / nrm if nrm > 0.0 else 1.0 for nrm in _row_norms(mat)]
+            out[label] = mat * np.array(scale)[:, None]
+        return ClassGroupedDataset(out, self.feature_dim)
 
     def subsample(self, max_per_class: int, rng: np.random.Generator) -> "ClassGroupedDataset":
         """At most max_per_class points per class, drawn without replacement."""
         if max_per_class < 1:
             raise ValueError("max_per_class must be >= 1")
         out = {}
-        for label, vectors in self.classes.items():
-            if len(vectors) <= max_per_class:
-                out[label] = list(vectors)
+        for label, mat in self.classes.items():
+            if len(mat) <= max_per_class:
+                out[label] = mat
             else:
-                keep = np.sort(rng.choice(len(vectors), size=max_per_class, replace=False))
-                out[label] = [vectors[i] for i in keep]
-        return ClassGroupedDataset(out, self.feature_dim, normalized=self.normalized)
+                out[label] = mat[np.sort(rng.choice(len(mat), size=max_per_class, replace=False))]
+        return ClassGroupedDataset(out, self.feature_dim)
 
     def max_feature_norm(self) -> float:
-        return max(vec.norm() for vectors in self.classes.values() for vec in vectors)
+        return max(nrm for mat in self.classes.values() for nrm in _row_norms(mat))
 
     def __eq__(self, other):
         if not isinstance(other, ClassGroupedDataset):
@@ -159,7 +111,7 @@ class ClassGroupedDataset:
         return (
             self.feature_dim == other.feature_dim
             and list(self.classes.keys()) == list(other.classes.keys())
-            and all(self.classes[k] == other.classes[k] for k in self.classes)
+            and all(np.array_equal(self.classes[k], other.classes[k]) for k in self.classes)
         )
 
 
@@ -175,11 +127,11 @@ def parse_libsvm(source) -> ClassGroupedDataset:
     Grammar per line: ``<int label> [<index>:<value> ...]`` with 1-based
     strictly ascending indices; ``#`` starts a comment running to end of line.
     Blank lines are skipped. Raises ParseError with the line number on any
-    malformed token and DataError when no data line is present.
+    malformed token, and DataError when no data line is present or a class's
+    dense matrix cannot be allocated.
     """
     classes: dict = {}
     max_index = 0
-    saw_data = False
     for lineno, raw in enumerate(_iter_lines(source), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -209,18 +161,23 @@ def parse_libsvm(source) -> ClassGroupedDataset:
                 raise ParseError(lineno, f"indices not strictly ascending at {idx}")
             if not math.isfinite(val):
                 raise ParseError(lineno, f"non-finite value {val_s!r}")
-            indices.append(idx)
+            indices.append(idx - 1)
             values.append(val)
             prev = idx
         max_index = max(max_index, prev)
         classes.setdefault(label, []).append((indices, values))
-        saw_data = True
-    if not saw_data:
+    if not classes:
         raise DataError("empty input: no data lines found")
-    out = {
-        label: [SparseVector(tuple(idx), tuple(val), max_index) for idx, val in rows]
-        for label, rows in classes.items()
-    }
+    out = {}
+    for label, rows in classes.items():
+        try:
+            mat = np.zeros((len(rows), max_index))
+        except (MemoryError, ValueError):
+            raise DataError(f"class {label} with {len(rows)} point(s) and largest feature index "
+                            f"{max_index} does not fit in memory as a dense matrix") from None
+        for row, (indices, values) in zip(mat, rows):
+            row[indices] = values
+        out[label] = mat
     return ClassGroupedDataset(out, max_index)
 
 
@@ -229,12 +186,12 @@ def _format_value(v: float) -> str:
 
 
 def to_libsvm(dataset: ClassGroupedDataset) -> str:
-    """Serialize back to LIBSVM text; parse(to_libsvm(d)) == d."""
+    """Serialize back to LIBSVM text, every entry written; parse(to_libsvm(d)) == d."""
     lines = []
-    for label, vectors in dataset.classes.items():
-        for vec in vectors:
+    for label, mat in dataset.classes.items():
+        for row in mat.tolist():
             parts = [str(label)]
-            parts.extend(f"{i}:{_format_value(v)}" for i, v in zip(vec.indices, vec.values))
+            parts.extend(f"{i}:{_format_value(v)}" for i, v in enumerate(row, start=1))
             lines.append(" ".join(parts))
     return "\n".join(lines) + "\n"
 
@@ -255,6 +212,5 @@ def synth_gaussian_classes(rng: np.random.Generator, m_classes: int, n_dim: int,
     for label in range(1, m_classes + 1):
         shift = np.zeros(n_dim)
         shift[label % n_dim] = separation
-        pts = rng.standard_normal((points_per_class, n_dim)) + shift
-        classes[label] = [SparseVector.from_dense(row) for row in pts]
+        classes[label] = rng.standard_normal((points_per_class, n_dim)) + shift
     return ClassGroupedDataset(classes, n_dim)

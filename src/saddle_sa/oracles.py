@@ -217,7 +217,7 @@ class NeymanPearsonOracle:
         self.cone = NonpositiveOrthant(self.m - 1)
         zero = np.zeros(self.n)
         self.feasible_set = BlockSeparable([(BallIndicator(zero, self.lam), self.n)] * self.m)
-        self._matrices = [dataset.class_matrix(label) for label in self.labels]
+        self._matrices = [dataset.classes[label] for label in self.labels]
         self._counts = [mat.shape[0] for mat in self._matrices]
         # Every class's points stacked, class i's starting at row _starts[i].
         self._points = np.concatenate(self._matrices)

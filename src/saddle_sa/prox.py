@@ -2,7 +2,7 @@
 
 Every kind here admits a closed-form prox; none is solved by an inner
 iteration, which keeps the prox exact to rounding and removes one error
-source from rate measurements. `prox(f, gamma, v)` returns the unique
+source from rate measurements. `f.prox(gamma, v)` returns the unique
 minimizer of  f(w) + ||w - v||^2 / (2*gamma).
 """
 
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PrimalDualPoint, _row_dots, as_vector
+from .core import _row_dots, as_vector
 
 __all__ = [
     "ProximableFunction",
@@ -24,8 +24,6 @@ __all__ = [
     "BallIndicator",
     "BoxIndicator",
     "BlockSeparable",
-    "prox",
-    "prox_joint",
 ]
 
 
@@ -340,14 +338,3 @@ class BlockSeparable(ProximableFunction):
 
     def diameter(self):
         return math.sqrt(sum(fn.diameter() ** 2 for fn, _, _ in self.parts))
-
-
-def prox(f: ProximableFunction, gamma: float, v: np.ndarray) -> np.ndarray:
-    """argmin_w f(w) + ||w - v||^2 / (2*gamma)."""
-    return f.prox(gamma, v)
-
-
-def prox_joint(theta: ProximableFunction, omega: ProximableFunction, gamma: float,
-               z: PrimalDualPoint) -> PrimalDualPoint:
-    """Blockwise prox over z = (x, y): theta acts on x, omega acts on y."""
-    return PrimalDualPoint(theta.prox(gamma, z.x), omega.prox(gamma, z.y))

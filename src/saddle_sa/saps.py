@@ -51,7 +51,6 @@ class SapsProblem:
     oracle: object
     theta: ProximableFunction
     omega: ProximableFunction
-    known_saddle: PrimalDualPoint | None = None
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ def all_cones():
 def bilinear_problem(theta):
     oracle = sa.BilinearOracle(3)
     z_star = sa.PrimalDualPoint(np.zeros(3), np.zeros(3))
-    problem = sa.SapsProblem(oracle, theta, theta, known_saddle=z_star)
+    problem = sa.SapsProblem(oracle, theta, theta)
     evaluator = M.BilinearEvaluator(oracle, theta, theta)
     return problem, evaluator, z_star
 
@@ -56,12 +56,13 @@ def test_criterion_01_prox_projection_exactness():
     t0 = time.perf_counter()
     ok = True
     # closed-form examples at 1e-12
-    ok &= np.allclose(sa.prox(sa.ScaledL1(1.0), 1.0, np.array([3.0, -1.0, 0.2])), [2, 0, 0], atol=1e-12)
-    ok &= np.allclose(sa.prox(sa.ScaledL2(1.0), 2.0, np.array([3.0, 4.0])), [1.8, 2.4], atol=1e-12)
-    ok &= np.allclose(sa.prox(sa.PositivePartSum(1.0), 1.0, np.array([2.0, 0.5, -1.0])), [1, 0, -1], atol=1e-12)
+    ok &= np.allclose(sa.ScaledL1(1.0).prox(1.0, np.array([3.0, -1.0, 0.2])), [2, 0, 0], atol=1e-12)
+    ok &= np.allclose(sa.ScaledL2(1.0).prox(2.0, np.array([3.0, 4.0])), [1.8, 2.4], atol=1e-12)
+    ok &= np.allclose(sa.PositivePartSum(1.0).prox(1.0, np.array([2.0, 0.5, -1.0])), [1, 0, -1], atol=1e-12)
     z = sa.PrimalDualPoint([3.0, 4.0], [7.0])
-    joint = sa.prox_joint(sa.BallIndicator(np.zeros(2), 1.0), sa.ZeroFunction(), 0.5, z)
-    ok &= np.allclose(joint.x, [0.6, 0.8], atol=1e-12) and np.allclose(joint.y, [7.0], atol=1e-12)
+    joint_fn = sa.BlockSeparable([(sa.BallIndicator(np.zeros(2), 1.0), 2), (sa.ZeroFunction(), 1)])
+    joint = joint_fn.prox(0.5, z.stacked())
+    ok &= np.allclose(joint[:2], [0.6, 0.8], atol=1e-12) and np.allclose(joint[2:], [7.0], atol=1e-12)
     soc = sa.SecondOrderCone(3)
     ok &= np.allclose(soc.project(np.array([3.0, 0.0, 1.0])), [2.0, 0.0, 2.0], atol=1e-12)
     ok &= np.allclose(soc.project(np.array([1.0, 0.0, -2.0])), [0.0, 0.0, 0.0], atol=1e-12)
@@ -80,7 +81,7 @@ def test_criterion_01_prox_projection_exactness():
                 break
             gamma = float(rng.uniform(0.1, 2.0))
             v = rng.uniform(-3.0, 3.0, size=dim)
-            got = sa.prox(f, gamma, v)
+            got = f.prox(gamma, v)
             if dim == 1:
                 expect = np.array([grid_prox_1d(f, gamma, float(v[0]), bound=8.0)])
             else:
@@ -127,7 +128,7 @@ def test_criterion_03_prox_inequality_suite():
             if f.is_indicator:
                 zz = f.prox(1.0, zz)
             gamma = float(rng.uniform(0.05, 3.0))
-            zp = sa.prox(f, gamma, zc)
+            zp = f.prox(gamma, zc)
             lhs = f.value(zz) + (np.linalg.norm(zz - zc) ** 2 - np.linalg.norm(zz - zp) ** 2) / (2 * gamma)
             rhs = f.value(zp) + np.linalg.norm(zp - zc) ** 2 / (2 * gamma)
             worst = max(worst, rhs - lhs)

@@ -332,6 +332,22 @@ class TestMainEntry:
         assert capsys.readouterr().err.startswith("error:")
         assert not out.exists()
 
+    def test_unallocatable_dataset_exit_code(self, tmp_path, capsys):
+        # A feature index of 2**62 makes the dense class matrix too big for
+        # numpy's size check, which fails before any memory is touched.
+        data = tmp_path / "huge.libsvm"
+        data.write_text(f"1 1:0.5\n2 {2**62}:1.0\n", encoding="utf-8")
+        cfg_path = tmp_path / "np.cfg"
+        cfg_path.write_text(f"experiment=neyman_pearson\nalgorithm=lsaal\nN_list=5\ntrials=1\n"
+                            f"parallel=1\ndataset_path={data}\n", encoding="utf-8")
+        out = tmp_path / "out"
+        for argv in (["check-data", str(data)], ["run", str(cfg_path), "--out", str(out)]):
+            assert main(argv) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: class 1 with 1 point(s)") and captured.err.count("\n") == 1
+        assert not out.exists()
+
     def test_non_utf8_config_exit_code(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.cfg"
         cfg_path.write_bytes(bilinear_text(N_list="5", trials=1).encode() + b"# \xff\n")

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,6 @@ from saddle_sa import (
     DataError,
     ParseError,
     RandomSource,
-    SparseVector,
     parse_libsvm,
     synth_gaussian_classes,
     to_libsvm,
@@ -17,20 +18,18 @@ class TestParser:
     def test_basic_line(self):
         ds = parse_libsvm("2 1:0.5 7:-3\n")
         assert ds.labels == [2]
-        vec = ds.classes[2][0]
-        assert vec.indices == (1, 7)
-        assert vec.values == (0.5, -3.0)
+        assert ds.classes[2].tolist() == [[0.5, 0.0, 0.0, 0.0, 0.0, 0.0, -3.0]]
         assert ds.feature_dim == 7
 
     def test_label_only_line(self):
         ds = parse_libsvm("1\n2 3:1.5\n")
-        assert ds.classes[1][0].indices == ()
+        assert ds.classes[1].tolist() == [[0.0, 0.0, 0.0]]
         assert ds.feature_dim == 3
 
     def test_comments_and_blank_lines(self):
         ds = parse_libsvm("# header\n\n1 1:2.0  # trailing comment\n")
         assert ds.num_points() == 1
-        assert ds.classes[1][0].values == (2.0,)
+        assert ds.classes[1].tolist() == [[2.0]]
 
     def test_crlf_accepted(self):
         ds = parse_libsvm("1 1:1\r\n2 2:2\r\n")
@@ -60,6 +59,21 @@ class TestParser:
         with pytest.raises(ParseError):
             parse_libsvm("1 0:1\n")
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_nonfinite_value_rejected_with_line(self, value):
+        with pytest.raises(ParseError) as err:
+            parse_libsvm(f"1 1:1\n2 1:0.5 2:{value}\n")
+        assert err.value.line_number == 2
+        assert "non-finite value" in str(err.value)
+
+    def test_unallocatable_class_is_data_error(self):
+        # 2**62 features of 8 bytes overflow numpy's size check before any
+        # memory is touched.
+        with pytest.raises(DataError) as err:
+            parse_libsvm(f"1 1:1\n2 {2**62}:1\n2 1:1\n")
+        assert str(err.value) == (f"class 1 with 1 point(s) and largest feature index {2**62} "
+                                  "does not fit in memory as a dense matrix")
+
     def test_empty_input_rejected(self):
         with pytest.raises(DataError):
             parse_libsvm("")
@@ -81,6 +95,14 @@ class TestRoundTrip:
         again = parse_libsvm(to_libsvm(ds))
         assert again == ds
 
+    @pytest.mark.parametrize("text", ["1 2:0.0\n2 1:1\n", "1\n2\n"])
+    def test_round_trip_keeps_feature_dim(self, text):
+        # An all-zero last column and a label-only file (feature_dim 0).
+        ds = parse_libsvm(text)
+        again = parse_libsvm(to_libsvm(ds))
+        assert again.feature_dim == ds.feature_dim
+        assert again == ds
+
     def test_generated_round_trips(self):
         rng = RandomSource(17).generator()
         for _ in range(100):
@@ -100,12 +122,53 @@ class TestRoundTrip:
             assert parse_libsvm(to_libsvm(ds)) == ds
 
 
+def sparse_rows(text):
+    """Per line (label, values as stored): the file's own tokens, zeros included."""
+    rows = []
+    for line in text.splitlines():
+        tokens = line.split()
+        rows.append((int(tokens[0]), [(int(t.split(":")[0]), float(t.split(":")[1])) for t in tokens[1:]]))
+    return rows
+
+
+def sparse_norm(entries):
+    # The arithmetic of the sparse form: a sum over stored values only.
+    return math.sqrt(sum(v * v for _, v in entries))
+
+
+def bits(mat):
+    return np.ascontiguousarray(mat).view(np.int64).tolist()
+
+
 class TestDatasetOps:
     def test_normalize_unit_norms(self):
         ds = parse_libsvm("1 1:3 2:4\n2 1:0.0\n").normalize()
-        assert ds.normalized
-        assert ds.classes[1][0].norm() == pytest.approx(1.0, abs=1e-12)
-        assert ds.classes[2][0].values == (0.0,)  # zero vector left alone
+        assert np.linalg.norm(ds.classes[1][0]) == pytest.approx(1.0, abs=1e-12)
+        assert ds.classes[2].tolist() == [[0.0, 0.0]]  # zero vector left alone
+
+    def test_normalize_and_max_norm_match_sparse_arithmetic_bit_for_bit(self):
+        rng = np.random.default_rng(44)
+        lines = ["1 1:3 2:0 3:4", "1 2:-0.0 5:1e-3", "2", "2 4:0.0", "3 3:7.5", "3 1:1e-300",
+                 "1 5:-2.5", "2 2:-0.0 3:0.0"]
+        for _ in range(60):
+            idx = np.sort(rng.choice(np.arange(1, 25), size=int(rng.integers(1, 25)), replace=False))
+            vals = rng.normal(size=idx.size) * 10.0 ** rng.integers(-2, 3, size=idx.size)
+            lines.append(f"{int(rng.integers(1, 4))} " + " ".join(f"{i}:{v!r}" for i, v in zip(idx, vals.tolist())))
+        text = "\n".join(lines) + "\n"
+        ds = parse_libsvm(text)
+        expected = {label: [] for label in ds.labels}
+        norms = []
+        for label, entries in sparse_rows(text):
+            nrm = sparse_norm(entries)
+            norms.append(nrm)
+            row = np.zeros(ds.feature_dim)
+            for i, v in entries:
+                row[i - 1] = v * (1.0 / nrm) if nrm > 0.0 else v
+            expected[label].append(row)
+        normalized = ds.normalize()
+        for label in ds.labels:
+            assert bits(normalized.classes[label]) == bits(np.array(expected[label]))
+        assert ds.max_feature_norm() == max(norms)
 
     def test_subsample_counts_and_determinism(self):
         rng = np.random.default_rng(0)
@@ -118,34 +181,40 @@ class TestDatasetOps:
     def test_class_matrix_shape(self):
         rng = np.random.default_rng(0)
         ds = synth_gaussian_classes(rng, 2, 3, 5, 0.0)
-        assert ds.class_matrix(1).shape == (5, 3)
+        assert ds.classes[1].shape == (5, 3)
+        assert ds.classes[1].dtype == np.float64
+
+    def test_matrices_are_read_only(self):
+        ds = parse_libsvm("1 1:1\n2 2:1\n")
+        for dataset in (ds, ds.normalize(), ds.subsample(1, RandomSource(0).generator())):
+            with pytest.raises(ValueError):
+                dataset.classes[1][0, 0] = 5.0
 
     def test_empty_class_rejected(self):
         with pytest.raises(DataError):
             ClassGroupedDataset({1: []}, 3)
+        with pytest.raises(DataError):
+            ClassGroupedDataset({1: np.zeros((0, 3))}, 3)
 
+    def test_wrong_width_rejected(self):
+        with pytest.raises(DataError):
+            ClassGroupedDataset({1: np.zeros((2, 4)), 2: np.zeros((2, 3))}, 3)
+        with pytest.raises(DataError):
+            ClassGroupedDataset({1: np.zeros(3)}, 3)
 
-class TestSparseVector:
-    def test_invariants(self):
-        with pytest.raises(ValueError):
-            SparseVector((2, 2), (1.0, 1.0), 3)
-        with pytest.raises(ValueError):
-            SparseVector((0,), (1.0,), 3)
-        with pytest.raises(ValueError):
-            SparseVector((1,), (float("nan"),), 3)
-
-    def test_dense_round_trip(self):
-        arr = np.array([0.0, 1.5, 0.0, -2.0])
-        vec = SparseVector.from_dense(arr)
-        assert vec.indices == (2, 4)
-        np.testing.assert_allclose(vec.to_dense(), arr, atol=0.0)
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_nonfinite_entry_rejected(self, value):
+        points = np.ones((2, 3))
+        points[1, 2] = value
+        with pytest.raises(DataError):
+            ClassGroupedDataset({1: np.ones((1, 3)), 2: points}, 3)
 
 
 class TestSynthetic:
     def test_zero_separation_means_coincide(self):
         rng = np.random.default_rng(0)
         ds = synth_gaussian_classes(rng, 3, 4, 2000, 0.0)
-        means = [ds.class_matrix(lbl).mean(axis=0) for lbl in ds.labels]
+        means = [ds.classes[lbl].mean(axis=0) for lbl in ds.labels]
         for m in means[1:]:
             np.testing.assert_allclose(m, means[0], atol=0.15)
 
@@ -162,6 +231,6 @@ class TestSynthetic:
     def test_separation_shifts_named_axis(self):
         rng = np.random.default_rng(0)
         ds = synth_gaussian_classes(rng, 2, 5, 4000, 3.0)
-        mean1 = ds.class_matrix(1).mean(axis=0)  # class 1 shifted along axis 1 mod 5
+        mean1 = ds.classes[1].mean(axis=0)  # class 1 shifted along axis 1 mod 5
         assert mean1[1] == pytest.approx(3.0, abs=0.2)
         assert abs(mean1[0]) < 0.2

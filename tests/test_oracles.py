@@ -219,7 +219,7 @@ class TestNeymanPearsonOracle:
         oracle = np_instance
         idx = (0, 0, 0)
         s = oracle.evaluate(np.zeros(oracle.dim), idx)
-        psi1 = oracle.dataset.class_matrix(oracle.labels[0])[0]
+        psi1 = oracle.dataset.classes[oracle.labels[0]][0]
         grads = s.f_grad.reshape(oracle.m, oracle.n)
         np.testing.assert_allclose(grads[0], -(oracle.m - 1) * psi1 / 2.0, rtol=1e-12)
         for l in range(1, oracle.m):
@@ -297,7 +297,7 @@ class TestNeymanPearsonOracle:
         ds = ClassGroupedDataset({label: ds.classes[label][:5 + 3 * i]
                                   for i, label in enumerate(ds.labels)}, ds.feature_dim)
         oracle = NeymanPearsonOracle(ds, 3.0, r=rng.uniform(0.5, 2.0, size=m - 1))
-        mats = [ds.class_matrix(label) for label in ds.labels]
+        mats = [ds.classes[label] for label in ds.labels]
         for _ in range(25):
             # Scaled up to reach saturated margins, then onto the feasible balls.
             x = oracle.feasible_set.prox(1.0, rng.normal(size=oracle.dim) * 4.0)

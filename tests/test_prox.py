@@ -13,18 +13,16 @@ from saddle_sa import (
     ScaledL1,
     ScaledL2,
     ZeroFunction,
-    prox,
-    prox_joint,
 )
 
 
 class TestClosedForms:
     def test_soft_threshold(self):
-        out = prox(ScaledL1(1.0), 1.0, np.array([3.0, -1.0, 0.2]))
+        out = ScaledL1(1.0).prox(1.0, np.array([3.0, -1.0, 0.2]))
         np.testing.assert_allclose(out, [2.0, 0.0, 0.0], atol=1e-15)
 
     def test_block_soft_threshold(self):
-        out = prox(ScaledL2(1.0), 2.0, np.array([3.0, 4.0]))
+        out = ScaledL2(1.0).prox(2.0, np.array([3.0, 4.0]))
         np.testing.assert_allclose(out, [1.8, 2.4], atol=1e-15)
 
     def test_positive_part_piecewise(self):
@@ -32,29 +30,29 @@ class TestClosedForms:
         # mu*max(w,0) + (w-v)^2/(2 gamma).
         f = PositivePartSum(1.0)
         v = np.array([2.0, 0.5, -1.0])
-        out = prox(f, 1.0, v)
+        out = f.prox(1.0, v)
         np.testing.assert_allclose(out, [1.0, 0.0, -1.0], atol=1e-15)
         for vi, expect in zip(v, out):
             assert grid_prox_1d(f, 1.0, float(vi), bound=4.0) == pytest.approx(expect, abs=2e-4)
 
     def test_ball_projection(self):
         f = BallIndicator(np.zeros(2), 1.0)
-        np.testing.assert_allclose(prox(f, 0.5, np.array([3.0, 4.0])), [0.6, 0.8], atol=1e-15)
-        np.testing.assert_allclose(prox(f, 1.0, np.array([0.1, -0.2])), [0.1, -0.2], atol=1e-15)
+        np.testing.assert_allclose(f.prox(0.5, np.array([3.0, 4.0])), [0.6, 0.8], atol=1e-15)
+        np.testing.assert_allclose(f.prox(1.0, np.array([0.1, -0.2])), [0.1, -0.2], atol=1e-15)
 
     def test_box_projection(self):
         f = BoxIndicator(np.array([-1.0, 0.0]), np.array([1.0, 2.0]))
-        np.testing.assert_allclose(prox(f, 1.0, np.array([5.0, -3.0])), [1.0, 0.0], atol=1e-15)
+        np.testing.assert_allclose(f.prox(1.0, np.array([5.0, -3.0])), [1.0, 0.0], atol=1e-15)
 
     def test_zero_is_identity(self):
         v = np.array([1.0, -2.0, 3.0])
-        np.testing.assert_allclose(prox(ZeroFunction(), 0.3, v), v, atol=0.0)
+        np.testing.assert_allclose(ZeroFunction().prox(0.3, v), v, atol=0.0)
 
     def test_gamma_must_be_positive(self):
         with pytest.raises(ValueError):
-            prox(ScaledL1(1.0), 0.0, np.array([1.0]))
+            ScaledL1(1.0).prox(0.0, np.array([1.0]))
         with pytest.raises(ValueError):
-            prox(ScaledL1(1.0), -1.0, np.array([1.0]))
+            ScaledL1(1.0).prox(-1.0, np.array([1.0]))
 
     @pytest.mark.parametrize("kind", [ScaledL1, ScaledL2, PositivePartSum])
     def test_weight_must_be_nonnegative_and_finite(self, kind):
@@ -65,22 +63,24 @@ class TestClosedForms:
 
 
 class TestProxJoint:
+    """The joint prox over z = (x, y): theta on x, omega on y, as SAPS applies it."""
+
     def test_identity_blocks(self):
         z = PrimalDualPoint([1.0, -2.0], [7.0])
-        out = prox_joint(ZeroFunction(), ZeroFunction(), 1.0, z)
-        assert out.allclose(z)
+        out = BlockSeparable([(ZeroFunction(), 2), (ZeroFunction(), 1)]).prox(1.0, z.stacked())
+        assert np.array_equal(out, z.stacked())
 
     def test_blockwise_soft_threshold(self):
         z = PrimalDualPoint([3.0], [-1.0])
-        out = prox_joint(ScaledL1(1.0), ScaledL1(1.0), 1.0, z)
-        np.testing.assert_allclose(out.x, [2.0], atol=1e-15)
-        np.testing.assert_allclose(out.y, [0.0], atol=1e-15)
+        out = BlockSeparable([(ScaledL1(1.0), 1), (ScaledL1(1.0), 1)]).prox(1.0, z.stacked())
+        np.testing.assert_allclose(out, [2.0, 0.0], atol=1e-15)
 
     def test_ball_and_zero(self):
         z = PrimalDualPoint([3.0, 4.0], [7.0])
-        out = prox_joint(BallIndicator(np.zeros(2), 1.0), ZeroFunction(), 0.5, z)
-        np.testing.assert_allclose(out.x, [0.6, 0.8], atol=1e-15)
-        np.testing.assert_allclose(out.y, [7.0], atol=0.0)
+        joint_fn = BlockSeparable([(BallIndicator(np.zeros(2), 1.0), 2), (ZeroFunction(), 1)])
+        out = joint_fn.prox(0.5, z.stacked())
+        np.testing.assert_allclose(out[:2], [0.6, 0.8], atol=1e-15)
+        assert out[2] == 7.0
 
     def test_matches_block_separable_on_stacked(self):
         rng = np.random.default_rng(5)
@@ -89,9 +89,8 @@ class TestProxJoint:
         for _ in range(20):
             z = PrimalDualPoint(rng.normal(size=3), rng.normal(size=2))
             gamma = float(rng.uniform(0.1, 2.0))
-            joint = prox_joint(theta, omega, gamma, z)
-            stacked = stacked_fn.prox(gamma, z.stacked())
-            assert np.array_equal(joint.stacked(), stacked)
+            per_block = np.concatenate([theta.prox(gamma, z.x), omega.prox(gamma, z.y)])
+            assert np.array_equal(stacked_fn.prox(gamma, z.stacked()), per_block)
 
 
 class TestProperties:
@@ -102,7 +101,7 @@ class TestProperties:
                 u = rng.normal(size=4) * 2.0
                 v = rng.normal(size=4) * 2.0
                 gamma = float(rng.uniform(0.05, 3.0))
-                d_out = np.linalg.norm(prox(f, gamma, u) - prox(f, gamma, v))
+                d_out = np.linalg.norm(f.prox(gamma, u) - f.prox(gamma, v))
                 assert d_out <= np.linalg.norm(u - v) + 1e-12
 
     def test_prox_inequality(self):
@@ -115,7 +114,7 @@ class TestProperties:
                 if f.is_indicator:
                     z = f.prox(1.0, z)  # keep f(z) finite so the bound is informative
                 gamma = float(rng.uniform(0.05, 3.0))
-                zp = prox(f, gamma, zc)
+                zp = f.prox(gamma, zc)
                 lhs = f.value(z) + (np.linalg.norm(z - zc) ** 2 - np.linalg.norm(z - zp) ** 2) / (2 * gamma)
                 rhs = f.value(zp) + np.linalg.norm(zp - zc) ** 2 / (2 * gamma)
                 assert lhs >= rhs - 1e-10
@@ -127,7 +126,7 @@ class TestProperties:
                 v = float(rng.uniform(-3.0, 3.0))
                 gamma = float(rng.uniform(0.1, 2.0))
                 expect = grid_prox_1d(f, gamma, v, bound=8.0)
-                got = prox(f, gamma, np.array([v]))[0]
+                got = f.prox(gamma, np.array([v]))[0]
                 assert got == pytest.approx(expect, abs=2e-4)
 
     def test_grid_search_equivalence_2d(self):
@@ -137,17 +136,17 @@ class TestProperties:
                 v = rng.uniform(-3.0, 3.0, size=2)
                 gamma = float(rng.uniform(0.1, 2.0))
                 expect = grid_prox_2d(f, gamma, v, bound=8.0)
-                got = prox(f, gamma, v)
+                got = f.prox(gamma, v)
                 np.testing.assert_allclose(got, expect, atol=2e-4)
 
     def test_fixed_points(self):
-        # prox(gamma, v) = v whenever 0 is a subgradient at v
-        np.testing.assert_allclose(prox(ScaledL1(1.0), 0.7, np.zeros(3)), np.zeros(3), atol=0.0)
-        np.testing.assert_allclose(prox(ScaledL2(2.0), 0.7, np.zeros(3)), np.zeros(3), atol=0.0)
+        # f.prox(gamma, v) = v whenever 0 is a subgradient at v
+        np.testing.assert_allclose(ScaledL1(1.0).prox(0.7, np.zeros(3)), np.zeros(3), atol=0.0)
+        np.testing.assert_allclose(ScaledL2(2.0).prox(0.7, np.zeros(3)), np.zeros(3), atol=0.0)
         v = np.array([-1.0, -0.5])
-        np.testing.assert_allclose(prox(PositivePartSum(1.0), 0.7, v), v, atol=0.0)
+        np.testing.assert_allclose(PositivePartSum(1.0).prox(0.7, v), v, atol=0.0)
         inside = np.array([0.2, -0.1])
-        np.testing.assert_allclose(prox(BallIndicator(np.zeros(2), 1.0), 0.7, inside), inside, atol=0.0)
+        np.testing.assert_allclose(BallIndicator(np.zeros(2), 1.0).prox(0.7, inside), inside, atol=0.0)
 
 
 class TestBlockSeparable:

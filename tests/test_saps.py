@@ -209,13 +209,13 @@ class TestRunSaps:
         assert rec.ks == [3, 6, 7]
 
     def test_metric_hooks_receive_average(self):
-        prob = SapsProblem(BilinearOracle(2), ScaledL1(1.0), ScaledL1(1.0),
-                           known_saddle=PrimalDualPoint(np.zeros(2), np.zeros(2)))
+        prob = SapsProblem(BilinearOracle(2), ScaledL1(1.0), ScaledL1(1.0))
+        z_star = PrimalDualPoint(np.zeros(2), np.zeros(2))
         seen = []
 
         def hook(k, z, avg):
             seen.append(k)
-            return {"d": avg.distance_to(prob.known_saddle)}
+            return {"d": avg.distance_to(z_star)}
 
         rec = run_saps(prob, make_config(5, thin=2), [hook])
         assert seen == [2, 4, 5]
@@ -532,7 +532,7 @@ class TestGapTrend:
         z_star = PrimalDualPoint(np.zeros(3), np.zeros(3))
         oracle = BilinearOracle(3)
         for theta in (ScaledL1(1.0), ScaledL2(1.0), PositivePartSum(1.0)):
-            prob = SapsProblem(oracle, theta, theta, known_saddle=z_star)
+            prob = SapsProblem(oracle, theta, theta)
             ev = BilinearEvaluator(oracle, theta, theta)
             use_gap = isinstance(theta, PositivePartSum)
             medians = []
