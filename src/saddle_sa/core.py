@@ -166,11 +166,7 @@ class StepSchedule:
             if not (0.0 < self.dist_estimate < math.inf and 0.0 < self.M_estimate < math.inf):
                 raise ValueError("dist_estimate and M_estimate must be positive and finite")
         if self.horizon is not None:
-            # Steps never grow with k, so the one at the horizon is the smallest.
-            last = gamma_at(self, self.horizon)
-            if not 0.0 < last < math.inf:
-                raise ValueError(f"the step size at the horizon N={self.horizon} is {last!r}; "
-                                 "it must be positive and finite")
+            _check_last_step(self, self.horizon)
 
 
 def gamma_at(schedule: StepSchedule, k: int) -> float:
@@ -186,6 +182,13 @@ def gamma_at(schedule: StepSchedule, k: int) -> float:
     if schedule.kind == "harmonic":
         return schedule.theta / k
     return schedule.theta / math.sqrt(k)
+
+
+def _check_last_step(schedule: StepSchedule, horizon: int) -> None:
+    # Steps never grow with k, so a valid step at the horizon makes every step 1..horizon valid.
+    last = gamma_at(schedule, horizon)
+    if not 0.0 < last < math.inf:
+        raise ValueError(f"the step size at the horizon N={horizon} is {last!r}; it must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -207,6 +210,7 @@ class RunConfig:
             raise ValueError("trace_thinning must be >= 1")
         if self.seed < 0 or self.stream_id < 0:
             raise ValueError("seed and stream_id must be nonnegative")
+        _check_last_step(self.schedule, self.horizon)
 
     def random_source(self) -> "RandomSource":
         return RandomSource(self.seed, self.stream_id)

@@ -4,14 +4,17 @@ Supports the line-oriented LIBSVM sparse text format
 (``<label> <index>:<value> ...`` with 1-based ascending indices, ``#``
 comments, LF or CRLF endings) and synthetic Gaussian class mixtures for
 desk-scale runs. A dataset is one read-only dense (points, feature_dim)
-matrix per class, so parsing a file takes points x largest index x 8 bytes;
-a class whose matrix cannot be allocated is a DataError.
+matrix per class, so parsing a file takes points x largest index x 8 bytes,
+plus 16 bytes per written entry until the matrices are filled; a class whose
+matrix cannot be allocated is a DataError.
 """
 
 from __future__ import annotations
 
 import io
 import math
+from array import array
+from collections import defaultdict
 
 import numpy as np
 
@@ -130,7 +133,8 @@ def parse_libsvm(source) -> ClassGroupedDataset:
     malformed token, and DataError when no data line is present or a class's
     dense matrix cannot be allocated.
     """
-    classes: dict = {}
+    # label -> flat column indices, values and row offsets, in first-appearance order
+    classes = defaultdict(lambda: (array("q"), array("d"), array("q", [0])))
     max_index = 0
     for lineno, raw in enumerate(_iter_lines(source), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -141,7 +145,7 @@ def parse_libsvm(source) -> ClassGroupedDataset:
             label = int(tokens[0])
         except ValueError:
             raise ParseError(lineno, f"non-numeric label {tokens[0]!r}") from None
-        indices, values = [], []
+        cols, vals, offsets = classes[label]
         prev = 0
         for token in tokens[1:]:
             idx_s, sep, val_s = token.partition(":")
@@ -161,22 +165,26 @@ def parse_libsvm(source) -> ClassGroupedDataset:
                 raise ParseError(lineno, f"indices not strictly ascending at {idx}")
             if not math.isfinite(val):
                 raise ParseError(lineno, f"non-finite value {val_s!r}")
-            indices.append(idx - 1)
-            values.append(val)
+            try:
+                cols.append(idx - 1)
+            except OverflowError:
+                raise DataError(f"line {lineno}: feature index {idx} does not fit in a dense matrix") from None
+            vals.append(val)
             prev = idx
+        offsets.append(len(cols))
         max_index = max(max_index, prev)
-        classes.setdefault(label, []).append((indices, values))
     if not classes:
         raise DataError("empty input: no data lines found")
     out = {}
-    for label, rows in classes.items():
+    for label, (cols, vals, offsets) in classes.items():
+        points = len(offsets) - 1
         try:
-            mat = np.zeros((len(rows), max_index))
+            mat = np.zeros((points, max_index))
         except (MemoryError, ValueError):
-            raise DataError(f"class {label} with {len(rows)} point(s) and largest feature index "
+            raise DataError(f"class {label} with {points} point(s) and largest feature index "
                             f"{max_index} does not fit in memory as a dense matrix") from None
-        for row, (indices, values) in zip(mat, rows):
-            row[indices] = values
+        rows = np.repeat(np.arange(points), np.diff(np.frombuffer(offsets, dtype=np.int64)))
+        mat[rows, np.frombuffer(cols, dtype=np.int64)] = np.frombuffer(vals, dtype=np.float64)
         out[label] = mat
     return ClassGroupedDataset(out, max_index)
 

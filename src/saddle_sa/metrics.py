@@ -70,16 +70,12 @@ class FiniteSumMinimaxEvaluator:
         self.theta = theta
         self.omega = omega
 
-    def sample(self, rng, z: PrimalDualPoint) -> MinimaxSample:
-        """Pool-mean value and gradients at z; `rng` is ignored."""
-        return self.oracle.evaluate_batch(z.x, z.y, self._signed)
-
     def draws(self, rng, count: int) -> np.ndarray:
         return np.empty((count, 0))
 
     def evaluate_rows(self, X: np.ndarray, Y: np.ndarray, _) -> MinimaxSample:
         """Pool-mean values and gradients at each row of (X, Y), each row
-        rounding as `sample` does."""
+        rounding as `evaluate_batch` does at that point alone."""
         V, GX, GY = np.empty(X.shape[0]), np.empty_like(X), np.empty_like(Y)
         for t in range(X.shape[0]):
             s = self.oracle.evaluate_batch(X[t], Y[t], self._signed)
@@ -87,7 +83,7 @@ class FiniteSumMinimaxEvaluator:
         return MinimaxSample(V, GX, GY)
 
     def phi(self, x: np.ndarray, y: np.ndarray) -> float:
-        value = self.sample(None, PrimalDualPoint(x, y)).value
+        value = self.oracle.evaluate_batch(x, y, self._signed).value
         return self.theta.value(x) + value - self.omega.value(y)
 
 

@@ -5,12 +5,13 @@ the sampled coupling term; the descent/ascent sign convention is applied by
 the solver step, not here. Conic oracles return sampled objective and
 constraint data with the constraint Jacobian as a dense array.
 
-Each oracle splits sampling into `draw` (consumes randomness) and `evaluate`
-(deterministic given the draw), so tests can freeze a draw and probe
-gradients by finite differences. The minimax oracles also draw and evaluate
-row-wise: `draws(rng, count)` stacks count draws, with the bits of count
-`draw` calls, and `evaluate_rows(X, Y, draws)` evaluates row t of (X, Y) at
-draw t, each row rounding as `evaluate` does.
+Each oracle splits sampling into a draw (consumes randomness) and an
+evaluation (deterministic given the draw), in its solver's one form. The
+minimax oracles serve SAPS, which advances trials as rows: `draws(rng, count)`
+stacks count draws with the bits of count single ones, and
+`evaluate_rows(X, Y, draws)` evaluates row t of (X, Y) at draw t, each row
+rounding as 1-D arithmetic does. The Neyman-Pearson oracle serves LSAAL, one
+sample per outer iteration: `draw(rng)`, `evaluate(x, draw)`, `sample(rng, x)`.
 """
 
 from __future__ import annotations
@@ -36,11 +37,13 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class MinimaxSample:
-    """One oracle call: sampled value F(x,y,xi) and block gradients.
+    """Sampled values F(x,y,xi) and block gradients of the coupling term:
+    row arrays (T,), (T, n), (T, m) from `evaluate_rows`, or a pool mean (a
+    float and 1-D gradients) from `TanhOracle.evaluate_batch`.
 
     grad_x estimates an element of the x-subdifferential of the coupling term
-    and grad_y one of the y-superdifferential; the solver consumes the stacked
-    direction (grad_x, -grad_y).
+    and grad_y one of the y-superdifferential; the solver steps along the
+    stacked direction (-grad_x | grad_y).
     """
 
     value: float
@@ -77,32 +80,19 @@ class BilinearOracle:
     def Q(self) -> np.ndarray:
         return np.full((self.n, self.n), 0.25) + (1.0 / 3.0 - 0.25) * np.eye(self.n)
 
-    def draw(self, rng: np.random.Generator) -> np.ndarray:
-        return self.draws(rng, 1)[0]
-
     def draws(self, rng: np.random.Generator, count: int) -> np.ndarray:
         return rng.random((count, self.n))
-
-    def evaluate(self, z: PrimalDualPoint, xi: np.ndarray) -> MinimaxSample:
-        return _first_row(self.evaluate_rows(z.x[None], z.y[None], np.asarray(xi, dtype=float)[None]))
 
     def evaluate_rows(self, X: np.ndarray, Y: np.ndarray, xi: np.ndarray) -> MinimaxSample:
         tx = _row_dots(xi, X)
         ty = _row_dots(xi, Y)
         return MinimaxSample(tx * ty, xi * ty[:, None], xi * tx[:, None])
 
-    def sample(self, rng: np.random.Generator, z: PrimalDualPoint) -> MinimaxSample:
-        return self.evaluate(z, self.draw(rng))
-
     def exact_expectation(self, z: PrimalDualPoint):
         Q = self.Q
         gx = Q @ z.y
         gy = Q @ z.x
         return float(z.x @ gx), gx, gy
-
-
-def _first_row(sample: MinimaxSample) -> MinimaxSample:
-    return MinimaxSample(float(sample.value[0]), sample.grad_x[0], sample.grad_y[0])
 
 
 def _sign_rows(t: np.ndarray) -> np.ndarray:
@@ -130,14 +120,8 @@ class TanhOracle:
         self.n = self.xbar.shape[0]
         self.m = self.n
 
-    def draw(self, rng: np.random.Generator) -> np.ndarray:
-        return self.draws(rng, 1)[0]
-
     def draws(self, rng: np.random.Generator, count: int) -> np.ndarray:
         return rng.random((count, 2, self.n))
-
-    def evaluate(self, z: PrimalDualPoint, u: np.ndarray) -> MinimaxSample:
-        return _first_row(self.evaluate_rows(z.x[None], z.y[None], np.asarray(u, dtype=float)[None]))
 
     def evaluate_rows(self, X: np.ndarray, Y: np.ndarray, U: np.ndarray) -> MinimaxSample:
         u1, u2 = U[:, 0], U[:, 1]
@@ -148,9 +132,6 @@ class TanhOracle:
         grad_x = (-v1 * (1.0 - a * a) * b)[:, None] * u1
         grad_y = (-v2 * a * (1.0 - b * b))[:, None] * u2
         return MinimaxSample(1.0 - a * b, grad_x, grad_y)
-
-    def sample(self, rng: np.random.Generator, z: PrimalDualPoint) -> MinimaxSample:
-        return self.evaluate(z, self.draw(rng))
 
     def signed_pool(self, draws) -> np.ndarray:
         """A stack of draws (k, 2, n) with each u1 row multiplied by its label

@@ -3,7 +3,8 @@
 Every kind here admits a closed-form prox; none is solved by an inner
 iteration, which keeps the prox exact to rounding and removes one error
 source from rate measurements. `f.prox(gamma, v)` returns the unique
-minimizer of  f(w) + ||w - v||^2 / (2*gamma).
+minimizer of  f(w) + ||w - v||^2 / (2*gamma); each kind writes it once, as
+the row-wise `_prox_rows`.
 """
 
 from __future__ import annotations
@@ -39,10 +40,9 @@ class ProximableFunction:
         raise NotImplementedError
 
     def _prox_rows(self, gamma: float, V: np.ndarray) -> np.ndarray:
-        """Unchecked prox of each row of the 2-D float array V, each row
-        rounding as `prox` does on it alone; kinds with a vectorized form
-        override this row loop."""
-        return np.array([self.prox(gamma, v) for v in V])
+        """Unchecked prox of each row of the 2-D float array V; `prox` is its
+        checked one-row case."""
+        raise NotImplementedError
 
     def subgradient(self, v: np.ndarray) -> np.ndarray:
         """A minimum-norm subgradient at v (0 whenever 0 is a subgradient)."""
@@ -250,8 +250,11 @@ class BoxIndicator(ProximableFunction):
         return 0.0 if self.contains(v) else math.inf
 
     def prox(self, gamma, v):
-        self._check_gamma(gamma)
-        return np.clip(as_vector(v, dim=self.lo.shape[0]), self.lo, self.hi)
+        # Elementwise, so the row-wise form serves a single vector too.
+        return self._prox_rows(self._check_gamma(gamma), as_vector(v, dim=self.lo.shape[0]))
+
+    def _prox_rows(self, gamma, V):
+        return np.clip(V, self.lo, self.hi)
 
     def subgradient(self, v):
         if not self.contains(v):

@@ -16,7 +16,9 @@ averaged point.
 The solver advances the independent trials of one horizon together: row t of
 the (T, n + m) iterate array is trial t. Every trial owns its random stream,
 so a trial gives the same bits in a batch of any size; `run_saps` is the
-one-trial batch.
+one-trial batch. The oracle serves the batch in its row form only:
+`draws(rng, count)` stacks a trial's draws and `evaluate_rows(X, Y, draws)`
+returns one gradient row per trial.
 """
 
 from __future__ import annotations
@@ -53,11 +55,6 @@ class SapsProblem:
     omega: ProximableFunction
 
 
-# ---------------------------------------------------------------------------
-# The update, row by row
-# ---------------------------------------------------------------------------
-
-
 def _fold(avg, weight: float, z, gamma: float):
     """Fold iterate rows z into their gamma-weighted running averages.
 
@@ -70,11 +67,6 @@ def _fold(avg, weight: float, z, gamma: float):
     return avg + (gamma / total) * (z - avg), total
 
 
-# ---------------------------------------------------------------------------
-# The batch loop
-# ---------------------------------------------------------------------------
-
-
 def _default_initial(rng: np.random.Generator, n: int, m: int) -> PrimalDualPoint:
     v = rng.uniform(-1.0, 1.0, size=n + m)
     return PrimalDualPoint(v[:n], v[n:])
@@ -83,10 +75,9 @@ def _default_initial(rng: np.random.Generator, n: int, m: int) -> PrimalDualPoin
 class _Trials:
     """The rows still running in a batch: their streams, records and draws.
 
-    An oracle with `draws(rng, count)` and `evaluate_rows(X, Y, draws)` gets
-    each trial's draws PREFETCH_ROWS at a time, which yields the bits of one
-    draw per iteration; any other oracle is sampled through `sample(rng, z)`
-    one row at a time.
+    Each trial's draws come from `oracle.draws(rng, count)`, PREFETCH_ROWS at
+    a time, which yields the bits of one draw per iteration; each step's
+    gradients come from one `oracle.evaluate_rows(X, Y, draws)`.
     """
 
     def __init__(self, oracle, rngs, horizon: int):
@@ -94,17 +85,12 @@ class _Trials:
         self.rngs = rngs
         self.index = list(range(len(rngs)))  # row -> position in the caller's list
         self.records = [RunRecord() for _ in rngs]
-        self.rows_form = hasattr(oracle, "evaluate_rows")
         self.undrawn = horizon
-        self.block = None
+        self.block = np.empty((0, len(rngs)))  # prefetched draws, (draws, rows, ...); none yet
         self.cursor = 0
 
     def gradients(self, X, Y):
-        if not self.rows_form:
-            samples = [self.oracle.sample(rng, PrimalDualPoint(x, y))
-                       for rng, x, y in zip(self.rngs, X, Y)]
-            return np.array([s.grad_x for s in samples]), np.array([s.grad_y for s in samples])
-        if self.block is None or self.cursor == self.block.shape[0]:
+        if self.cursor == self.block.shape[0]:
             count = min(PREFETCH_ROWS, self.undrawn)
             self.block = np.stack([self.oracle.draws(rng, count) for rng in self.rngs], axis=1)
             self.undrawn -= count
@@ -125,8 +111,7 @@ class _Trials:
         self.rngs = [r for r, k in zip(self.rngs, keep) if k]
         self.index = [i for i, k in zip(self.index, keep) if k]
         self.records = [r for r, k in zip(self.records, keep) if k]
-        if self.block is not None:
-            self.block = self.block[:, keep]
+        self.block = self.block[:, keep]
         return keep
 
 
@@ -183,9 +168,7 @@ def run_saps_batch(problem: SapsProblem, configs, metric_hooks=()) -> list:
     avg, weight = Z, 0.0
     t0 = time.perf_counter()
     for k in range(1, horizon + 1):
-        gamma = gamma_at(schedule, k)
-        if not 0.0 < gamma < math.inf:
-            raise ValueError(f"gamma must be positive and finite, got {gamma} at iteration {k}")
+        gamma = gamma_at(schedule, k)  # positive and finite: RunConfig checks the last step
         if averaging:
             avg, weight = _fold(avg, weight, Z, gamma)
         else:

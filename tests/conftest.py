@@ -16,6 +16,7 @@ from saddle_sa import (
     BallIndicator,
     BilinearOracle,
     BoxIndicator,
+    MinimaxSample,
     NeymanPearsonOracle,
     PositivePartSum,
     ScaledL1,
@@ -113,7 +114,8 @@ def grid_prox_2d(f, gamma: float, v: np.ndarray, bound: float,
 
 
 def scalar_evaluate(oracle, z, d):
-    """Bilinear or tanh `evaluate` as a 1-D formula: (value, grad_x, grad_y)."""
+    """Bilinear or tanh `evaluate_rows` of one row as a 1-D formula:
+    (value, grad_x, grad_y)."""
     if isinstance(oracle, BilinearOracle):
         tx = float(d @ z.x)
         ty = float(d @ z.y)
@@ -124,6 +126,13 @@ def scalar_evaluate(oracle, z, d):
     a = math.tanh(v1 * float(z.x @ u1))
     b = math.tanh(v2 * float(z.y @ u2))
     return 1.0 - a * b, (-v1 * (1.0 - a * a) * b) * u1, (-v2 * a * (1.0 - b * b)) * u2
+
+
+def evaluate_one(oracle, z, d):
+    """A row-form minimax oracle at one point and one draw: the one-row case
+    of `evaluate_rows`, with a float value and 1-D gradients."""
+    s = oracle.evaluate_rows(z.x[None], z.y[None], np.asarray(d, dtype=float)[None])
+    return MinimaxSample(float(s.value[0]), s.grad_x[0], s.grad_y[0])
 
 
 def recording_hook(seen: list):

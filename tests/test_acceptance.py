@@ -15,7 +15,7 @@ import saddle_sa as sa
 from saddle_sa import metrics as M
 from saddle_sa.cli import load_config, run_experiment
 from saddle_sa.lsaal import estimate_constants, multiplier_bound_diagnostics
-from conftest import grid_prox_1d, grid_prox_2d, random_prox_instances
+from conftest import evaluate_one, grid_prox_1d, grid_prox_2d, random_prox_instances
 
 
 def check(num, name, ok, detail=""):
@@ -145,9 +145,8 @@ def test_criterion_04_oracle_unbiasedness_and_gradients(np_instance):
     rng = sa.RandomSource(404).generator()
     z = sa.PrimalDualPoint(rng.normal(size=3), rng.normal(size=3))
     n_samples = 100_000
-    grads = np.empty((n_samples, 3))
-    for i in range(n_samples):
-        grads[i] = oracle.sample(rng, z).grad_x
+    grads = oracle.evaluate_rows(np.tile(z.x, (n_samples, 1)), np.tile(z.y, (n_samples, 1)),
+                                 oracle.draws(rng, n_samples)).grad_x
     target = oracle.Q @ z.y
     se = grads.std(axis=0, ddof=1) / math.sqrt(n_samples)
     dev = np.abs(grads.mean(axis=0) - target)
@@ -166,15 +165,15 @@ def test_criterion_04_oracle_unbiasedness_and_gradients(np_instance):
     tanh_oracle = sa.TanhOracle(rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3))
     for _ in range(50):
         zb = sa.PrimalDualPoint(rng.normal(size=3), rng.normal(size=3))
-        xi = oracle.draw(rng)
-        samp = oracle.evaluate(zb, xi)
-        grad_ok &= fd_ok(lambda x: oracle.evaluate(sa.PrimalDualPoint(x, zb.y), xi).value, samp.grad_x, zb.x)
-        grad_ok &= fd_ok(lambda y: oracle.evaluate(sa.PrimalDualPoint(zb.x, y), xi).value, samp.grad_y, zb.y)
+        xi = oracle.draws(rng, 1)[0]
+        samp = evaluate_one(oracle, zb, xi)
+        grad_ok &= fd_ok(lambda x: evaluate_one(oracle, sa.PrimalDualPoint(x, zb.y), xi).value, samp.grad_x, zb.x)
+        grad_ok &= fd_ok(lambda y: evaluate_one(oracle, sa.PrimalDualPoint(zb.x, y), xi).value, samp.grad_y, zb.y)
 
-        u = tanh_oracle.draw(rng)
-        st = tanh_oracle.evaluate(zb, u)
-        grad_ok &= fd_ok(lambda x: tanh_oracle.evaluate(sa.PrimalDualPoint(x, zb.y), u).value, st.grad_x, zb.x)
-        grad_ok &= fd_ok(lambda y: tanh_oracle.evaluate(sa.PrimalDualPoint(zb.x, y), u).value, st.grad_y, zb.y)
+        u = tanh_oracle.draws(rng, 1)[0]
+        st = evaluate_one(tanh_oracle, zb, u)
+        grad_ok &= fd_ok(lambda x: evaluate_one(tanh_oracle, sa.PrimalDualPoint(x, zb.y), u).value, st.grad_x, zb.x)
+        grad_ok &= fd_ok(lambda y: evaluate_one(tanh_oracle, sa.PrimalDualPoint(zb.x, y), u).value, st.grad_y, zb.y)
 
         npo = np_instance
         x = npo.feasible_set.prox(1.0, rng.normal(size=npo.dim) * 2.0)

@@ -179,7 +179,7 @@ def hand_rolled_tanh_reference(config):
     """The tanh reference solve written out as a plain loop, without run_saps."""
     rng, xbar, ybar = cli._tanh_anchors(config)
     oracle = TanhOracle(xbar, ybar)
-    draws = np.stack([oracle.draw(rng) for _ in range(config.ref_pool_size)])
+    draws = np.stack([oracle.draws(rng, 1)[0] for _ in range(config.ref_pool_size)])
     u1, u2 = draws[:, 0, :], draws[:, 1, :]
     v1, v2 = np.where(u1 @ xbar >= 0.0, 1.0, -1.0), np.where(u2 @ ybar >= 0.0, 1.0, -1.0)
     theta = cli._regularizer(config.regularizer, config.mu)

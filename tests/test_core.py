@@ -168,6 +168,13 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             RunConfig(horizon=1, seed=1, schedule=sch, trace_thinning=0)
 
+    def test_horizon_beyond_schedule_horizon_rejected_at_construction(self):
+        # The run would otherwise fail at iteration 101, after 100 steps of work.
+        sch = StepSchedule("const_over_sqrt_n", horizon=100)
+        with pytest.raises(ValueError, match="iteration 200 exceeds schedule horizon 100"):
+            RunConfig(horizon=200, seed=1, schedule=sch)
+        assert RunConfig(horizon=100, seed=1, schedule=sch).horizon == 100
+
 
 class TestProblemConstants:
     def test_beta0(self):

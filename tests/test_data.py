@@ -74,6 +74,36 @@ class TestParser:
         assert str(err.value) == (f"class 1 with 1 point(s) and largest feature index {2**62} "
                                   "does not fit in memory as a dense matrix")
 
+    def test_index_beyond_int64_is_data_error(self):
+        with pytest.raises(DataError, match=f"line 2: feature index {2**64} does not fit"):
+            parse_libsvm(f"1 1:1\n2 {2**64}:1\n")
+
+    def test_matrices_match_per_line_reference(self):
+        # Interleaved classes, label-only lines, explicit zeros and a -0.0,
+        # against each line written into its own dense row.
+        rng = np.random.default_rng(17)
+        lines = ["3", "1 2:-0.0 5:0", "2 1:0.0"]
+        for _ in range(200):
+            row = rng.normal(size=9) * (rng.random(9) < 0.4)
+            kept = [(i, v) for i, v in enumerate(row.tolist(), start=1) if v != 0.0 or rng.random() < 0.2]
+            lines.append(" ".join([str(int(rng.integers(1, 5)))] + [f"{i}:{v!r}" for i, v in kept]))
+        lines.append("4")
+        ds = parse_libsvm("\n".join(lines) + "\n")
+        reference = {}
+        for line in lines:
+            label, *tokens = line.split()
+            row = np.zeros(9)
+            for token in tokens:
+                idx, val = token.split(":")
+                row[int(idx) - 1] = float(val)
+            reference.setdefault(int(label), []).append(row)
+        assert ds.labels == list(reference) == [3, 1, 2, 4] and ds.feature_dim == 9
+        for label, rows in reference.items():
+            expect = np.array(rows)
+            assert np.array_equal(ds.classes[label], expect)
+            assert np.array_equal(np.signbit(ds.classes[label]), np.signbit(expect))
+        assert np.signbit(ds.classes[1][0, 1])
+
     def test_empty_input_rejected(self):
         with pytest.raises(DataError):
             parse_libsvm("")

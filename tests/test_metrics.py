@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import evaluate_one, scalar_evaluate
 from saddle_sa import (
     BallIndicator,
     BilinearEvaluator,
@@ -201,15 +202,15 @@ class TestEvaluators:
     def test_finite_sum_matches_manual_average(self):
         rng = RandomSource(2).generator()
         oracle = TanhOracle(rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3))
-        draws = [oracle.draw(rng) for _ in range(20)]
+        draws = [oracle.draws(rng, 1)[0] for _ in range(20)]
         theta = ScaledL1(1.0)
         ev = FiniteSumMinimaxEvaluator(oracle, draws, theta, theta)
         z = PrimalDualPoint(rng.normal(size=3), rng.normal(size=3))
-        manual = np.mean([oracle.evaluate(z, d).value for d in draws])
+        per_draw = [evaluate_one(oracle, z, d) for d in draws]
+        manual = np.mean([s.value for s in per_draw])
         expect = theta.value(z.x) + manual - theta.value(z.y)
         assert ev.phi(z.x, z.y) == pytest.approx(expect, rel=1e-12)
-        pooled = ev.sample(None, z)
-        per_draw = [oracle.evaluate(z, d) for d in draws]
+        pooled = evaluate_one(ev, z, ev.draws(None, 1)[0])
         assert pooled.value == pytest.approx(manual, rel=1e-12)
         np.testing.assert_allclose(pooled.grad_x, np.mean([s.grad_x for s in per_draw], axis=0), rtol=1e-12)
         np.testing.assert_allclose(pooled.grad_y, np.mean([s.grad_y for s in per_draw], axis=0), rtol=1e-12)
@@ -222,6 +223,7 @@ class TestEvaluators:
         ev = FiniteSumMinimaxEvaluator(oracle, oracle.draws(rng, 500), theta, theta)
         draw_rng = RandomSource(7).generator()
         state = draw_rng.bit_generator.state
+        signed = oracle.signed_pool(ev.pool)
         for _ in range(50):
             X, Y = rng.uniform(-2, 2, (T, 4)), rng.uniform(-2, 2, (T, 4))
             empty = ev.draws(draw_rng, T)
@@ -229,7 +231,7 @@ class TestEvaluators:
             rows = ev.evaluate_rows(X, Y, empty)
             assert rows.value.shape == (T,)
             for t in range(T):
-                single = ev.sample(None, PrimalDualPoint(X[t], Y[t]))
+                single = oracle.evaluate_batch(X[t], Y[t], signed)
                 assert rows.value[t] == single.value
                 assert np.array_equal(rows.grad_x[t], single.grad_x)
                 assert np.array_equal(rows.grad_y[t], single.grad_y)
@@ -244,7 +246,7 @@ class TestEvaluators:
 
 
 def per_draw_m_star(oracle, theta, omega, rng, n_points, n_draws, radius):
-    """estimate_m_star with one oracle.sample call per draw."""
+    """estimate_m_star with one draw and one 1-D evaluation at a time."""
     n, m = oracle.n, oracle.m
     worst = 0.0
     for _ in range(n_points):
@@ -253,8 +255,8 @@ def per_draw_m_star(oracle, theta, omega, rng, n_points, n_draws, radius):
         vx, vy = theta.subgradient(z.x), omega.subgradient(z.y)
         acc = 0.0
         for _ in range(n_draws):
-            s = oracle.sample(rng, z)
-            dx, dy = vx + s.grad_x, vy - s.grad_y
+            _, gx, gy = scalar_evaluate(oracle, z, oracle.draws(rng, 1)[0])
+            dx, dy = vx + gx, vy - gy
             acc += float(dx @ dx + dy @ dy)
         worst = max(worst, acc / n_draws)
     return math.sqrt(worst)

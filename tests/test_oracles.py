@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import scalar_evaluate
+from conftest import evaluate_one, scalar_evaluate
 from saddle_sa import (
     BilinearOracle,
     ClassGroupedDataset,
@@ -65,7 +65,7 @@ def finite_diff_check(value_fn, grad, point, step=1e-6, rel_tol=1e-5):
 
 
 class TestRowWiseSampling:
-    """draws/evaluate_rows against one draw/evaluate at a time, bit for bit."""
+    """draws/evaluate_rows against one draw and the 1-D formulas, bit for bit."""
 
     @pytest.mark.parametrize("n", [1, 3, 8])
     def test_rows_match_scalar_formulas(self, n):
@@ -82,23 +82,20 @@ class TestRowWiseSampling:
                     value, gx, gy = scalar_evaluate(oracle, z, D[t])
                     assert rows.value[t] == value
                     assert np.array_equal(rows.grad_x[t], gx) and np.array_equal(rows.grad_y[t], gy)
-                    one = oracle.evaluate(z, D[t])
-                    assert one.value == value and type(one.value) is float
-                    assert np.array_equal(one.grad_x, gx) and np.array_equal(one.grad_y, gy)
 
     @pytest.mark.parametrize("oracle", [BilinearOracle(3), TanhOracle(np.ones(3), -np.ones(3))],
                              ids=["bilinear", "tanh"])
     def test_block_of_draws_has_the_bits_of_single_draws(self, oracle):
         block = oracle.draws(RandomSource(3, 9).generator(), 50)
         rng = RandomSource(3, 9).generator()
-        singles = np.stack([oracle.draw(rng) for _ in range(50)])
+        singles = np.stack([oracle.draws(rng, 1)[0] for _ in range(50)])
         assert np.array_equal(block, singles)
 
 
 class TestBilinearOracle:
     def test_frozen_xi_hand_example(self):
         oracle = BilinearOracle(1)
-        s = oracle.evaluate(PrimalDualPoint([1.0], [1.0]), np.array([0.5]))
+        s = evaluate_one(oracle, PrimalDualPoint([1.0], [1.0]), [0.5])
         assert s.value == pytest.approx(0.25)
         np.testing.assert_allclose(s.grad_x, [0.25], atol=0.0)
         np.testing.assert_allclose(s.grad_y, [0.25], atol=0.0)
@@ -107,7 +104,7 @@ class TestBilinearOracle:
         oracle = BilinearOracle(3)
         rng = RandomSource(1).generator()
         z = PrimalDualPoint(np.zeros(3), rng.normal(size=3))
-        s = oracle.sample(rng, z)
+        s = evaluate_one(oracle, z, oracle.draws(rng, 1)[0])
         np.testing.assert_allclose(s.grad_y, np.zeros(3), atol=0.0)
 
     def test_exact_expectation_2d(self):
@@ -133,9 +130,8 @@ class TestBilinearOracle:
         rng = RandomSource(7).generator()
         z = PrimalDualPoint(rng.normal(size=3), rng.normal(size=3))
         n_samples = 20_000
-        grads = np.empty((n_samples, 3))
-        for i in range(n_samples):
-            grads[i] = oracle.sample(rng, z).grad_x
+        grads = oracle.evaluate_rows(np.tile(z.x, (n_samples, 1)), np.tile(z.y, (n_samples, 1)),
+                                     oracle.draws(rng, n_samples)).grad_x
         target = oracle.Q @ z.y
         se = grads.std(axis=0, ddof=1) / math.sqrt(n_samples)
         assert (np.abs(grads.mean(axis=0) - target) <= 3.0 * se + 1e-12).all()
@@ -145,10 +141,10 @@ class TestBilinearOracle:
         rng = RandomSource(3).generator()
         for _ in range(10):
             z = PrimalDualPoint(rng.normal(size=4), rng.normal(size=4))
-            xi = oracle.draw(rng)
-            s = oracle.evaluate(z, xi)
-            finite_diff_check(lambda x: oracle.evaluate(PrimalDualPoint(x, z.y), xi).value, s.grad_x, z.x)
-            finite_diff_check(lambda y: oracle.evaluate(PrimalDualPoint(z.x, y), xi).value, s.grad_y, z.y)
+            xi = oracle.draws(rng, 1)[0]
+            s = evaluate_one(oracle, z, xi)
+            finite_diff_check(lambda x: evaluate_one(oracle, PrimalDualPoint(x, z.y), xi).value, s.grad_x, z.x)
+            finite_diff_check(lambda y: evaluate_one(oracle, PrimalDualPoint(z.x, y), xi).value, s.grad_y, z.y)
 
 
 class TestTanhOracle:
@@ -159,21 +155,21 @@ class TestTanhOracle:
     def test_zero_x_value_is_one(self):
         oracle, rng = self.make()
         z = PrimalDualPoint(np.zeros(3), rng.normal(size=3))
-        s = oracle.sample(rng, z)
+        s = evaluate_one(oracle, z, oracle.draws(rng, 1)[0])
         assert s.value == pytest.approx(1.0)
 
     def test_zero_x_kills_grad_y(self):
         oracle, rng = self.make()
         z = PrimalDualPoint(np.zeros(3), rng.normal(size=3))
-        s = oracle.sample(rng, z)
+        s = evaluate_one(oracle, z, oracle.draws(rng, 1)[0])
         np.testing.assert_allclose(s.grad_y, np.zeros(3), atol=0.0)
 
     def test_grad_x_at_zero_x(self):
         # sech^2(0) = 1, so grad_x = -v1 * tanh(v2 <y,u2>) * u1
         oracle, rng = self.make()
         z = PrimalDualPoint(np.zeros(3), rng.normal(size=3))
-        u = oracle.draw(rng)
-        s = oracle.evaluate(z, u)
+        u = oracle.draws(rng, 1)[0]
+        s = evaluate_one(oracle, z, u)
         v1 = 1.0 if float(oracle.xbar @ u[0]) >= 0 else -1.0
         v2 = 1.0 if float(oracle.ybar @ u[1]) >= 0 else -1.0
         expected = -v1 * math.tanh(v2 * float(z.y @ u[1])) * u[0]
@@ -183,20 +179,20 @@ class TestTanhOracle:
         oracle, rng = self.make(n=4, seed=8)
         for _ in range(10):
             z = PrimalDualPoint(rng.normal(size=4), rng.normal(size=4))
-            u = oracle.draw(rng)
-            s = oracle.evaluate(z, u)
-            finite_diff_check(lambda x: oracle.evaluate(PrimalDualPoint(x, z.y), u).value, s.grad_x, z.x)
-            finite_diff_check(lambda y: oracle.evaluate(PrimalDualPoint(z.x, y), u).value, s.grad_y, z.y)
+            u = oracle.draws(rng, 1)[0]
+            s = evaluate_one(oracle, z, u)
+            finite_diff_check(lambda x: evaluate_one(oracle, PrimalDualPoint(x, z.y), u).value, s.grad_x, z.x)
+            finite_diff_check(lambda y: evaluate_one(oracle, PrimalDualPoint(z.x, y), u).value, s.grad_y, z.y)
 
     def test_batch_evaluation_matches_per_draw_mean(self):
         oracle, rng = self.make(n=5, seed=13)
         z = PrimalDualPoint(rng.normal(size=5), rng.normal(size=5))
-        draws = [oracle.draw(rng) for _ in range(40)]
-        batch = oracle.evaluate_batch(z.x, z.y, oracle.signed_pool(np.stack(draws)))
-        singles = [oracle.evaluate(z, u) for u in draws]
-        assert batch.value == pytest.approx(np.mean([s.value for s in singles]), rel=1e-12)
-        np.testing.assert_allclose(batch.grad_x, np.mean([s.grad_x for s in singles], axis=0), rtol=1e-12)
-        np.testing.assert_allclose(batch.grad_y, np.mean([s.grad_y for s in singles], axis=0), rtol=1e-12)
+        draws = oracle.draws(rng, 40)
+        batch = oracle.evaluate_batch(z.x, z.y, oracle.signed_pool(draws))
+        singles = oracle.evaluate_rows(np.tile(z.x, (40, 1)), np.tile(z.y, (40, 1)), draws)
+        assert batch.value == pytest.approx(singles.value.mean(), rel=1e-12)
+        np.testing.assert_allclose(batch.grad_x, singles.grad_x.mean(axis=0), rtol=1e-12)
+        np.testing.assert_allclose(batch.grad_y, singles.grad_y.mean(axis=0), rtol=1e-12)
 
 
 class TestNeymanPearsonOracle:

@@ -27,7 +27,14 @@ from saddle_sa import (
 from saddle_sa import saps as saps_module
 
 
-class FrozenXiOracle:
+class DeterministicOracle:
+    """Row-form oracle whose empty draws consume no randomness."""
+
+    def draws(self, rng, count):
+        return np.empty((count, 0))
+
+
+class FrozenXiOracle(DeterministicOracle):
     """Bilinear oracle that always uses the same xi (deterministic)."""
 
     def __init__(self, xi):
@@ -36,21 +43,21 @@ class FrozenXiOracle:
         self.m = self.n
         self._inner = BilinearOracle(self.n)
 
-    def sample(self, rng, z):
-        return self._inner.evaluate(z, self.xi)
+    def evaluate_rows(self, X, Y, _):
+        return self._inner.evaluate_rows(X, Y, np.tile(self.xi, (X.shape[0], 1)))
 
 
-class ExactGradientOracle:
+class ExactGradientOracle(DeterministicOracle):
     """Deterministic oracle returning the exact expectation gradients."""
 
     def __init__(self, n):
-        self._inner = BilinearOracle(n)
+        self.Q = BilinearOracle(n).Q
         self.n = n
         self.m = n
 
-    def sample(self, rng, z):
-        value, gx, gy = self._inner.exact_expectation(z)
-        return MinimaxSample(value, gx, gy)
+    def evaluate_rows(self, X, Y, _):
+        GX, GY = Y @ self.Q.T, X @ self.Q
+        return MinimaxSample((X * GX).sum(axis=1), GX, GY)
 
 
 def make_config(N, seed=0, thin=None, **kw):
@@ -59,14 +66,16 @@ def make_config(N, seed=0, thin=None, **kw):
                      trace_thinning=thin or N, **kw)
 
 
-class ConstantSampleOracle:
+class ConstantSampleOracle(DeterministicOracle):
     """Deterministic oracle returning the same sample at every point."""
 
     def __init__(self, sample, n, m):
         self.fixed, self.n, self.m = sample, n, m
 
-    def sample(self, rng, z):
-        return self.fixed
+    def evaluate_rows(self, X, Y, _):
+        T = X.shape[0]
+        s = self.fixed
+        return MinimaxSample(np.full(T, s.value), np.tile(s.grad_x, (T, 1)), np.tile(s.grad_y, (T, 1)))
 
 
 def one_step(problem, z, gamma):
@@ -108,12 +117,11 @@ class TestSapsStep:
             one_step(prob, PrimalDualPoint([1.0, 2.0], [3.0, 4.0]), 0.1)
 
     def test_gamma_positive_required(self):
-        # A horizon-less schedule is not checked up front: 5e-324 / 2 rounds
-        # to a zero step at k = 2, which the kernel rejects.
-        prob = SapsProblem(BilinearOracle(1), ZeroFunction(), ZeroFunction())
-        cfg = RunConfig(horizon=2, seed=0, schedule=StepSchedule("harmonic", theta=5e-324))
-        with pytest.raises(ValueError, match="gamma must be positive and finite, got 0.0 at iteration 2"):
-            run_saps(prob, cfg)
+        # A horizon-less schedule is checked at the run's horizon: 5e-324 / 2
+        # rounds to a zero step at k = 2, so the config is rejected before any
+        # iteration runs.
+        with pytest.raises(ValueError, match="step size at the horizon N=2 is 0.0"):
+            RunConfig(horizon=2, seed=0, schedule=StepSchedule("harmonic", theta=5e-324))
 
 
 def push_by(shift, gamma):
@@ -230,27 +238,15 @@ class TestRunSaps:
         assert not np.array_equal(a.final_average.stacked(), c.final_average.stacked())
 
     def test_divergence_guard_names_iteration(self):
-        class ExplodingOracle:
-            n = 1
-            m = 1
-
-            def sample(self, rng, z):
-                return MinimaxSample(0.0, np.array([-1e13]), np.array([0.0]))
-
-        prob = SapsProblem(ExplodingOracle(), ZeroFunction(), ZeroFunction())
+        exploding = ConstantSampleOracle(MinimaxSample(0.0, np.array([-1e13]), np.array([0.0])), 1, 1)
+        prob = SapsProblem(exploding, ZeroFunction(), ZeroFunction())
         with pytest.raises(DivergenceError) as err:
             run_saps(prob, make_config(10))
         assert err.value.iteration == 1
 
     def test_gradient_shape_mismatch_is_value_error(self):
-        class ShortGradOracle:
-            n = 2
-            m = 2
-
-            def sample(self, rng, z):
-                return MinimaxSample(0.0, np.zeros(1), np.zeros(2))
-
-        prob = SapsProblem(ShortGradOracle(), ZeroFunction(), ZeroFunction())
+        short_grad = ConstantSampleOracle(MinimaxSample(0.0, np.zeros(1), np.zeros(2)), 2, 2)
+        prob = SapsProblem(short_grad, ZeroFunction(), ZeroFunction())
         with pytest.raises(ValueError):
             run_saps(prob, make_config(10))
 
@@ -293,7 +289,7 @@ def scalar_reference(problem, config, hooks=()):
             out["ks"].append(k)
             out["gammas"].append(gamma)
             out["metrics"].append(values)
-        _, gx, gy = scalar_evaluate(oracle, PrimalDualPoint(x, y), oracle.draw(rng))
+        _, gx, gy = scalar_evaluate(oracle, PrimalDualPoint(x, y), oracle.draws(rng, 1)[0])
         x = problem.theta.prox(gamma, x - gamma * gx)
         y = problem.omega.prox(gamma, y + gamma * gy)
     out["average"], out["iterate"] = np.concatenate([ax, ay]), np.concatenate([x, y])
@@ -442,29 +438,9 @@ class BlowUpOracle(BilinearOracle):
             return MinimaxSample(s.value, s.grad_x * draws[:, -1:], s.grad_y * draws[:, -1:])
 
 
-class BlowUpSampler:
-    """The same blow-up for an oracle that only has sample(rng, z)."""
-
-    n = m = 3
-
-    def __init__(self, stream, at, factor):
-        self.inner = BilinearOracle(3)
-        self.stream, self.at, self.factor = stream, at, factor
-        self.calls = {}
-
-    def sample(self, rng, z):
-        self.calls[id(rng)] = call = self.calls.get(id(rng), 0) + 1
-        s = self.inner.sample(rng, z)
-        if call == self.at and rng.bit_generator.seed_seq.spawn_key == (self.stream,):
-            with np.errstate(invalid="ignore"):
-                return MinimaxSample(s.value, s.grad_x * self.factor, s.grad_y * self.factor)
-        return s
-
-
 class TestBatchDivergence:
     @pytest.mark.parametrize("factor", [math.nan, math.inf, 1e15])
-    @pytest.mark.parametrize("form", ["rows", "sample"])
-    def test_diverged_row_leaves_and_others_run_on(self, form, factor, monkeypatch):
+    def test_diverged_row_leaves_and_others_run_on(self, factor, monkeypatch):
         # PositivePartSum's prox maps NaN to 0: only the check before the
         # prox stops a NaN gradient from becoming a finite iterate.
         monkeypatch.setattr(saps_module, "PREFETCH_ROWS", 4)
@@ -474,8 +450,7 @@ class TestBatchDivergence:
         for regularizer in (ZeroFunction(), PositivePartSum(1.0)):
 
             def problem():
-                oracle = BlowUpOracle(3, stream, 7, factor) if form == "rows" else BlowUpSampler(stream, 7, factor)
-                return SapsProblem(oracle, regularizer, regularizer)
+                return SapsProblem(BlowUpOracle(3, stream, 7, factor), regularizer, regularizer)
 
             outcomes = run_saps_batch(problem(), configs, [probe_hook])
             with pytest.raises(DivergenceError) as solo_error:
@@ -508,13 +483,8 @@ class TestBatchDivergence:
         assert kinds == {"diverged", "finished"}
 
     def test_every_row_diverging_ends_the_batch(self):
-        class Exploding:
-            n = m = 1
-
-            def sample(self, rng, z):
-                return MinimaxSample(0.0, np.array([-1e13]), np.array([0.0]))
-
-        problem = SapsProblem(Exploding(), ZeroFunction(), ZeroFunction())
+        exploding = ConstantSampleOracle(MinimaxSample(0.0, np.array([-1e13]), np.array([0.0])), 1, 1)
+        problem = SapsProblem(exploding, ZeroFunction(), ZeroFunction())
         configs = [RunConfig(horizon=10, seed=0, stream_id=t, trace_thinning=1,
                              schedule=StepSchedule("const_over_sqrt_n", horizon=10)) for t in range(3)]
         outcomes = run_saps_batch(problem, configs)

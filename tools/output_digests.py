@@ -75,6 +75,13 @@ CASES = [
      ["schedule=harmonic", "theta=1e13", "mu=0"]),
     ("np-inner-max-iters-1", "run", NP_SYNTH + "N_list = 10,20\ntrials = 3\nseed = 8\n", ["inner_max_iters=1"]),
     ("np-diagnose", "diagnose", NP_SYNTH + "N_list = 250,1000\nseed = 0\n", []),
+    # estimate_m_star on each minimax oracle's row form.
+    ("bilinear-diagnose", "diagnose", BILINEAR + "N_list = 100,1000\nseed = 0\n", []),
+    ("tanh-diagnose", "diagnose", "experiment = tanh\nalgorithm = saps\nn = 3\nregularizer = max\n"
+     "N_list = 100,1000\nseed = 1\nparallel = 1\n", []),
+    # A step rule that RunConfig checks at the run's horizon.
+    ("bilinear-scaled-const", "run", BILINEAR + "N_list = 100,300,1000\ntrials = 3\nseed = 10\n",
+     ["schedule=scaled_const", "theta=0.5", "dist_estimate=2.0", "M_estimate=1.5"]),
     ("libsvm-subsampled", "run", LIBSVM, ["subsample_per_class=150"]),
     ("libsvm-unnormalized", "run", LIBSVM, ["normalize=false"]),
     ("libsvm-diagnose", "diagnose", LIBSVM, ["subsample_per_class=150"]),
