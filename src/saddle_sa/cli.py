@@ -33,6 +33,7 @@ from .core import (
     RunConfig,
     RunRecord,
     StepSchedule,
+    _row_distances,
     derive_stream_id,
 )
 from .data import DataError, ParseError, parse_libsvm, synth_gaussian_classes
@@ -56,7 +57,7 @@ from .metrics import (
     rate_slope_fit,
     tail_tally,
 )
-from .oracles import BilinearOracle, NeymanPearsonOracle, TanhOracle
+from .oracles import BilinearOracle, ConicSample, NeymanPearsonOracle, TanhOracle
 from .prox import PositivePartSum, ScaledL1, ScaledL2, ZeroFunction
 from .saps import SapsProblem, run_saps, run_saps_batch
 
@@ -313,6 +314,37 @@ def _experiment_shared(config: ExperimentConfig):
     return {}
 
 
+_KEPT_ROW = "kept_row"  # the one metric value the runners record per row
+
+
+class _KeptRows:
+    """The iterate and average of every row a runner records, in the order
+    it records them, stacked as (x | y).
+
+    `keep` is the runner's one metric hook: it copies the row's two points
+    and returns the row's index as the row's only value, so each RunRecord
+    row names its own kept point however the batch's rows come and go. The
+    metrics are computed from the kept points after the run.
+    """
+
+    def __init__(self, rows: int, dim: int):
+        self.iterates = np.empty((rows, dim))
+        self.averages = np.empty((rows, dim))
+        self.ks = []
+
+    def keep(self, k, z, avg):
+        i = len(self.ks)
+        np.concatenate((z.x, z.y), out=self.iterates[i])
+        np.concatenate((avg.x, avg.y), out=self.averages[i])
+        self.ks.append(k)
+        return {_KEPT_ROW: i}
+
+    def of(self, record: RunRecord):
+        """(iterates, averages) of the record's rows."""
+        rows = [values[_KEPT_ROW] for values in record.metrics]
+        return self.iterates[rows], self.averages[rows]
+
+
 def run_trial_batch(config: ExperimentConfig, N: int, trials, shared: dict) -> list:
     """Execute the given trials of horizon N; one outcome per trial, in order.
 
@@ -320,11 +352,13 @@ def run_trial_batch(config: ExperimentConfig, N: int, trials, shared: dict) -> l
     ConvergenceError that ended it. Each is deterministic given (config, N,
     trial), whatever else is in the batch: bilinear and tanh trials advance
     together through run_saps_batch, Neyman-Pearson trials run one after
-    another.
+    another. The runners only keep the recorded points; each experiment's
+    metrics are computed from them after the run.
     """
     base = RunConfig(horizon=N, seed=config.seed, schedule=_schedule_for(config, N),
                      trace_thinning=config.trace_thinning or max(1, N // 200),  # 0: about 200 rows
                      averaging=config.averaging)
+    recorded = -(-N // base.trace_thinning)  # rows per trial: every trace_thinning-th k, and k = N
     starts = [(replace(base, stream_id=derive_stream_id(config.seed, N, trial)),
                RandomSource(config.seed, derive_stream_id(config.seed, N, trial, "init")).generator())
               for trial in trials]
@@ -332,45 +366,53 @@ def run_trial_batch(config: ExperimentConfig, N: int, trials, shared: dict) -> l
         outcomes = []
         for run_cfg, init_rng in starts:
             try:
-                outcomes.append(_run_np_trial(config, run_cfg, init_rng, shared))
+                outcomes.append(_run_np_trial(config, run_cfg, init_rng, shared, recorded))
             except (DivergenceError, ConvergenceError) as exc:
                 outcomes.append(exc)
         return outcomes
-    problem, hooks = _saps_experiment(config, shared)
+    problem, score = _saps_experiment(config, shared)
     configs = [replace(run_cfg, initial=PrimalDualPoint(init_rng.uniform(-1.0, 1.0, size=config.n),
                                                         init_rng.uniform(-1.0, 1.0, size=config.n)))
                for run_cfg, init_rng in starts]
-    return run_saps_batch(problem, configs, [hooks])
+    kept = _KeptRows(len(configs) * recorded, 2 * config.n)
+    outcomes = run_saps_batch(problem, configs, [kept.keep])
+    for outcome in outcomes:
+        if isinstance(outcome, RunRecord):
+            outcome.metrics = score(*kept.of(outcome))
+    return outcomes
 
 
 def _saps_experiment(config: ExperimentConfig, shared: dict):
-    """The bilinear or tanh problem and the metric hook its trials share."""
+    """The bilinear or tanh problem, and the function that turns a trial's
+    kept (iterates, averages) into its metric rows."""
     theta = _regularizer(config.regularizer, config.mu)
     if config.experiment == "tanh":
         z_ref = shared["z_ref"]
 
-        def tanh_hooks(k, z, avg):
-            return {
-                "dist_avg_to_ref": avg.distance_to(z_ref),
-                "dist_last_to_ref": z.distance_to(z_ref),
-            }
+        def tanh_metrics(Z, A):
+            return [{"dist_avg_to_ref": avg, "dist_last_to_ref": last}
+                    for avg, last in zip(_row_distances(A, z_ref), _row_distances(Z, z_ref))]
 
-        return SapsProblem(TanhOracle(shared["xbar"], shared["ybar"]), theta, theta), tanh_hooks
+        return SapsProblem(TanhOracle(shared["xbar"], shared["ybar"]), theta, theta), tanh_metrics
 
     oracle = BilinearOracle(config.n)
-    z_star = PrimalDualPoint(np.zeros(config.n), np.zeros(config.n))
+    n = config.n
+    z_star = PrimalDualPoint(np.zeros(n), np.zeros(n))
     evaluator = BilinearEvaluator(oracle, theta, theta)
 
-    def bilinear_hooks(k, z, avg):
-        gap = minimax_gap(evaluator, avg, z_star)
-        return {
-            "minimax_gap": max(gap, 0.0),
-            "minimax_gap_raw": gap,
-            "dist_to_saddle": avg.distance_to(z_star),
-            "dist_last": z.distance_to(z_star),
-        }
+    def bilinear_metrics(Z, A):
+        rows = []
+        for avg, dist_avg, dist_last in zip(A, _row_distances(A, z_star), _row_distances(Z, z_star)):
+            gap = minimax_gap(evaluator, PrimalDualPoint(avg[:n], avg[n:]), z_star)
+            rows.append({
+                "minimax_gap": max(gap, 0.0),
+                "minimax_gap_raw": gap,
+                "dist_to_saddle": dist_avg,
+                "dist_last": dist_last,
+            })
+        return rows
 
-    return SapsProblem(oracle, theta, theta), bilinear_hooks
+    return SapsProblem(oracle, theta, theta), bilinear_metrics
 
 
 def _np_problem(config: ExperimentConfig, oracle) -> LsaalProblem:
@@ -378,38 +420,63 @@ def _np_problem(config: ExperimentConfig, oracle) -> LsaalProblem:
                         inner_tol=config.inner_tol, inner_max_iters=config.inner_max_iters)
 
 
-def _run_np_trial(config, run_cfg, init_rng, shared):
+def _run_np_trial(config, run_cfg, init_rng, shared, recorded: int):
     oracle = shared["oracle"]
     problem = _np_problem(config, oracle)
     x0 = oracle.feasible_set.prox(1.0, init_rng.uniform(-1.0, 1.0, size=oracle.dim))
     z0 = PrimalDualPoint(x0, np.zeros(oracle.cone.dim))
-
-    def full_batch(x, k):
-        # Hook values run outside the solver's guard: a non-finite one is
-        # divergence at the recorded iteration k (0 for the start point).
-        return check_sample(oracle.full_batch(x), oracle.dim, oracle.cone, k)
-
-    base_norm = float(np.linalg.norm(lagrangian_grad(full_batch(z0.x, 0), z0.y)))
-
-    def hooks(k, z, avg):
-        fb_avg = full_batch(avg.x, k)
-        return {
-            "constraint_violation": constraint_violation(problem.cone, fb_avg.g_value),
-            "proj_kkt": proj_kkt(fb_avg, problem.cone, problem.feasible, avg),
-            "grad_norm_raw": float(np.linalg.norm(lagrangian_grad(full_batch(z.x, k), z.y))),
-            "grad_norm_avg": float(np.linalg.norm(lagrangian_grad(fb_avg, avg.y))),
-            "y_norm": float(np.linalg.norm(z.y)),
-        }
-
+    kept = _KeptRows(recorded, oracle.dim + oracle.cone.dim)
     runner = run_laam if config.algorithm == "laam" else run_lsaal
-    record = runner(problem, replace(run_cfg, initial=z0), [hooks])
+    try:
+        record = runner(problem, replace(run_cfg, initial=z0), [kept.keep])
+    except (DivergenceError, ConvergenceError):
+        # A divergence at a row recorded before the solver's error came first.
+        _np_metrics(problem, z0, kept)
+        raise
+    record.metrics, base_norm = _np_metrics(problem, z0, kept)
 
     # Relative KKT errors over the recorded trace, scored against the start.
-    if base_norm > 0.0 and record.metrics:
+    if base_norm > 0.0:
         errors = kkt_errors([base_norm] + [row["grad_norm_raw"] for row in record.metrics],
                             [row["grad_norm_avg"] for row in record.metrics])
         record.final_metrics.update(rerror=errors.rerror, raerror=errors.raerror)
     return record
+
+
+def _np_metrics(problem: LsaalProblem, z0: PrimalDualPoint, kept: _KeptRows):
+    """The metric rows of a Neyman-Pearson trial's kept points, and the
+    Lagrangian-gradient norm at its start z0.
+
+    One full_batch_rows call evaluates the start, then each row's average
+    and iterate. Full batches are checked in that order, outside the
+    solver's guard: a non-finite one is DivergenceError at its row's
+    iteration k (0 for the start).
+    """
+    oracle, cone = problem.oracle, problem.cone
+    dim, rows = oracle.dim, len(kept.ks)
+    Z, A = kept.iterates[:rows], kept.averages[:rows]
+    points = np.empty((1 + 2 * rows, dim))
+    points[0], points[1::2], points[2::2] = z0.x, A[:, :dim], Z[:, :dim]
+    fb = oracle.full_batch_rows(points)
+
+    def full_batch(p, k):
+        return check_sample(ConicSample(fb.f_value[p], fb.f_grad[p], fb.g_value[p], fb.g_jacobian[p]),
+                            dim, cone, k)
+
+    base_norm = float(np.linalg.norm(lagrangian_grad(full_batch(0, 0), z0.y)))
+    metrics = []
+    for row, k in enumerate(kept.ks):
+        avg = PrimalDualPoint(A[row, :dim], A[row, dim:])
+        y = Z[row, dim:]
+        fb_avg = full_batch(1 + 2 * row, k)
+        metrics.append({
+            "constraint_violation": constraint_violation(cone, fb_avg.g_value),
+            "proj_kkt": proj_kkt(fb_avg, cone, problem.feasible, avg),
+            "grad_norm_raw": float(np.linalg.norm(lagrangian_grad(full_batch(2 + 2 * row, k), y))),
+            "grad_norm_avg": float(np.linalg.norm(lagrangian_grad(fb_avg, avg.y))),
+            "y_norm": float(np.linalg.norm(y)),
+        })
+    return metrics, base_norm
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,9 @@ __all__ = [
 ]
 
 DIVERGENCE_NORM_BOUND = 1e12
+# Oracle draws a solver takes from a random stream at a time: bounds a
+# prefetch buffer at PREFETCH_ROWS draws per stream.
+PREFETCH_ROWS = 1024
 
 
 class DivergenceError(RuntimeError):
@@ -70,6 +73,15 @@ def _row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     sums and einsum can differ from it in the last bit.
     """
     return np.matmul(A[:, None, :], B[..., None]).reshape(A.shape[0])
+
+
+def _row_distances(P: np.ndarray, ref: "PrimalDualPoint") -> list:
+    """Distance to ref of each stacked (x | y) row of P: the hypot of the two
+    block distances, each the root of a row dot product, which rounds as the
+    1-D norm does."""
+    D = P - ref.stacked()
+    Dx, Dy = D[:, :ref.n], D[:, ref.n:]
+    return list(map(math.hypot, np.sqrt(_row_dots(Dx, Dx)).tolist(), np.sqrt(_row_dots(Dy, Dy)).tolist()))
 
 
 def as_vector(v, dim: int | None = None, name: str = "vector") -> np.ndarray:
@@ -115,10 +127,7 @@ class PrimalDualPoint:
         return math.hypot(float(np.linalg.norm(self.x)), float(np.linalg.norm(self.y)))
 
     def distance_to(self, other: "PrimalDualPoint") -> float:
-        return math.hypot(
-            float(np.linalg.norm(self.x - other.x)),
-            float(np.linalg.norm(self.y - other.y)),
-        )
+        return _row_distances(self.stacked()[None], other)[0]
 
     def allclose(self, other: "PrimalDualPoint", tol: float = 0.0) -> bool:
         return bool(
@@ -221,10 +230,13 @@ class RunRecord:
     """Append-only trace of a single run.
 
     One row per recorded (possibly thinned) iteration: iteration index, step
-    size, metric values, and elapsed wall time in seconds. The points of a
-    row reach the metric hooks and are not stored; the run's last iterate and
-    average land in `final_iterate`/`final_average`, run-level scalars in
-    `final_metrics`.
+    size, metric values, and the solver's elapsed wall time in seconds. The
+    points of a row reach the metric hooks and are not stored here. The CLI's
+    one hook keeps them elsewhere and returns the row's index as its metric
+    values; after the run the CLI replaces each row's values with the metrics
+    computed from its kept points, so `elapsed` leaves that work out. The
+    run's last iterate and average land in `final_iterate`/`final_average`,
+    run-level scalars in `final_metrics`.
     """
 
     ks: list = field(default_factory=list)

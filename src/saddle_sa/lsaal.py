@@ -25,12 +25,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    PREFETCH_ROWS,
     ConvergenceError,
     DivergenceError,
     ProblemConstants,
     PrimalDualPoint,
     RunConfig,
     RunRecord,
+    _row_dots,
     as_vector,
 )
 from .cones import ConvexCone
@@ -186,13 +188,24 @@ def check_sample(sample: ConicSample, dim: int, cone: ConvexCone, k: int) -> Con
 
 
 def run_lsaal(problem: LsaalProblem, config: RunConfig, metric_hooks=()) -> RunRecord:
-    """Stochastic run: one oracle sample per outer iteration."""
+    """Stochastic run: one oracle sample per outer iteration.
+
+    The oracle serves it as `draws(rng, count)`, taken PREFETCH_ROWS at a
+    time and exactly config.horizon in all, and `evaluate(x, draw)`.
+    """
     return _run_augmented(problem, config, metric_hooks, full_batch=False)
 
 
 def run_laam(problem: LsaalProblem, config: RunConfig, metric_hooks=()) -> RunRecord:
     """Deterministic baseline: every sample replaced by the full-batch average."""
     return _run_augmented(problem, config, metric_hooks, full_batch=True)
+
+
+def _prefetched(oracle, rng: np.random.Generator, total: int):
+    """The oracle's next `total` draws from rng, one at a time, taken from the
+    stream PREFETCH_ROWS at a time."""
+    for start in range(0, total, PREFETCH_ROWS):
+        yield from oracle.draws(rng, min(PREFETCH_ROWS, total - start))
 
 
 def _run_augmented(problem: LsaalProblem, config: RunConfig, metric_hooks, full_batch: bool) -> RunRecord:
@@ -221,10 +234,11 @@ def _run_augmented(problem: LsaalProblem, config: RunConfig, metric_hooks, full_
     x_ratio_max = 0.0
     y_ratio_max = 0.0
 
+    draws = None if full_batch else _prefetched(oracle, rng, N)
     record = RunRecord()
     t0 = time.perf_counter()
     for k in range(1, N + 1):
-        sample = check_sample(oracle.full_batch(x) if full_batch else oracle.sample(rng, x),
+        sample = check_sample(oracle.full_batch(x) if full_batch else oracle.evaluate(x, next(draws)),
                               x.shape[0], problem.cone, k)
         spec = XSubproblemSpec(x, y, sample, sigma, problem.cone)
         try:
@@ -345,20 +359,25 @@ def estimate_constants(oracle, rng: np.random.Generator, n_full: int = 2000,
             v = v * rng.random()
         return v
 
-    nu_g = kappa_f = kappa_g = 0.0
-    nu_f = 0.0
-    for i in range(n_full):
-        fb = oracle.full_batch(random_feasible(i % 2 == 0))
-        nu_g = max(nu_g, float(np.linalg.norm(fb.g_value)))
-        kappa_f = max(kappa_f, float(np.linalg.norm(fb.f_grad)))
-        kappa_g = max(kappa_g, float(np.linalg.norm(fb.g_jacobian, 2)))
+    # The full batches use no randomness: their points are drawn first, as a
+    # per-point loop draws them, and evaluated as one stack. Python's max
+    # takes the norms in that loop's order.
+    full_points = np.array([random_feasible(i % 2 == 0) for i in range(n_full)]).reshape(n_full, dim)
+    full = oracle.full_batch_rows(full_points)
+    nu_g = max([0.0, *np.sqrt(_row_dots(full.g_value, full.g_value)).tolist()])
+    kappa_f = max([0.0, *np.sqrt(_row_dots(full.f_grad, full.f_grad)).tolist()])
+    kappa_g = max([0.0, *np.linalg.norm(full.g_jacobian, 2, axis=(1, 2)).tolist()])
+    sample_points = np.empty((n_sample, dim))
+    sample_values = np.empty(n_sample)
     for i in range(n_sample):
         x = random_feasible(i % 2 == 0)
         s = oracle.sample(rng, x)
         nu_g = max(nu_g, float(np.linalg.norm(s.g_value)))
         kappa_f = max(kappa_f, float(np.linalg.norm(s.f_grad)))
         kappa_g = max(kappa_g, float(np.linalg.norm(s.g_jacobian, 2)))
-        nu_f = max(nu_f, abs(s.f_value - oracle.full_batch(x).f_value))
+        sample_points[i], sample_values[i] = x, s.f_value
+    deviations = np.abs(sample_values - oracle.full_batch_rows(sample_points).f_value)
+    nu_f = max([0.0, *deviations.tolist()])
 
     slater_point = oracle.slater_point()
     margin = oracle.cone.interior_distance(oracle.full_batch(slater_point).g_value)

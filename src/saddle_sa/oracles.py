@@ -11,7 +11,10 @@ minimax oracles serve SAPS, which advances trials as rows: `draws(rng, count)`
 stacks count draws with the bits of count single ones, and
 `evaluate_rows(X, Y, draws)` evaluates row t of (X, Y) at draw t, each row
 rounding as 1-D arithmetic does. The Neyman-Pearson oracle serves LSAAL, one
-sample per outer iteration: `draw(rng)`, `evaluate(x, draw)`, `sample(rng, x)`.
+sample per outer iteration: `draws(rng, count)` stacks count draws with the
+bits of count single ones, `evaluate(x, draw)` takes one of them, and
+`sample(rng, x)` is the two in one call. Its full-batch average has the row
+form `full_batch_rows(X)`, of which `full_batch(x)` is the one-row case.
 """
 
 from __future__ import annotations
@@ -54,7 +57,9 @@ class MinimaxSample:
 @dataclass(frozen=True, eq=False)
 class ConicSample:
     """One conic-oracle call: objective value/gradient, constraint value, and
-    the (constraints, dim) constraint Jacobian."""
+    the (constraints, dim) constraint Jacobian. `full_batch_rows` stacks
+    these over K points: arrays (K,), (K, dim), (K, constraints) and
+    (K, constraints, dim)."""
 
     f_value: float
     f_grad: np.ndarray
@@ -153,6 +158,11 @@ class TanhOracle:
         return MinimaxSample(mean, grad_x, grad_y)
 
 
+# Points per pass of NeymanPearsonOracle.full_batch_rows: bounds its work
+# arrays at FULL_BATCH_CHUNK x (points of a class) x classes.
+FULL_BATCH_CHUNK = 64
+
+
 def _phi(t):
     # log(1 + exp(-t)), stable for large |t|
     return np.logaddexp(0.0, -t)
@@ -199,10 +209,10 @@ class NeymanPearsonOracle:
         zero = np.zeros(self.n)
         self.feasible_set = BlockSeparable([(BallIndicator(zero, self.lam), self.n)] * self.m)
         self._matrices = [dataset.classes[label] for label in self.labels]
-        self._counts = [mat.shape[0] for mat in self._matrices]
+        self._counts = np.array([mat.shape[0] for mat in self._matrices])
         # Every class's points stacked, class i's starting at row _starts[i].
         self._points = np.concatenate(self._matrices)
-        self._starts = np.cumsum([0] + self._counts[:-1])
+        self._starts = np.cumsum(self._counts) - self._counts
         self._off_diagonal = ~np.eye(self.m, dtype=bool)
         self._others = [np.flatnonzero(row) for row in self._off_diagonal]
 
@@ -213,11 +223,13 @@ class NeymanPearsonOracle:
     def slater_point(self) -> np.ndarray:
         return np.zeros(self.dim)
 
-    def draw(self, rng: np.random.Generator):
-        return tuple(int(rng.integers(count)) for count in self._counts)
+    def draws(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        """count draws as a (count, m) index array, row j holding one point per
+        class; the bits and stream position of count one-class-at-a-time draws."""
+        return rng.integers(self._counts, size=(count, self.m))
 
     def sample(self, rng: np.random.Generator, x: np.ndarray) -> ConicSample:
-        return self.evaluate(x, self.draw(rng))
+        return self.evaluate(x, self.draws(rng, 1)[0])
 
     def evaluate(self, x: np.ndarray, idx) -> ConicSample:
         # The full-batch arithmetic on one point per class, without the class
@@ -233,7 +245,7 @@ class NeymanPearsonOracle:
         coef = np.diag(w.sum(axis=1))
         coef[self._off_diagonal] = -w.reshape(-1)
         # grads[i, l] = coef[i, l] * psi_i is class i's gradient in block l;
-        # adding 0.0 gives zeros the sign that full_batch's np.zeros gives them.
+        # adding 0.0 gives zeros the sign that full_batch's 0.0 + and 0.0 - give them.
         grads = coef[:, :, None] * Psi[:, None, :] + 0.0
         return ConicSample(
             float(values[0]),
@@ -244,23 +256,43 @@ class NeymanPearsonOracle:
 
     def full_batch(self, x: np.ndarray) -> ConicSample:
         """Exact finite-sum version over the empirical class distributions."""
-        m, n = self.m, self.n
-        X = self.blocks(x)
-        grads = np.zeros((m, m, n))  # class 0: objective gradient; class i: Jacobian row i-1
-        values = np.empty(m)
-        for i, A in enumerate(self._matrices):
-            P = A @ X.T  # (p_i, m) projections of class-i points on all blocks
-            others = self._others[i]
-            t = P[:, [i]] - P[:, others]  # (p_i, m-1)
-            values[i] = _phi(t).mean(axis=0).sum()
-            w = _phi_prime(t) / P.shape[0]  # (p_i, m-1) averaged weights
-            grads[i, i] += A.T @ w.sum(axis=1)
-            grads[i, others] -= (A.T @ w).T  # per-other-block contributions
+        s = self.full_batch_rows(np.asarray(x, dtype=float)[None])
+        return ConicSample(float(s.f_value[0]), s.f_grad[0], s.g_value[0], s.g_jacobian[0])
+
+    def full_batch_rows(self, X: np.ndarray) -> ConicSample:
+        """`full_batch` at each row of the (K, dim) array X, stacked.
+
+        Every product is a per-point matmul of the one-row shapes, so each
+        row has the bits of its point evaluated alone. The rows go through
+        FULL_BATCH_CHUNK at a time.
+        """
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2 or X.shape[1] != self.dim:
+            raise ValueError(f"points must be a (K, {self.dim}) array, got shape {X.shape}")
+        if not np.isfinite(X).all():
+            raise ValueError("points have non-finite entries")
+        m, n, K = self.m, self.n, X.shape[0]
+        # grads[:, 0]: objective gradients; grads[:, i]: Jacobian row i-1.
+        grads = np.empty((K, m, m, n))
+        values = np.empty((K, m))
+        for lo in range(0, K, FULL_BATCH_CHUNK):
+            hi = min(lo + FULL_BATCH_CHUNK, K)
+            XT = X[lo:hi].reshape(hi - lo, m, n).transpose(0, 2, 1)  # (k, n, m) blocks as columns
+            for i, A in enumerate(self._matrices):
+                P = np.matmul(A, XT)  # (k, p_i, m) projections of class-i points on all blocks
+                others = self._others[i]
+                t = P[:, :, i:i + 1] - P[:, :, others]  # (k, p_i, m-1)
+                # np.mean's arithmetic over the class, without its overhead.
+                values[lo:hi, i] = (_phi(t).sum(axis=1) / A.shape[0]).sum(axis=1)
+                w = _phi_prime(t) / A.shape[0]  # (k, p_i, m-1) averaged weights
+                # 0.0 + and 0.0 - as on a zeroed array, signs of zeros included.
+                grads[lo:hi, i, i] = 0.0 + np.matmul(A.T, w.sum(axis=2)[:, :, None])[:, :, 0]
+                grads[lo:hi, i, others] = 0.0 - np.matmul(A.T, w).transpose(0, 2, 1)  # per-other-block
         return ConicSample(
-            float(values[0]),
-            grads[0].reshape(-1),
-            values[1:] - self.r,
-            grads[1:].reshape(m - 1, m * n),
+            values[:, 0],
+            grads[:, 0].reshape(K, m * n),
+            values[:, 1:] - self.r,
+            grads[:, 1:].reshape(K, m - 1, m * n),
         )
 
     def envelope_constants(self) -> dict:

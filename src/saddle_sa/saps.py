@@ -31,6 +31,7 @@ import numpy as np
 
 from .core import (
     DIVERGENCE_NORM_BOUND,
+    PREFETCH_ROWS,
     DivergenceError,
     PrimalDualPoint,
     RunConfig,
@@ -40,10 +41,6 @@ from .core import (
 from .prox import BlockSeparable, ProximableFunction
 
 __all__ = ["SapsProblem", "run_saps", "run_saps_batch"]
-
-# Oracle draws taken from each trial's stream at a time: bounds the prefetch
-# buffer at PREFETCH_ROWS x T draws.
-PREFETCH_ROWS = 1024
 
 
 @dataclass(frozen=True, eq=False)

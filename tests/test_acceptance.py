@@ -177,7 +177,7 @@ def test_criterion_04_oracle_unbiasedness_and_gradients(np_instance):
 
         npo = np_instance
         x = npo.feasible_set.prox(1.0, rng.normal(size=npo.dim) * 2.0)
-        idx = npo.draw(rng)
+        idx = npo.draws(rng, 1)[0]
         sc = npo.evaluate(x, idx)
         grad_ok &= fd_ok(lambda w: npo.evaluate(w, idx).f_value, sc.f_grad, x)
         for row in range(npo.m - 1):
@@ -238,7 +238,7 @@ def test_criterion_07_graph_convexity_suites(np_instance):
         # per-sample monotonicity of the linearized polar norm
         y = cone.polar_project(rng.normal(size=cone.dim))
         sigma = float(rng.uniform(0.05, 1.5))
-        idx = oracle.draw(rng)
+        idx = oracle.draws(rng, 1)[0]
         s_at_x = oracle.evaluate(x, idx)
         s_at_z = oracle.evaluate(zz, idx)
         lin_s = s_at_x.g_value + s_at_x.g_jacobian @ (zz - x)

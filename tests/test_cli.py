@@ -18,6 +18,7 @@ from saddle_sa.cli import (
     main,
     run_experiment,
 )
+from saddle_sa import lsaal as lsaal_module
 from saddle_sa.core import ConvergenceError, DivergenceError, PrimalDualPoint
 from saddle_sa.oracles import ConicSample, NeymanPearsonOracle, TanhOracle
 
@@ -512,47 +513,115 @@ class TestWorkerCount:
         assert chunks == [(5, [0, 1]), (5, [2, 3, 4]), (6, [0, 1]), (6, [2, 3, 4])]
 
 
+NP_HOOK_TEXT = ("experiment=neyman_pearson\nalgorithm=lsaal\nn=4\nm_classes=2\n"
+                "points_per_class=10\nN_list=30\ntrials=1\ntrace_thinning=4\nparallel=1\n")
+
+
+def watch_full_batch_rows(monkeypatch, poison_from=None):
+    """Record the number of points of each full_batch_rows call, and make
+    every point from index `poison_from` on non-finite; returns the record."""
+    full_batch_rows = NeymanPearsonOracle.full_batch_rows
+    calls = []
+
+    def watched(self, X):
+        calls.append(X.shape[0])
+        fb = full_batch_rows(self, X)
+        if poison_from is None:
+            return fb
+        g_value = fb.g_value.copy()
+        g_value[poison_from:] = np.nan
+        return ConicSample(fb.f_value, fb.f_grad, g_value, fb.g_jacobian)
+
+    monkeypatch.setattr(NeymanPearsonOracle, "full_batch_rows", watched)
+    return calls
+
+
 class TestNeymanPearsonHook:
     def test_one_full_batch_per_distinct_point(self, tmp_path, monkeypatch):
-        calls = []
-        full_batch = NeymanPearsonOracle.full_batch
-
-        def counted(self, x):
-            calls.append(1)
-            return full_batch(self, x)
-
-        monkeypatch.setattr(NeymanPearsonOracle, "full_batch", counted)
-        cfg = load_config("experiment=neyman_pearson\nalgorithm=lsaal\nn=4\nm_classes=2\n"
-                          "points_per_class=10\nN_list=30\ntrials=1\ntrace_thinning=4\n")
-        shared = cli._experiment_shared(cfg)
-        [record] = cli.run_trial_batch(cfg, 30, [0], shared)
+        # The start, then each recorded row's average and iterate: one
+        # full_batch_rows call over 1 + 2 * rows points, after the run.
+        calls = watch_full_batch_rows(monkeypatch)
+        cfg = load_config(NP_HOOK_TEXT)
+        [record] = cli.run_trial_batch(cfg, 30, [0], cli._experiment_shared(cfg))
         assert len(record.ks) == 8
-        assert len(calls) == 1 + 2 * len(record.ks)
-
+        assert calls == [1 + 2 * len(record.ks)]
 
     def test_non_finite_hook_value_is_divergence(self, tmp_path, monkeypatch, capsys):
-        # The hooks run outside the solver's guard; a non-finite full-batch
-        # value there must mark the trial diverged, not escape as ValueError.
-        full_batch = NeymanPearsonOracle.full_batch
-        calls = []
-
-        def poisoned(self, x):
-            calls.append(1)
-            fb = full_batch(self, x)
-            if len(calls) > 3:
-                fb = ConicSample(fb.f_value, fb.f_grad, fb.g_value * np.nan, fb.g_jacobian)
-            return fb
-
-        monkeypatch.setattr(NeymanPearsonOracle, "full_batch", poisoned)
-        text = ("experiment=neyman_pearson\nalgorithm=lsaal\nn=4\nm_classes=2\n"
-                "points_per_class=10\nN_list=30\ntrials=1\ntrace_thinning=4\nparallel=1\n")
-        cfg = load_config(text)
+        # The full batches run outside the solver's guard; a non-finite one
+        # must mark the trial diverged at its row's iteration, not escape as
+        # ValueError. Point 3 is the average of the second row, k = 8.
+        watch_full_batch_rows(monkeypatch, poison_from=3)
+        cfg = load_config(NP_HOOK_TEXT)
         [outcome] = cli.run_trial_batch(cfg, 30, [0], cli._experiment_shared(cfg))
         assert isinstance(outcome, DivergenceError)
         assert outcome.iteration == 8 and "iteration 8" in str(outcome)
         cfg_path = tmp_path / "np.cfg"
-        cfg_path.write_text(text, encoding="utf-8")
+        cfg_path.write_text(NP_HOOK_TEXT, encoding="utf-8")
         assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+
+    def test_divergence_at_a_row_comes_before_a_later_solver_error(self, monkeypatch):
+        # The solver fails at outer iteration 6, after the row at k = 4; a
+        # non-finite full batch at that row was met first, so it is the outcome.
+        solve = lsaal_module.solve_x_subproblem
+        solves = []
+
+        def failing(*args):
+            solves.append(1)
+            if len(solves) == 6:
+                raise ConvergenceError(1.0)
+            return solve(*args)
+
+        monkeypatch.setattr(lsaal_module, "solve_x_subproblem", failing)
+        cfg = load_config(NP_HOOK_TEXT)
+        shared = cli._experiment_shared(cfg)
+        [outcome] = cli.run_trial_batch(cfg, 30, [0], shared)
+        assert isinstance(outcome, ConvergenceError) and "outer iteration 6" in str(outcome)
+        solves.clear()
+        watch_full_batch_rows(monkeypatch, poison_from=2)  # the iterate of row k = 4
+        [outcome] = cli.run_trial_batch(cfg, 30, [0], shared)
+        assert isinstance(outcome, DivergenceError)
+        assert outcome.iteration == 4 and str(outcome) == "non-finite oracle sample at iteration 4"
+
+
+def blow_up(oracle_class, stream, at):
+    """oracle_class, with the draws of the trial on stream `stream` infinite
+    from iteration `at` on; for runs of one block of draws (N <= PREFETCH_ROWS)."""
+
+    class BlowUp(oracle_class):
+        def draws(self, rng, count):
+            out = super().draws(rng, count)
+            if rng.bit_generator.seed_seq.spawn_key == (stream,):
+                out[at - 1:] = np.inf
+            return out
+
+        def evaluate_rows(self, X, Y, draws):
+            with np.errstate(invalid="ignore", over="ignore"):
+                return super().evaluate_rows(X, Y, draws)
+
+    return BlowUp
+
+
+class TestSapsBatchPostPass:
+    @pytest.mark.parametrize("experiment", ["bilinear", "tanh"])
+    def test_surviving_trials_match_their_solo_runs(self, monkeypatch, experiment):
+        # Trial 1 leaves the batch at iteration 9; the rows kept after that
+        # shift, and each record must still score its own points.
+        N = 40
+        text = bilinear_text(N_list=N, trials=3, trace_thinning=1)
+        if experiment == "tanh":
+            text = text.replace("experiment=bilinear", "experiment=tanh") + "ref_pool_size=5\nref_iters=20\n"
+        cfg = load_config(text)
+        stream = cli.derive_stream_id(cfg.seed, N, 1)
+        for name in ("BilinearOracle", "TanhOracle"):
+            monkeypatch.setattr(cli, name, blow_up(getattr(cli, name), stream, 9))
+        shared = cli._experiment_shared(cfg)
+        batch = cli.run_trial_batch(cfg, N, [0, 1, 2], shared)
+        assert isinstance(batch[1], DivergenceError) and batch[1].iteration == 9
+        for trial in (0, 2):
+            [solo] = cli.run_trial_batch(cfg, N, [trial], shared)
+            assert batch[trial].ks == solo.ks == list(range(1, N + 1))
+            assert batch[trial].metrics == solo.metrics
+            assert batch[trial].final_average.allclose(solo.final_average)
 
 
 def _numeric_keys():

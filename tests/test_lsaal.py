@@ -471,15 +471,18 @@ class TestRunners:
 
 
 class CorruptingOracle:
-    """Wraps an oracle; from sample call `at` on, `corrupt` edits each sample."""
+    """Wraps an oracle; from evaluate call `at` on, `corrupt` edits each sample."""
 
     def __init__(self, oracle, at, corrupt):
         self.oracle, self.at, self.corrupt = oracle, at, corrupt
         self.dim, self.calls = oracle.dim, 0
 
-    def sample(self, rng, x):
+    def draws(self, rng, count):
+        return self.oracle.draws(rng, count)
+
+    def evaluate(self, x, draw):
         self.calls += 1
-        s = self.oracle.sample(rng, x)
+        s = self.oracle.evaluate(x, draw)
         if self.calls < self.at:
             return s
         return self.corrupt(s)
@@ -513,16 +516,19 @@ class TestSampleGuard:
 
 class HugeGradientOracle:
     """A 3-dimensional conic oracle with one inactive constraint whose
-    objective gradient jumps to 1e300 from sample call `at` on."""
+    objective gradient jumps to 1e300 from evaluate call `at` on."""
 
     dim = 3
 
     def __init__(self, at):
         self.at, self.calls = at, 0
 
-    def sample(self, rng, x):
+    def draws(self, rng, count):
+        return rng.normal(size=(count, 3))
+
+    def evaluate(self, x, draw):
         self.calls += 1
-        f_grad = np.full(3, 1e300) if self.calls >= self.at else rng.normal(size=3)
+        f_grad = np.full(3, 1e300) if self.calls >= self.at else draw
         return ConicSample(0.0, f_grad, np.array([-1.0]), np.zeros((1, 3)))
 
 
@@ -550,7 +556,7 @@ class TestLinearizedPolarMonotonicity:
             xk = oracle.feasible_set.prox(1.0, rng.uniform(-6, 6, size=oracle.dim))
             y = cone.polar_project(rng.normal(size=cone.dim))
             sigma = float(rng.uniform(0.05, 1.5))
-            idx = oracle.draw(rng)
+            idx = oracle.draws(rng, 1)[0]
             s_at_xk = oracle.evaluate(xk, idx)
             s_at_x = oracle.evaluate(x, idx)
             lin = s_at_xk.g_value + s_at_xk.g_jacobian @ (x - xk)
@@ -637,3 +643,30 @@ class TestEstimateConstants:
         rng = RandomSource(6).generator()
         constants = estimate_constants(np_instance, rng, n_full=50, n_sample=50)
         assert constants.slater_margin == pytest.approx(2.0 * (1.0 - math.log(2.0)), rel=1e-12)
+
+    @pytest.mark.parametrize("n_full, n_sample", [(150, 100), (1, 0), (0, 3)])
+    def test_stacked_maxima_match_a_per_point_loop(self, np_instance, n_full, n_sample):
+        # The loop estimate_constants replaced: each point drawn, then its
+        # full batch or its sample taken, the maxima kept point by point.
+        oracle, rng = np_instance, RandomSource(77).generator()
+        R = oracle.feasible_set.diameter()
+
+        def random_feasible(interior):
+            v = oracle.feasible_set.prox(1.0, rng.uniform(-R, R, size=oracle.dim))
+            return v * rng.random() if interior else v
+
+        nu_g = kappa_f = kappa_g = nu_f = 0.0
+        for i in range(n_full):
+            fb = oracle.full_batch(random_feasible(i % 2 == 0))
+            nu_g = max(nu_g, float(np.linalg.norm(fb.g_value)))
+            kappa_f = max(kappa_f, float(np.linalg.norm(fb.f_grad)))
+            kappa_g = max(kappa_g, float(np.linalg.norm(fb.g_jacobian, 2)))
+        for i in range(n_sample):
+            x = random_feasible(i % 2 == 0)
+            s = oracle.sample(rng, x)
+            nu_g = max(nu_g, float(np.linalg.norm(s.g_value)))
+            kappa_f = max(kappa_f, float(np.linalg.norm(s.f_grad)))
+            kappa_g = max(kappa_g, float(np.linalg.norm(s.g_jacobian, 2)))
+            nu_f = max(nu_f, abs(s.f_value - oracle.full_batch(x).f_value))
+        got = estimate_constants(oracle, RandomSource(77).generator(), n_full=n_full, n_sample=n_sample)
+        assert (got.nu_g, got.kappa_f, got.kappa_g, got.nu_f or 0.0) == (nu_g, kappa_f, kappa_g, nu_f)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import evaluate_one, scalar_evaluate
+from saddle_sa import oracles
 from saddle_sa import (
     BilinearOracle,
     ClassGroupedDataset,
@@ -241,7 +242,7 @@ class TestNeymanPearsonOracle:
         rng = RandomSource(31).generator()
         for _ in range(5):
             x = oracle.feasible_set.prox(1.0, rng.normal(size=oracle.dim) * 2.0)
-            idx = oracle.draw(rng)
+            idx = oracle.draws(rng, 1)[0]
             s = oracle.evaluate(x, idx)
             finite_diff_check(lambda w: oracle.evaluate(w, idx).f_value, s.f_grad, x)
             jac = s.g_jacobian
@@ -298,10 +299,43 @@ class TestNeymanPearsonOracle:
             # Scaled up to reach saturated margins, then onto the feasible balls.
             x = oracle.feasible_set.prox(1.0, rng.normal(size=oracle.dim) * 4.0)
             X = x.reshape(m, oracle.n)
-            idx = oracle.draw(rng)
+            idx = oracle.draws(rng, 1)[0]
             rows = [mat[j:j + 1] for mat, j in zip(mats, idx)]
             assert_sample_equals(oracle.evaluate(x, idx), class_loop_assemble(oracle, X, rows))
             assert_sample_equals(oracle.full_batch(x), class_loop_assemble(oracle, X, mats))
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_full_batch_rows_match_one_row_calls_bit_for_bit(self, m):
+        rng = np.random.default_rng(800 + m)
+        # Unequal class sizes, and one all-zero feature so that some gradient
+        # entries are signed zeros.
+        mats = {label: rng.normal(loc=0.5 * label, size=(4 + 5 * label, 6)) for label in range(m)}
+        for mat in mats.values():
+            mat[:, 2] = 0.0
+        oracle = NeymanPearsonOracle(ClassGroupedDataset(mats, 6), 3.0, r=rng.uniform(0.5, 2.0, size=m - 1))
+        chunk = oracles.FULL_BATCH_CHUNK
+        X = np.array([oracle.feasible_set.prox(1.0, rng.normal(size=oracle.dim) * 4.0)
+                      for _ in range(chunk + 1)])
+        X[chunk // 2] = -0.0
+        for K in (1, chunk - 1, chunk, chunk + 1):
+            rows = oracle.full_batch_rows(X[:K])
+            assert rows.f_value.shape == (K,) and rows.g_jacobian.shape == (K, m - 1, oracle.dim)
+            for p in range(K):
+                one = oracle.full_batch(X[p])
+                for name in ("f_value", "f_grad", "g_value", "g_jacobian"):
+                    a, b = getattr(rows, name)[p], getattr(one, name)
+                    assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b)), (K, p, name)
+
+    @pytest.mark.parametrize("sizes", [(100, 100, 100), (37, 100, 5000)])
+    def test_draws_match_one_class_at_a_time(self, sizes):
+        rng = np.random.default_rng(5)
+        ds = ClassGroupedDataset({label: rng.normal(size=(size, 2)) for label, size in enumerate(sizes)}, 2)
+        oracle = NeymanPearsonOracle(ds, 1.0)
+        block, single = np.random.default_rng(11), np.random.default_rng(11)
+        draws = oracle.draws(block, 1024)
+        assert draws.shape == (1024, len(sizes))
+        assert draws.tolist() == [[int(single.integers(size)) for size in sizes] for _ in range(1024)]
+        assert block.random() == single.random()
 
     def test_needs_two_classes(self):
         rng = np.random.default_rng(0)

@@ -75,6 +75,12 @@ CASES = [
      ["schedule=harmonic", "theta=1e13", "mu=0"]),
     ("np-inner-max-iters-1", "run", NP_SYNTH + "N_list = 10,20\ntrials = 3\nseed = 8\n", ["inner_max_iters=1"]),
     ("np-diagnose", "diagnose", NP_SYNTH + "N_list = 250,1000\nseed = 0\n", []),
+    # Every iteration recorded: 1 + 2 * 130 full-batch points cross several
+    # full_batch_rows chunks, and the kept-row arrays fill to the last row.
+    ("np-thinning-1", "run", NP_SYNTH + "N_list = 50,130\ntrials = 2\nseed = 11\n", ["trace_thinning=1"]),
+    ("tanh-thinning-1", "run", "experiment = tanh\nalgorithm = saps\nn = 3\nregularizer = max\n"
+     "N_list = 100,300\ntrials = 3\nref_pool_size = 50\nref_iters = 500\nseed = 12\nparallel = 1\n",
+     ["trace_thinning=1"]),
     # estimate_m_star on each minimax oracle's row form.
     ("bilinear-diagnose", "diagnose", BILINEAR + "N_list = 100,1000\nseed = 0\n", []),
     ("tanh-diagnose", "diagnose", "experiment = tanh\nalgorithm = saps\nn = 3\nregularizer = max\n"
