@@ -64,9 +64,6 @@ from .saps import SapsProblem, run_saps, run_saps_batch
 __all__ = ["ConfigError", "ExperimentConfig", "load_config", "run_experiment", "main"]
 
 ENV_OUTPUT_DIR = "SADDLE_SA_OUT"
-EXPERIMENTS = ("bilinear", "tanh", "neyman_pearson")
-ALGORITHMS = ("saps", "lsaal", "laam")
-COMPATIBLE = {"bilinear": ("saps",), "tanh": ("saps",), "neyman_pearson": ("lsaal", "laam")}
 REGULARIZERS = ("l1", "l2", "max")
 SUBSAMPLE_CAP = 5000  # desk-scale policy: never hold more points per class
 
@@ -111,6 +108,10 @@ class ExperimentConfig:
 
 
 _KEY_ALIASES = {"lambda": "lam"}
+_KEY_NAMES = {field: key for key, field in _KEY_ALIASES.items()}  # as a user writes them
+# Keys every experiment reads; EXPERIMENTS names the rest each one reads.
+_COMMON_KEYS = ("experiment algorithm N_list n trials seed output_dir trace_thinning averaging "
+                "tail_multiplier parallel include_timing")
 
 
 def _parse_bool(raw: str, key: str) -> bool:
@@ -147,21 +148,20 @@ def _parse_value(key: str, raw: str):
 def load_config(source, overrides=()) -> ExperimentConfig:
     """Build a validated config from key=value text plus override pairs.
 
-    `source` is a path, literal text containing newlines, or None (overrides
-    only). Later overrides win over file values.
+    `source` is a pathlib.Path to read, literal key=value text, or None
+    (overrides only). Later overrides win over file values.
     """
     pairs = {}
-    text = None
     if source is not None:
         text = source.read_text(encoding="utf-8") if isinstance(source, Path) else str(source)
-    if text is not None:
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
             key, sep, value = line.partition("=")
-            if not sep:
-                raise ConfigError(f"config line {lineno}: expected key=value, got {raw!r}")
+            if not sep:  # a one-line str is most likely a path
+                hint = "" if isinstance(source, Path) or "\n" in text else " (to read a file, pass a Path)"
+                raise ConfigError(f"config line {lineno}: expected key=value, got {raw!r}{hint}")
             pairs[key.strip()] = value
     for item in overrides:
         key, sep, value = str(item).partition("=")
@@ -185,14 +185,13 @@ def load_config(source, overrides=()) -> ExperimentConfig:
 
 
 def _validate(config: ExperimentConfig) -> None:
-    if config.experiment not in EXPERIMENTS:
+    experiment = EXPERIMENTS.get(config.experiment)
+    if experiment is None:
         raise ConfigError(f"unknown experiment {config.experiment!r}")
-    if config.algorithm not in ALGORITHMS:
-        raise ConfigError(f"unknown algorithm {config.algorithm!r}")
-    if config.algorithm not in COMPATIBLE[config.experiment]:
+    if config.algorithm not in experiment.algorithms:
         raise ConfigError(
             f"algorithm {config.algorithm!r} is incompatible with experiment "
-            f"{config.experiment!r} (expected one of {COMPATIBLE[config.experiment]})")
+            f"{config.experiment!r} (expected one of {experiment.algorithms})")
     if config.regularizer not in REGULARIZERS:
         raise ConfigError(f"unknown regularizer {config.regularizer!r}")
     if config.trials < 1:
@@ -226,6 +225,13 @@ def _validate(config: ExperimentConfig) -> None:
         _regularizer(config.regularizer, config.mu)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    # After the value rules: a key the experiment does not read keeps its default.
+    reads = (_COMMON_KEYS + " " + experiment.keys).split()
+    unread = [repr(_KEY_NAMES.get(f.name, f.name)) for f in fields(config)
+              if f.name not in reads and getattr(config, f.name) != f.default]
+    if unread:
+        raise ConfigError(f"experiment {config.experiment!r} does not read {', '.join(unread)}; "
+                          "remove the key(s) or set their defaults")
 
 
 def _regularizer(kind: str, mu: float):
@@ -249,7 +255,8 @@ def _schedule_for(config: ExperimentConfig, N: int) -> StepSchedule:
 
 
 # ---------------------------------------------------------------------------
-# Experiment registry: shared (per-experiment) setup plus per-trial runners.
+# Experiments: each one's shared setup, trial batch, scoring and diagnose,
+# and the EXPERIMENTS registry that names them, at the end of this section.
 # ---------------------------------------------------------------------------
 
 
@@ -266,12 +273,6 @@ def _build_dataset(config: ExperimentConfig):
     if config.normalize:
         dataset = dataset.normalize()
     return dataset
-
-
-def _np_oracle(config: ExperimentConfig, dataset):
-    m = dataset.num_classes
-    r_value = config.r if config.r is not None else float(m - 1)
-    return NeymanPearsonOracle(dataset, config.lam, np.full(m - 1, r_value))
 
 
 def _tanh_anchors(config: ExperimentConfig):
@@ -306,12 +307,7 @@ def _tanh_reference(config: ExperimentConfig):
 
 def _experiment_shared(config: ExperimentConfig):
     """Heavy, trial-independent setup computed once and shipped to workers."""
-    if config.experiment == "neyman_pearson":
-        dataset = _build_dataset(config)
-        return {"dataset": dataset, "oracle": _np_oracle(config, dataset)}
-    if config.experiment == "tanh":
-        return _tanh_reference(config)
-    return {}
+    return EXPERIMENTS[config.experiment].shared(config)
 
 
 _KEPT_ROW = "kept_row"  # the one metric value the runners record per row
@@ -349,11 +345,8 @@ def run_trial_batch(config: ExperimentConfig, N: int, trials, shared: dict) -> l
     """Execute the given trials of horizon N; one outcome per trial, in order.
 
     An outcome is the trial's RunRecord, or the DivergenceError or
-    ConvergenceError that ended it. Each is deterministic given (config, N,
-    trial), whatever else is in the batch: bilinear and tanh trials advance
-    together through run_saps_batch, Neyman-Pearson trials run one after
-    another. The runners only keep the recorded points; each experiment's
-    metrics are computed from them after the run.
+    ConvergenceError that ended it, deterministic given (config, N, trial)
+    whatever else is in the batch; the experiment scores it after the run.
     """
     base = RunConfig(horizon=N, seed=config.seed, schedule=_schedule_for(config, N),
                      trace_thinning=config.trace_thinning or max(1, N // 200),  # 0: about 200 rows
@@ -362,15 +355,11 @@ def run_trial_batch(config: ExperimentConfig, N: int, trials, shared: dict) -> l
     starts = [(replace(base, stream_id=derive_stream_id(config.seed, N, trial)),
                RandomSource(config.seed, derive_stream_id(config.seed, N, trial, "init")).generator())
               for trial in trials]
-    if config.experiment == "neyman_pearson":
-        outcomes = []
-        for run_cfg, init_rng in starts:
-            try:
-                outcomes.append(_run_np_trial(config, run_cfg, init_rng, shared, recorded))
-            except (DivergenceError, ConvergenceError) as exc:
-                outcomes.append(exc)
-        return outcomes
-    problem, score = _saps_experiment(config, shared)
+    return EXPERIMENTS[config.experiment].run_batch(config, starts, recorded, shared)
+
+
+def _saps_batch(config, starts, recorded: int, problem: SapsProblem, score) -> list:
+    """Run the starts as one run_saps_batch; `score` maps a record's kept rows to its metrics."""
     configs = [replace(run_cfg, initial=PrimalDualPoint(init_rng.uniform(-1.0, 1.0, size=config.n),
                                                         init_rng.uniform(-1.0, 1.0, size=config.n)))
                for run_cfg, init_rng in starts]
@@ -382,47 +371,65 @@ def run_trial_batch(config: ExperimentConfig, N: int, trials, shared: dict) -> l
     return outcomes
 
 
-def _saps_experiment(config: ExperimentConfig, shared: dict):
-    """The bilinear or tanh problem, and the function that turns a trial's
-    kept (iterates, averages) into its metric rows."""
-    theta = _regularizer(config.regularizer, config.mu)
-    if config.experiment == "tanh":
-        z_ref = shared["z_ref"]
-
-        def tanh_metrics(Z, A):
-            return [{"dist_avg_to_ref": avg, "dist_last_to_ref": last}
-                    for avg, last in zip(_row_distances(A, z_ref), _row_distances(Z, z_ref))]
-
-        return SapsProblem(TanhOracle(shared["xbar"], shared["ybar"]), theta, theta), tanh_metrics
-
-    oracle = BilinearOracle(config.n)
+def _bilinear_batch(config, starts, recorded: int, shared: dict) -> list:
+    """Scored by the minimax gap and the distances to the known saddle 0."""
     n = config.n
+    theta = _regularizer(config.regularizer, config.mu)
+    oracle = BilinearOracle(n)
     z_star = PrimalDualPoint(np.zeros(n), np.zeros(n))
     evaluator = BilinearEvaluator(oracle, theta, theta)
 
     def bilinear_metrics(Z, A):
-        rows = []
-        for avg, dist_avg, dist_last in zip(A, _row_distances(A, z_star), _row_distances(Z, z_star)):
-            gap = minimax_gap(evaluator, PrimalDualPoint(avg[:n], avg[n:]), z_star)
-            rows.append({
-                "minimax_gap": max(gap, 0.0),
-                "minimax_gap_raw": gap,
-                "dist_to_saddle": dist_avg,
-                "dist_last": dist_last,
-            })
-        return rows
+        gaps = [minimax_gap(evaluator, PrimalDualPoint(avg[:n], avg[n:]), z_star) for avg in A]
+        return [{"minimax_gap": max(gap, 0.0), "minimax_gap_raw": gap,
+                 "dist_to_saddle": avg, "dist_last": last}
+                for gap, avg, last in zip(gaps, _row_distances(A, z_star), _row_distances(Z, z_star))]
 
-    return SapsProblem(oracle, theta, theta), bilinear_metrics
+    return _saps_batch(config, starts, recorded, SapsProblem(oracle, theta, theta), bilinear_metrics)
 
 
-def _np_problem(config: ExperimentConfig, oracle) -> LsaalProblem:
-    return LsaalProblem(oracle, oracle.cone, oracle.feasible_set, sigma=config.sigma,
-                        inner_tol=config.inner_tol, inner_max_iters=config.inner_max_iters)
+def _tanh_batch(config, starts, recorded: int, shared: dict) -> list:
+    """Scored by the distances to the shared reference point."""
+    theta = _regularizer(config.regularizer, config.mu)
+    z_ref = shared["z_ref"]
+
+    def tanh_metrics(Z, A):
+        return [{"dist_avg_to_ref": avg, "dist_last_to_ref": last}
+                for avg, last in zip(_row_distances(A, z_ref), _row_distances(Z, z_ref))]
+
+    problem = SapsProblem(TanhOracle(shared["xbar"], shared["ybar"]), theta, theta)
+    return _saps_batch(config, starts, recorded, problem, tanh_metrics)
 
 
-def _run_np_trial(config, run_cfg, init_rng, shared, recorded: int):
-    oracle = shared["oracle"]
-    problem = _np_problem(config, oracle)
+def _m_star_diagnose(config: ExperimentConfig, oracle) -> None:
+    """Print a sampled second-moment estimate of a SAPS experiment's oracle."""
+    theta = _regularizer(config.regularizer, config.mu)
+    rng = RandomSource(config.seed, derive_stream_id(config.seed, "diagnose")).generator()
+    print(f"M_star={estimate_m_star(oracle, theta, theta, rng)!r} (estimated)")
+
+
+def _np_shared(config: ExperimentConfig):
+    dataset = _build_dataset(config)
+    r = None if config.r is None else np.full(dataset.num_classes - 1, config.r)
+    oracle = NeymanPearsonOracle(dataset, config.lam, r)
+    problem = LsaalProblem(oracle, oracle.cone, oracle.feasible_set, sigma=config.sigma,
+                           inner_tol=config.inner_tol, inner_max_iters=config.inner_max_iters)
+    return {"dataset": dataset, "problem": problem}
+
+
+def _np_batch(config, starts, recorded: int, shared: dict) -> list:
+    """Neyman-Pearson trials run one after another."""
+    outcomes = []
+    for run_cfg, init_rng in starts:
+        try:
+            outcomes.append(_run_np_trial(config, run_cfg, init_rng, shared["problem"], recorded))
+        except (DivergenceError, ConvergenceError) as exc:
+            outcomes.append(exc)
+    return outcomes
+
+
+def _run_np_trial(config, run_cfg, init_rng, problem: LsaalProblem, recorded: int):
+    oracle = problem.oracle
     x0 = oracle.feasible_set.prox(1.0, init_rng.uniform(-1.0, 1.0, size=oracle.dim))
     z0 = PrimalDualPoint(x0, np.zeros(oracle.cone.dim))
     kept = _KeptRows(recorded, oracle.dim + oracle.cone.dim)
@@ -477,6 +484,49 @@ def _np_metrics(problem: LsaalProblem, z0: PrimalDualPoint, kept: _KeptRows):
             "y_norm": float(np.linalg.norm(y)),
         })
     return metrics, base_norm
+
+
+def _np_diagnose(config: ExperimentConfig) -> None:
+    problem = _experiment_shared(config)["problem"]
+    N = max(config.N_list)
+    rng = RandomSource(config.seed, derive_stream_id(config.seed, "diagnose")).generator()
+    constants = estimate_constants(problem.oracle, rng)
+    sigma = problem.resolve_sigma(N)
+    s = math.isqrt(N - 1) + 1  # ceil(sqrt(N))
+    print(f"# constants estimated by sampled maximization (N={N}, sigma={sigma!r}, s={s})")
+    print(f"R={constants.R!r} (exact from feasible-set geometry)")
+    for name in ("nu_g", "kappa_f", "kappa_g", "nu_f", "slater_margin"):
+        print(f"{name}={getattr(constants, name)!r} (estimated)")
+    print(f"beta0={constants.beta0!r} (estimated)")
+    if constants.slater_margin is None:
+        print("# multiplier diagnostics skipped: no Slater margin")
+        return
+    diag = multiplier_bound_diagnostics(constants, sigma, s)
+    for name in ("kappa1", "kappa2", "kappa3", "delta1", "theta_sigma_s"):
+        print(f"{name}={getattr(diag, name)!r} (estimated)")
+
+
+@dataclass(frozen=True)
+class _Experiment:
+    """One experiment. Its functions call oracles and runners as module globals, so patches reach them."""
+
+    algorithms: tuple
+    keys: str          # the config keys it reads beyond _COMMON_KEYS
+    shared: object     # config -> trial-independent setup, a dict
+    run_batch: object  # (config, starts, recorded, shared) -> one outcome per start
+    diagnose: object   # config -> None; prints estimated instance constants
+
+
+_SAPS_KEYS = "mu regularizer schedule theta dist_estimate M_estimate"
+EXPERIMENTS = {
+    "bilinear": _Experiment(("saps",), _SAPS_KEYS, lambda config: {}, _bilinear_batch,
+                            lambda config: _m_star_diagnose(config, BilinearOracle(config.n))),
+    "tanh": _Experiment(("saps",), _SAPS_KEYS + " ref_pool_size ref_iters", _tanh_reference, _tanh_batch,
+                        lambda config: _m_star_diagnose(config, TanhOracle(*_tanh_anchors(config)[1:]))),
+    "neyman_pearson": _Experiment(
+        ("lsaal", "laam"), "m_classes lam r dataset_path normalize points_per_class separation "
+        "subsample_per_class sigma inner_tol inner_max_iters", _np_shared, _np_batch, _np_diagnose),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -636,39 +686,6 @@ def _summarize(config: ExperimentConfig, aggregate_rows: list) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _diagnose(config: ExperimentConfig) -> int:
-    N = max(config.N_list)
-    if config.experiment == "neyman_pearson":
-        oracle = _experiment_shared(config)["oracle"]
-        rng = RandomSource(config.seed, derive_stream_id(config.seed, "diagnose")).generator()
-        constants = estimate_constants(oracle, rng)
-        sigma = _np_problem(config, oracle).resolve_sigma(N)
-        s = math.isqrt(N - 1) + 1  # ceil(sqrt(N))
-        print(f"# constants estimated by sampled maximization (N={N}, sigma={sigma!r}, s={s})")
-        print(f"R={constants.R!r} (exact from feasible-set geometry)")
-        for name in ("nu_g", "kappa_f", "kappa_g", "nu_f", "slater_margin"):
-            print(f"{name}={getattr(constants, name)!r} (estimated)")
-        print(f"beta0={constants.beta0!r} (estimated)")
-        if constants.slater_margin is None:
-            print("# multiplier diagnostics skipped: no Slater margin")
-            return 0
-        diag = multiplier_bound_diagnostics(constants, sigma, s)
-        for name in ("kappa1", "kappa2", "kappa3", "delta1", "theta_sigma_s"):
-            print(f"{name}={getattr(diag, name)!r} (estimated)")
-        return 0
-    # saps experiments: report a sampled second-moment estimate
-    theta = _regularizer(config.regularizer, config.mu)
-    if config.experiment == "bilinear":
-        oracle = BilinearOracle(config.n)
-    else:
-        _, xbar, ybar = _tanh_anchors(config)
-        oracle = TanhOracle(xbar, ybar)
-    rng = RandomSource(config.seed, derive_stream_id(config.seed, "diagnose")).generator()
-    m_star = estimate_m_star(oracle, theta, theta, rng)
-    print(f"M_star={m_star!r} (estimated)")
-    return 0
-
-
 def _check_data(path: str) -> int:
     with open(path, "r", encoding="utf-8") as fh:
         dataset = parse_libsvm(fh)
@@ -719,7 +736,8 @@ def main(argv=None) -> int:
             return _check_data(args.path)
         config = load_config(Path(args.config), _overrides_from_args(args))
         if args.command == "diagnose":
-            return _diagnose(config)
+            EXPERIMENTS[config.experiment].diagnose(config)
+            return 0
         result = run_experiment(config)
         for N, failed in sorted(result.failures.items()):
             for kind, error_type in (("diverged", DivergenceError), ("not-converged", ConvergenceError)):

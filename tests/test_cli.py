@@ -66,7 +66,7 @@ class TestLoadConfig:
         assert cfg.mu == 2.0
 
     def test_lambda_alias(self):
-        cfg = load_config(bilinear_text() + "lambda=7.5\n")
+        cfg = load_config("experiment=neyman_pearson\nalgorithm=lsaal\nN_list=10\nlambda=7.5\n")
         assert cfg.lam == 7.5
 
     def test_bad_boolean(self):
@@ -82,6 +82,20 @@ class TestLoadConfig:
         path.write_text(bilinear_text(), encoding="utf-8")
         cfg = load_config(path)
         assert cfg.experiment == "bilinear"
+
+    def test_str_path_error_says_to_pass_a_path(self):
+        # A str is config text; a path given as one fails on its first line.
+        with pytest.raises(ConfigError, match="to read a file, pass a Path"):
+            load_config("exp.cfg")
+        with pytest.raises(ConfigError) as err:
+            load_config(bilinear_text() + "oops\n")
+        assert "pass a Path" not in str(err.value)
+
+    def test_every_key_is_read_by_some_experiment(self):
+        common = set(cli._COMMON_KEYS.split())
+        by_experiment = [set(experiment.keys.split()) for experiment in cli.EXPERIMENTS.values()]
+        assert not any(common & keys for keys in by_experiment)
+        assert common.union(*by_experiment) == {f.name for f in fields(ExperimentConfig)}
 
 
 class TestRunExperiment:
@@ -269,6 +283,34 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text, overrides, named", [
+        (bilinear_text(), ["sigma=0.1", "ref_iters=5", "dataset_path=/nonexistent", "inner_tol=3"],
+         ["'sigma'", "'ref_iters'", "'dataset_path'", "'inner_tol'"]),
+        ("experiment=tanh\nalgorithm=saps\nN_list=10\nref_pool_size=5\nref_iters=5\n",
+         ["lambda=7.5", "m_classes=4"], ["'lambda'", "'m_classes'"]),
+        ("experiment=neyman_pearson\nalgorithm=lsaal\nn=3\nm_classes=2\npoints_per_class=5\n"
+         "N_list=10\n", ["schedule=harmonic", "theta=0.3", "mu=7"], ["'schedule'", "'theta'", "'mu'"]),
+    ], ids=["bilinear", "tanh", "neyman_pearson"])
+    def test_unread_key_is_config_error(self, tmp_path, capsys, text, overrides, named):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(text + "trials=1\nparallel=1\n", encoding="utf-8")
+        argv = ["run", str(cfg_path), "--out", str(tmp_path / "out")]
+        for kv in overrides:
+            argv += ["--set", kv]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert all(key in err for key in named) and "'lam'" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_np_config_with_default_schedule_keys_runs(self, tmp_path, capsys):
+        cfg_path = tmp_path / "np.cfg"
+        cfg_path.write_text("experiment = neyman_pearson\nalgorithm = lsaal\nn = 4\nm_classes = 2\n"
+                            "points_per_class = 10\nlambda = 5.0\nN_list = 20\ntrials = 1\n"
+                            "parallel = 1\nschedule = const_over_sqrt_n\ntheta = 1.0\n", encoding="utf-8")
+        assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+        assert (tmp_path / "out" / "aggregate.csv").exists()
 
     def test_missing_file_exit_code(self, capsys):
         assert main(["run", "/nonexistent/config.cfg"]) == 1
@@ -667,8 +709,8 @@ class TestAnyNumericValue:
         check()
 
 
-# Every run sets the four schedule keys; these values include ones whose step
-# is not positive and finite at the horizon.
+# Every SAPS run sets the four schedule keys (Neyman-Pearson runs do not read
+# them); these values include ones whose step is not positive and finite at the horizon.
 SCHEDULE_TEXT = {
     "schedule": ["scaled_const", "harmonic", "inv_sqrt_k", "const_over_sqrt_n", "geometric"],
     "theta": ["1", "inf", "5e-324", "nan", "0", "-1", "1e308"],
@@ -712,7 +754,8 @@ class TestFreeFormOverrides:
                 cfg_path.write_text(TINY_CONFIGS[pair] + "N_list=4\ntrials=1\nparallel=1\n",
                                     encoding="utf-8")
                 argv = ["run", str(cfg_path), "--out", str(Path(tmp) / "out"), "--parallel", "1"]
-                for key, value in [*schedule_keys.items(), *others]:
+                saps = pair in ("bilinear", "tanh")
+                for key, value in [*(schedule_keys.items() if saps else ()), *others]:
                     argv += ["--set", f"{key}={value}"]
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", RuntimeWarning)

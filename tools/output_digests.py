@@ -91,6 +91,10 @@ CASES = [
     ("libsvm-subsampled", "run", LIBSVM, ["subsample_per_class=150"]),
     ("libsvm-unnormalized", "run", LIBSVM, ["normalize=false"]),
     ("libsvm-diagnose", "diagnose", LIBSVM, ["subsample_per_class=150"]),
+    # Keys the experiment does not read, at non-default values: exit 1, no output.
+    ("bilinear-unread-keys", "run", BILINEAR + "N_list = 100,300\ntrials = 2\nseed = 0\n",
+     ["sigma=0.1", "ref_iters=5", "dataset_path=/nonexistent", "inner_tol=3"]),
+    ("np-unread-schedule", "run", NP_SYNTH + "N_list = 50,100\ntrials = 2\nseed = 0\n", ["schedule=harmonic"]),
 ]
 
 
