@@ -37,7 +37,6 @@ from .cones import (
 from .oracles import (
     BilinearOracle,
     ConicSample,
-    MinimaxSample,
     NeymanPearsonOracle,
     TanhOracle,
 )

@@ -112,6 +112,8 @@ _KEY_NAMES = {field: key for key, field in _KEY_ALIASES.items()}  # as a user wr
 # Keys every experiment reads; EXPERIMENTS names the rest each one reads.
 _COMMON_KEYS = ("experiment algorithm N_list n trials seed output_dir trace_thinning averaging "
                 "tail_multiplier parallel include_timing")
+# Keys that describe the synthetic dataset, which a dataset_path file replaces.
+_SYNTHETIC_KEYS = ("n", "m_classes", "points_per_class", "separation")
 
 
 def _parse_bool(raw: str, key: str) -> bool:
@@ -227,11 +229,19 @@ def _validate(config: ExperimentConfig) -> None:
         raise ConfigError(str(exc)) from None
     # After the value rules: a key the experiment does not read keeps its default.
     reads = (_COMMON_KEYS + " " + experiment.keys).split()
-    unread = [repr(_KEY_NAMES.get(f.name, f.name)) for f in fields(config)
-              if f.name not in reads and getattr(config, f.name) != f.default]
+    changed = [f.name for f in fields(config) if getattr(config, f.name) != f.default]
+    unread = [name for name in changed if name not in reads]
     if unread:
-        raise ConfigError(f"experiment {config.experiment!r} does not read {', '.join(unread)}; "
+        raise ConfigError(f"experiment {config.experiment!r} does not read {_key_list(unread)}; "
                           "remove the key(s) or set their defaults")
+    replaced = [name for name in changed if name in _SYNTHETIC_KEYS] if config.dataset_path else []
+    if replaced:
+        raise ConfigError(f"dataset_path replaces the synthetic data that {_key_list(replaced)} describe; "
+                          "remove the key(s) or set their defaults")
+
+
+def _key_list(names) -> str:
+    return ", ".join(repr(_KEY_NAMES.get(name, name)) for name in names)
 
 
 def _regularizer(kind: str, mu: float):
@@ -348,7 +358,8 @@ def run_trial_batch(config: ExperimentConfig, N: int, trials, shared: dict) -> l
     ConvergenceError that ended it, deterministic given (config, N, trial)
     whatever else is in the batch; the experiment scores it after the run.
     """
-    base = RunConfig(horizon=N, seed=config.seed, schedule=_schedule_for(config, N),
+    schedule = _schedule_for(config, N) if config.algorithm == "saps" else None  # LSAAL steps by sigma
+    base = RunConfig(horizon=N, seed=config.seed, schedule=schedule,
                      trace_thinning=config.trace_thinning or max(1, N // 200),  # 0: about 200 rows
                      averaging=config.averaging)
     recorded = -(-N // base.trace_thinning)  # rows per trial: every trace_thinning-th k, and k = N

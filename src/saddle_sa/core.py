@@ -202,11 +202,12 @@ def _check_last_step(schedule: StepSchedule, horizon: int) -> None:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Per-run knobs shared by every solver driver."""
+    """Per-run knobs shared by every solver runner. SAPS steps by the
+    schedule; LSAAL and LAAM step by their penalty and take none."""
 
     horizon: int
     seed: int
-    schedule: StepSchedule
+    schedule: StepSchedule | None = None
     trace_thinning: int = 1  # record every t-th iteration (the last one is always kept)
     averaging: bool = True
     stream_id: int = 0
@@ -219,7 +220,8 @@ class RunConfig:
             raise ValueError("trace_thinning must be >= 1")
         if self.seed < 0 or self.stream_id < 0:
             raise ValueError("seed and stream_id must be nonnegative")
-        _check_last_step(self.schedule, self.horizon)
+        if self.schedule is not None:
+            _check_last_step(self.schedule, self.horizon)
 
     def random_source(self) -> "RandomSource":
         return RandomSource(self.seed, self.stream_id)

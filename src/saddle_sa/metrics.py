@@ -15,7 +15,6 @@ import numpy as np
 
 from .core import PrimalDualPoint, _row_dots
 from .cones import ConvexCone
-from .oracles import MinimaxSample
 from .prox import ProximableFunction
 
 __all__ = [
@@ -54,10 +53,11 @@ class FiniteSumMinimaxEvaluator:
     Approximates the expectation objective by the mean over `draws`; serves as
     the reproducible reference problem for oracles without a closed-form
     expectation. The objective is theta(x) + mean coupling - omega(y), with
-    the weight carried by the regularizers. The oracle provides
-    `signed_pool(draws)`, computed once for the pool, and
-    `evaluate_batch(x, y, pool)`. As an oracle for run_saps it has the
-    row form, with empty draws that use no randomness.
+    the weight carried by the regularizers. The pool is the oracle's own
+    draws (for `TanhOracle`, label-signed), and the oracle provides
+    `values(Z, draws)` and the pool-mean step `mean_directions(Z, pool)`. As
+    an oracle for run_saps it has the row form: empty draws that use no
+    randomness, and `directions(Z, draws)` is the pool mean at each row.
     """
 
     def __init__(self, oracle, draws, theta: ProximableFunction, omega: ProximableFunction):
@@ -66,24 +66,17 @@ class FiniteSumMinimaxEvaluator:
             raise ValueError("need at least one frozen draw")
         self.oracle = oracle
         self.pool = np.stack(draws)
-        self._signed = oracle.signed_pool(self.pool)
         self.theta = theta
         self.omega = omega
 
     def draws(self, rng, count: int) -> np.ndarray:
         return np.empty((count, 0))
 
-    def evaluate_rows(self, X: np.ndarray, Y: np.ndarray, _) -> MinimaxSample:
-        """Pool-mean values and gradients at each row of (X, Y), each row
-        rounding as `evaluate_batch` does at that point alone."""
-        V, GX, GY = np.empty(X.shape[0]), np.empty_like(X), np.empty_like(Y)
-        for t in range(X.shape[0]):
-            s = self.oracle.evaluate_batch(X[t], Y[t], self._signed)
-            V[t], GX[t], GY[t] = s.value, s.grad_x, s.grad_y
-        return MinimaxSample(V, GX, GY)
+    def directions(self, Z: np.ndarray, _) -> np.ndarray:
+        return self.oracle.mean_directions(Z, self.pool)
 
     def phi(self, x: np.ndarray, y: np.ndarray) -> float:
-        value = self.oracle.evaluate_batch(x, y, self._signed).value
+        value = float(np.mean(self.oracle.values(np.concatenate((x, y))[None], self.pool)))
         return self.theta.value(x) + value - self.omega.value(y)
 
 
@@ -196,20 +189,18 @@ def estimate_m_star(oracle, theta: ProximableFunction, omega: ProximableFunction
 
     Maximizes the per-point mean of ||(v_x + G_x, v_y - G_y)||^2 over points
     drawn uniformly from a centered cube of half-width `radius`, with v the
-    minimum-norm subgradients of the nonsmooth terms. The oracle has the row
-    form (`draws`, `evaluate_rows`). An estimate, not a certified bound.
+    minimum-norm subgradients of the nonsmooth terms: that is (v_x | v_y) - D
+    for the oracle's step direction D = (-G_x | G_y). The oracle has the row
+    form (`draws`, `directions`). An estimate, not a certified bound.
     """
     n, m = oracle.n, oracle.m
     worst = 0.0
     for _ in range(n_points):
         v = rng.uniform(-radius, radius, size=n + m)
-        z = PrimalDualPoint(v[:n], v[n:])
-        vx = theta.subgradient(z.x)
-        vy = omega.subgradient(z.y)
         # One row-form call, with the bits and stream order of n_draws samples.
-        s = oracle.evaluate_rows(np.tile(z.x, (n_draws, 1)), np.tile(z.y, (n_draws, 1)),
-                                 oracle.draws(rng, n_draws))
-        DX, DY = vx + s.grad_x, vy - s.grad_y
+        D = oracle.directions(np.tile(v, (n_draws, 1)), oracle.draws(rng, n_draws))
+        E = np.concatenate((theta.subgradient(v[:n]), omega.subgradient(v[n:]))) - D
+        DX, DY = E[:, :n], E[:, n:]
         acc = 0.0
         for sq in (_row_dots(DX, DX) + _row_dots(DY, DY)).tolist():
             acc += sq  # in draw order: sum() compensates on Python >= 3.12

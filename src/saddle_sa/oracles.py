@@ -1,20 +1,18 @@
 """Stochastic first-order oracles for the benchmark problems.
 
-Minimax oracles return a function value and the two block (sub)gradients of
-the sampled coupling term; the descent/ascent sign convention is applied by
-the solver step, not here. Conic oracles return sampled objective and
-constraint data with the constraint Jacobian as a dense array.
-
-Each oracle splits sampling into a draw (consumes randomness) and an
-evaluation (deterministic given the draw), in its solver's one form. The
-minimax oracles serve SAPS, which advances trials as rows: `draws(rng, count)`
-stacks count draws with the bits of count single ones, and
-`evaluate_rows(X, Y, draws)` evaluates row t of (X, Y) at draw t, each row
-rounding as 1-D arithmetic does. The Neyman-Pearson oracle serves LSAAL, one
-sample per outer iteration: `draws(rng, count)` stacks count draws with the
-bits of count single ones, `evaluate(x, draw)` takes one of them, and
-`sample(rng, x)` is the two in one call. Its full-batch average has the row
-form `full_batch_rows(X)`, of which `full_batch(x)` is the one-row case.
+Minimax oracles serve SAPS, which advances trials as the rows z = (x | y) of
+a (T, n + m) array, and return step directions, not gradients: row t of
+`directions(Z, draws)` is D = (-grad_x F | grad_y F) for the sampled coupling
+term F at Z[t] and draw t, descent in x and ascent in y, so the solver steps
+along it as it is. `values(Z, draws)` is the sampled F of each row, for
+checks. `draws(rng, count)` stacks count draws with the bits of count single
+ones; each row rounds as the 1-D arithmetic does at that point and draw.
+Conic oracles return sampled objective and constraint data with the
+constraint Jacobian as a dense array. The Neyman-Pearson oracle serves LSAAL,
+one sample per outer iteration: `draws(rng, count)` as above,
+`evaluate(x, draw)` takes one of them, and `sample(rng, x)` is the two in one
+call. Its full-batch average has the row form `full_batch_rows(X)`, of which
+`full_batch(x)` is the one-row case.
 """
 
 from __future__ import annotations
@@ -24,34 +22,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PrimalDualPoint, _row_dots, as_vector
+from .core import PrimalDualPoint, as_vector
 from .cones import NonpositiveOrthant
 from .data import ClassGroupedDataset, DataError
 from .prox import BallIndicator, BlockSeparable
 
 __all__ = [
-    "MinimaxSample",
     "ConicSample",
     "BilinearOracle",
     "TanhOracle",
     "NeymanPearsonOracle",
 ]
-
-
-@dataclass(frozen=True, eq=False)
-class MinimaxSample:
-    """Sampled values F(x,y,xi) and block gradients of the coupling term:
-    row arrays (T,), (T, n), (T, m) from `evaluate_rows`, or a pool mean (a
-    float and 1-D gradients) from `TanhOracle.evaluate_batch`.
-
-    grad_x estimates an element of the x-subdifferential of the coupling term
-    and grad_y one of the y-superdifferential; the solver steps along the
-    stacked direction (-grad_x | grad_y).
-    """
-
-    value: float
-    grad_x: np.ndarray
-    grad_y: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,6 +46,16 @@ class ConicSample:
     f_grad: np.ndarray
     g_value: np.ndarray
     g_jacobian: np.ndarray
+
+
+def _pair_dots(S: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """(T, 2) array of (s1.x, s2.y) for the draws S, a (T, 2, n) stack of
+    (s1, s2) or a (T, 1, n) stack of s1 = s2, and the rows z = (x | y) of Z,
+    with n = m. Z may also be a single (1, 2n) row for every draw.
+
+    A (1, n) @ (n, 1) product per dot rounds as the 1-D `s @ x` does.
+    """
+    return np.matmul(S[:, :, None, :], Z.reshape(len(Z), 2, -1, 1)).reshape(-1, 2)
 
 
 class BilinearOracle:
@@ -88,10 +79,15 @@ class BilinearOracle:
     def draws(self, rng: np.random.Generator, count: int) -> np.ndarray:
         return rng.random((count, self.n))
 
-    def evaluate_rows(self, X: np.ndarray, Y: np.ndarray, xi: np.ndarray) -> MinimaxSample:
-        tx = _row_dots(xi, X)
-        ty = _row_dots(xi, Y)
-        return MinimaxSample(tx * ty, xi * ty[:, None], xi * tx[:, None])
+    def directions(self, Z: np.ndarray, xi: np.ndarray) -> np.ndarray:
+        """Row t: (-(xi.y) xi | (xi.x) xi) at z = Z[t] and draw xi = xi[t]."""
+        t = _pair_dots(xi[:, None, :], Z)  # (T, 2): xi.x and xi.y
+        t[:, 1] *= -1.0
+        return (t[:, ::-1, None] * xi[:, None, :]).reshape(len(xi), -1)
+
+    def values(self, Z: np.ndarray, xi: np.ndarray) -> np.ndarray:
+        t = _pair_dots(xi[:, None, :], Z)
+        return t[:, 0] * t[:, 1]
 
     def exact_expectation(self, z: PrimalDualPoint):
         Q = self.Q
@@ -104,14 +100,16 @@ def _sign_rows(t: np.ndarray) -> np.ndarray:
     return np.where(t >= 0.0, 1.0, -1.0)
 
 
-def _tanh_rows(t: np.ndarray) -> np.ndarray:
-    # math.tanh per entry: np.tanh can differ from it in the last bit.
-    return np.array([math.tanh(v) for v in t.tolist()])
+def _tanh_pairs(S: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """(T, 2) array of tanh(s1.x) and tanh(s2.y), with math.tanh per entry:
+    np.tanh can differ from it in the last bit."""
+    return np.array([math.tanh(v) for v in _pair_dots(S, Z).ravel().tolist()]).reshape(-1, 2)
 
 
 class TanhOracle:
     """Coupling 1 - tanh(v1 <x,u1>) tanh(v2 <y,u2>) with u1,u2 uniform on
-    [0,1]^n and labels v1 = sign<xbar,u1>, v2 = sign<ybar,u2>.
+    [0,1]^n and labels v1 = sign<xbar,u1>, v2 = sign<ybar,u2>. A draw
+    carries its labels: it is the signed pair (s1, s2) = (v1 u1, v2 u2).
 
     Not convex-concave globally; used as an empirical study only, so no
     saddle-point invariants are asserted for it.
@@ -126,36 +124,47 @@ class TanhOracle:
         self.m = self.n
 
     def draws(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        return rng.random((count, 2, self.n))
-
-    def evaluate_rows(self, X: np.ndarray, Y: np.ndarray, U: np.ndarray) -> MinimaxSample:
-        u1, u2 = U[:, 0], U[:, 1]
-        v1 = _sign_rows(_row_dots(u1, self.xbar))
-        v2 = _sign_rows(_row_dots(u2, self.ybar))
-        a = _tanh_rows(v1 * _row_dots(u1, X))
-        b = _tanh_rows(v2 * _row_dots(u2, Y))
-        grad_x = (-v1 * (1.0 - a * a) * b)[:, None] * u1
-        grad_y = (-v2 * a * (1.0 - b * b))[:, None] * u2
-        return MinimaxSample(1.0 - a * b, grad_x, grad_y)
+        """count signed draws (s1, s2) = (v1 u1, v2 u2): the bits of
+        `signed_pool(rng.random((count, 2, n)))`."""
+        return self.signed_pool(rng.random((count, 2, self.n)))
 
     def signed_pool(self, draws) -> np.ndarray:
-        """A stack of draws (k, 2, n) with each u1 row multiplied by its label
-        v1 and each u2 row by v2: the pool `evaluate_batch` averages over."""
+        """A stack of raw draws (k, 2, n) with each u1 row multiplied by its
+        label v1 and each u2 row by v2. The signs are exact factors, so
+        s1.x = v1 (u1.x) bit for bit but for the sign of a zero, and signing
+        twice changes nothing."""
         U = np.asarray(draws, dtype=float)
         signs = np.stack((_sign_rows(U[:, 0, :] @ self.xbar), _sign_rows(U[:, 1, :] @ self.ybar)), axis=1)
         return U * signs[:, :, None]
 
-    def evaluate_batch(self, x, y, pool) -> MinimaxSample:
-        """Mean value and gradients at (x, y) over a pool from `signed_pool`.
-        The signs are exact factors, and the reductions run on the pool's
-        strided (k, n) views: a contiguous copy rounds them differently."""
-        s1, s2 = pool[:, 0, :], pool[:, 1, :]
-        a, b = np.tanh(s1 @ x), np.tanh(s2 @ y)
+    def directions(self, Z: np.ndarray, S: np.ndarray) -> np.ndarray:
+        """Row t at z = Z[t] and signed draw (s1, s2) = S[t]: with
+        a = tanh(s1.x) and b = tanh(s2.y), D = ((1 - a^2) b s1 | -a (1 - b^2) s2)."""
+        A = _tanh_pairs(S, Z)
+        C = (1.0 - A * A) * A[:, ::-1]
+        C[:, 1] *= -1.0
+        return (C[:, :, None] * S).reshape(len(S), -1)
+
+    def values(self, Z: np.ndarray, S: np.ndarray) -> np.ndarray:
+        A = _tanh_pairs(S, Z)
+        return 1.0 - A[:, 0] * A[:, 1]
+
+    def mean_directions(self, Z: np.ndarray, pool: np.ndarray) -> np.ndarray:
+        """The step averaged over a pool of k signed draws, at each row of Z.
+
+        One stacked pass over the pool's strided (2, k, n) view; each row
+        rounds as two matrix-vector products per block on those views do at
+        that point alone (a contiguous copy rounds differently). As
+        a * a - 1.0 = -(1.0 - a * a), dividing the x block by -k gives the
+        step's signs exactly, zeros included.
+        """
         k = pool.shape[0]
-        grad_x = s1.T @ ((a * a - 1.0) * b) / k  # a * a - 1.0 is -(1.0 - a * a) exactly
-        grad_y = s2.T @ (a * (b * b - 1.0)) / k
-        mean = float((1.0 - a * b).sum() / k)  # np.mean's arithmetic, not its overhead
-        return MinimaxSample(mean, grad_x, grad_y)
+        A = np.tanh(np.matmul(pool.transpose(1, 0, 2), Z.reshape(len(Z), 2, -1, 1))[..., 0])  # (T, 2, k)
+        W = (A * A - 1.0) * A[:, ::-1]
+        sums = np.matmul(pool.transpose(1, 2, 0), W[..., None])[..., 0]  # (T, 2, n)
+        sums[:, 0] /= -k
+        sums[:, 1] /= k
+        return sums.reshape(len(Z), -1)
 
 
 # Points per pass of NeymanPearsonOracle.full_batch_rows: bounds its work

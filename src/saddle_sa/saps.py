@@ -7,7 +7,7 @@ sampled gradients, then applies the blockwise prox:
     y' = prox_{gamma * omega}(y + gamma * grad_y)
 
 taken on the stacked z = (x | y) as one BlockSeparable prox of z + gamma * D,
-with the direction D = (-grad_x | grad_y).
+with the direction D = (-grad_x | grad_y) that the oracle returns.
 
 The running average weights iterate k by its step size gamma_k and is
 maintained in streaming form so trace thinning never affects the final
@@ -17,8 +17,8 @@ The solver advances the independent trials of one horizon together: row t of
 the (T, n + m) iterate array is trial t. Every trial owns its random stream,
 so a trial gives the same bits in a batch of any size; `run_saps` is the
 one-trial batch. The oracle serves the batch in its row form only:
-`draws(rng, count)` stacks a trial's draws and `evaluate_rows(X, Y, draws)`
-returns one gradient row per trial.
+`draws(rng, count)` stacks a trial's draws and `directions(Z, draws)`
+returns one (n + m) direction row per trial.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ class _Trials:
 
     Each trial's draws come from `oracle.draws(rng, count)`, PREFETCH_ROWS at
     a time, which yields the bits of one draw per iteration; each step's
-    gradients come from one `oracle.evaluate_rows(X, Y, draws)`.
+    directions come from one `oracle.directions(Z, draws)`.
     """
 
     def __init__(self, oracle, rngs, horizon: int):
@@ -86,15 +86,15 @@ class _Trials:
         self.block = np.empty((0, len(rngs)))  # prefetched draws, (draws, rows, ...); none yet
         self.cursor = 0
 
-    def gradients(self, X, Y):
+    def directions(self, Z):
         if self.cursor == self.block.shape[0]:
             count = min(PREFETCH_ROWS, self.undrawn)
             self.block = np.stack([self.oracle.draws(rng, count) for rng in self.rngs], axis=1)
             self.undrawn -= count
             self.cursor = 0
-        sample = self.oracle.evaluate_rows(X, Y, self.block[self.cursor])
+        D = self.oracle.directions(Z, self.block[self.cursor])
         self.cursor += 1
-        return sample.grad_x, sample.grad_y
+        return D
 
     def drop(self, errors: dict, outcomes: list):
         """Hand each row in `errors` its DivergenceError and forget it.
@@ -150,6 +150,8 @@ def run_saps_batch(problem: SapsProblem, configs, metric_hooks=()) -> list:
     if not configs:
         return outcomes
     horizon, schedule, thinning, averaging = _shared_settings(configs)
+    if schedule is None:
+        raise ValueError("SAPS needs a step-size schedule; RunConfig.schedule is None")
     oracle = problem.oracle
     rngs = [c.random_source().generator() for c in configs]
     starts = [c.initial if c.initial is not None else _default_initial(rng, oracle.n, oracle.m)
@@ -184,11 +186,11 @@ def run_saps_batch(problem: SapsProblem, configs, metric_hooks=()) -> list:
                     errors[row] = exc
                     continue
                 record.append(k, gamma, values, time.perf_counter() - t0)
-        GX, GY = trials.gradients(Z[:, :n], Z[:, n:])
+        D = trials.directions(Z)  # descent in x, ascent in y
         # A shape mismatch is a programming error, not divergence.
-        if GX.shape != (Z.shape[0], n) or GY.shape != (Z.shape[0], m):
-            raise ValueError(f"sample gradient dimensions do not match the iterate at iteration {k}")
-        V = Z + gamma * np.concatenate((-GX, GY), axis=1)  # descent in x, ascent in y
+        if D.shape != Z.shape:
+            raise ValueError(f"sample direction dimensions do not match the iterate at iteration {k}")
+        V = Z + gamma * D
         # Any non-finite entry makes the sum non-finite; a sum that merely
         # overflows costs the exact scan and finds nothing.
         if not math.isfinite(V.sum()):

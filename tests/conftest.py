@@ -8,6 +8,7 @@ implementations are checked against brute-force minimization.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from saddle_sa import (
     BallIndicator,
     BilinearOracle,
     BoxIndicator,
-    MinimaxSample,
     NeymanPearsonOracle,
     PositivePartSum,
     ScaledL1,
@@ -114,8 +114,10 @@ def grid_prox_2d(f, gamma: float, v: np.ndarray, bound: float,
 
 
 def scalar_evaluate(oracle, z, d):
-    """Bilinear or tanh `evaluate_rows` of one row as a 1-D formula:
-    (value, grad_x, grad_y)."""
+    """One draw of the bilinear or tanh oracle as 1-D formulas: (value,
+    grad_x, grad_y). A tanh draw may be raw, (u1, u2), or label-signed,
+    (v1 u1, v2 u2) as `TanhOracle.draws` returns it; a signed draw's labels
+    are +1."""
     if isinstance(oracle, BilinearOracle):
         tx = float(d @ z.x)
         ty = float(d @ z.y)
@@ -128,11 +130,19 @@ def scalar_evaluate(oracle, z, d):
     return 1.0 - a * b, (-v1 * (1.0 - a * a) * b) * u1, (-v2 * a * (1.0 - b * b)) * u2
 
 
+class Sample(NamedTuple):
+    value: float
+    grad_x: np.ndarray
+    grad_y: np.ndarray
+
+
 def evaluate_one(oracle, z, d):
-    """A row-form minimax oracle at one point and one draw: the one-row case
-    of `evaluate_rows`, with a float value and 1-D gradients."""
-    s = oracle.evaluate_rows(z.x[None], z.y[None], np.asarray(d, dtype=float)[None])
-    return MinimaxSample(float(s.value[0]), s.grad_x[0], s.grad_y[0])
+    """A row-form minimax oracle at one point and one draw, read back as the
+    value and the two gradients from its one-row `values` and `directions`:
+    the direction is (-grad_x | grad_y)."""
+    Z, draws = z.stacked()[None], np.asarray(d, dtype=float)[None]
+    step = oracle.directions(Z, draws)[0]
+    return Sample(float(oracle.values(Z, draws)[0]), -step[:z.n], step[z.n:])
 
 
 def recording_hook(seen: list):

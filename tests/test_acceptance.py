@@ -145,8 +145,7 @@ def test_criterion_04_oracle_unbiasedness_and_gradients(np_instance):
     rng = sa.RandomSource(404).generator()
     z = sa.PrimalDualPoint(rng.normal(size=3), rng.normal(size=3))
     n_samples = 100_000
-    grads = oracle.evaluate_rows(np.tile(z.x, (n_samples, 1)), np.tile(z.y, (n_samples, 1)),
-                                 oracle.draws(rng, n_samples)).grad_x
+    grads = -oracle.directions(np.tile(z.stacked(), (n_samples, 1)), oracle.draws(rng, n_samples))[:, :3]
     target = oracle.Q @ z.y
     se = grads.std(axis=0, ddof=1) / math.sqrt(n_samples)
     dev = np.abs(grads.mean(axis=0) - target)

@@ -20,7 +20,7 @@ from saddle_sa.cli import (
 )
 from saddle_sa import lsaal as lsaal_module
 from saddle_sa.core import ConvergenceError, DivergenceError, PrimalDualPoint
-from saddle_sa.oracles import ConicSample, NeymanPearsonOracle, TanhOracle
+from saddle_sa.oracles import ConicSample, NeymanPearsonOracle
 
 
 def bilinear_text(**overrides):
@@ -193,8 +193,7 @@ class TestRunExperiment:
 def hand_rolled_tanh_reference(config):
     """The tanh reference solve written out as a plain loop, without run_saps."""
     rng, xbar, ybar = cli._tanh_anchors(config)
-    oracle = TanhOracle(xbar, ybar)
-    draws = np.stack([oracle.draws(rng, 1)[0] for _ in range(config.ref_pool_size)])
+    draws = rng.random((config.ref_pool_size, 2, config.n))  # the raw bits of ref_pool_size draws
     u1, u2 = draws[:, 0, :], draws[:, 1, :]
     v1, v2 = np.where(u1 @ xbar >= 0.0, 1.0, -1.0), np.where(u2 @ ybar >= 0.0, 1.0, -1.0)
     theta = cli._regularizer(config.regularizer, config.mu)
@@ -303,6 +302,35 @@ class TestMainEntry:
         assert err.startswith("error:") and err.count("\n") == 1
         assert all(key in err for key in named) and "'lam'" not in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key, value", [("m_classes", "5"), ("n", "2"), ("points_per_class", "7"),
+                                            ("separation", "9")])
+    def test_synthetic_data_key_with_dataset_path_is_config_error(self, tmp_path, capsys, key, value):
+        data = tmp_path / "data.libsvm"
+        data.write_text("1 1:0.5\n2 2:1.0\n1 1:0.3 2:0.1\n2 1:0.2 2:0.9\n", encoding="utf-8")
+        cfg_path = tmp_path / "np.cfg"
+        cfg_path.write_text(f"experiment=neyman_pearson\nalgorithm=lsaal\nN_list=5\ntrials=1\n"
+                            f"parallel=1\ndataset_path={data}\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["run", str(cfg_path), "--out", str(out), "--set", f"{key}={value}"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: dataset_path replaces") and err.count("\n") == 1
+        assert f"'{key}'" in err
+        assert not out.exists()
+        assert main(["run", str(cfg_path), "--out", str(out)]) == 0  # the file alone runs
+
+    def test_np_trials_pass_no_schedule(self, monkeypatch):
+        seen = []
+        run_lsaal = cli.run_lsaal
+
+        def recording(problem, config, hooks=()):
+            seen.append(config.schedule)
+            return run_lsaal(problem, config, hooks)
+
+        monkeypatch.setattr(cli, "run_lsaal", recording)
+        cfg = load_config(NP_HOOK_TEXT)
+        cli.run_trial_batch(cfg, 10, [0, 1], cli._experiment_shared(cfg))
+        assert seen == [None, None]
 
     def test_np_config_with_default_schedule_keys_runs(self, tmp_path, capsys):
         cfg_path = tmp_path / "np.cfg"
@@ -636,9 +664,9 @@ def blow_up(oracle_class, stream, at):
                 out[at - 1:] = np.inf
             return out
 
-        def evaluate_rows(self, X, Y, draws):
+        def directions(self, Z, draws):
             with np.errstate(invalid="ignore", over="ignore"):
-                return super().evaluate_rows(X, Y, draws)
+                return super().directions(Z, draws)
 
     return BlowUp
 

@@ -175,6 +175,10 @@ class TestRunConfig:
             RunConfig(horizon=200, seed=1, schedule=sch)
         assert RunConfig(horizon=100, seed=1, schedule=sch).horizon == 100
 
+    def test_schedule_is_optional(self):
+        # LSAAL and LAAM take none; only a given schedule is checked at the horizon.
+        assert RunConfig(horizon=200, seed=1).schedule is None
+
 
 class TestProblemConstants:
     def test_beta0(self):

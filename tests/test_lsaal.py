@@ -342,6 +342,17 @@ class TestRunners:
             assert np_instance.cone.polar_contains(it.y, tol=1e-10)
             assert np_instance.feasible_set.contains(it.x, tol=1e-10)
 
+    @pytest.mark.parametrize("runner", [run_lsaal, run_laam], ids=["lsaal", "laam"])
+    def test_runs_without_a_schedule(self, np_instance, runner):
+        # The runners step by sigma and record it as the row's gamma.
+        problem = LsaalProblem(np_instance, np_instance.cone, np_instance.feasible_set)
+        scheduled = runner(problem, run_config(30, seed=3, thin=5))
+        config = replace(run_config(30, seed=3, thin=5), schedule=None)
+        unscheduled = runner(problem, config)
+        assert (unscheduled.ks, unscheduled.gammas) == (scheduled.ks, scheduled.gammas)
+        assert np.array_equal(unscheduled.final_average.stacked(), scheduled.final_average.stacked())
+        assert np.array_equal(unscheduled.final_iterate.stacked(), scheduled.final_iterate.stacked())
+
     def test_laam_equals_lsaal_on_single_point_classes(self):
         # with one data point per class the full batch IS the only sample
         rng = np.random.default_rng(3)

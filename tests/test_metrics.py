@@ -198,6 +198,21 @@ class TestTailTally:
             tail_tally([], 1.0)
 
 
+def two_matvec_pool_mean(pool, x, y):
+    """The pool-mean step (-grad_x | grad_y) at one point over a signed tanh
+    pool, as two matrix-vector products per block on its strided views."""
+    s1, s2 = pool[:, 0, :], pool[:, 1, :]
+    a, b = np.tanh(s1 @ x), np.tanh(s2 @ y)
+    k = pool.shape[0]
+    grad_x = s1.T @ ((a * a - 1.0) * b) / k
+    grad_y = s2.T @ (a * (b * b - 1.0)) / k
+    return np.concatenate((-grad_x, grad_y))
+
+
+def assert_same_bits(a, b):
+    assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
 class TestEvaluators:
     def test_finite_sum_matches_manual_average(self):
         rng = RandomSource(2).generator()
@@ -210,10 +225,9 @@ class TestEvaluators:
         manual = np.mean([s.value for s in per_draw])
         expect = theta.value(z.x) + manual - theta.value(z.y)
         assert ev.phi(z.x, z.y) == pytest.approx(expect, rel=1e-12)
-        pooled = evaluate_one(ev, z, ev.draws(None, 1)[0])
-        assert pooled.value == pytest.approx(manual, rel=1e-12)
-        np.testing.assert_allclose(pooled.grad_x, np.mean([s.grad_x for s in per_draw], axis=0), rtol=1e-12)
-        np.testing.assert_allclose(pooled.grad_y, np.mean([s.grad_y for s in per_draw], axis=0), rtol=1e-12)
+        pooled = ev.directions(z.stacked()[None], ev.draws(None, 1))[0]
+        np.testing.assert_allclose(-pooled[:3], np.mean([s.grad_x for s in per_draw], axis=0), rtol=1e-12)
+        np.testing.assert_allclose(pooled[3:], np.mean([s.grad_y for s in per_draw], axis=0), rtol=1e-12)
 
     @pytest.mark.parametrize("T", [1, 3])
     def test_finite_sum_rows_equal_sample_bit_for_bit(self, T):
@@ -223,19 +237,30 @@ class TestEvaluators:
         ev = FiniteSumMinimaxEvaluator(oracle, oracle.draws(rng, 500), theta, theta)
         draw_rng = RandomSource(7).generator()
         state = draw_rng.bit_generator.state
-        signed = oracle.signed_pool(ev.pool)
         for _ in range(50):
-            X, Y = rng.uniform(-2, 2, (T, 4)), rng.uniform(-2, 2, (T, 4))
+            Z = rng.uniform(-2, 2, (T, 8))
             empty = ev.draws(draw_rng, T)
             assert empty.shape == (T, 0)
-            rows = ev.evaluate_rows(X, Y, empty)
-            assert rows.value.shape == (T,)
+            rows = ev.directions(Z, empty)
+            assert rows.shape == (T, 8)
             for t in range(T):
-                single = oracle.evaluate_batch(X[t], Y[t], signed)
-                assert rows.value[t] == single.value
-                assert np.array_equal(rows.grad_x[t], single.grad_x)
-                assert np.array_equal(rows.grad_y[t], single.grad_y)
+                assert_same_bits(rows[t], two_matvec_pool_mean(ev.pool, Z[t, :4], Z[t, 4:]))
         assert draw_rng.bit_generator.state == state  # the evaluator's draws use no randomness
+
+    @pytest.mark.parametrize("T", [1, 2, 5])
+    def test_batched_pool_mean_equals_two_matvec_form(self, T):
+        # 1,000 points per batch size; every fifth row has x = 0 (a = 0 for
+        # every draw) and every seventh y = 0 (b = 0), so whole sums are zeros.
+        rng = RandomSource(8).generator()
+        oracle = TanhOracle(rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3))
+        pool = oracle.draws(rng, 500)
+        Z = rng.normal(size=(1000, 6)) * rng.choice([0.1, 1.0, 10.0], size=(1000, 1))
+        Z[::5, :3] = 0.0
+        Z[::7, 3:] = 0.0
+        for lo in range(0, 1000, T):
+            rows = oracle.mean_directions(Z[lo:lo + T], pool)
+            for t, z in enumerate(Z[lo:lo + T]):
+                assert_same_bits(rows[t], two_matvec_pool_mean(pool, z[:3], z[3:]))
 
     def test_conic_lagrangian_gradient(self):
         oracle = TinyConicOracle(-1.0)

@@ -65,24 +65,62 @@ def finite_diff_check(value_fn, grad, point, step=1e-6, rel_tol=1e-5):
     assert np.linalg.norm(fd - grad) / scale <= rel_tol
 
 
+def edge_rows(rng, T, n):
+    """T random rows z = (x | y), with x = 0 in the first row (so a = 0 for
+    tanh), y = -0.0 in the last, and y = 1e3 in the second (tanh saturates)."""
+    Z = rng.normal(size=(T, 2 * n)) * 3.0
+    Z[0, :n] = 0.0
+    Z[-1, n:] = -0.0
+    if T > 2:
+        Z[1, n:] = 1e3
+    return Z
+
+
 class TestRowWiseSampling:
-    """draws/evaluate_rows against one draw and the 1-D formulas, bit for bit."""
+    """draws/directions/values against one draw and the 1-D formulas, bit for bit."""
 
     @pytest.mark.parametrize("n", [1, 3, 8])
     def test_rows_match_scalar_formulas(self, n):
         rng = np.random.default_rng(40 + n)
         for oracle in (BilinearOracle(n), TanhOracle(rng.uniform(-1, 1, n), rng.uniform(-1, 1, n))):
-            for T in (1, 2, 7):
-                X = rng.normal(size=(T, n)) * 3.0
-                Y = rng.normal(size=(T, n)) * 3.0
+            for T in (1, 2, 5, 7):
+                Z = edge_rows(rng, T, n)
                 D = oracle.draws(rng, T)
-                rows = oracle.evaluate_rows(X, Y, D)
-                assert rows.grad_x.shape == (T, n) and rows.grad_y.shape == (T, n)
+                steps, values = oracle.directions(Z, D), oracle.values(Z, D)
+                assert steps.shape == (T, 2 * n) and values.shape == (T,)
                 for t in range(T):
-                    z = PrimalDualPoint(X[t], Y[t])
-                    value, gx, gy = scalar_evaluate(oracle, z, D[t])
-                    assert rows.value[t] == value
-                    assert np.array_equal(rows.grad_x[t], gx) and np.array_equal(rows.grad_y[t], gy)
+                    value, gx, gy = scalar_evaluate(oracle, PrimalDualPoint(Z[t, :n], Z[t, n:]), D[t])
+                    expect = np.concatenate((-gx, gy))
+                    assert values[t] == value
+                    assert np.array_equal(steps[t], expect)
+                    assert np.array_equal(np.signbit(steps[t]), np.signbit(expect))
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_tanh_draws_are_signed_raw_draws(self, n):
+        rng = np.random.default_rng(n)
+        oracle = TanhOracle(rng.uniform(-1, 1, n), rng.uniform(-1, 1, n))
+        signed_rng, raw_rng = RandomSource(5, 2).generator(), RandomSource(5, 2).generator()
+        for K in (1, 4, 1024):
+            S = oracle.draws(signed_rng, K)
+            raw = raw_rng.random((K, 2, n))
+            assert signed_rng.bit_generator.state == raw_rng.bit_generator.state
+            assert np.array_equal(S, oracle.signed_pool(raw))
+            assert np.array_equal(np.signbit(S), np.signbit(oracle.signed_pool(raw)))
+            assert np.array_equal(oracle.signed_pool(S), S)  # signing twice changes nothing
+
+    def test_signed_tanh_draw_steps_equal_raw_draw_formulas(self):
+        # v (u.x) and (v u).x are the same number; where it is zero its sign
+        # can differ (v * +0.0 against a dot of zero products), so only the
+        # values are compared here, not the signs of zeros.
+        rng = np.random.default_rng(12)
+        oracle = TanhOracle(rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3))
+        Z = edge_rows(rng, 200, 3)
+        raw = rng.random((200, 2, 3))
+        steps, values = oracle.directions(Z, oracle.signed_pool(raw)), oracle.values(Z, oracle.signed_pool(raw))
+        for t in range(200):
+            value, gx, gy = scalar_evaluate(oracle, PrimalDualPoint(Z[t, :3], Z[t, 3:]), raw[t])
+            assert values[t] == value
+            assert np.array_equal(steps[t], np.concatenate((-gx, gy)))
 
     @pytest.mark.parametrize("oracle", [BilinearOracle(3), TanhOracle(np.ones(3), -np.ones(3))],
                              ids=["bilinear", "tanh"])
@@ -131,8 +169,7 @@ class TestBilinearOracle:
         rng = RandomSource(7).generator()
         z = PrimalDualPoint(rng.normal(size=3), rng.normal(size=3))
         n_samples = 20_000
-        grads = oracle.evaluate_rows(np.tile(z.x, (n_samples, 1)), np.tile(z.y, (n_samples, 1)),
-                                     oracle.draws(rng, n_samples)).grad_x
+        grads = -oracle.directions(np.tile(z.stacked(), (n_samples, 1)), oracle.draws(rng, n_samples))[:, :3]
         target = oracle.Q @ z.y
         se = grads.std(axis=0, ddof=1) / math.sqrt(n_samples)
         assert (np.abs(grads.mean(axis=0) - target) <= 3.0 * se + 1e-12).all()
@@ -188,12 +225,10 @@ class TestTanhOracle:
     def test_batch_evaluation_matches_per_draw_mean(self):
         oracle, rng = self.make(n=5, seed=13)
         z = PrimalDualPoint(rng.normal(size=5), rng.normal(size=5))
-        draws = oracle.draws(rng, 40)
-        batch = oracle.evaluate_batch(z.x, z.y, oracle.signed_pool(draws))
-        singles = oracle.evaluate_rows(np.tile(z.x, (40, 1)), np.tile(z.y, (40, 1)), draws)
-        assert batch.value == pytest.approx(singles.value.mean(), rel=1e-12)
-        np.testing.assert_allclose(batch.grad_x, singles.grad_x.mean(axis=0), rtol=1e-12)
-        np.testing.assert_allclose(batch.grad_y, singles.grad_y.mean(axis=0), rtol=1e-12)
+        pool = oracle.draws(rng, 40)
+        mean = oracle.mean_directions(z.stacked()[None], pool)
+        singles = oracle.directions(np.tile(z.stacked(), (40, 1)), pool)
+        np.testing.assert_allclose(mean[0], singles.mean(axis=0), rtol=1e-12)
 
 
 class TestNeymanPearsonOracle:

@@ -8,7 +8,6 @@ from saddle_sa import (
     BilinearEvaluator,
     BilinearOracle,
     DivergenceError,
-    MinimaxSample,
     PrimalDualPoint,
     RunConfig,
     RunRecord,
@@ -43,8 +42,8 @@ class FrozenXiOracle(DeterministicOracle):
         self.m = self.n
         self._inner = BilinearOracle(self.n)
 
-    def evaluate_rows(self, X, Y, _):
-        return self._inner.evaluate_rows(X, Y, np.tile(self.xi, (X.shape[0], 1)))
+    def directions(self, Z, _):
+        return self._inner.directions(Z, np.tile(self.xi, (Z.shape[0], 1)))
 
 
 class ExactGradientOracle(DeterministicOracle):
@@ -55,9 +54,9 @@ class ExactGradientOracle(DeterministicOracle):
         self.n = n
         self.m = n
 
-    def evaluate_rows(self, X, Y, _):
-        GX, GY = Y @ self.Q.T, X @ self.Q
-        return MinimaxSample((X * GX).sum(axis=1), GX, GY)
+    def directions(self, Z, _):
+        X, Y = Z[:, :self.n], Z[:, self.n:]
+        return np.concatenate((-(Y @ self.Q.T), X @ self.Q), axis=1)
 
 
 def make_config(N, seed=0, thin=None, **kw):
@@ -66,16 +65,15 @@ def make_config(N, seed=0, thin=None, **kw):
                      trace_thinning=thin or N, **kw)
 
 
-class ConstantSampleOracle(DeterministicOracle):
-    """Deterministic oracle returning the same sample at every point."""
+class ConstantStepOracle(DeterministicOracle):
+    """Deterministic oracle returning the same direction (-grad_x | grad_y) at every point."""
 
-    def __init__(self, sample, n, m):
-        self.fixed, self.n, self.m = sample, n, m
+    def __init__(self, grad_x, grad_y, n, m):
+        self.fixed = np.concatenate((-np.asarray(grad_x, dtype=float), np.asarray(grad_y, dtype=float)))
+        self.n, self.m = n, m
 
-    def evaluate_rows(self, X, Y, _):
-        T = X.shape[0]
-        s = self.fixed
-        return MinimaxSample(np.full(T, s.value), np.tile(s.grad_x, (T, 1)), np.tile(s.grad_y, (T, 1)))
+    def directions(self, Z, _):
+        return np.tile(self.fixed, (Z.shape[0], 1))
 
 
 def one_step(problem, z, gamma):
@@ -88,8 +86,8 @@ class TestSapsStep:
     """One prox-subgradient update, observed as a horizon-1 run_saps."""
 
     def test_identity_prox_is_gradient_step(self):
-        s = MinimaxSample(0.0, np.array([0.5, -0.5]), np.array([1.0, 0.0]))
-        prob = SapsProblem(ConstantSampleOracle(s, 2, 2), ZeroFunction(), ZeroFunction())
+        oracle = ConstantStepOracle([0.5, -0.5], [1.0, 0.0], 2, 2)
+        prob = SapsProblem(oracle, ZeroFunction(), ZeroFunction())
         out = one_step(prob, PrimalDualPoint([1.0, 2.0], [3.0, 4.0]), 0.1)
         np.testing.assert_allclose(out.x, [0.95, 2.05], atol=1e-15)
         np.testing.assert_allclose(out.y, [3.1, 4.0], atol=1e-15)
@@ -111,8 +109,7 @@ class TestSapsStep:
             assert z.allclose(z_star)
 
     def test_dimension_mismatch_rejected(self):
-        bad = MinimaxSample(0.0, np.zeros(3), np.zeros(2))
-        prob = SapsProblem(ConstantSampleOracle(bad, 2, 2), ZeroFunction(), ZeroFunction())
+        prob = SapsProblem(ConstantStepOracle(np.zeros(3), np.zeros(2), 2, 2), ZeroFunction(), ZeroFunction())
         with pytest.raises(ValueError, match="dimensions"):
             one_step(prob, PrimalDualPoint([1.0, 2.0], [3.0, 4.0]), 0.1)
 
@@ -125,9 +122,10 @@ class TestSapsStep:
 
 
 def push_by(shift, gamma):
-    """Gradients under which one step of size gamma with the identity prox
-    moves the iterate by shift = (x shift, y shift)."""
-    return MinimaxSample(0.0, -np.asarray(shift[0]) / gamma, np.asarray(shift[1]) / gamma)
+    """Oracle under whose gradients one step of size gamma with the identity
+    prox moves the iterate by shift = (x shift, y shift)."""
+    dx, dy = np.asarray(shift[0]), np.asarray(shift[1])
+    return ConstantStepOracle(-dx / gamma, dy / gamma, dx.shape[0], dy.shape[0])
 
 
 class TestStreamingAverage:
@@ -137,7 +135,7 @@ class TestStreamingAverage:
     def test_equal_weights_mean(self):
         # gamma = 1/sqrt(2) twice; z1 = (1, 1) steps to z2 = (3, 3)
         gamma = 1.0 / math.sqrt(2.0)
-        oracle = ConstantSampleOracle(push_by(([2.0], [2.0]), gamma), 1, 1)
+        oracle = push_by(([2.0], [2.0]), gamma)
         prob = SapsProblem(oracle, ZeroFunction(), ZeroFunction())
         seen = []
         rec = run_saps(prob, make_config(2, thin=1, initial=PrimalDualPoint([1.0], [1.0])),
@@ -154,7 +152,7 @@ class TestStreamingAverage:
 
     def test_weighted_example(self):
         # harmonic theta=3: gamma 3 then 1.5; z1 = 0, z2 = 9 -> (3*0 + 1.5*9)/4.5 = 3
-        oracle = ConstantSampleOracle(push_by(([9.0], [9.0]), 3.0), 1, 1)
+        oracle = push_by(([9.0], [9.0]), 3.0)
         prob = SapsProblem(oracle, ZeroFunction(), ZeroFunction())
         cfg = RunConfig(horizon=2, seed=0, schedule=StepSchedule("harmonic", theta=3.0),
                         initial=PrimalDualPoint([0.0], [0.0]))
@@ -175,6 +173,12 @@ class TestStreamingAverage:
 
 
 class TestRunSaps:
+    def test_schedule_is_required(self):
+        prob = SapsProblem(BilinearOracle(2), ScaledL1(1.0), ScaledL1(1.0))
+        for run in (lambda cfg: run_saps(prob, cfg), lambda cfg: run_saps_batch(prob, [cfg, cfg])):
+            with pytest.raises(ValueError, match="RunConfig.schedule is None"):
+                run(RunConfig(horizon=5, seed=0))
+
     def test_single_iteration_average_is_initial(self):
         prob = SapsProblem(BilinearOracle(2), ScaledL1(1.0), ScaledL1(1.0))
         z0 = PrimalDualPoint([0.5, -0.5], [0.25, 0.0])
@@ -238,14 +242,14 @@ class TestRunSaps:
         assert not np.array_equal(a.final_average.stacked(), c.final_average.stacked())
 
     def test_divergence_guard_names_iteration(self):
-        exploding = ConstantSampleOracle(MinimaxSample(0.0, np.array([-1e13]), np.array([0.0])), 1, 1)
+        exploding = ConstantStepOracle([-1e13], [0.0], 1, 1)
         prob = SapsProblem(exploding, ZeroFunction(), ZeroFunction())
         with pytest.raises(DivergenceError) as err:
             run_saps(prob, make_config(10))
         assert err.value.iteration == 1
 
     def test_gradient_shape_mismatch_is_value_error(self):
-        short_grad = ConstantSampleOracle(MinimaxSample(0.0, np.zeros(1), np.zeros(2)), 2, 2)
+        short_grad = ConstantStepOracle(np.zeros(1), np.zeros(2), 2, 2)
         prob = SapsProblem(short_grad, ZeroFunction(), ZeroFunction())
         with pytest.raises(ValueError):
             run_saps(prob, make_config(10))
@@ -432,10 +436,9 @@ class BlowUpOracle(BilinearOracle):
             scale[self.at - start - 1] = self.factor
         return np.concatenate([super().draws(rng, count), scale], axis=1)
 
-    def evaluate_rows(self, X, Y, draws):
-        s = super().evaluate_rows(X, Y, draws[:, :-1])
+    def directions(self, Z, draws):
         with np.errstate(invalid="ignore"):  # an inf factor makes 0*inf entries NaN
-            return MinimaxSample(s.value, s.grad_x * draws[:, -1:], s.grad_y * draws[:, -1:])
+            return super().directions(Z, draws[:, :-1]) * draws[:, -1:]
 
 
 class TestBatchDivergence:
@@ -483,7 +486,7 @@ class TestBatchDivergence:
         assert kinds == {"diverged", "finished"}
 
     def test_every_row_diverging_ends_the_batch(self):
-        exploding = ConstantSampleOracle(MinimaxSample(0.0, np.array([-1e13]), np.array([0.0])), 1, 1)
+        exploding = ConstantStepOracle([-1e13], [0.0], 1, 1)
         problem = SapsProblem(exploding, ZeroFunction(), ZeroFunction())
         configs = [RunConfig(horizon=10, seed=0, stream_id=t, trace_thinning=1,
                              schedule=StepSchedule("const_over_sqrt_n", horizon=10)) for t in range(3)]

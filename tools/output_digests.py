@@ -68,6 +68,9 @@ CASES = [
      ["algorithm=laam", "m_classes=4", "n=5", "points_per_class=20"]),
     ("tanh-l2", "run", "experiment = tanh\nalgorithm = saps\nn = 3\nregularizer = l2\n"
      "N_list = 100,300,1000\ntrials = 3\nref_pool_size = 50\nref_iters = 500\nseed = 2\nparallel = 1\n", []),
+    # ScaledL1 on the signed tanh draws, in an odd-sized batch.
+    ("tanh-l1-trials5", "run", "experiment = tanh\nalgorithm = saps\nn = 3\nregularizer = l1\n"
+     "N_list = 100,300,1000\ntrials = 5\nref_pool_size = 50\nref_iters = 500\nseed = 13\nparallel = 1\n", []),
     ("bilinear-l2-no-averaging", "run", BILINEAR + "N_list = 100,300,1000\ntrials = 3\nseed = 4\n",
      ["regularizer=l2", "averaging=false"]),
     ("bilinear-parallel2", "run", BILINEAR + "N_list = 100,300,1000\ntrials = 5\nseed = 6\n", ["parallel=2"]),
@@ -95,6 +98,8 @@ CASES = [
     ("bilinear-unread-keys", "run", BILINEAR + "N_list = 100,300\ntrials = 2\nseed = 0\n",
      ["sigma=0.1", "ref_iters=5", "dataset_path=/nonexistent", "inner_tol=3"]),
     ("np-unread-schedule", "run", NP_SYNTH + "N_list = 50,100\ntrials = 2\nseed = 0\n", ["schedule=harmonic"]),
+    # Synthetic-data keys beside a dataset file, which replaces them: exit 1, no output.
+    ("libsvm-synthetic-keys", "run", LIBSVM, ["points_per_class=7", "separation=9", "m_classes=5", "n=2"]),
 ]
 
 
