@@ -34,6 +34,7 @@ from .core import (
     RunRecord,
     StepSchedule,
     _row_distances,
+    _row_dots,
     derive_stream_id,
 )
 from .data import DataError, ParseError, parse_libsvm, synth_gaussian_classes
@@ -48,12 +49,12 @@ from .lsaal import (
 from .metrics import (
     BilinearEvaluator,
     FiniteSumMinimaxEvaluator,
-    constraint_violation,
+    _constraint_violation_rows,
+    _lagrangian_grad_rows,
+    _proj_kkt_rows,
     estimate_m_star,
     kkt_errors,
-    lagrangian_grad,
     minimax_gap,
-    proj_kkt,
     rate_slope_fit,
     tail_tally,
 )
@@ -466,35 +467,36 @@ def _np_metrics(problem: LsaalProblem, z0: PrimalDualPoint, kept: _KeptRows):
     Lagrangian-gradient norm at its start z0.
 
     One full_batch_rows call evaluates the start, then each row's average
-    and iterate. Full batches are checked in that order, outside the
-    solver's guard: a non-finite one is DivergenceError at its row's
-    iteration k (0 for the start).
+    and iterate, and each metric is one pass over the stacked rows. Full
+    batches are checked in that order, outside the solver's guard: the
+    first non-finite one is DivergenceError at its row's iteration k (0 for
+    the start).
     """
     oracle, cone = problem.oracle, problem.cone
     dim, rows = oracle.dim, len(kept.ks)
     Z, A = kept.iterates[:rows], kept.averages[:rows]
-    points = np.empty((1 + 2 * rows, dim))
-    points[0], points[1::2], points[2::2] = z0.x, A[:, :dim], Z[:, :dim]
-    fb = oracle.full_batch_rows(points)
+    points = np.empty((1 + 2 * rows, dim + cone.dim))
+    points[0], points[1::2], points[2::2] = z0.stacked(), A, Z
+    fb = oracle.full_batch_rows(points[:, :dim])
+    finite = (np.isfinite(fb.f_grad).all(axis=1) & np.isfinite(fb.g_value).all(axis=1)
+              & np.isfinite(fb.g_jacobian).all(axis=(1, 2)))
+    for p in (0, int(np.argmin(finite))):  # the start's shapes, then the first non-finite point
+        check_sample(ConicSample(fb.f_value[p], fb.f_grad[p], fb.g_value[p], fb.g_jacobian[p]),
+                     dim, cone, 0 if p == 0 else kept.ks[(p - 1) // 2])
 
-    def full_batch(p, k):
-        return check_sample(ConicSample(fb.f_value[p], fb.f_grad[p], fb.g_value[p], fb.g_jacobian[p]),
-                            dim, cone, k)
-
-    base_norm = float(np.linalg.norm(lagrangian_grad(full_batch(0, 0), z0.y)))
-    metrics = []
-    for row, k in enumerate(kept.ks):
-        avg = PrimalDualPoint(A[row, :dim], A[row, dim:])
-        y = Z[row, dim:]
-        fb_avg = full_batch(1 + 2 * row, k)
-        metrics.append({
-            "constraint_violation": constraint_violation(cone, fb_avg.g_value),
-            "proj_kkt": proj_kkt(fb_avg, cone, problem.feasible, avg),
-            "grad_norm_raw": float(np.linalg.norm(lagrangian_grad(full_batch(2 + 2 * row, k), y))),
-            "grad_norm_avg": float(np.linalg.norm(lagrangian_grad(fb_avg, avg.y))),
-            "y_norm": float(np.linalg.norm(y)),
-        })
-    return metrics, base_norm
+    grads = _lagrangian_grad_rows(fb, points[:, dim:])
+    norms = np.sqrt(_row_dots(grads, grads))
+    fb_avg = ConicSample(fb.f_value[1::2], fb.f_grad[1::2], fb.g_value[1::2], fb.g_jacobian[1::2])
+    Y = Z[:, dim:]
+    columns = {
+        "constraint_violation": _constraint_violation_rows(cone, fb_avg.g_value),
+        "proj_kkt": _proj_kkt_rows(fb_avg, cone, problem.feasible, A[:, :dim], A[:, dim:]),
+        "grad_norm_raw": norms[2::2],
+        "grad_norm_avg": norms[1::2],
+        "y_norm": np.sqrt(_row_dots(Y, Y)),
+    }
+    metrics = [dict(zip(columns, row)) for row in zip(*(column.tolist() for column in columns.values()))]
+    return metrics, float(norms[0])
 
 
 def _np_diagnose(config: ExperimentConfig) -> None:

@@ -1,15 +1,21 @@
 """Linearized stochastic augmented-Lagrangian solver for conic programs.
 
 Each outer iteration linearizes the sampled objective and constraint map at
-the current point, solves the proximal subproblem
+the current point and solves the proximal subproblem
 
     min_{x in X}  <grad F, x - x_k>
                   + (1/(2*sigma)) ||P_polar(y_k + sigma*(G + DG (x - x_k)))||^2
                   + (1/(2*sigma)) ||x - x_k||^2
 
-by projected gradient descent with backtracking, and takes the closed-form
-multiplier step  y_{k+1} = P_polar(y_k + sigma*(G + DG (x_{k+1} - x_k))),
-which the inner solver has already computed at its last point.
+in the multiplier space, which has the cone's dimension. For a multiplier u
+the x-minimizer is one projection, x(u) = P_X(x_k - sigma*(grad F + DG^T u)),
+and the solution is the fixed point u = P_polar(w(u)) of the
+(1/sigma)-strongly concave dual, with w(u) = y_k + sigma*(G + DG (x(u) - x_k)).
+Semismooth Newton solves it: each step solves one (cone dim)-square system
+I + sigma^2 * D_polar DG P'_X DG^T, from the projections' generalized
+Jacobians, and backtracks on the residual ||u - P_polar(w(u))||. The
+multiplier step y_{k+1} = P_polar(w(x_{k+1})) is the closed form at the
+returned point, which the solver has already computed there.
 The deterministic variant replaces every sample by the full-batch average.
 
 Multiplier-bound diagnostics expose the constants that control E||y_k||:
@@ -51,9 +57,10 @@ __all__ = [
     "estimate_constants",
 ]
 
-ARMIJO_FACTOR = 1e-4
-# A decrease below _SLACK * (1 + |f|) is evaluation noise.
-_SLACK = 16.0 * np.finfo(float).eps
+# A Newton step of length t is taken once it cuts the residual by the factor
+# 1 - _DECREASE * t; halving stops at _MIN_STEP, whose step is taken as it is.
+_DECREASE = 1e-4
+_MIN_STEP = 2.0 ** -20
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,7 +69,8 @@ class LsaalProblem:
     set (an indicator with exact projection), and solver knobs.
 
     sigma=None resolves to 1/sqrt(N) at run time, the rate-optimal choice for
-    a fixed horizon N.
+    a fixed horizon N. A subproblem is solved once its dual fixed-point
+    residual is at most inner_tol, within inner_max_iters Newton steps.
     """
 
     oracle: object
@@ -96,75 +104,64 @@ class XSubproblemSpec:
     cone: ConvexCone
 
 
-def _evaluate(spec: XSubproblemSpec, x: np.ndarray):
-    """(objective, gradient, multiplier step) of the subproblem at x.
-
-    The objective is exact up to an additive constant (enough for line
-    search). The multiplier step y(x) = P_polar(y_k + sigma*l_g(x)), with l_g
-    the linearized constraint, is also the gradient of the squared
-    polar-projection norm term before DG^T is applied, so the chain rule gives
-    grad = grad F + DG^T y(x) + (x - x_k)/sigma.
-    """
-    s, sigma = spec.sample, spec.sigma
-    dx = x - spec.x_k
-    y = spec.cone._polar_project(spec.y_k + sigma * (s.g_value + s.g_jacobian @ dx))
-    f = float(s.f_grad @ dx) + float(y @ y) / (2.0 * sigma) + float(dx @ dx) / (2.0 * sigma)
-    return f, s.f_grad + s.g_jacobian.T @ y + dx / sigma, y
-
-
-def _project(feasible: ProximableFunction, v: np.ndarray) -> np.ndarray:
-    """Projection of v onto the feasible set, through the unchecked row prox
-    behind one finiteness screen."""
-    if not math.isfinite(v.sum()):  # a sum that merely overflows passes the exact scan
-        as_vector(v)
-    return feasible._prox_rows(1.0, v[None])[0]
+def _linearized(spec: XSubproblemSpec, x: np.ndarray) -> np.ndarray:
+    """w(x) = y_k + sigma*(G + DG (x - x_k)), whose polar projection is the
+    multiplier step at x."""
+    s = spec.sample
+    return spec.y_k + spec.sigma * (s.g_value + s.g_jacobian @ (x - spec.x_k))
 
 
 def solve_x_subproblem(spec: XSubproblemSpec, feasible: ProximableFunction,
                        inner_tol: float, inner_max_iters: int) -> tuple[np.ndarray, np.ndarray]:
-    """Projected gradient descent with backtracking, warm-started at x_k.
+    """Semismooth Newton on the subproblem's dual, warm-started at u = y_k.
 
-    Returns the solution x and the multiplier step y(x) there, which is the
-    next multiplier. Terminates when the projected-gradient residual
-    ||x - P_X(x - s*grad(x))|| / s drops below inner_tol for the last
-    accepted step size s; raises ConvergenceError past inner_max_iters.
-    A non-finite projection argument raises ValueError.
+    Returns x(u) and the multiplier step y = P_polar(w(x(u))) there, which is
+    the next multiplier. Terminates when the dual fixed-point residual
+    ||u - y|| drops to inner_tol; raises ConvergenceError when inner_max_iters
+    Newton steps do not get it there. A non-finite x_k - sigma*grad F or
+    residual raises ValueError.
     """
-    sigma = spec.sigma
-    x = np.array(spec.x_k, dtype=float)
-    fx, g, y = _evaluate(spec, x)
-    step = sigma
-    residual = math.inf
-    slack = _SLACK * (1.0 + abs(fx))
+    sigma, cone, jac = spec.sigma, spec.cone, spec.sample.g_jacobian
+    start, step_map = spec.x_k - sigma * spec.sample.f_grad, sigma * jac.T
+    # Projections go through the unchecked row prox. Past this screen a
+    # non-finite projection argument reaches the residual as NaN or inf,
+    # except that a box clips it to the face its exact value would reach.
+    if not math.isfinite(start.sum()):  # a sum that merely overflows passes the exact scan
+        as_vector(start)
+
+    def at(u):
+        """(projection argument, x(u), w, multiplier step, residual) at u."""
+        arg = start - step_map @ u
+        x = feasible._prox_rows(1.0, arg[None])[0]
+        w = _linearized(spec, x)
+        y = cone._polar_project(w)
+        gap = u - y
+        residual = math.sqrt(gap @ gap)
+        if not math.isfinite(residual):
+            raise ValueError("multiplier step has non-finite entries")
+        return arg, x, w, y, residual
+
+    u = spec.y_k
+    arg, x, w, y, residual = at(u)
     for _ in range(inner_max_iters):
-        trial = _project(feasible, x - step * g)
-        residual = float(np.linalg.norm(x - trial)) / step
         if residual <= inner_tol:
-            return x, y
-        # Backtracking restarts from sigma each outer pass, so after a full
-        # step its first candidate is the trial point.
-        s = sigma
-        x_new = trial if step == sigma else _project(feasible, x - s * g)
+            break
+        # The residual's generalized Jacobian is I + D_polar(w) M, with the
+        # symmetric M = sigma^2 DG P'_X(arg) DG^T; the polar rows of M are (D M)^T.
+        m = (sigma * sigma) * (feasible._jacobian_rows(arg[None].repeat(len(jac), 0), jac) @ jac.T)
+        jacobian = np.eye(len(m)) + cone._polar_jacobian_rows(w[None].repeat(len(m), 0), m).T
+        direction = np.linalg.solve(jacobian, y - u)
+        t = 1.0
         while True:
-            f_new, g_new, y_new = _evaluate(spec, x_new)
-            if f_new <= fx + ARMIJO_FACTOR * float(g @ (x_new - x)):
+            trial = at(u + t * direction)
+            if trial[4] <= (1.0 - _DECREASE * t) * residual or t <= _MIN_STEP:
                 break
-            if f_new <= fx + slack:
-                # Decrease smaller than evaluation noise. Accept only on real
-                # fixed-point progress, so rounding cannot mask an
-                # oscillating (non-contracting) step.
-                r_here = float(np.linalg.norm(x - x_new)) / s
-                r_new = float(np.linalg.norm(x_new - _project(feasible, x_new - s * g_new))) / s
-                if r_new <= 0.9 * r_here:
-                    break
-            s *= 0.5
-            if s < sigma * 1e-18:
-                # Line search stalled in rounding; report current residual.
-                raise ConvergenceError(residual, "line search stalled before reaching inner_tol")
-            x_new = _project(feasible, x - s * g)
-        x, fx, g, y, step = x_new, f_new, g_new, y_new, s
-        slack = _SLACK * (1.0 + abs(fx))
-    raise ConvergenceError(residual)
+            t *= 0.5
+        u = u + t * direction
+        arg, x, w, y, residual = trial
+    if residual > inner_tol:
+        raise ConvergenceError(residual)
+    return x, y
 
 
 def check_sample(sample: ConicSample, dim: int, cone: ConvexCone, k: int) -> ConicSample:

@@ -9,11 +9,11 @@ KKT residuals, log-log rate fits, and tail tallies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import PrimalDualPoint, _row_dots
+from .core import PrimalDualPoint, _row_dots, as_vector
 from .cones import ConvexCone
 from .prox import ProximableFunction
 
@@ -92,7 +92,20 @@ def minimax_gap(evaluator, z: PrimalDualPoint, z_star: PrimalDualPoint) -> float
 def lagrangian_grad(fb, y: np.ndarray) -> np.ndarray:
     """Stacked gradient (grad_x l, grad_y l) = (grad f + Dg^T y, g(x)) of the
     Lagrangian l(x,y) = f(x) + <y, g(x)>, from the full-batch sample `fb` at x."""
-    return np.concatenate([fb.f_grad + fb.g_jacobian.T @ y, fb.g_value])
+    return _lagrangian_grad_rows(_one_row(fb), np.asarray(y, dtype=float)[None])[0]
+
+
+def _one_row(fb):
+    """A one-point sample as a stack of one row."""
+    return replace(fb, f_grad=fb.f_grad[None], g_value=fb.g_value[None], g_jacobian=fb.g_jacobian[None])
+
+
+def _lagrangian_grad_rows(fb, Y: np.ndarray) -> np.ndarray:
+    """`lagrangian_grad` of each row of the stacked sample `fb` (as
+    `full_batch_rows` returns it) with the matching row of Y. The per-row
+    matmul rounds as the one-point Dg^T @ y does."""
+    jty = np.matmul(fb.g_jacobian.transpose(0, 2, 1), Y[:, :, None])[:, :, 0]
+    return np.concatenate([fb.f_grad + jty, fb.g_value], axis=1)
 
 
 @dataclass(frozen=True)
@@ -118,7 +131,13 @@ def kkt_errors(norms, averaged_norms) -> KktErrors:
 
 def constraint_violation(cone: ConvexCone, g_value: np.ndarray) -> float:
     """Distance of g_value to the cone, i.e. the polar-projection norm."""
-    return float(np.linalg.norm(cone.polar_project(g_value)))
+    return float(_constraint_violation_rows(cone, cone._check(g_value)[None])[0])
+
+
+def _constraint_violation_rows(cone: ConvexCone, G: np.ndarray) -> np.ndarray:
+    """`constraint_violation` of each row of G; unchecked."""
+    P = cone._polar_project(G)
+    return np.sqrt(_row_dots(P, P))
 
 
 def proj_kkt(fb, cone: ConvexCone, feasible: ProximableFunction, z: PrimalDualPoint) -> float:
@@ -132,10 +151,17 @@ def proj_kkt(fb, cone: ConvexCone, feasible: ProximableFunction, z: PrimalDualPo
     used instead of the raw gradient norm, which need not vanish at
     constrained optima.
     """
-    grad_x_l = lagrangian_grad(fb, z.y)[:z.n]
-    stationarity = feasible.normal_cone_distance(z.x, -grad_x_l)
-    complementarity = float(np.linalg.norm(fb.g_value - cone.project(fb.g_value + z.y)))
-    return stationarity + complementarity
+    as_vector(lagrangian_grad(fb, z.y), dim=z.n + cone.dim, name="Lagrangian gradient")
+    return float(_proj_kkt_rows(_one_row(fb), cone, feasible, z.x[None], z.y[None])[0])
+
+
+def _proj_kkt_rows(fb, cone: ConvexCone, feasible: ProximableFunction, X: np.ndarray,
+                   Y: np.ndarray) -> np.ndarray:
+    """`proj_kkt` at each row pair (x, y) of X and Y, from the stacked
+    full-batch sample `fb` at the rows of X; unchecked."""
+    stationarity = feasible._normal_cone_distance_rows(X, -_lagrangian_grad_rows(fb, Y)[:, :X.shape[1]])
+    C = fb.g_value - cone._project(fb.g_value + Y)
+    return stationarity + np.sqrt(_row_dots(C, C))
 
 
 @dataclass(frozen=True)

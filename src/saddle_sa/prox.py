@@ -4,7 +4,9 @@ Every kind here admits a closed-form prox; none is solved by an inner
 iteration, which keeps the prox exact to rounding and removes one error
 source from rate measurements. `f.prox(gamma, v)` returns the unique
 minimizer of  f(w) + ||w - v||^2 / (2*gamma); each kind writes it once, as
-the row-wise `_prox_rows`.
+the row-wise `_prox_rows`. The indicator kinds also give their projection's
+generalized Jacobian (`_jacobian_rows`) and the distance to their normal
+cone (`_normal_cone_distance_rows`), row-wise as well.
 """
 
 from __future__ import annotations
@@ -58,8 +60,20 @@ class ProximableFunction:
     def contains(self, v: np.ndarray, tol: float = 1e-10) -> bool:
         raise NotImplementedError
 
+    def _jacobian_rows(self, V: np.ndarray, R: np.ndarray) -> np.ndarray:
+        """Row i is J_i @ R[i], for J_i an element of the generalized Jacobian
+        of the projection (the prox) at the point V[i]; V and R are 2-D float
+        arrays of one shape, unchecked. J_i is symmetric, so the rows of a
+        matrix A give A @ J_i when every row of V is the same point."""
+        raise NotImplementedError
+
     def normal_cone_distance(self, x: np.ndarray, v: np.ndarray) -> float:
         """Euclidean distance of v to the normal cone of the domain at x."""
+        raise NotImplementedError
+
+    def _normal_cone_distance_rows(self, X: np.ndarray, V: np.ndarray) -> np.ndarray:
+        """Unchecked `normal_cone_distance` of each row of V at the matching
+        row of X; `normal_cone_distance` is its checked one-row case."""
         raise NotImplementedError
 
     def diameter(self) -> float:
@@ -88,9 +102,15 @@ class ZeroFunction(ProximableFunction):
     def contains(self, v, tol=1e-10):
         return True
 
+    def _jacobian_rows(self, V, R):
+        return R.copy()
+
     def normal_cone_distance(self, x, v):
+        return float(self._normal_cone_distance_rows(as_vector(x)[None], as_vector(v)[None])[0])
+
+    def _normal_cone_distance_rows(self, X, V):
         # Normal cone of the whole space is {0}.
-        return float(np.linalg.norm(as_vector(v)))
+        return np.sqrt(_row_dots(V, V))
 
     def diameter(self):
         return math.inf
@@ -215,16 +235,35 @@ class BallIndicator(ProximableFunction):
         v = as_vector(v, dim=self.center.shape[0])
         return float(np.linalg.norm(v - self.center)) <= self.radius + tol
 
+    def _jacobian_rows(self, V, R):
+        # Outside the ball, P(v) = c + radius * d/||d|| with d = v - c, whose
+        # Jacobian is (radius/||d||) (I - u u^T) for u = d/||d||; inside it is I.
+        D = V - self.center
+        nrm = np.sqrt(_row_dots(D, D))
+        far = nrm > self.radius
+        if not far.any():
+            return R.copy()
+        nrm = np.where(far, nrm, 1.0)
+        U = D / nrm[:, None]
+        return np.where(far[:, None], (self.radius / nrm)[:, None] * (R - _row_dots(U, R)[:, None] * U), R)
+
     def normal_cone_distance(self, x, v, boundary_tol=1e-9):
         x = as_vector(x, dim=self.center.shape[0])
         v = as_vector(v, dim=self.center.shape[0])
-        d = x - self.center
-        nrm = float(np.linalg.norm(d))
-        if nrm < self.radius - boundary_tol * (1.0 + self.radius):
-            return float(np.linalg.norm(v))  # interior: normal cone is {0}
-        # Boundary: normal cone is the outward ray along d.
-        t = max(0.0, float(v @ d) / (nrm * nrm)) if nrm > 0.0 else 0.0
-        return float(np.linalg.norm(v - t * d))
+        return float(self._normal_cone_distance_rows(x[None], v[None], boundary_tol)[0])
+
+    def _normal_cone_distance_rows(self, X, V, boundary_tol=1e-9):
+        D = X - self.center
+        nrm = np.sqrt(_row_dots(D, D))
+        sq = nrm * nrm
+        t = _row_dots(V, D) / np.where(sq > 0.0, sq, 1.0)
+        # Interior rows keep t = 0, since their normal cone is {0}; on the
+        # boundary it is the outward ray along d, and t is the larger of 0
+        # and the projection coefficient of v on d.
+        boundary = nrm >= self.radius - boundary_tol * (1.0 + self.radius)
+        t = np.where(boundary & (nrm > 0.0) & (t > 0.0), t, 0.0)
+        E = V - t[:, None] * D
+        return np.sqrt(_row_dots(E, E))
 
     def diameter(self):
         return 2.0 * self.radius
@@ -265,16 +304,20 @@ class BoxIndicator(ProximableFunction):
         v = as_vector(v, dim=self.lo.shape[0])
         return bool((v >= self.lo - tol).all() and (v <= self.hi + tol).all())
 
+    def _jacobian_rows(self, V, R):
+        return np.where((self.lo <= V) & (V <= self.hi), R, 0.0)
+
     def normal_cone_distance(self, x, v, boundary_tol=1e-9):
         x = as_vector(x, dim=self.lo.shape[0])
         v = as_vector(v, dim=self.lo.shape[0])
-        resid = v.copy()
-        at_hi = x >= self.hi - boundary_tol
-        at_lo = x <= self.lo + boundary_tol
+        return float(self._normal_cone_distance_rows(x[None], v[None], boundary_tol)[0])
+
+    def _normal_cone_distance_rows(self, X, V, boundary_tol=1e-9):
+        at_hi = X >= self.hi - boundary_tol
+        at_lo = X <= self.lo + boundary_tol
         # At an active face the normal cone admits the matching-sign component.
-        resid[at_hi & (v > 0.0)] = 0.0
-        resid[at_lo & (v < 0.0)] = 0.0
-        return float(np.linalg.norm(resid))
+        E = np.where((at_hi & (V > 0.0)) | (at_lo & (V < 0.0)), 0.0, V)
+        return np.sqrt(_row_dots(E, E))
 
     def diameter(self):
         return float(np.linalg.norm(self.hi - self.lo))
@@ -331,13 +374,29 @@ class BlockSeparable(ProximableFunction):
     def contains(self, v, tol=1e-10):
         return all(fn.contains(blk, tol) for fn, blk in self._blocks(v))
 
+    def _jacobian_rows(self, V, R):
+        if self._rows is None:
+            return np.concatenate([fn._jacobian_rows(V[:, a:b], R[:, a:b]) for fn, a, b in self.parts], axis=1)
+        fn, _, size = self._rows
+        return fn._jacobian_rows(V.reshape(-1, size), R.reshape(-1, size)).reshape(R.shape)
+
     def normal_cone_distance(self, x, v):
         x = as_vector(x, dim=self.dim)
         v = as_vector(v, dim=self.dim)
+        return float(self._normal_cone_distance_rows(x[None], v[None])[0])
+
+    def _normal_cone_distance_rows(self, X, V):
+        # The parts' squares are summed in part order, each squared by the
+        # float power (C pow, which can differ from d * d in the last bit).
+        if self._rows is None:
+            dists = [fn._normal_cone_distance_rows(X[:, a:b], V[:, a:b]) for fn, a, b in self.parts]
+        else:
+            fn, blocks, size = self._rows
+            dists = fn._normal_cone_distance_rows(X.reshape(-1, size), V.reshape(-1, size)).reshape(-1, blocks).T
         sq = 0.0
-        for fn, a, b in self.parts:
-            sq += fn.normal_cone_distance(x[a:b], v[a:b]) ** 2
-        return math.sqrt(sq)
+        for dist in dists:
+            sq = sq + np.array([d ** 2 for d in dist.tolist()])
+        return np.sqrt(sq)
 
     def diameter(self):
         return math.sqrt(sum(fn.diameter() ** 2 for fn, _, _ in self.parts))

@@ -16,6 +16,7 @@ import pytest
 from saddle_sa import (
     BallIndicator,
     BilinearOracle,
+    BlockSeparable,
     BoxIndicator,
     NeymanPearsonOracle,
     PositivePartSum,
@@ -143,6 +144,64 @@ def evaluate_one(oracle, z, d):
     Z, draws = z.stacked()[None], np.asarray(d, dtype=float)[None]
     step = oracle.directions(Z, draws)[0]
     return Sample(float(oracle.values(Z, draws)[0]), -step[:z.n], step[z.n:])
+
+
+def reference_normal_cone_distance(fn, x, v, boundary_tol=1e-9):
+    """The one-point normal-cone distance of an indicator, restated as each
+    kind first wrote it: a block sum squares each part's distance with the
+    float power and takes math.sqrt of the running sum."""
+    if isinstance(fn, BlockSeparable):
+        sq = 0.0
+        for part, a, b in fn.parts:
+            sq += reference_normal_cone_distance(part, x[a:b], v[a:b]) ** 2
+        return math.sqrt(sq)
+    if isinstance(fn, BallIndicator):
+        d = x - fn.center
+        nrm = float(np.linalg.norm(d))
+        if nrm < fn.radius - boundary_tol * (1.0 + fn.radius):
+            return float(np.linalg.norm(v))  # interior: normal cone is {0}
+        t = max(0.0, float(v @ d) / (nrm * nrm)) if nrm > 0.0 else 0.0
+        return float(np.linalg.norm(v - t * d))
+    if isinstance(fn, BoxIndicator):
+        resid = v.copy()
+        resid[(x >= fn.hi - boundary_tol) & (v > 0.0)] = 0.0
+        resid[(x <= fn.lo + boundary_tol) & (v < 0.0)] = 0.0
+        return float(np.linalg.norm(resid))
+    assert isinstance(fn, ZeroFunction)
+    return float(np.linalg.norm(v))
+
+
+def indicator_points(fn, rng: np.random.Generator, count: int, kinks: bool = True) -> np.ndarray:
+    """count points of the indicator's space, block by block, each block
+    inside or outside its set by at least 5% of the radius (or half-width)
+    from the boundary; with kinks=True every third row lies on the boundary
+    instead and every fifth is 0. A ZeroFunction (part) gets 3 columns."""
+    if isinstance(fn, BlockSeparable):
+        return np.concatenate([indicator_points(part, rng, count, kinks) for part, _, _ in fn.parts], axis=1)
+    if isinstance(fn, ZeroFunction):
+        return rng.normal(size=(count, 3))
+    if isinstance(fn, BallIndicator):
+        center, dim = fn.center, fn.center.shape[0]
+        D = rng.normal(size=(count, dim))
+        D /= np.linalg.norm(D, axis=1)[:, None]
+        X = center + fn.radius * _off_boundary(rng, (count, 1)) * D
+        if kinks:
+            X[1::3] = fn._prox_rows(1.0, center + 3.0 * fn.radius * D[1::3])  # on the sphere
+    else:
+        center, half = (fn.lo + fn.hi) / 2.0, (fn.hi - fn.lo) / 2.0
+        signs = rng.choice([-1.0, 1.0], size=(count, center.shape[0]))
+        X = center + half * signs * _off_boundary(rng, (count, center.shape[0]))
+        if kinks:
+            face = np.where(signs > 0.0, fn.hi, fn.lo)
+            X[1::3] = np.where(rng.random(X[1::3].shape) < 0.5, face[1::3], X[1::3])  # on some faces
+    if kinks:
+        X[2::5] = 0.0
+    return X
+
+
+def _off_boundary(rng: np.random.Generator, shape) -> np.ndarray:
+    """Radial factors in [0, 0.95] or [1.05, 2], half each."""
+    return np.where(rng.random(shape) < 0.5, rng.uniform(0.0, 0.95, size=shape), rng.uniform(1.05, 2.0, size=shape))
 
 
 def recording_hook(seen: list):

@@ -10,7 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from saddle_sa import cli
+from conftest import indicator_points, reference_normal_cone_distance
+from saddle_sa import LsaalProblem, cli, synth_gaussian_classes
 from saddle_sa.cli import (
     ConfigError,
     ExperimentConfig,
@@ -495,8 +496,9 @@ class TestDivergenceReporting:
     @pytest.mark.parametrize("text, error_type, kind", [
         (bilinear_text(N_list="10,20", trials=3, schedule="harmonic", theta=1e13, mu=0),
          DivergenceError, "diverged"),
+        # One Newton step per subproblem is too few at sigma = 100.
         ("experiment=neyman_pearson\nalgorithm=lsaal\nn=3\nm_classes=2\npoints_per_class=5\n"
-         "N_list=10,20\ntrials=3\ninner_max_iters=1\n", ConvergenceError, "not-converged"),
+         "N_list=10,20\ntrials=3\ninner_max_iters=1\nsigma=100\n", ConvergenceError, "not-converged"),
     ], ids=["diverged", "not_converged"])
     def test_failures_cross_the_process_pool(self, tmp_path, capsys, text, error_type, kind):
         # Every trial fails. Worker processes send the errors back by pickling:
@@ -651,6 +653,84 @@ class TestNeymanPearsonHook:
         [outcome] = cli.run_trial_batch(cfg, 30, [0], shared)
         assert isinstance(outcome, DivergenceError)
         assert outcome.iteration == 4 and str(outcome) == "non-finite oracle sample at iteration 4"
+
+
+def reference_np_metrics(problem, z0, kept):
+    """The Neyman-Pearson metric rows as the per-row loop first computed
+    them: one-point formulas on each row's full batches."""
+    oracle, cone = problem.oracle, problem.cone
+    dim, rows = oracle.dim, len(kept.ks)
+    points = [z0.x]
+    for row in range(rows):
+        points += [kept.averages[row, :dim], kept.iterates[row, :dim]]
+    fb = oracle.full_batch_rows(np.array(points))
+
+    def grad(p, y):
+        return np.concatenate([fb.f_grad[p] + fb.g_jacobian[p].T @ y, fb.g_value[p]])
+
+    metrics = []
+    for row in range(rows):
+        avg, y = kept.averages[row], kept.iterates[row, dim:]
+        p, g = 1 + 2 * row, fb.g_value[1 + 2 * row]
+        stationarity = reference_normal_cone_distance(problem.feasible, avg[:dim], -grad(p, avg[dim:])[:dim])
+        metrics.append([float(np.linalg.norm(cone.polar_project(g))),
+                        stationarity + float(np.linalg.norm(g - cone.project(g + avg[dim:]))),
+                        float(np.linalg.norm(grad(p + 1, y))),
+                        float(np.linalg.norm(grad(p, avg[dim:]))),
+                        float(np.linalg.norm(y))])
+    return metrics, float(np.linalg.norm(grad(0, z0.y)))
+
+
+class TestNeymanPearsonMetrics:
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_stacked_rows_equal_the_per_row_formulas(self, m):
+        # 1,200 kept rows whose blocks lie inside their balls, on them or at
+        # 0, with multipliers partly zero: every metric equals the per-row
+        # formulas bit for bit.
+        rng = np.random.default_rng(40 + m)
+        oracle = NeymanPearsonOracle(synth_gaussian_classes(rng, m, 4, 12, 1.0), 2.0)
+        problem = LsaalProblem(oracle, oracle.cone, oracle.feasible_set)
+        rows, dim = 1200, oracle.dim
+        kept = cli._KeptRows(rows, dim + m - 1)
+        for points in (kept.iterates, kept.averages):
+            points[:, :dim] = indicator_points(oracle.feasible_set, rng, rows)
+            points[:, dim:] = np.maximum(rng.normal(size=(rows, m - 1)), 0.0) * rng.uniform(0.0, 4.0, size=(rows, 1))
+        kept.ks.extend(range(1, rows + 1))
+        z0 = PrimalDualPoint(indicator_points(oracle.feasible_set, rng, 1)[0], np.zeros(m - 1))
+        metrics, base = cli._np_metrics(problem, z0, kept)
+        expected, expected_base = reference_np_metrics(problem, z0, kept)
+        assert list(metrics[0]) == ["constraint_violation", "proj_kkt", "grad_norm_raw", "grad_norm_avg", "y_norm"]
+        assert np.array_equal([list(row.values()) for row in metrics], expected)
+        assert base == expected_base
+        # The rows reach both sides of every branch.
+        assert 0 < sum(row[0] > 0.0 for row in expected) < rows
+
+
+def write_libsvm_700(path: Path) -> None:
+    """The 700-point, 3-class, 12-feature LIBSVM file of
+    tools/output_digests.py, about half its entries zero and its features
+    not normalized."""
+    rng = np.random.default_rng(20240613)
+    lines = ["2"]
+    for _ in range(699):
+        label = int(rng.integers(1, 4))
+        row = rng.normal(loc=0.5 * label, size=12) * (rng.random(12) < 0.5)
+        kept = [(i, v) for i, v in enumerate(row.tolist(), start=1) if v != 0.0 or rng.random() < 0.1]
+        lines.append(" ".join([str(label)] + [f"{i}:{v!r}" for i, v in kept]))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+class TestUnnormalizedData:
+    def test_every_trial_converges(self, tmp_path):
+        # Raw feature scales make the subproblems stiff; each trial's inner
+        # solves must still reach inner_tol.
+        data = tmp_path / "data.libsvm"
+        write_libsvm_700(data)
+        text = (f"experiment=neyman_pearson\nalgorithm=lsaal\ndataset_path={data}\nnormalize=false\n"
+                f"N_list=50,100,200\ntrials=2\nseed=9\nparallel=1\noutput_dir={tmp_path / 'out'}\n")
+        result = run_experiment(load_config(text))
+        assert result.exit_code == 0
+        assert not any(result.failures.values())
 
 
 def blow_up(oracle_class, stream, at):

@@ -156,3 +156,65 @@ class TestInteriorDistance:
     def test_product_takes_min(self):
         cone = ProductCone([NonpositiveOrthant(1), NonpositiveOrthant(1)])
         assert cone.interior_distance(np.array([-0.5, -0.2])) == pytest.approx(0.2)
+
+
+def soc_points(rng, count, dim):
+    """Points of R^dim inside the second-order cone, inside its polar and in
+    neither, in turn, each at least 0.1 * ||u|| from the boundaries."""
+    U = rng.normal(size=(count, dim - 1))
+    nu = np.linalg.norm(U, axis=1)
+    t = nu * rng.uniform(1.1, 3.0, size=count)  # inside the cone
+    t[1::3] *= -1.0  # inside the polar cone
+    t[2::3] = nu[2::3] * rng.uniform(-0.9, 0.9, size=len(t[2::3]))  # in neither
+    return np.column_stack([U, t])
+
+
+def cone_points(cone, rng, count):
+    """Points away from the kinks of the cone's projection: no orthant
+    coordinate near 0, second-order blocks as in soc_points."""
+    Y = rng.normal(size=(count, cone.dim))
+    Y += np.where(Y >= 0.0, 0.2, -0.2)
+    for factor, part in zip(getattr(cone, "factors", [cone]), getattr(cone, "_slices", [slice(None)])):
+        if isinstance(factor, SecondOrderCone):
+            Y[:, part] = soc_points(rng, count, factor.dim)
+    return Y
+
+
+class TestRowForms:
+    @pytest.mark.parametrize("cone", all_cone_kinds(), ids=lambda c: type(c).__name__)
+    def test_rows_match_projection_of_each_row(self, cone):
+        rng = np.random.default_rng(12)
+        Y = rng.normal(size=(300, cone.dim)) * rng.uniform(0.01, 5.0, size=(300, 1))
+        Y[::7] = 0.0
+        if isinstance(cone, SecondOrderCone):
+            Y[1::5] = soc_points(rng, len(Y[1::5]), cone.dim)
+        for rows, one in ((cone._project(Y), cone.project), (cone._polar_project(Y), cone.polar_project)):
+            assert rows.shape == Y.shape
+            for row, y in zip(rows, Y):
+                assert np.array_equal(row, one(y))
+
+
+class TestJacobians:
+    @pytest.mark.parametrize("cone", all_cone_kinds() + [SecondOrderCone(2), SecondOrderCone(5)],
+                             ids=lambda c: f"{type(c).__name__}{c.dim}")
+    def test_jacobian_rows_match_central_differences(self, cone):
+        # Away from the kinks the projections are smooth, so J r is the
+        # directional derivative along r, for the cone and its polar.
+        rng = np.random.default_rng(cone.dim)
+        Y = cone_points(cone, rng, 300)
+        R = rng.normal(size=Y.shape)
+        h = 1e-6
+        for rows, project in ((cone._jacobian_rows(Y, R), cone._project),
+                              (cone._polar_jacobian_rows(Y, R), cone._polar_project)):
+            fd = (project(Y + h * R) - project(Y - h * R)) / (2.0 * h)
+            np.testing.assert_allclose(rows, fd, rtol=1e-6, atol=1e-7)
+
+    def test_soc_jacobian_on_each_side(self):
+        cone = SecondOrderCone(3)
+        R = np.array([[0.3, -1.0, 2.0]] * 3)
+        inside, polar, neither = np.array([[1.0, 0.0, 2.0], [1.0, 0.0, -2.0], [3.0, 0.0, 1.0]])
+        out = cone._jacobian_rows(np.array([inside, polar, neither]), R)
+        np.testing.assert_array_equal(out[0], R[0])  # identity inside the cone
+        np.testing.assert_array_equal(out[1], np.zeros(3))  # zero inside the polar
+        # At (u, t) = ((3, 0), 1): J = [[1/2, 0, 1/2], [0, 2/3, 0], [1/2, 0, 1/2]].
+        np.testing.assert_allclose(out[2], [1.15, -2.0 / 3.0, 1.15], rtol=1e-15)

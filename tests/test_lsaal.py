@@ -27,7 +27,7 @@ from saddle_sa import (
     solve_x_subproblem,
     synth_gaussian_classes,
 )
-from saddle_sa.lsaal import _evaluate
+from saddle_sa.lsaal import _linearized
 from saddle_sa.oracles import NeymanPearsonOracle
 
 
@@ -38,6 +38,18 @@ def sample_1d(f_grad=1.0, g_value=0.5, dg=1.0):
 def spec_1d(sigma=1.0, x_k=0.0, y_k=0.0, **kw):
     return XSubproblemSpec(np.array([x_k]), np.array([y_k]), sample_1d(**kw),
                            sigma, NonpositiveOrthant(1))
+
+
+def multiplier_step(spec, x):
+    """The solver's multiplier step P_polar(y_k + sigma*(G + DG (x - x_k)))."""
+    return spec.cone._polar_project(_linearized(spec, x))
+
+
+def subproblem_gradient(spec, x):
+    """grad F + DG^T y(x) + (x - x_k)/sigma: the multiplier step is the
+    gradient of the squared polar-projection term before DG^T is applied."""
+    s = spec.sample
+    return s.f_grad + s.g_jacobian.T @ multiplier_step(spec, x) + (x - spec.x_k) / spec.sigma
 
 
 def run_config(N, seed=0, thin=None, initial=None):
@@ -51,13 +63,13 @@ class TestSubproblemGradient:
         # y=0 and G strictly inside the cone: polar projection is 0, so the
         # gradient at x_k is just the sampled objective gradient
         spec = spec_1d(g_value=-0.5)
-        g = _evaluate(spec, np.array([0.0]))[1]
+        g = subproblem_gradient(spec, np.array([0.0]))
         np.testing.assert_allclose(g, [1.0], atol=0.0)
 
     def test_hand_example(self):
         # grad = 1 + P_{R+}(0.5) + 0 = 1.5
         spec = spec_1d()
-        g = _evaluate(spec, np.array([0.0]))[1]
+        g = subproblem_gradient(spec, np.array([0.0]))
         np.testing.assert_allclose(g, [1.5], atol=0.0)
 
     def test_matches_finite_differences(self):
@@ -73,13 +85,13 @@ class TestSubproblemGradient:
             spec = XSubproblemSpec(rng.normal(size=n), np.abs(rng.normal(size=m)),
                                    sample, float(rng.uniform(0.2, 2.0)), NonpositiveOrthant(m))
             x = rng.normal(size=n)
-            grad = _evaluate(spec, x)[1]
+            grad = subproblem_gradient(spec, x)
             fd = np.empty(n)
             h = 1e-6
             for i in range(n):
                 e = np.zeros(n)
                 e[i] = h
-                fd[i] = (_evaluate(spec, x + e)[0] - _evaluate(spec, x - e)[0]) / (2 * h)
+                fd[i] = (reference_objective(spec, x + e) - reference_objective(spec, x - e)) / (2 * h)
             assert np.linalg.norm(fd - grad) / max(1.0, np.linalg.norm(grad)) <= 1e-5
 
 
@@ -109,9 +121,6 @@ class TestSolveSubproblem:
         # polar projection is the identity and the subproblem is the quadratic
         #   g.dx + |y + s(G + J dx)|^2/(2s) + |dx|^2/(2s),
         # solved in closed form via its normal equations.
-        # sigma stays below ~0.85: at sigma ~ 1 the Armijo-accepted step sits
-        # at the oscillation boundary of this quadratic (contraction factor
-        # sigma^2 -> 1), which only crawls; production runs use sigma = 1/sqrt(N).
         rng = RandomSource(9).generator()
         for _ in range(20):
             sigma = float(rng.uniform(0.3, 0.85))
@@ -173,12 +182,16 @@ class TestSolveSubproblem:
             np.testing.assert_allclose(out, best, atol=1e-3)
 
     def test_budget_exhaustion_raises(self):
-        spec = XSubproblemSpec(np.array([0.0]), np.array([0.0]), sample_1d(),
-                               1.0, NonpositiveOrthant(1))
-        box = BoxIndicator(np.array([-1.0]), np.array([1.0]))
+        # An active constraint over a disc: the projection onto the circle is
+        # not affine, so one Newton step from y_k = 0 leaves a residual.
+        sample = ConicSample(0.0, np.array([-1.0, -1.0]), np.array([0.5]), np.array([[1.0, 1.0]]))
+        spec = XSubproblemSpec(np.zeros(2), np.array([0.0]), sample, 10.0, NonpositiveOrthant(1))
+        disc = BallIndicator(np.zeros(2), 1.0)
         with pytest.raises(ConvergenceError) as err:
-            solve_x_subproblem(spec, box, 1e-16, 1)
-        assert err.value.residual > 0.0
+            solve_x_subproblem(spec, disc, 1e-12, 1)
+        assert err.value.residual > 1e-12
+        x, y = solve_x_subproblem(spec, disc, 1e-12, 50)
+        assert np.array_equal(y, multiplier_step(spec, x))
 
 
 def reference_multiplier(spec, x):
@@ -198,74 +211,58 @@ def reference_objective(spec, x):
     )
 
 
-def reference_gradient(spec, x):
-    s = spec.sample
-    return s.f_grad + s.g_jacobian.T @ reference_multiplier(spec, x) + (x - spec.x_k) / spec.sigma
-
-
-def reference_solve(spec, feasible, inner_tol, inner_max_iters, seen):
-    """The projected-gradient solver with a checked prox per candidate; `seen`
-    counts accepted steps below sigma and accepted tiny decreases."""
-    x = np.asarray(spec.x_k, dtype=float).copy()
-    fx = reference_objective(spec, x)
-    step = spec.sigma
-    residual = math.inf
-    slack = 16.0 * np.finfo(float).eps * (1.0 + abs(fx))
-    for _ in range(inner_max_iters):
-        g = reference_gradient(spec, x)
-        trial = feasible.prox(1.0, x - step * g)
-        residual = float(np.linalg.norm(x - trial)) / step
-        if residual <= inner_tol:
-            return x
-        s = spec.sigma
-        while True:
-            x_new = feasible.prox(1.0, x - s * g)
-            f_new = reference_objective(spec, x_new)
-            if f_new <= fx + 1e-4 * float(g @ (x_new - x)):
-                break
-            if f_new <= fx + slack:
-                g_new = reference_gradient(spec, x_new)
-                r_here = float(np.linalg.norm(x - x_new)) / s
-                r_new = float(np.linalg.norm(x_new - feasible.prox(1.0, x_new - s * g_new))) / s
-                if r_new <= 0.9 * r_here:
-                    seen["tiny_decrease"] += 1
-                    break
-            s *= 0.5
-            if s < spec.sigma * 1e-18:
-                raise ConvergenceError(residual, "line search stalled before reaching inner_tol")
-        seen["below_sigma"] += s < spec.sigma
-        x, fx, step = x_new, f_new, s
-        slack = 16.0 * np.finfo(float).eps * (1.0 + abs(fx))
-    raise ConvergenceError(residual)
+def random_neyman_pearson_subproblems(m):
+    """32 random subproblems on an m-class Neyman-Pearson instance, 8 each at
+    sigma = 1/sqrt(250), 1/sqrt(4000), 1 and 10, with a Newton budget: at the
+    horizons' sigma = 1/sqrt(N) local convergence ends each solve within 3
+    steps."""
+    rng = np.random.default_rng(80 + m)
+    oracle = NeymanPearsonOracle(synth_gaussian_classes(rng, m, 5, 15, 1.5), 3.0)
+    for sigma in (1 / math.sqrt(250), 1 / math.sqrt(4000), 1.0, 10.0):
+        for _ in range(8):
+            x_k = oracle.feasible_set.prox(1.0, rng.normal(size=oracle.dim) * 2.0)
+            y_k = np.maximum(rng.normal(size=m - 1), 0.0) * 2.0
+            spec = XSubproblemSpec(x_k, y_k, oracle.sample(rng, x_k), sigma, oracle.cone)
+            yield oracle.feasible_set, spec, 3 if sigma < 0.1 else 200
 
 
 class TestSolverMatchesReference:
     @pytest.mark.parametrize("m", [2, 3, 4])
     def test_random_neyman_pearson_subproblems_bit_for_bit(self, m):
-        rng = np.random.default_rng(80 + m)
-        oracle = NeymanPearsonOracle(synth_gaussian_classes(rng, m, 5, 15, 1.5), 3.0)
-        seen = {"below_sigma": 0, "tiny_decrease": 0, "budget": 0}
-        for sigma in (1 / math.sqrt(250), 1 / math.sqrt(4000), 1.0, 10.0):
-            for _ in range(8):
-                x_k = oracle.feasible_set.prox(1.0, rng.normal(size=oracle.dim) * 2.0)
-                y_k = np.maximum(rng.normal(size=m - 1), 0.0) * 2.0
-                sample = oracle.sample(rng, x_k)
-                spec = XSubproblemSpec(x_k, y_k, sample, sigma, oracle.cone)
-                try:
-                    expected = reference_solve(spec, oracle.feasible_set, 1e-8, 200, seen)
-                except ConvergenceError as exc:
-                    seen["budget"] += 1
-                    with pytest.raises(ConvergenceError) as err:
-                        solve_x_subproblem(spec, oracle.feasible_set, 1e-8, 200)
-                    assert (err.value.residual, str(err.value)) == (exc.residual, str(exc))
-                    continue
-                x, y = solve_x_subproblem(spec, oracle.feasible_set, 1e-8, 200)
-                assert np.array_equal(x, expected)
-                # The multiplier is the closed-form step at the solution.
-                assert np.array_equal(y, reference_multiplier(spec, expected))
-        # The instances reach every branch: backtracking below sigma,
-        # acceptance on a decrease below rounding noise, an exhausted budget.
-        assert min(seen.values()) > 0, seen
+        # The returned multiplier is bit for bit the closed-form multiplier
+        # step at the returned x, and a solve from equal copies of the spec
+        # returns the same bits.
+        for feasible, spec, budget in random_neyman_pearson_subproblems(m):
+            x, y = solve_x_subproblem(spec, feasible, 1e-8, budget)
+            assert np.array_equal(y, reference_multiplier(spec, x))
+            twin = XSubproblemSpec(spec.x_k.copy(), spec.y_k.copy(), spec.sample,
+                                   spec.sigma, spec.cone)
+            x2, y2 = solve_x_subproblem(twin, feasible, 1e-8, budget)
+            assert np.array_equal(x2, x) and np.array_equal(y2, y)
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_random_neyman_pearson_subproblems_meet_kkt_conditions(self, m):
+        # The solution pair (x, y) satisfies the subproblem's KKT conditions:
+        # y is the closed-form multiplier step at x, and x is the projected
+        # point of the proximal Lagrangian step at y, that is the fixed point
+        # x = P_X(x - s*(grad F + DG^T y + (x - x_k)/sigma)) for every s > 0
+        # (s = sigma gives x = P_X(x_k - sigma*(grad F + DG^T y))). The dual
+        # residual bound inner_tol moves x by at most sigma*||DG||*inner_tol
+        # from the exact fixed point, and the fixed-point residual at step s
+        # by at most (2 + s/sigma) times that.
+        tol, active = 1e-8, 0
+        for feasible, spec, budget in random_neyman_pearson_subproblems(m):
+            sample, sigma = spec.sample, spec.sigma
+            x, y = solve_x_subproblem(spec, feasible, tol, budget)
+            assert feasible.contains(x, tol=1e-12)
+            assert np.array_equal(y, reference_multiplier(spec, x))
+            active += bool((y > 0.0).any())
+            moved = sigma * np.linalg.norm(sample.g_jacobian, 2) * tol
+            lagrangian_step = sample.f_grad + sample.g_jacobian.T @ y + (x - spec.x_k) / sigma
+            for s in (sigma, 0.1 * sigma):
+                residual = np.linalg.norm(x - feasible.prox(1.0, x - s * lagrangian_step))
+                assert residual <= (2.0 + s / sigma) * moved + 1e-12, (sigma, s, residual)
+        assert active > 0  # some multipliers are active, so the coupling is tested
 
     def test_result_is_writable_and_writable_points_are_not_remembered(self, np_instance):
         # The spec keeps no state between calls: a point changed in place
@@ -277,32 +274,29 @@ class TestSolverMatchesReference:
         out, y = solve_x_subproblem(spec, np_instance.feasible_set, 1e-8, 500)
         assert out.flags.writeable and y.flags.writeable
         assert out is not spec.x_k
-        _evaluate(spec, out)
+        multiplier_step(spec, out)
         out += 0.5
         frozen = out - 0.25
         frozen.flags.writeable = False
         for point in (out, frozen):
-            f, g, y = _evaluate(spec, point)
-            assert f == reference_objective(spec, point)
-            assert np.array_equal(g, reference_gradient(spec, point))
-            assert np.array_equal(y, reference_multiplier(spec, point))
+            assert np.array_equal(multiplier_step(spec, point), reference_multiplier(spec, point))
 
 
 class TestYUpdate:
     """The multiplier step y(x) = P_polar(y_k + sigma*(G + DG (x - x_k))) that
-    _evaluate returns with the objective and gradient."""
+    the solver returns with its solution."""
 
     def test_clip_example(self):
         spec = spec_1d(sigma=0.5, y_k=1.0, g_value=-4.0, dg=0.0)
-        np.testing.assert_allclose(_evaluate(spec, np.array([0.0]))[2], [0.0], atol=0.0)
+        np.testing.assert_allclose(multiplier_step(spec, np.array([0.0])), [0.0], atol=0.0)
 
     def test_passthrough_example(self):
         spec = spec_1d(g_value=2.0, dg=0.0)
-        np.testing.assert_allclose(_evaluate(spec, np.array([0.0]))[2], [2.0], atol=0.0)
+        np.testing.assert_allclose(multiplier_step(spec, np.array([0.0])), [2.0], atol=0.0)
 
     def test_continuation_of_worked_instance(self):
         # x+ = -1: y+ = P_{R+}(0 + 1*(0.5 + 1*(-1))) = 0
-        np.testing.assert_allclose(_evaluate(spec_1d(), np.array([-1.0]))[2], [0.0], atol=0.0)
+        np.testing.assert_allclose(multiplier_step(spec_1d(), np.array([-1.0])), [0.0], atol=0.0)
 
     def test_result_lies_in_polar_cone(self):
         rng = RandomSource(4).generator()
@@ -312,7 +306,7 @@ class TestYUpdate:
                                  rng.normal(size=(3, 2)))
             y_k, sigma = np.abs(rng.normal(size=3)), float(rng.uniform(0.1, 2.0))
             x_next, x_k = rng.normal(size=2), rng.normal(size=2)
-            out = _evaluate(XSubproblemSpec(x_k, y_k, sample, sigma, cone), x_next)[2]
+            out = multiplier_step(XSubproblemSpec(x_k, y_k, sample, sigma, cone), x_next)
             assert cone.polar_contains(out, tol=1e-12)
 
     @pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan, math.inf])
@@ -527,32 +521,45 @@ class TestSampleGuard:
 
 class HugeGradientOracle:
     """A 3-dimensional conic oracle with one inactive constraint whose
-    objective gradient jumps to 1e300 from evaluate call `at` on."""
+    objective gradient (or, with field="g_jacobian", constraint Jacobian)
+    jumps to 1e300 from evaluate call `at` on."""
 
     dim = 3
 
-    def __init__(self, at):
-        self.at, self.calls = at, 0
+    def __init__(self, at, field="f_grad"):
+        self.at, self.field, self.calls = at, field, 0
 
     def draws(self, rng, count):
         return rng.normal(size=(count, 3))
 
     def evaluate(self, x, draw):
         self.calls += 1
-        f_grad = np.full(3, 1e300) if self.calls >= self.at else draw
-        return ConicSample(0.0, f_grad, np.array([-1.0]), np.zeros((1, 3)))
+        huge = self.calls >= self.at
+        f_grad = np.full(3, 1e300) if huge and self.field == "f_grad" else draw
+        jacobian = np.full((1, 3), 1e300) if huge and self.field == "g_jacobian" else np.zeros((1, 3))
+        return ConicSample(0.0, f_grad, np.array([-1.0]), jacobian)
 
 
 class TestInnerSolverOverflow:
     def test_overflowing_prox_argument_is_divergence_at_outer_iteration(self):
-        # x - s*g overflows to -inf inside the inner solver; the finiteness
-        # screen before the unchecked prox must classify it as divergence.
+        # x_k - sigma*grad F overflows to -inf; the finiteness screen before
+        # the unchecked prox must classify it as divergence.
         problem = LsaalProblem(HugeGradientOracle(4), NonpositiveOrthant(1),
                                BallIndicator(np.zeros(3), 1.0), sigma=1e10)
         with np.errstate(over="ignore"), pytest.raises(DivergenceError) as err:
             run_lsaal(problem, run_config(10, seed=1))
         assert err.value.iteration == 4
         assert str(err.value).endswith("vector has non-finite entries")
+
+    def test_overflowing_constraint_step_is_divergence_at_outer_iteration(self):
+        # sigma * DG overflows past the screen: the projection argument turns
+        # NaN, and so does the residual, which ends the solve as divergence.
+        problem = LsaalProblem(HugeGradientOracle(4, "g_jacobian"), NonpositiveOrthant(1),
+                               BallIndicator(np.zeros(3), 1.0), sigma=1e10)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError) as err:
+            run_lsaal(problem, run_config(10, seed=1))
+        assert err.value.iteration == 4
+        assert str(err.value).endswith("multiplier step has non-finite entries")
 
 
 class TestLinearizedPolarMonotonicity:

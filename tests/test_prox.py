@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from conftest import batch_value, grid_prox_1d, grid_prox_2d, random_prox_instances
+from conftest import (
+    batch_value,
+    grid_prox_1d,
+    grid_prox_2d,
+    indicator_points,
+    random_prox_instances,
+    reference_normal_cone_distance,
+)
 from saddle_sa import (
     BallIndicator,
     BlockSeparable,
@@ -343,3 +350,40 @@ class TestNormalConeDistance:
     def test_free_space(self):
         z = ZeroFunction()
         assert z.normal_cone_distance(np.array([1.0]), np.array([2.0])) == pytest.approx(2.0)
+
+
+INDICATORS = [
+    ZeroFunction(),
+    BallIndicator(np.array([0.5, -1.0, 0.0]), 1.5),
+    BoxIndicator(np.array([-1.0, 0.0, -0.5]), np.array([1.0, 0.5, 2.0])),
+    BlockSeparable([(BallIndicator(np.zeros(4), 2.0), 4)] * 3),
+    BlockSeparable([(BallIndicator(np.array([0.3, 0.0]), 0.8), 2),
+                    (BoxIndicator(np.array([-1.0, 0.0, -0.5]), np.array([1.0, 0.5, 2.0])), 3),
+                    (ZeroFunction(), 3)]),
+]
+INDICATOR_IDS = ["zero", "ball", "box", "ball-blocks", "mixed-blocks"]
+
+
+class TestIndicatorRowForms:
+    @pytest.mark.parametrize("fn", INDICATORS, ids=INDICATOR_IDS)
+    def test_normal_cone_distance_rows_equal_the_one_point_formulas(self, fn):
+        # Interior, boundary and zero points, bit for bit: the row form
+        # replaced a loop over these one-point formulas.
+        rng = np.random.default_rng(31)
+        X = indicator_points(fn, rng, 1200)
+        V = rng.normal(size=X.shape) * rng.uniform(0.01, 5.0, size=(len(X), 1))
+        V[::11] = 0.0
+        expected = np.array([reference_normal_cone_distance(fn, x, v) for x, v in zip(X, V)])
+        assert np.array_equal(fn._normal_cone_distance_rows(X, V), expected)
+        assert np.array_equal([fn.normal_cone_distance(x, v) for x, v in zip(X, V)], expected)
+
+    @pytest.mark.parametrize("fn", INDICATORS, ids=INDICATOR_IDS)
+    def test_jacobian_rows_match_central_differences(self, fn):
+        # Away from the boundary the projection is smooth, so J r is its
+        # directional derivative along r.
+        rng = np.random.default_rng(32)
+        X = indicator_points(fn, rng, 300, kinks=False)
+        R = rng.normal(size=X.shape)
+        h = 1e-6
+        fd = (fn._prox_rows(1.0, X + h * R) - fn._prox_rows(1.0, X - h * R)) / (2.0 * h)
+        np.testing.assert_allclose(fn._jacobian_rows(X, R), fd, rtol=1e-6, atol=1e-7)
