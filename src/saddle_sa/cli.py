@@ -32,6 +32,7 @@ from .core import (
     RandomSource,
     RunConfig,
     RunRecord,
+    SCHEDULE_READS,
     StepSchedule,
     _row_distances,
     _row_dots,
@@ -115,6 +116,8 @@ _COMMON_KEYS = ("experiment algorithm N_list n trials seed output_dir trace_thin
                 "tail_multiplier parallel include_timing")
 # Keys that describe the synthetic dataset, which a dataset_path file replaces.
 _SYNTHETIC_KEYS = ("n", "m_classes", "points_per_class", "separation")
+# Keys that set StepSchedule parameters, of which each schedule kind reads its own.
+_SCHEDULE_PARAMETERS = {name for reads in SCHEDULE_READS.values() for name in reads}
 
 
 def _parse_bool(raw: str, key: str) -> bool:
@@ -220,11 +223,12 @@ def _validate(config: ExperimentConfig) -> None:
         raise ConfigError("need ref_pool_size >= 1 and ref_iters >= 1")
     if len(set(config.N_list)) != len(config.N_list):
         raise ConfigError(f"N_list repeats a horizon: {','.join(map(str, config.N_list))}")
-    # The random-stream, schedule and regularizer classes own their parameter rules.
+    # The random-stream, schedule, run and regularizer classes own their parameter rules.
     try:
         RandomSource(config.seed)
+        schedule = _schedule_for(config)
         for N in config.N_list:
-            _schedule_for(config, N)
+            RunConfig(horizon=N, seed=config.seed, schedule=schedule)
         _regularizer(config.regularizer, config.mu)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
@@ -238,6 +242,11 @@ def _validate(config: ExperimentConfig) -> None:
     replaced = [name for name in changed if name in _SYNTHETIC_KEYS] if config.dataset_path else []
     if replaced:
         raise ConfigError(f"dataset_path replaces the synthetic data that {_key_list(replaced)} describe; "
+                          "remove the key(s) or set their defaults")
+    ignored = [name for name in changed if name in _SCHEDULE_PARAMETERS
+               and name not in SCHEDULE_READS[config.schedule]]
+    if ignored:
+        raise ConfigError(f"schedule {config.schedule!r} does not read {_key_list(ignored)}; "
                           "remove the key(s) or set their defaults")
 
 
@@ -255,14 +264,8 @@ def _regularizer(kind: str, mu: float):
     return PositivePartSum(mu)
 
 
-def _schedule_for(config: ExperimentConfig, N: int) -> StepSchedule:
-    return StepSchedule(
-        kind=config.schedule,
-        theta=config.theta,
-        dist_estimate=config.dist_estimate,
-        M_estimate=config.M_estimate,
-        horizon=N,
-    )
+def _schedule_for(config: ExperimentConfig) -> StepSchedule:
+    return StepSchedule(config.schedule, config.theta, config.dist_estimate, config.M_estimate)
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +362,7 @@ def run_trial_batch(config: ExperimentConfig, N: int, trials, shared: dict) -> l
     ConvergenceError that ended it, deterministic given (config, N, trial)
     whatever else is in the batch; the experiment scores it after the run.
     """
-    schedule = _schedule_for(config, N) if config.algorithm == "saps" else None  # LSAAL steps by sigma
+    schedule = _schedule_for(config) if config.algorithm == "saps" else None  # LSAAL steps by sigma
     base = RunConfig(horizon=N, seed=config.seed, schedule=schedule,
                      trace_thinning=config.trace_thinning or max(1, N // 200),  # 0: about 200 rows
                      averaging=config.averaging)
@@ -424,8 +427,8 @@ def _np_shared(config: ExperimentConfig):
     dataset = _build_dataset(config)
     r = None if config.r is None else np.full(dataset.num_classes - 1, config.r)
     oracle = NeymanPearsonOracle(dataset, config.lam, r)
-    problem = LsaalProblem(oracle, oracle.cone, oracle.feasible_set, sigma=config.sigma,
-                           inner_tol=config.inner_tol, inner_max_iters=config.inner_max_iters)
+    problem = LsaalProblem(oracle, sigma=config.sigma, inner_tol=config.inner_tol,
+                           inner_max_iters=config.inner_max_iters)
     return {"dataset": dataset, "problem": problem}
 
 
@@ -472,8 +475,8 @@ def _np_metrics(problem: LsaalProblem, z0: PrimalDualPoint, kept: _KeptRows):
     first non-finite one is DivergenceError at its row's iteration k (0 for
     the start).
     """
-    oracle, cone = problem.oracle, problem.cone
-    dim, rows = oracle.dim, len(kept.ks)
+    oracle = problem.oracle
+    cone, dim, rows = oracle.cone, oracle.dim, len(kept.ks)
     Z, A = kept.iterates[:rows], kept.averages[:rows]
     points = np.empty((1 + 2 * rows, dim + cone.dim))
     points[0], points[1::2], points[2::2] = z0.stacked(), A, Z
@@ -482,7 +485,7 @@ def _np_metrics(problem: LsaalProblem, z0: PrimalDualPoint, kept: _KeptRows):
               & np.isfinite(fb.g_jacobian).all(axis=(1, 2)))
     for p in (0, int(np.argmin(finite))):  # the start's shapes, then the first non-finite point
         check_sample(ConicSample(fb.f_value[p], fb.f_grad[p], fb.g_value[p], fb.g_jacobian[p]),
-                     dim, cone, 0 if p == 0 else kept.ks[(p - 1) // 2])
+                     oracle, 0 if p == 0 else kept.ks[(p - 1) // 2])
 
     grads = _lagrangian_grad_rows(fb, points[:, dim:])
     norms = np.sqrt(_row_dots(grads, grads))
@@ -490,7 +493,7 @@ def _np_metrics(problem: LsaalProblem, z0: PrimalDualPoint, kept: _KeptRows):
     Y = Z[:, dim:]
     columns = {
         "constraint_violation": _constraint_violation_rows(cone, fb_avg.g_value),
-        "proj_kkt": _proj_kkt_rows(fb_avg, cone, problem.feasible, A[:, :dim], A[:, dim:]),
+        "proj_kkt": _proj_kkt_rows(fb_avg, cone, oracle.feasible_set, A[:, :dim], A[:, dim:]),
         "grad_norm_raw": norms[2::2],
         "grad_norm_avg": norms[1::2],
         "y_norm": np.sqrt(_row_dots(Y, Y)),
@@ -762,7 +765,7 @@ def main(argv=None) -> int:
         print(f"wrote {len(result.trace_paths)} trace files, aggregate.csv and summary.csv "
               f"to {result.output_dir}")
         return result.exit_code
-    except (ConfigError, ParseError, DataError, OSError, UnicodeDecodeError) as exc:
+    except (ConfigError, ParseError, DataError, OSError, UnicodeDecodeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (DivergenceError, ConvergenceError) as exc:

@@ -51,7 +51,8 @@ class DivergenceError(RuntimeError):
 class ConvergenceError(RuntimeError):
     """An inner solver exhausted its iteration budget.
 
-    Carries the last projected-gradient residual observed.
+    Carries the last dual fixed-point residual ||u - P_polar(w(u))|| of the
+    Newton solver.
     """
 
     def __init__(self, residual: float, message: str = ""):
@@ -136,17 +137,19 @@ class PrimalDualPoint:
         )
 
 
-SCHEDULE_KINDS = ("const_over_sqrt_n", "scaled_const", "harmonic", "inv_sqrt_k")
-_HORIZON_BOUND = ("const_over_sqrt_n", "scaled_const")
+# The StepSchedule parameters each kind reads.
+SCHEDULE_READS = {"const_over_sqrt_n": (), "scaled_const": ("theta", "dist_estimate", "M_estimate"),
+                  "harmonic": ("theta",), "inv_sqrt_k": ("theta",)}
+SCHEDULE_KINDS = tuple(SCHEDULE_READS)
 
 
 @dataclass(frozen=True)
 class StepSchedule:
-    """Step-size rule gamma_k.
+    """Step-size rule gamma_k of a run of N iterations (RunConfig.horizon).
 
     Kinds:
-      const_over_sqrt_n  gamma_k = 1/sqrt(N)                  (fixed horizon N)
-      scaled_const       gamma_k = theta*dist/(M*sqrt(N))     (fixed horizon N)
+      const_over_sqrt_n  gamma_k = 1/sqrt(N)
+      scaled_const       gamma_k = theta*dist/(M*sqrt(N))
       harmonic           gamma_k = theta/k
       inv_sqrt_k         gamma_k = theta/sqrt(k)
 
@@ -159,35 +162,27 @@ class StepSchedule:
     theta: float = 1.0
     dist_estimate: float | None = None
     M_estimate: float | None = None
-    horizon: int | None = None
 
     def __post_init__(self):
         if self.kind not in SCHEDULE_KINDS:
             raise ValueError(f"unknown schedule kind {self.kind!r}; expected one of {SCHEDULE_KINDS}")
         if not 0.0 < self.theta < math.inf:
             raise ValueError("theta must be positive and finite")
-        if self.kind in _HORIZON_BOUND:
-            if self.horizon is None or self.horizon < 1:
-                raise ValueError(f"schedule {self.kind!r} requires a positive horizon")
         if self.kind == "scaled_const":
             if self.dist_estimate is None or self.M_estimate is None:
                 raise ValueError("scaled_const requires dist_estimate and M_estimate")
             if not (0.0 < self.dist_estimate < math.inf and 0.0 < self.M_estimate < math.inf):
                 raise ValueError("dist_estimate and M_estimate must be positive and finite")
-        if self.horizon is not None:
-            _check_last_step(self, self.horizon)
 
 
-def gamma_at(schedule: StepSchedule, k: int) -> float:
-    """Step size at (1-based) iteration k; horizon-bound kinds require 1 <= k <= N."""
-    if k < 1:
-        raise ValueError(f"iteration index must be >= 1, got {k}")
-    if schedule.kind in _HORIZON_BOUND and k > schedule.horizon:
-        raise ValueError(f"iteration {k} exceeds schedule horizon {schedule.horizon}")
+def gamma_at(schedule: StepSchedule, k: int, horizon: int) -> float:
+    """Step size at (1-based) iteration k of a run of `horizon` iterations; requires 1 <= k <= horizon."""
+    if not 1 <= k <= horizon:
+        raise ValueError(f"iteration index must be in [1, {horizon}], got {k}")
     if schedule.kind == "const_over_sqrt_n":
-        return 1.0 / math.sqrt(schedule.horizon)
+        return 1.0 / math.sqrt(horizon)
     if schedule.kind == "scaled_const":
-        return schedule.theta * schedule.dist_estimate / (schedule.M_estimate * math.sqrt(schedule.horizon))
+        return schedule.theta * schedule.dist_estimate / (schedule.M_estimate * math.sqrt(horizon))
     if schedule.kind == "harmonic":
         return schedule.theta / k
     return schedule.theta / math.sqrt(k)
@@ -195,7 +190,7 @@ def gamma_at(schedule: StepSchedule, k: int) -> float:
 
 def _check_last_step(schedule: StepSchedule, horizon: int) -> None:
     # Steps never grow with k, so a valid step at the horizon makes every step 1..horizon valid.
-    last = gamma_at(schedule, horizon)
+    last = gamma_at(schedule, horizon, horizon)
     if not 0.0 < last < math.inf:
         raise ValueError(f"the step size at the horizon N={horizon} is {last!r}; it must be positive and finite")
 
@@ -270,9 +265,8 @@ class ProblemConstants:
     kappa_f       sup-norm bound on sampled objective gradients
     kappa_g       sup-norm bound on sampled constraint Jacobians
     nu_f          light-tail scale of the sampled objective values
-    slater_margin distance of the constraint value at the Slater point to the
-                  cone boundary (must be positive for diagnostics)
-    slater_point  strictly feasible primal point
+    slater_margin distance of the constraint value at the oracle's Slater
+                  point to the cone boundary (must be positive for diagnostics)
     """
 
     R: float | None = None
@@ -281,7 +275,6 @@ class ProblemConstants:
     kappa_g: float | None = None
     nu_f: float | None = None
     slater_margin: float | None = None
-    slater_point: np.ndarray | None = None
     estimated: bool = False  # True when produced by sampled maximization
 
     def __post_init__(self):
@@ -289,8 +282,6 @@ class ProblemConstants:
             value = getattr(self, name)
             if value is not None and not (value > 0.0 and math.isfinite(value)):
                 raise ValueError(f"{name} must be strictly positive and finite, got {value}")
-        if self.slater_point is not None:
-            object.__setattr__(self, "slater_point", as_vector(self.slater_point, name="slater_point"))
 
     @property
     def beta0(self) -> float:

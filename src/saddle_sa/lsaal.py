@@ -65,8 +65,9 @@ _MIN_STEP = 2.0 ** -20
 
 @dataclass(frozen=True, eq=False)
 class LsaalProblem:
-    """Conic instance: stochastic oracle, constraint cone, compact feasible
-    set (an indicator with exact projection), and solver knobs.
+    """Conic instance and solver knobs. The oracle owns the instance: its
+    constraint cone `oracle.cone` and its compact feasible set
+    `oracle.feasible_set` (an indicator with exact projection).
 
     sigma=None resolves to 1/sqrt(N) at run time, the rate-optimal choice for
     a fixed horizon N. A subproblem is solved once its dual fixed-point
@@ -74,16 +75,14 @@ class LsaalProblem:
     """
 
     oracle: object
-    cone: ConvexCone
-    feasible: ProximableFunction
     sigma: float | None = None
     constants: ProblemConstants | None = None
     inner_tol: float = 1e-8
     inner_max_iters: int = 500
 
     def __post_init__(self):
-        if not self.feasible.is_indicator:
-            raise ValueError("feasible must be an indicator function with a projection")
+        if not self.oracle.feasible_set.is_indicator:
+            raise ValueError("feasible_set must be an indicator function with a projection")
         if self.sigma is not None and not 0.0 < self.sigma < math.inf:
             raise ValueError("sigma must be positive and finite")
         if not self.inner_tol > 0.0 or self.inner_max_iters < 1:
@@ -164,14 +163,14 @@ def solve_x_subproblem(spec: XSubproblemSpec, feasible: ProximableFunction,
     return x, y
 
 
-def check_sample(sample: ConicSample, dim: int, cone: ConvexCone, k: int) -> ConicSample:
-    """Validate one conic-oracle output at (outer) iteration k.
+def check_sample(sample: ConicSample, oracle, k: int) -> ConicSample:
+    """Validate one output of a conic oracle at (outer) iteration k.
 
-    Shapes that do not fit a dim-dimensional point and the cone raise
-    ValueError; non-finite gradient, constraint or Jacobian entries raise
-    DivergenceError(k).
+    Shapes that do not fit an oracle.dim-dimensional point and oracle.cone
+    raise ValueError; non-finite gradient, constraint or Jacobian entries
+    raise DivergenceError(k).
     """
-    jac = sample.g_jacobian
+    dim, cone, jac = oracle.dim, oracle.cone, sample.g_jacobian
     if sample.f_grad.shape != (dim,) or sample.g_value.shape != (cone.dim,) or jac.shape != (cone.dim, dim):
         raise ValueError(f"sample shapes do not match a {dim}-dimensional point and a "
                          f"{cone.dim}-dimensional cone")
@@ -209,15 +208,15 @@ def _run_augmented(problem: LsaalProblem, config: RunConfig, metric_hooks, full_
     N = config.horizon
     sigma = problem.resolve_sigma(N)
     oracle = problem.oracle
-    feasible = problem.feasible
+    cone, feasible = oracle.cone, oracle.feasible_set
     rng = config.random_source().generator()
 
     if config.initial is not None:
         x = feasible.prox(1.0, np.asarray(config.initial.x, dtype=float))
-        y = as_vector(config.initial.y, dim=problem.cone.dim, name="initial y")
+        y = as_vector(config.initial.y, dim=cone.dim, name="initial y")
     else:
         x = feasible.prox(1.0, rng.uniform(-1.0, 1.0, size=oracle.dim))
-        y = np.zeros(problem.cone.dim)
+        y = np.zeros(cone.dim)
 
     avg_x = np.zeros_like(x)
     avg_y = np.zeros_like(y)
@@ -235,9 +234,8 @@ def _run_augmented(problem: LsaalProblem, config: RunConfig, metric_hooks, full_
     record = RunRecord()
     t0 = time.perf_counter()
     for k in range(1, N + 1):
-        sample = check_sample(oracle.full_batch(x) if full_batch else oracle.evaluate(x, next(draws)),
-                              x.shape[0], problem.cone, k)
-        spec = XSubproblemSpec(x, y, sample, sigma, problem.cone)
+        sample = check_sample(oracle.full_batch(x) if full_batch else oracle.evaluate(x, next(draws)), oracle, k)
+        spec = XSubproblemSpec(x, y, sample, sigma, cone)
         try:
             x_next, y_next = solve_x_subproblem(spec, feasible, problem.inner_tol, problem.inner_max_iters)
         except ConvergenceError as exc:
@@ -376,8 +374,7 @@ def estimate_constants(oracle, rng: np.random.Generator, n_full: int = 2000,
     deviations = np.abs(sample_values - oracle.full_batch_rows(sample_points).f_value)
     nu_f = max([0.0, *deviations.tolist()])
 
-    slater_point = oracle.slater_point()
-    margin = oracle.cone.interior_distance(oracle.full_batch(slater_point).g_value)
+    margin = oracle.cone.interior_distance(oracle.full_batch(oracle.slater_point()).g_value)
     return ProblemConstants(
         R=R,
         nu_g=nu_g,
@@ -385,6 +382,5 @@ def estimate_constants(oracle, rng: np.random.Generator, n_full: int = 2000,
         kappa_g=kappa_g,
         nu_f=nu_f if nu_f > 0.0 else None,
         slater_margin=margin if margin > 0.0 else None,
-        slater_point=slater_point,
         estimated=True,
     )

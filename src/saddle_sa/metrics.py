@@ -57,7 +57,8 @@ class FiniteSumMinimaxEvaluator:
     draws (for `TanhOracle`, label-signed), and the oracle provides
     `values(Z, draws)` and the pool-mean step `mean_directions(Z, pool)`. As
     an oracle for run_saps it has the row form: empty draws that use no
-    randomness, and `directions(Z, draws)` is the pool mean at each row.
+    randomness, and `directions(Z, draws)` is the pool mean at each row; its
+    block sizes n and m are the oracle's.
     """
 
     def __init__(self, oracle, draws, theta: ProximableFunction, omega: ProximableFunction):
@@ -65,6 +66,7 @@ class FiniteSumMinimaxEvaluator:
         if not draws:
             raise ValueError("need at least one frozen draw")
         self.oracle = oracle
+        self.n, self.m = oracle.n, oracle.m
         self.pool = np.stack(draws)
         self.theta = theta
         self.omega = omega

@@ -167,7 +167,7 @@ def run_saps_batch(problem: SapsProblem, configs, metric_hooks=()) -> list:
     avg, weight = Z, 0.0
     t0 = time.perf_counter()
     for k in range(1, horizon + 1):
-        gamma = gamma_at(schedule, k)  # positive and finite: RunConfig checks the last step
+        gamma = gamma_at(schedule, k, horizon)  # positive and finite: RunConfig checks the last step
         if averaging:
             avg, weight = _fold(avg, weight, Z, gamma)
         else:

@@ -46,7 +46,7 @@ def bilinear_problem(theta):
 def final_gaps(problem, evaluator, z_star, N, seeds):
     """Final averaged-iterate gap of one run per seed, the seeds run as one batch."""
     configs = [sa.RunConfig(horizon=N, seed=seed,
-                            schedule=sa.StepSchedule("const_over_sqrt_n", horizon=N),
+                            schedule=sa.StepSchedule("const_over_sqrt_n"),
                             trace_thinning=N) for seed in seeds]
     return [max(M.minimax_gap(evaluator, rec.final_average, z_star), 0.0)
             for rec in sa.run_saps_batch(problem, configs)]
@@ -256,13 +256,13 @@ def lsaal_sweep(np_instance):
     oracle = np_instance
     constants = estimate_constants(oracle, sa.RandomSource(999).generator(),
                                    n_full=1000, n_sample=500)
-    problem = sa.LsaalProblem(oracle, oracle.cone, oracle.feasible_set, constants=constants)
+    problem = sa.LsaalProblem(oracle, constants=constants)
     sweep = {}
     for N in (250, 1000, 4000):
         records = []
         for seed in range(10):
             cfg = sa.RunConfig(horizon=N, seed=seed,
-                               schedule=sa.StepSchedule("const_over_sqrt_n", horizon=N),
+                               schedule=sa.StepSchedule("const_over_sqrt_n"),
                                trace_thinning=N)
             records.append(sa.run_lsaal(problem, cfg))
         sweep[N] = records
@@ -312,10 +312,9 @@ def test_criterion_10_step_bound(np_small_instance):
     oracle = np_small_instance
     constants = estimate_constants(oracle, sa.RandomSource(1234).generator(),
                                    n_full=1000, n_sample=500)
-    problem = sa.LsaalProblem(oracle, oracle.cone, oracle.feasible_set, constants=constants,
-                              inner_tol=1e-10, inner_max_iters=2000)
+    problem = sa.LsaalProblem(oracle, constants=constants, inner_tol=1e-10, inner_max_iters=2000)
     cfg = sa.RunConfig(horizon=500, seed=11,
-                       schedule=sa.StepSchedule("const_over_sqrt_n", horizon=500),
+                       schedule=sa.StepSchedule("const_over_sqrt_n"),
                        trace_thinning=500)
     rec = sa.run_lsaal(problem, cfg)
     ratio = rec.final_metrics["x_step_bound_ratio_max"]

@@ -320,6 +320,56 @@ class TestMainEntry:
         assert not out.exists()
         assert main(["run", str(cfg_path), "--out", str(out)]) == 0  # the file alone runs
 
+    @pytest.mark.parametrize("text, overrides, message", [
+        (bilinear_text(N_list="100,200,400"), ["theta=7"],
+         "schedule 'const_over_sqrt_n' does not read 'theta'"),
+        (bilinear_text(N_list="100,200,400"), ["dist_estimate=9", "M_estimate=3"],
+         "schedule 'const_over_sqrt_n' does not read 'dist_estimate', 'M_estimate'"),
+        (bilinear_text(), ["schedule=inv_sqrt_k", "theta=2", "M_estimate=3"],
+         "schedule 'inv_sqrt_k' does not read 'M_estimate'"),
+        # The experiment's unread-key rule comes first.
+        ("experiment=neyman_pearson\nalgorithm=lsaal\nn=3\nm_classes=2\npoints_per_class=5\nN_list=10\n"
+         "trials=1\nparallel=1\n", ["theta=7"], "experiment 'neyman_pearson' does not read 'theta'"),
+    ], ids=["theta", "scaled_const_estimates", "inv_sqrt_k_M_estimate", "neyman_pearson"])
+    def test_schedule_parameter_the_kind_does_not_read_is_config_error(self, tmp_path, capsys, text,
+                                                                        overrides, message):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(text, encoding="utf-8")
+        argv = ["run", str(cfg_path), "--out", str(tmp_path / "out")]
+        for kv in overrides:
+            argv += ["--set", kv]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {message}; remove the key(s) or set their defaults\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("overrides", [
+        ["schedule=harmonic", "theta=2"], ["schedule=inv_sqrt_k", "theta=0.5"],
+        ["schedule=scaled_const", "theta=0.5", "dist_estimate=2", "M_estimate=1.5"],
+        ["theta=1.0"],  # a default value is never an error
+    ], ids=["harmonic", "inv_sqrt_k", "scaled_const", "default_theta"])
+    def test_schedule_parameters_the_kind_reads_run(self, tmp_path, capsys, overrides):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(bilinear_text(N_list="10", trials=1), encoding="utf-8")
+        argv = ["run", str(cfg_path), "--out", str(tmp_path / "out")]
+        for kv in overrides:
+            argv += ["--set", kv]
+        assert main(argv) == 0
+
+    @pytest.mark.parametrize("command, text, override", [
+        ("run", bilinear_text(), "n=100000000000000000"),
+        ("diagnose", "experiment=neyman_pearson\nalgorithm=lsaal\nN_list=10\nparallel=1\n",
+         "points_per_class=10000000000000000"),
+    ], ids=["run_bilinear_n", "diagnose_np_points_per_class"])
+    def test_unallocatable_size_is_config_error(self, tmp_path, capsys, command, text, override):
+        # Each size asks numpy for hundreds of PiB, more than any address
+        # space, so the allocation fails at once and touches no memory.
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(text, encoding="utf-8")
+        assert main([command, str(cfg_path), "--out", str(tmp_path / "out"), "--set", override]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+
     def test_np_trials_pass_no_schedule(self, monkeypatch):
         seen = []
         run_lsaal = cli.run_lsaal
@@ -658,7 +708,8 @@ class TestNeymanPearsonHook:
 def reference_np_metrics(problem, z0, kept):
     """The Neyman-Pearson metric rows as the per-row loop first computed
     them: one-point formulas on each row's full batches."""
-    oracle, cone = problem.oracle, problem.cone
+    oracle = problem.oracle
+    cone = oracle.cone
     dim, rows = oracle.dim, len(kept.ks)
     points = [z0.x]
     for row in range(rows):
@@ -672,7 +723,7 @@ def reference_np_metrics(problem, z0, kept):
     for row in range(rows):
         avg, y = kept.averages[row], kept.iterates[row, dim:]
         p, g = 1 + 2 * row, fb.g_value[1 + 2 * row]
-        stationarity = reference_normal_cone_distance(problem.feasible, avg[:dim], -grad(p, avg[dim:])[:dim])
+        stationarity = reference_normal_cone_distance(oracle.feasible_set, avg[:dim], -grad(p, avg[dim:])[:dim])
         metrics.append([float(np.linalg.norm(cone.polar_project(g))),
                         stationarity + float(np.linalg.norm(g - cone.project(g + avg[dim:]))),
                         float(np.linalg.norm(grad(p + 1, y))),
@@ -689,7 +740,7 @@ class TestNeymanPearsonMetrics:
         # formulas bit for bit.
         rng = np.random.default_rng(40 + m)
         oracle = NeymanPearsonOracle(synth_gaussian_classes(rng, m, 4, 12, 1.0), 2.0)
-        problem = LsaalProblem(oracle, oracle.cone, oracle.feasible_set)
+        problem = LsaalProblem(oracle)
         rows, dim = 1200, oracle.dim
         kept = cli._KeptRows(rows, dim + m - 1)
         for points in (kept.iterates, kept.averages):

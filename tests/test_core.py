@@ -16,48 +16,45 @@ from saddle_sa import (
     derive_stream_id,
     gamma_at,
 )
+from saddle_sa.core import SCHEDULE_KINDS, SCHEDULE_READS
 
 
 class TestStepSchedule:
     def test_const_over_sqrt_n(self):
-        sch = StepSchedule("const_over_sqrt_n", horizon=100)
-        assert gamma_at(sch, 7) == pytest.approx(0.1, abs=1e-15)
+        sch = StepSchedule("const_over_sqrt_n")
+        assert gamma_at(sch, 7, 100) == pytest.approx(0.1, abs=1e-15)
 
     def test_harmonic(self):
         sch = StepSchedule("harmonic", theta=2.0)
-        assert gamma_at(sch, 4) == pytest.approx(0.5, abs=1e-15)
+        assert gamma_at(sch, 4, 4) == pytest.approx(0.5, abs=1e-15)
 
     def test_scaled_const(self):
-        sch = StepSchedule("scaled_const", theta=1.0, dist_estimate=2.0, M_estimate=4.0, horizon=16)
-        assert gamma_at(sch, 3) == pytest.approx(0.125, abs=1e-15)
+        sch = StepSchedule("scaled_const", theta=1.0, dist_estimate=2.0, M_estimate=4.0)
+        assert gamma_at(sch, 3, 16) == pytest.approx(0.125, abs=1e-15)
 
     def test_inv_sqrt_k(self):
         sch = StepSchedule("inv_sqrt_k", theta=3.0)
-        assert gamma_at(sch, 9) == pytest.approx(1.0, abs=1e-15)
+        assert gamma_at(sch, 9, 9) == pytest.approx(1.0, abs=1e-15)
 
     def test_out_of_horizon_rejected(self):
-        sch = StepSchedule("const_over_sqrt_n", horizon=10)
+        sch = StepSchedule("const_over_sqrt_n")
         with pytest.raises(ValueError):
-            gamma_at(sch, 11)
+            gamma_at(sch, 11, 10)
         with pytest.raises(ValueError):
-            gamma_at(sch, 0)
+            gamma_at(sch, 0, 10)
 
     def test_unbounded_kinds_accept_any_k(self):
-        assert gamma_at(StepSchedule("harmonic", theta=1.0), 10**9) > 0.0
+        assert gamma_at(StepSchedule("harmonic", theta=1.0), 10**9, 10**9) > 0.0
 
     @pytest.mark.parametrize("kind,kwargs", [
-        ("const_over_sqrt_n", {"horizon": 50}),
-        ("scaled_const", {"horizon": 50, "dist_estimate": 1.0, "M_estimate": 2.0}),
+        ("const_over_sqrt_n", {}),
+        ("scaled_const", {"dist_estimate": 1.0, "M_estimate": 2.0}),
         ("harmonic", {}),
         ("inv_sqrt_k", {}),
     ])
     def test_positivity_over_horizon(self, kind, kwargs):
         sch = StepSchedule(kind, theta=0.7, **kwargs)
-        assert all(gamma_at(sch, k) > 0.0 for k in range(1, 51))
-
-    def test_missing_horizon_rejected(self):
-        with pytest.raises(ValueError):
-            StepSchedule("const_over_sqrt_n")
+        assert all(gamma_at(sch, k, 50) > 0.0 for k in range(1, 51))
 
     @pytest.mark.parametrize("kind,kwargs", [
         ("harmonic", {"theta": math.inf}),
@@ -72,7 +69,17 @@ class TestStepSchedule:
     ])
     def test_step_at_horizon_must_be_positive_and_finite(self, kind, kwargs):
         with pytest.raises(ValueError):
-            StepSchedule(kind, horizon=10, **kwargs)
+            RunConfig(horizon=10, seed=0, schedule=StepSchedule(kind, **kwargs))
+
+    @pytest.mark.parametrize("kind", SCHEDULE_KINDS)
+    def test_reads_table_names_the_parameters_the_step_depends_on(self, kind):
+        # A schedule accepts every parameter; the config boundary rejects the
+        # ones its kind does not read, so the table must match gamma_at.
+        base = {"theta": 0.5, "dist_estimate": 2.0, "M_estimate": 4.0}
+        gamma = gamma_at(StepSchedule(kind, **base), 3, 9)
+        for name in base:
+            moved = gamma_at(StepSchedule(kind, **{**base, name: 3.0}), 3, 9)
+            assert (moved != gamma) == (name in SCHEDULE_READS[kind]), name
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
@@ -167,13 +174,6 @@ class TestRunConfig:
             RunConfig(horizon=0, seed=1, schedule=sch)
         with pytest.raises(ValueError):
             RunConfig(horizon=1, seed=1, schedule=sch, trace_thinning=0)
-
-    def test_horizon_beyond_schedule_horizon_rejected_at_construction(self):
-        # The run would otherwise fail at iteration 101, after 100 steps of work.
-        sch = StepSchedule("const_over_sqrt_n", horizon=100)
-        with pytest.raises(ValueError, match="iteration 200 exceeds schedule horizon 100"):
-            RunConfig(horizon=200, seed=1, schedule=sch)
-        assert RunConfig(horizon=100, seed=1, schedule=sch).horizon == 100
 
     def test_schedule_is_optional(self):
         # LSAAL and LAAM take none; only a given schedule is checked at the horizon.

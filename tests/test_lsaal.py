@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -54,7 +55,7 @@ def subproblem_gradient(spec, x):
 
 def run_config(N, seed=0, thin=None, initial=None):
     return RunConfig(horizon=N, seed=seed,
-                     schedule=StepSchedule("const_over_sqrt_n", horizon=N),
+                     schedule=StepSchedule("const_over_sqrt_n"),
                      trace_thinning=thin or N, initial=initial)
 
 
@@ -314,12 +315,12 @@ class TestYUpdate:
         # The step's sigma comes from LsaalProblem, which owns its rule.
         box = BoxIndicator(np.array([-1.0]), np.array([1.0]))
         with pytest.raises(ValueError, match="positive and finite"):
-            LsaalProblem(None, NonpositiveOrthant(1), box, sigma=sigma)
+            LsaalProblem(SimpleNamespace(cone=NonpositiveOrthant(1), feasible_set=box), sigma=sigma)
 
 
 class TestRunners:
     def test_single_iteration_average_is_first_computed_pair(self, np_instance):
-        problem = LsaalProblem(np_instance, np_instance.cone, np_instance.feasible_set)
+        problem = LsaalProblem(np_instance)
         seen = []
         rec = run_lsaal(problem, run_config(1, seed=5), [recording_hook(seen)])
         assert rec.ks == [1]
@@ -328,7 +329,7 @@ class TestRunners:
         assert avg.allclose(z)
 
     def test_multipliers_stay_in_polar_cone(self, np_instance):
-        problem = LsaalProblem(np_instance, np_instance.cone, np_instance.feasible_set)
+        problem = LsaalProblem(np_instance)
         seen = []
         run_lsaal(problem, run_config(60, seed=2, thin=1), [recording_hook(seen)])
         assert len(seen) == 60
@@ -339,7 +340,7 @@ class TestRunners:
     @pytest.mark.parametrize("runner", [run_lsaal, run_laam], ids=["lsaal", "laam"])
     def test_runs_without_a_schedule(self, np_instance, runner):
         # The runners step by sigma and record it as the row's gamma.
-        problem = LsaalProblem(np_instance, np_instance.cone, np_instance.feasible_set)
+        problem = LsaalProblem(np_instance)
         scheduled = runner(problem, run_config(30, seed=3, thin=5))
         config = replace(run_config(30, seed=3, thin=5), schedule=None)
         unscheduled = runner(problem, config)
@@ -352,7 +353,7 @@ class TestRunners:
         rng = np.random.default_rng(3)
         ds = synth_gaussian_classes(rng, 3, 6, 1, 1.0).normalize()
         oracle = NeymanPearsonOracle(ds, 5.0)
-        problem = LsaalProblem(oracle, oracle.cone, oracle.feasible_set)
+        problem = LsaalProblem(oracle)
         a, b = [], []
         run_lsaal(problem, run_config(40, seed=9, thin=1), [recording_hook(a)])
         run_laam(problem, run_config(40, seed=9, thin=1), [recording_hook(b)])
@@ -385,7 +386,7 @@ class TestRunners:
                 return center
 
         oracle = QuadraticOracle()
-        problem = LsaalProblem(oracle, oracle.cone, oracle.feasible_set, inner_tol=1e-12)
+        problem = LsaalProblem(oracle, inner_tol=1e-12)
         seen = []
         run_laam(problem, run_config(30, seed=0, thin=1, initial=PrimalDualPoint(center, np.zeros(1))),
                  [recording_hook(seen)])
@@ -395,8 +396,7 @@ class TestRunners:
             np.testing.assert_allclose(it.y, np.zeros(1), atol=1e-9)
 
     def test_laam_kkt_residual_decreases_over_first_50_iterations(self, np_instance):
-        problem = LsaalProblem(np_instance, np_instance.cone, np_instance.feasible_set,
-                               sigma=1.0 / math.sqrt(50.0))
+        problem = LsaalProblem(np_instance, sigma=1.0 / math.sqrt(50.0))
         residuals = []
 
         def hook(k, z, avg):
@@ -413,20 +413,19 @@ class TestRunners:
         oracle = np_small_instance
         rng = RandomSource(123).generator()
         constants = estimate_constants(oracle, rng, n_full=300, n_sample=200)
-        problem = LsaalProblem(oracle, oracle.cone, oracle.feasible_set,
-                               constants=constants, inner_tol=1e-10, inner_max_iters=2000)
+        problem = LsaalProblem(oracle, constants=constants, inner_tol=1e-10, inner_max_iters=2000)
         rec = run_lsaal(problem, run_config(200, seed=4))
         assert rec.final_metrics["x_step_bound_ratio_max"] <= 1.01
         assert rec.final_metrics["y_step_bound_ratio_max"] <= 1.01
 
     def test_sigma_defaults_to_inv_sqrt_n(self, np_instance):
-        problem = LsaalProblem(np_instance, np_instance.cone, np_instance.feasible_set)
+        problem = LsaalProblem(np_instance)
         rec = run_lsaal(problem, run_config(25, seed=0))
         assert rec.final_metrics["sigma"] == pytest.approx(0.2)
         assert rec.gammas[-1] == pytest.approx(0.2)
 
     def test_initial_multiplier_is_used(self, np_instance):
-        problem = LsaalProblem(np_instance, np_instance.cone, np_instance.feasible_set)
+        problem = LsaalProblem(np_instance)
         x_init = np.full(np_instance.dim, 0.3)
         x0 = np_instance.feasible_set.prox(1.0, x_init)
         runs = {}
@@ -444,7 +443,7 @@ class TestRunners:
         assert not np.array_equal(runs[0.0][-1][1].stacked(), runs[0.7][-1][1].stacked())
 
     def test_initial_multiplier_of_wrong_length_rejected(self, np_instance):
-        problem = LsaalProblem(np_instance, np_instance.cone, np_instance.feasible_set)
+        problem = LsaalProblem(np_instance)
         x0 = np.zeros(np_instance.dim)
         bad = PrimalDualPoint(x0, np.zeros(np_instance.cone.dim + 1))
         with pytest.raises(ValueError, match="initial y"):
@@ -456,7 +455,7 @@ class TestRunners:
         # The hook points share memory with the solver's state; every point a
         # hook keeps must still hold the values it had when the hook ran, and
         # the average must be the running mean of the iterates.
-        problem = LsaalProblem(np_instance, np_instance.cone, np_instance.feasible_set)
+        problem = LsaalProblem(np_instance)
         seen, then = [], []
 
         def snapshot(k, z, avg):
@@ -480,7 +479,8 @@ class CorruptingOracle:
 
     def __init__(self, oracle, at, corrupt):
         self.oracle, self.at, self.corrupt = oracle, at, corrupt
-        self.dim, self.calls = oracle.dim, 0
+        self.dim, self.cone, self.feasible_set = oracle.dim, oracle.cone, oracle.feasible_set
+        self.calls = 0
 
     def draws(self, rng, count):
         return self.oracle.draws(rng, count)
@@ -504,7 +504,7 @@ class TestSampleGuard:
     @pytest.mark.parametrize("field", sorted(NON_FINITE))
     def test_non_finite_sample_diverges_at_its_iteration(self, np_instance, field):
         oracle = CorruptingOracle(np_instance, 7, NON_FINITE[field])
-        problem = LsaalProblem(oracle, np_instance.cone, np_instance.feasible_set)
+        problem = LsaalProblem(oracle)
         with pytest.raises(DivergenceError) as err:
             run_lsaal(problem, run_config(20, seed=2))
         assert err.value.iteration == 7
@@ -513,8 +513,7 @@ class TestSampleGuard:
         def short_grad(s):
             return ConicSample(s.f_value, s.f_grad[:-1], s.g_value, s.g_jacobian)
 
-        problem = LsaalProblem(CorruptingOracle(np_instance, 3, short_grad),
-                               np_instance.cone, np_instance.feasible_set)
+        problem = LsaalProblem(CorruptingOracle(np_instance, 3, short_grad))
         with pytest.raises(ValueError):
             run_lsaal(problem, run_config(20, seed=2))
 
@@ -525,6 +524,8 @@ class HugeGradientOracle:
     jumps to 1e300 from evaluate call `at` on."""
 
     dim = 3
+    cone = NonpositiveOrthant(1)
+    feasible_set = BallIndicator(np.zeros(3), 1.0)
 
     def __init__(self, at, field="f_grad"):
         self.at, self.field, self.calls = at, field, 0
@@ -544,8 +545,7 @@ class TestInnerSolverOverflow:
     def test_overflowing_prox_argument_is_divergence_at_outer_iteration(self):
         # x_k - sigma*grad F overflows to -inf; the finiteness screen before
         # the unchecked prox must classify it as divergence.
-        problem = LsaalProblem(HugeGradientOracle(4), NonpositiveOrthant(1),
-                               BallIndicator(np.zeros(3), 1.0), sigma=1e10)
+        problem = LsaalProblem(HugeGradientOracle(4), sigma=1e10)
         with np.errstate(over="ignore"), pytest.raises(DivergenceError) as err:
             run_lsaal(problem, run_config(10, seed=1))
         assert err.value.iteration == 4
@@ -554,8 +554,7 @@ class TestInnerSolverOverflow:
     def test_overflowing_constraint_step_is_divergence_at_outer_iteration(self):
         # sigma * DG overflows past the screen: the projection argument turns
         # NaN, and so does the residual, which ends the solve as divergence.
-        problem = LsaalProblem(HugeGradientOracle(4, "g_jacobian"), NonpositiveOrthant(1),
-                               BallIndicator(np.zeros(3), 1.0), sigma=1e10)
+        problem = LsaalProblem(HugeGradientOracle(4, "g_jacobian"), sigma=1e10)
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError) as err:
             run_lsaal(problem, run_config(10, seed=1))
         assert err.value.iteration == 4

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,9 +15,12 @@ from saddle_sa import (
     NonpositiveOrthant,
     PrimalDualPoint,
     RandomSource,
+    RunConfig,
+    SapsProblem,
     ScaledL1,
     ScaledL2,
     SecondOrderCone,
+    StepSchedule,
     TanhOracle,
     ZeroFunction,
     constraint_violation,
@@ -26,6 +30,7 @@ from saddle_sa import (
     minimax_gap,
     proj_kkt,
     rate_slope_fit,
+    run_saps,
     tail_tally,
 )
 
@@ -228,6 +233,24 @@ class TestEvaluators:
         pooled = ev.directions(z.stacked()[None], ev.draws(None, 1))[0]
         np.testing.assert_allclose(-pooled[:3], np.mean([s.grad_x for s in per_draw], axis=0), rtol=1e-12)
         np.testing.assert_allclose(pooled[3:], np.mean([s.grad_y for s in per_draw], axis=0), rtol=1e-12)
+
+    def test_finite_sum_serves_saps_and_m_star_without_an_initial_point(self):
+        # The evaluator has its oracle's n and m, so run_saps can draw the
+        # default start and estimate_m_star can size its points.
+        rng = RandomSource(11).generator()
+        oracle = TanhOracle(rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3))
+        theta = ScaledL1(0.5)
+        ev = FiniteSumMinimaxEvaluator(oracle, oracle.draws(rng, 50), theta, theta)
+        assert (ev.n, ev.m) == (oracle.n, oracle.m) == (3, 3)
+        problem = SapsProblem(ev, theta, theta)
+        config = RunConfig(horizon=10, seed=0, schedule=StepSchedule("inv_sqrt_k"))
+        record = run_saps(problem, config)
+        # The default start is the stream's first draw, as for any SAPS oracle.
+        v = config.random_source().generator().uniform(-1.0, 1.0, size=6)
+        again = run_saps(problem, replace(config, initial=PrimalDualPoint(v[:3], v[3:])))
+        assert np.array_equal(record.final_average.stacked(), again.final_average.stacked())
+        m_star = estimate_m_star(ev, theta, theta, RandomSource(12).generator(), n_points=20, n_draws=5)
+        assert 0.0 < m_star < math.inf
 
     @pytest.mark.parametrize("T", [1, 3])
     def test_finite_sum_rows_equal_sample_bit_for_bit(self, T):

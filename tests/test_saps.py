@@ -61,7 +61,7 @@ class ExactGradientOracle(DeterministicOracle):
 
 def make_config(N, seed=0, thin=None, **kw):
     return RunConfig(horizon=N, seed=seed,
-                     schedule=StepSchedule("const_over_sqrt_n", horizon=N),
+                     schedule=StepSchedule("const_over_sqrt_n"),
                      trace_thinning=thin or N, **kw)
 
 
@@ -164,7 +164,7 @@ class TestStreamingAverage:
         cfg = RunConfig(horizon=1000, seed=2, schedule=StepSchedule("inv_sqrt_k", theta=0.5))
         seen = []
         rec = run_saps(prob, cfg, [recording_hook(seen)])
-        gammas = np.array([gamma_at(cfg.schedule, k) for k, _, _ in seen])
+        gammas = np.array([gamma_at(cfg.schedule, k, cfg.horizon) for k, _, _ in seen])
         assert [k for k, _, _ in seen] == list(range(1, 1001))
         direct_x = sum(g * z.x for (_, z, _), g in zip(seen, gammas)) / gammas.sum()
         direct_y = sum(g * z.y for (_, z, _), g in zip(seen, gammas)) / gammas.sum()
@@ -192,10 +192,10 @@ class TestRunSaps:
         prob = SapsProblem(oracle, ScaledL1(1.0), ScaledL1(1.0))
         z0 = PrimalDualPoint([1.0], [1.0])
         cfg = RunConfig(horizon=2, seed=0, schedule=StepSchedule("scaled_const", theta=1.0,
-                        dist_estimate=math.sqrt(2.0), M_estimate=math.sqrt(2.0) / math.sqrt(2.0),
-                        horizon=2), trace_thinning=1, initial=z0)
+                        dist_estimate=math.sqrt(2.0), M_estimate=math.sqrt(2.0) / math.sqrt(2.0)),
+                        trace_thinning=1, initial=z0)
         # scaled_const with these estimates gives gamma = 1 exactly
-        assert gamma_at(cfg.schedule, 1) == pytest.approx(1.0)
+        assert gamma_at(cfg.schedule, 1, cfg.horizon) == pytest.approx(1.0)
         seen = []
         rec = run_saps(prob, cfg, [recording_hook(seen)])
         z2 = seen[1][1]
@@ -277,7 +277,7 @@ def scalar_reference(problem, config, hooks=()):
     out = {"ks": [], "gammas": [], "metrics": []}
     N = config.horizon
     for k in range(1, N + 1):
-        gamma = gamma_at(config.schedule, k)
+        gamma = gamma_at(config.schedule, k, N)
         if not config.averaging:
             ax, ay = x, y
         elif weight == 0.0:
@@ -327,7 +327,7 @@ def trial_config(t, N, thin, averaging, given):
         rng = np.random.default_rng(500 + t)
         initial = PrimalDualPoint(rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3))
     return RunConfig(horizon=N, seed=4, stream_id=11 * t + 1,
-                     schedule=StepSchedule("inv_sqrt_k", theta=1.5, horizon=N),
+                     schedule=StepSchedule("inv_sqrt_k", theta=1.5),
                      trace_thinning=thin, averaging=averaging, initial=initial)
 
 
@@ -489,7 +489,7 @@ class TestBatchDivergence:
         exploding = ConstantStepOracle([-1e13], [0.0], 1, 1)
         problem = SapsProblem(exploding, ZeroFunction(), ZeroFunction())
         configs = [RunConfig(horizon=10, seed=0, stream_id=t, trace_thinning=1,
-                             schedule=StepSchedule("const_over_sqrt_n", horizon=10)) for t in range(3)]
+                             schedule=StepSchedule("const_over_sqrt_n")) for t in range(3)]
         outcomes = run_saps_batch(problem, configs)
         assert [o.iteration for o in outcomes] == [1, 1, 1]
 
