@@ -49,6 +49,7 @@ from .lsaal import (
     multiplier_bound_diagnostics,
     run_laam,
     run_lsaal,
+    run_lsaal_batch,
     solve_x_subproblem,
 )
 from .data import (

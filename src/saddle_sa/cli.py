@@ -44,8 +44,7 @@ from .lsaal import (
     check_sample,
     estimate_constants,
     multiplier_bound_diagnostics,
-    run_laam,
-    run_lsaal,
+    run_lsaal_batch,
 )
 from .metrics import (
     BilinearEvaluator,
@@ -355,38 +354,46 @@ class _KeptRows:
         return self.iterates[rows], self.averages[rows]
 
 
-def run_trial_batch(config: ExperimentConfig, N: int, trials, shared: dict) -> list:
-    """Execute the given trials of horizon N; one outcome per trial, in order.
+def run_trial_batch(config: ExperimentConfig, pairs, shared: dict) -> list:
+    """Execute the given (N, trial) pairs; one outcome per pair, in order.
 
     An outcome is the trial's RunRecord, or the DivergenceError or
     ConvergenceError that ended it, deterministic given (config, N, trial)
     whatever else is in the batch; the experiment scores it after the run.
+    Each pair's RunConfig fixes its horizon, recorded rows and streams.
     """
     schedule = _schedule_for(config) if config.algorithm == "saps" else None  # LSAAL steps by sigma
-    base = RunConfig(horizon=N, seed=config.seed, schedule=schedule,
-                     trace_thinning=config.trace_thinning or max(1, N // 200),  # 0: about 200 rows
-                     averaging=config.averaging)
-    recorded = -(-N // base.trace_thinning)  # rows per trial: every trace_thinning-th k, and k = N
-    starts = [(replace(base, stream_id=derive_stream_id(config.seed, N, trial)),
+    starts = [(RunConfig(horizon=N, seed=config.seed, schedule=schedule,
+                         trace_thinning=config.trace_thinning or max(1, N // 200),  # 0: about 200 rows
+                         averaging=config.averaging, stream_id=derive_stream_id(config.seed, N, trial)),
                RandomSource(config.seed, derive_stream_id(config.seed, N, trial, "init")).generator())
-              for trial in trials]
-    return EXPERIMENTS[config.experiment].run_batch(config, starts, recorded, shared)
+              for N, trial in pairs]
+    return EXPERIMENTS[config.experiment].run_batch(config, starts, shared)
 
 
-def _saps_batch(config, starts, recorded: int, problem: SapsProblem, score) -> list:
-    """Run the starts as one run_saps_batch; `score` maps a record's kept rows to its metrics."""
+def _recorded(run_cfg: RunConfig) -> int:
+    """Rows a run records: every trace_thinning-th k, and k = N."""
+    return -(-run_cfg.horizon // run_cfg.trace_thinning)
+
+
+def _saps_batch(config, starts, problem: SapsProblem, score) -> list:
+    """Run the starts as one run_saps_batch per horizon; `score` maps a
+    record's kept rows to its metrics."""
     configs = [replace(run_cfg, initial=PrimalDualPoint(init_rng.uniform(-1.0, 1.0, size=config.n),
                                                         init_rng.uniform(-1.0, 1.0, size=config.n)))
                for run_cfg, init_rng in starts]
-    kept = _KeptRows(len(configs) * recorded, 2 * config.n)
-    outcomes = run_saps_batch(problem, configs, [kept.keep])
-    for outcome in outcomes:
-        if isinstance(outcome, RunRecord):
-            outcome.metrics = score(*kept.of(outcome))
+    kept = _KeptRows(sum(map(_recorded, configs)), 2 * config.n)
+    outcomes = [None] * len(configs)
+    for N in dict.fromkeys(c.horizon for c in configs):
+        group = [i for i, c in enumerate(configs) if c.horizon == N]
+        for i, outcome in zip(group, run_saps_batch(problem, [configs[i] for i in group], [kept.keep])):
+            if isinstance(outcome, RunRecord):
+                outcome.metrics = score(*kept.of(outcome))
+            outcomes[i] = outcome
     return outcomes
 
 
-def _bilinear_batch(config, starts, recorded: int, shared: dict) -> list:
+def _bilinear_batch(config, starts, shared: dict) -> list:
     """Scored by the minimax gap and the distances to the known saddle 0."""
     n = config.n
     theta = _regularizer(config.regularizer, config.mu)
@@ -400,10 +407,10 @@ def _bilinear_batch(config, starts, recorded: int, shared: dict) -> list:
                  "dist_to_saddle": avg, "dist_last": last}
                 for gap, avg, last in zip(gaps, _row_distances(A, z_star), _row_distances(Z, z_star))]
 
-    return _saps_batch(config, starts, recorded, SapsProblem(oracle, theta, theta), bilinear_metrics)
+    return _saps_batch(config, starts, SapsProblem(oracle, theta, theta), bilinear_metrics)
 
 
-def _tanh_batch(config, starts, recorded: int, shared: dict) -> list:
+def _tanh_batch(config, starts, shared: dict) -> list:
     """Scored by the distances to the shared reference point."""
     theta = _regularizer(config.regularizer, config.mu)
     z_ref = shared["z_ref"]
@@ -413,7 +420,7 @@ def _tanh_batch(config, starts, recorded: int, shared: dict) -> list:
                 for avg, last in zip(_row_distances(A, z_ref), _row_distances(Z, z_ref))]
 
     problem = SapsProblem(TanhOracle(shared["xbar"], shared["ybar"]), theta, theta)
-    return _saps_batch(config, starts, recorded, problem, tanh_metrics)
+    return _saps_batch(config, starts, problem, tanh_metrics)
 
 
 def _m_star_diagnose(config: ExperimentConfig, oracle) -> None:
@@ -432,42 +439,41 @@ def _np_shared(config: ExperimentConfig):
     return {"dataset": dataset, "problem": problem}
 
 
-def _np_batch(config, starts, recorded: int, shared: dict) -> list:
-    """Neyman-Pearson trials run one after another."""
-    outcomes = []
-    for run_cfg, init_rng in starts:
+def _np_batch(config, starts, shared: dict) -> list:
+    """The starts as one run_lsaal_batch (full_batch for laam), each trial
+    then scored on its kept rows."""
+    problem = shared["problem"]
+    oracle = problem.oracle
+    z0s = [PrimalDualPoint(oracle.feasible_set.prox(1.0, init_rng.uniform(-1.0, 1.0, size=oracle.dim)),
+                           np.zeros(oracle.cone.dim)) for _, init_rng in starts]
+    configs = [replace(run_cfg, initial=z0) for (run_cfg, _), z0 in zip(starts, z0s)]
+    kept = _KeptRows(sum(map(_recorded, configs)), oracle.dim + oracle.cone.dim)
+    outcomes = run_lsaal_batch(problem, configs, [kept.keep], full_batch=config.algorithm == "laam")
+    for i, (outcome, z0) in enumerate(zip(outcomes, z0s)):
+        # A failed trial is still scored on the rows it recorded: a divergence
+        # at one of them came before the solver's error.
+        failed = isinstance(outcome, (DivergenceError, ConvergenceError))
+        record = outcome.record if failed else outcome
         try:
-            outcomes.append(_run_np_trial(config, run_cfg, init_rng, shared["problem"], recorded))
-        except (DivergenceError, ConvergenceError) as exc:
-            outcomes.append(exc)
+            metrics, base_norm = _np_metrics(problem, z0, *kept.of(record), record.ks)
+        except DivergenceError as exc:
+            outcomes[i] = exc
+            continue
+        if failed:
+            continue
+        record.metrics = metrics
+        # Relative KKT errors over the recorded trace, scored against the start.
+        if base_norm > 0.0:
+            errors = kkt_errors([base_norm] + [row["grad_norm_raw"] for row in metrics],
+                                [row["grad_norm_avg"] for row in metrics])
+            record.final_metrics.update(rerror=errors.rerror, raerror=errors.raerror)
     return outcomes
 
 
-def _run_np_trial(config, run_cfg, init_rng, problem: LsaalProblem, recorded: int):
-    oracle = problem.oracle
-    x0 = oracle.feasible_set.prox(1.0, init_rng.uniform(-1.0, 1.0, size=oracle.dim))
-    z0 = PrimalDualPoint(x0, np.zeros(oracle.cone.dim))
-    kept = _KeptRows(recorded, oracle.dim + oracle.cone.dim)
-    runner = run_laam if config.algorithm == "laam" else run_lsaal
-    try:
-        record = runner(problem, replace(run_cfg, initial=z0), [kept.keep])
-    except (DivergenceError, ConvergenceError):
-        # A divergence at a row recorded before the solver's error came first.
-        _np_metrics(problem, z0, kept)
-        raise
-    record.metrics, base_norm = _np_metrics(problem, z0, kept)
-
-    # Relative KKT errors over the recorded trace, scored against the start.
-    if base_norm > 0.0:
-        errors = kkt_errors([base_norm] + [row["grad_norm_raw"] for row in record.metrics],
-                            [row["grad_norm_avg"] for row in record.metrics])
-        record.final_metrics.update(rerror=errors.rerror, raerror=errors.raerror)
-    return record
-
-
-def _np_metrics(problem: LsaalProblem, z0: PrimalDualPoint, kept: _KeptRows):
-    """The metric rows of a Neyman-Pearson trial's kept points, and the
-    Lagrangian-gradient norm at its start z0.
+def _np_metrics(problem: LsaalProblem, z0: PrimalDualPoint, Z, A, ks):
+    """The metric rows of a Neyman-Pearson trial's kept iterates Z and
+    averages A, recorded at iterations ks, and the Lagrangian-gradient norm
+    at its start z0.
 
     One full_batch_rows call evaluates the start, then each row's average
     and iterate, and each metric is one pass over the stacked rows. Full
@@ -476,8 +482,7 @@ def _np_metrics(problem: LsaalProblem, z0: PrimalDualPoint, kept: _KeptRows):
     the start).
     """
     oracle = problem.oracle
-    cone, dim, rows = oracle.cone, oracle.dim, len(kept.ks)
-    Z, A = kept.iterates[:rows], kept.averages[:rows]
+    cone, dim, rows = oracle.cone, oracle.dim, len(ks)
     points = np.empty((1 + 2 * rows, dim + cone.dim))
     points[0], points[1::2], points[2::2] = z0.stacked(), A, Z
     fb = oracle.full_batch_rows(points[:, :dim])
@@ -485,7 +490,7 @@ def _np_metrics(problem: LsaalProblem, z0: PrimalDualPoint, kept: _KeptRows):
               & np.isfinite(fb.g_jacobian).all(axis=(1, 2)))
     for p in (0, int(np.argmin(finite))):  # the start's shapes, then the first non-finite point
         check_sample(ConicSample(fb.f_value[p], fb.f_grad[p], fb.g_value[p], fb.g_jacobian[p]),
-                     oracle, 0 if p == 0 else kept.ks[(p - 1) // 2])
+                     oracle, 0 if p == 0 else ks[(p - 1) // 2])
 
     grads = _lagrangian_grad_rows(fb, points[:, dim:])
     norms = np.sqrt(_row_dots(grads, grads))
@@ -529,7 +534,7 @@ class _Experiment:
     algorithms: tuple
     keys: str          # the config keys it reads beyond _COMMON_KEYS
     shared: object     # config -> trial-independent setup, a dict
-    run_batch: object  # (config, starts, recorded, shared) -> one outcome per start
+    run_batch: object  # (config, starts, shared) -> one outcome per start
     diagnose: object   # config -> None; prints estimated instance constants
 
 
@@ -614,24 +619,23 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     on how trials are batched.
     """
     out_dir = Path(config.output_dir or os.environ.get(ENV_OUTPUT_DIR) or "saddle_sa_out")
-    shared = _experiment_shared(config)  # a data error leaves no output directory behind
-    out_dir.mkdir(parents=True, exist_ok=True)
-    workers = min(config.parallel or _available_cpus(), len(config.N_list) * config.trials)
-    # One task per (N, contiguous chunk of trials), at most `workers` chunks
-    # per N: a serial run takes each horizon whole.
-    chunks = min(workers, config.trials)
-    bounds = [config.trials * i // chunks for i in range(chunks + 1)]
-    tasks = [(N, range(lo, hi)) for N in config.N_list for lo, hi in zip(bounds, bounds[1:])]
+    shared = _experiment_shared(config)
+    pairs = [(N, trial) for N in config.N_list for trial in range(config.trials)]
+    workers = min(config.parallel or _available_cpus(), len(pairs))
+    # Pair i goes to task i mod workers, so every task spans every horizon
+    # and a serial run is one task.
+    tasks = [pairs[i::workers] for i in range(workers)]
 
     if workers == 1:
-        batches = [run_trial_batch(config, N, trials, shared) for N, trials in tasks]
+        batches = [run_trial_batch(config, task, shared) for task in tasks]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(run_trial_batch, config, N, trials, shared) for N, trials in tasks]
+            futures = [pool.submit(run_trial_batch, config, task, shared) for task in tasks]
             batches = [fut.result() for fut in futures]
-    outcomes = {(N, trial): outcome
-                for (N, trials), batch in zip(tasks, batches) for trial, outcome in zip(trials, batch)}
+    outcomes = {pair: outcome for task, batch in zip(tasks, batches) for pair, outcome in zip(task, batch)}
 
+    # A config or data error raised by the setup or the trials leaves no output directory behind.
+    out_dir.mkdir(parents=True, exist_ok=True)
     trace_paths = []
     failures = {N: [] for N in config.N_list}
     finals = {N: [] for N in config.N_list}

@@ -18,6 +18,12 @@ multiplier step y_{k+1} = P_polar(w(x_{k+1})) is the closed form at the
 returned point, which the solver has already computed there.
 The deterministic variant replaces every sample by the full-batch average.
 
+The solver advances independent trials together: `run_lsaal_batch` holds one
+row per trial, each with its own stream, horizon, sigma and thinning, and
+solves their subproblems in lockstep, one stacked pass per Newton step, so a
+row gets the bits of its trial run alone; `run_lsaal` and `run_laam` are its
+one-row case.
+
 Multiplier-bound diagnostics expose the constants that control E||y_k||:
 kappa1/(sigma*s) + kappa2*sigma + kappa3*sigma*s for a window length s.
 """
@@ -52,6 +58,7 @@ __all__ = [
     "check_sample",
     "run_lsaal",
     "run_laam",
+    "run_lsaal_batch",
     "MultiplierDiagnostics",
     "multiplier_bound_diagnostics",
     "estimate_constants",
@@ -103,11 +110,13 @@ class XSubproblemSpec:
     cone: ConvexCone
 
 
-def _linearized(spec: XSubproblemSpec, x: np.ndarray) -> np.ndarray:
-    """w(x) = y_k + sigma*(G + DG (x - x_k)), whose polar projection is the
-    multiplier step at x."""
-    s = spec.sample
-    return spec.y_k + spec.sigma * (s.g_value + s.g_jacobian @ (x - spec.x_k))
+def _one_row(sample: ConicSample) -> ConicSample:
+    return ConicSample(sample.f_value, sample.f_grad[None], sample.g_value[None], sample.g_jacobian[None])
+
+
+def _take(sample: ConicSample, rows) -> ConicSample:
+    """The given rows of a stacked sample."""
+    return ConicSample(sample.f_value[rows], sample.f_grad[rows], sample.g_value[rows], sample.g_jacobian[rows])
 
 
 def solve_x_subproblem(spec: XSubproblemSpec, feasible: ProximableFunction,
@@ -118,49 +127,130 @@ def solve_x_subproblem(spec: XSubproblemSpec, feasible: ProximableFunction,
     the next multiplier. Terminates when the dual fixed-point residual
     ||u - y|| drops to inner_tol; raises ConvergenceError when inner_max_iters
     Newton steps do not get it there. A non-finite x_k - sigma*grad F or
-    residual raises ValueError.
+    residual raises ValueError. The one-row case of the solver the runners use.
     """
-    sigma, cone, jac = spec.sigma, spec.cone, spec.sample.g_jacobian
-    start, step_map = spec.x_k - sigma * spec.sample.f_grad, sigma * jac.T
+    X, Y, errors = _solve_rows(spec.x_k[None], spec.y_k[None], _one_row(spec.sample),
+                               np.array([spec.sigma]), spec.cone, feasible, inner_tol, inner_max_iters)
+    if errors:
+        raise errors[0]
+    return X[0], Y[0]
+
+
+def _solve_rows(Xk, Yk, S: ConicSample, sigma, cone, feasible, inner_tol, inner_max_iters):
+    """`solve_x_subproblem` on the rows of stacked subproblems, in lockstep.
+
+    Row t is the subproblem at x_k = Xk[t], y_k = Yk[t] with the sample row
+    S[t] and penalty sigma[t]. Every step is one stacked pass over all rows,
+    with one (rows, c, c) solve; masks keep each row's own iteration: a row
+    moves only while its residual is above inner_tol, and the rows still
+    backtracking share their step length. Every row gets the bits it gets
+    alone. Returns (X, Y, errors): errors maps a failed row to the
+    ValueError or ConvergenceError it raises alone, and its X and Y rows are
+    undefined.
+    """
+    jac, sig = S.g_jacobian, sigma[:, None]
+    start = Xk - sig * S.f_grad
+    step_map = sigma[:, None, None] * jac.transpose(0, 2, 1)
+
+    def at(U):
+        """(projection argument, x(u), w, multiplier step, residual) of each row at its u = U."""
+        arg = start - np.matmul(step_map, U[:, :, None])[:, :, 0]
+        X = feasible._prox_rows(1.0, arg)
+        W = Yk + sig * (S.g_value + np.matmul(jac, (X - Xk)[:, :, None])[:, :, 0])
+        Y = cone._polar_project(W)
+        gap = U - Y
+        return arg, X, W, Y, np.sqrt(_row_dots(gap, gap))
+
+    def without(failing, message):
+        """None if no row fails; else the other rows solved alone, and each
+        failing row's ValueError(message)."""
+        if not failing.any():
+            return None
+        ok = np.flatnonzero(~failing)
+        X, Y = np.empty_like(Xk), np.empty_like(Yk)
+        X[ok], Y[ok], errors = _solve_rows(Xk[ok], Yk[ok], _take(S, ok), sigma[ok], cone, feasible,
+                                           inner_tol, inner_max_iters)
+        errors = {int(ok[row]): exc for row, exc in errors.items()}
+        errors.update((int(row), ValueError(message)) for row in np.flatnonzero(failing))
+        return X, Y, errors
+
     # Projections go through the unchecked row prox. Past this screen a
     # non-finite projection argument reaches the residual as NaN or inf,
     # except that a box clips it to the face its exact value would reach.
-    if not math.isfinite(start.sum()):  # a sum that merely overflows passes the exact scan
-        as_vector(start)
+    # A sum that merely overflows costs the exact scan and finds nothing.
+    if not math.isfinite(start.sum()):
+        solved = without(~np.isfinite(start).all(axis=1), "vector has non-finite entries")
+        if solved:
+            return solved
+    arg, X, W, Y, residual = at(Yk)
+    if not math.isfinite(residual.sum()):
+        solved = without(~np.isfinite(residual), "multiplier step has non-finite entries")
+        if solved:
+            return solved
 
-    def at(u):
-        """(projection argument, x(u), w, multiplier step, residual) at u."""
-        arg = start - step_map @ u
-        x = feasible._prox_rows(1.0, arg[None])[0]
-        w = _linearized(spec, x)
-        y = cone._polar_project(w)
-        gap = u - y
-        residual = math.sqrt(gap @ gap)
-        if not math.isfinite(residual):
-            raise ValueError("multiplier step has non-finite entries")
-        return arg, x, w, y, residual
-
-    u = spec.y_k
-    arg, x, w, y, residual = at(u)
+    U = Yk
+    failed = []  # rows whose residual turned non-finite, frozen since
+    active = residual > inner_tol
+    c = Yk.shape[1]
     for _ in range(inner_max_iters):
-        if residual <= inner_tol:
+        if not active.any():
             break
         # The residual's generalized Jacobian is I + D_polar(w) M, with the
         # symmetric M = sigma^2 DG P'_X(arg) DG^T; the polar rows of M are (D M)^T.
-        m = (sigma * sigma) * (feasible._jacobian_rows(arg[None].repeat(len(jac), 0), jac) @ jac.T)
-        jacobian = np.eye(len(m)) + cone._polar_jacobian_rows(w[None].repeat(len(m), 0), m).T
-        direction = np.linalg.solve(jacobian, y - u)
-        t = 1.0
+        PJ = feasible._jacobian_rows(arg.repeat(c, 0), jac.reshape(-1, jac.shape[2])).reshape(jac.shape)
+        M = (sig * sig)[:, :, None] * np.matmul(PJ, jac.transpose(0, 2, 1))
+        DM = cone._polar_jacobian_rows(W.repeat(c, 0), M.reshape(-1, c)).reshape(M.shape)
+        direction = np.linalg.solve(np.eye(c) + DM.transpose(0, 2, 1), (Y - U)[:, :, None])[:, :, 0]
+        # Backtracking on the residual; the rows still searching share their
+        # step length t, and every other row recomputes its state at its u.
+        t, searching, everyone = 1.0, active, active.all()
         while True:
-            trial = at(u + t * direction)
-            if trial[4] <= (1.0 - _DECREASE * t) * residual or t <= _MIN_STEP:
+            candidate = U + t * direction
+            if not everyone:
+                candidate = np.where(searching[:, None], candidate, U)
+            trial = at(candidate)
+            # A step is taken once it cuts the residual enough, or at the
+            # shortest length if finite; a non-finite residual fails the row.
+            accept = trial[4] <= (1.0 - _DECREASE * t) * residual if t > _MIN_STEP else np.isfinite(trial[4])
+            if accept.all() if everyone else (accept | ~searching).all():
+                U, (arg, X, W, Y, residual) = candidate, trial
+                break
+            finite, take = np.isfinite(trial[4]), searching & accept
+            U, arg, X, W, Y = (np.where(take[:, None], new, old)
+                               for new, old in zip((candidate,) + trial[:4], (U, arg, X, W, Y)))
+            residual = np.where(take, trial[4], residual)
+            failed.extend(np.flatnonzero(searching & ~finite).tolist())
+            searching, everyone = searching & ~accept & finite, False
+            if not searching.any():
                 break
             t *= 0.5
-        u = u + t * direction
-        arg, x, w, y, residual = trial
-    if residual > inner_tol:
-        raise ConvergenceError(residual)
-    return x, y
+        active = residual > inner_tol
+        if failed:
+            active[failed] = False
+    errors = {row: ValueError("multiplier step has non-finite entries") for row in failed}
+    if active.any():
+        errors.update((int(row), ConvergenceError(float(residual[row]))) for row in np.flatnonzero(active))
+    return X, Y, errors
+
+
+def _check_sample_rows(S: ConicSample, oracle, k: int) -> dict:
+    """Validate the stacked output of a conic oracle at (outer) iteration k.
+
+    Shapes that do not fit rows of an oracle.dim-dimensional point and
+    oracle.cone raise ValueError; returns row -> DivergenceError(k) for each
+    row with non-finite gradient, constraint or Jacobian entries.
+    """
+    dim, cone, jac = oracle.dim, oracle.cone, S.g_jacobian
+    T = len(S.f_grad)
+    if S.f_grad.shape != (T, dim) or S.g_value.shape != (T, cone.dim) or jac.shape != (T, cone.dim, dim):
+        raise ValueError(f"sample shapes do not match a {dim}-dimensional point and a "
+                         f"{cone.dim}-dimensional cone")
+    # Any non-finite entry makes the sum non-finite; a sum that merely
+    # overflows costs the exact scan and finds nothing.
+    if math.isfinite(S.f_grad.sum() + S.g_value.sum() + jac.sum()):
+        return {}
+    bad = ~(np.isfinite(S.f_grad).all(axis=1) & np.isfinite(S.g_value).all(axis=1) & np.isfinite(jac).all(axis=(1, 2)))
+    return {int(row): DivergenceError(k, f"non-finite oracle sample at iteration {k}") for row in np.flatnonzero(bad)}
 
 
 def check_sample(sample: ConicSample, oracle, k: int) -> ConicSample:
@@ -170,119 +260,205 @@ def check_sample(sample: ConicSample, oracle, k: int) -> ConicSample:
     raise ValueError; non-finite gradient, constraint or Jacobian entries
     raise DivergenceError(k).
     """
-    dim, cone, jac = oracle.dim, oracle.cone, sample.g_jacobian
-    if sample.f_grad.shape != (dim,) or sample.g_value.shape != (cone.dim,) or jac.shape != (cone.dim, dim):
-        raise ValueError(f"sample shapes do not match a {dim}-dimensional point and a "
-                         f"{cone.dim}-dimensional cone")
-    # Any non-finite entry makes the sum non-finite; a sum that merely
-    # overflows costs the exact scan and finds nothing.
-    if not math.isfinite(sample.f_grad.sum() + sample.g_value.sum() + jac.sum()) and not (
-            np.isfinite(sample.f_grad).all() and np.isfinite(sample.g_value).all()
-            and np.isfinite(jac).all()):
-        raise DivergenceError(k, f"non-finite oracle sample at iteration {k}")
+    errors = _check_sample_rows(_one_row(sample), oracle, k)
+    if errors:
+        raise errors[0]
     return sample
 
 
 def run_lsaal(problem: LsaalProblem, config: RunConfig, metric_hooks=()) -> RunRecord:
-    """Stochastic run: one oracle sample per outer iteration.
+    """Stochastic run: one oracle sample per outer iteration; the one-row
+    case of run_lsaal_batch.
 
-    The oracle serves it as `draws(rng, count)`, taken PREFETCH_ROWS at a
-    time and exactly config.horizon in all, and `evaluate(x, draw)`.
+    Metric hooks are called at recorded iterations as hook(k, iterate,
+    average) and return name->value maps; the points share memory with the
+    solver's state, which is never updated in place, so a hook may keep them
+    but must not write to them.
     """
-    return _run_augmented(problem, config, metric_hooks, full_batch=False)
+    return _one(run_lsaal_batch(problem, [config], metric_hooks))
 
 
 def run_laam(problem: LsaalProblem, config: RunConfig, metric_hooks=()) -> RunRecord:
-    """Deterministic baseline: every sample replaced by the full-batch average."""
-    return _run_augmented(problem, config, metric_hooks, full_batch=True)
+    """Deterministic baseline: every sample replaced by the full-batch
+    average; the one-row case of run_lsaal_batch with full_batch=True."""
+    return _one(run_lsaal_batch(problem, [config], metric_hooks, full_batch=True))
 
 
-def _prefetched(oracle, rng: np.random.Generator, total: int):
-    """The oracle's next `total` draws from rng, one at a time, taken from the
-    stream PREFETCH_ROWS at a time."""
-    for start in range(0, total, PREFETCH_ROWS):
-        yield from oracle.draws(rng, min(PREFETCH_ROWS, total - start))
+def _one(outcomes) -> RunRecord:
+    outcome, = outcomes
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
-def _run_augmented(problem: LsaalProblem, config: RunConfig, metric_hooks, full_batch: bool) -> RunRecord:
-    N = config.horizon
-    sigma = problem.resolve_sigma(N)
+def _start(config: RunConfig, rng: np.random.Generator, oracle):
+    """A run's start (x, y): RunConfig.initial, x projected onto the feasible
+    set, or a uniform draw from [-1, 1]^dim projected there and y = 0."""
+    if config.initial is not None:
+        return (oracle.feasible_set.prox(1.0, np.asarray(config.initial.x, dtype=float)),
+                as_vector(config.initial.y, dim=oracle.cone.dim, name="initial y"))
+    return oracle.feasible_set.prox(1.0, rng.uniform(-1.0, 1.0, size=oracle.dim)), np.zeros(oracle.cone.dim)
+
+
+class _Rows:
+    """The rows still running in a batch: one entry per row in each of the
+    columns given at construction (numpy arrays along their first axis, the
+    prefetched draws along their second, or lists)."""
+
+    def __init__(self, **columns):
+        self.columns = tuple(columns)
+        self.__dict__.update(columns)
+
+    def drop(self, errors: dict, outcomes: list, finished=()) -> np.ndarray:
+        """Hand each row in `errors` its error, with the rows the trial
+        recorded before it as the error's `record`, and forget those rows
+        and the finished ones. Returns the mask of the rows that run on."""
+        keep = np.ones(len(self.index), dtype=bool)
+        keep[list(finished)] = False
+        for row, exc in errors.items():
+            exc.record = self.records[row]
+            outcomes[self.index[row]] = exc
+            keep[row] = False
+        for name in self.columns:
+            value = getattr(self, name)
+            if isinstance(value, list):
+                setattr(self, name, [v for v, k in zip(value, keep) if k])
+            else:
+                setattr(self, name, value[:, keep] if name == "draws" else value[keep])
+        return keep
+
+
+def _draw_block(oracle, rngs, remaining) -> np.ndarray:
+    """Each row's next min(PREFETCH_ROWS, remaining) draws from its stream,
+    as one (draws, rows, ...) array; a row with fewer draws left is padded
+    with zeros past its horizon."""
+    blocks = [oracle.draws(rng, min(PREFETCH_ROWS, left)) for rng, left in zip(rngs, remaining)]
+    out = np.zeros((max(map(len, blocks)), len(blocks)) + blocks[0].shape[1:], dtype=blocks[0].dtype)
+    for row, block in enumerate(blocks):
+        out[:len(block), row] = block
+    return out
+
+
+def run_lsaal_batch(problem: LsaalProblem, configs, metric_hooks=(), full_batch: bool = False) -> list:
+    """Run one LSAAL trial per config, all advancing together; with
+    full_batch=True every sample is replaced by the full-batch average (LAAM).
+
+    Each config brings its own random stream (seed, stream_id), initial point,
+    horizon and trace_thinning, and its own sigma (1/sqrt(horizon) unless
+    problem.sigma is set); the configs must share averaging. A trial draws
+    its start first, then its samples, all from its own stream: the oracle
+    serves them as `draws(rng, count)`, taken PREFETCH_ROWS at a time and
+    exactly horizon in all, and one stacked `evaluate_rows(X, draws)` per
+    outer iteration (full_batch: `full_batch_rows(X)`). Every row is
+    therefore bit-for-bit the trial run alone, whatever else is in the batch.
+
+    Returns one entry per config: its RunRecord, or the DivergenceError or
+    ConvergenceError that ended it, with the message it gets alone and the
+    rows the trial recorded before it as the error's `record`. A trial
+    leaves the batch at its horizon or at its error; the others run on. The
+    recording contract is run_lsaal's.
+    """
+    configs = list(configs)
+    outcomes = [None] * len(configs)
+    if not configs:
+        return outcomes
+    if any(c.averaging != configs[0].averaging for c in configs):
+        raise ValueError("trials of one batch must share averaging")
+    averaging = configs[0].averaging
     oracle = problem.oracle
     cone, feasible = oracle.cone, oracle.feasible_set
-    rng = config.random_source().generator()
-
-    if config.initial is not None:
-        x = feasible.prox(1.0, np.asarray(config.initial.x, dtype=float))
-        y = as_vector(config.initial.y, dim=cone.dim, name="initial y")
-    else:
-        x = feasible.prox(1.0, rng.uniform(-1.0, 1.0, size=oracle.dim))
-        y = np.zeros(cone.dim)
-
-    avg_x = np.zeros_like(x)
-    avg_y = np.zeros_like(y)
+    rngs = [c.random_source().generator() for c in configs]
+    starts = [_start(c, rng, oracle) for c, rng in zip(configs, rngs)]
+    X, Y = np.stack([x for x, _ in starts]), np.stack([y for _, y in starts])
+    zeros = np.zeros(len(configs))
+    rows = _Rows(index=list(range(len(configs))), rngs=rngs, records=[RunRecord() for _ in configs],
+                 horizons=[c.horizon for c in configs], thinnings=[c.trace_thinning for c in configs],
+                 sigma=np.array([problem.resolve_sigma(c.horizon) for c in configs]),
+                 X=X, Y=Y, avg_x=np.zeros_like(X), avg_y=np.zeros_like(Y),
+                 y_norm=np.sqrt(_row_dots(Y, Y)), y_norm_max=zeros, y_step_max=zeros, x_ratio_max=zeros,
+                 y_ratio_max=zeros, draws=np.empty((0, len(configs))))
 
     constants = problem.constants
     audit_bounds = constants is not None and None not in (
         constants.R, constants.nu_g, constants.kappa_f, constants.kappa_g)
-    y_norm = float(np.linalg.norm(y))
-    y_norm_max = 0.0
-    y_step_max = 0.0
-    x_ratio_max = 0.0
-    y_ratio_max = 0.0
-
-    draws = None if full_batch else _prefetched(oracle, rng, N)
-    record = RunRecord()
     t0 = time.perf_counter()
-    for k in range(1, N + 1):
-        sample = check_sample(oracle.full_batch(x) if full_batch else oracle.evaluate(x, next(draws)), oracle, k)
-        spec = XSubproblemSpec(x, y, sample, sigma, cone)
-        try:
-            x_next, y_next = solve_x_subproblem(spec, feasible, problem.inner_tol, problem.inner_max_iters)
-        except ConvergenceError as exc:
-            raise ConvergenceError(exc.residual, f"inner solver failed at outer iteration {k}: {exc}") from exc
-        except ValueError as exc:
-            raise DivergenceError(k, f"non-finite state at iteration {k}: {exc}") from exc
-        if not (np.isfinite(x_next).all() and np.isfinite(y_next).all()):
-            raise DivergenceError(k, f"non-finite state at iteration {k}")
-
-        y_norm_next = float(np.linalg.norm(y_next))
-        y_step = abs(y_norm_next - y_norm)
-        y_step_max = max(y_step_max, y_step)
-        if audit_bounds:
-            x_step = float(np.linalg.norm(x_next - x))
-            x_bound = sigma * ((constants.kappa_f + constants.nu_g * constants.kappa_g * sigma)
-                               + constants.kappa_g * y_norm)
-            x_ratio_max = max(x_ratio_max, x_step / x_bound)
-            y_ratio_max = max(y_ratio_max, y_step / (sigma * constants.beta0))
-
-        if config.averaging:
-            avg_x = avg_x + (x_next - avg_x) / k
-            avg_y = avg_y + (y_next - avg_y) / k
+    k = 0
+    while rows.index:
+        k += 1
+        if full_batch:
+            S = oracle.full_batch_rows(rows.X)
         else:
-            avg_x, avg_y = x_next, y_next
-        y_norm = y_norm_next
-        y_norm_max = max(y_norm_max, y_norm)
-        x, y = x_next, y_next
+            if (k - 1) % PREFETCH_ROWS == 0:
+                rows.draws = _draw_block(oracle, rows.rngs, [N - k + 1 for N in rows.horizons])
+            S = oracle.evaluate_rows(rows.X, rows.draws[(k - 1) % PREFETCH_ROWS])
+        errors = _check_sample_rows(S, oracle, k)
+        if errors:
+            S = _take(S, rows.drop(errors, outcomes))
+            if not rows.index:
+                break
+        X, Y, errors = _solve_rows(rows.X, rows.Y, S, rows.sigma, cone, feasible,
+                                   problem.inner_tol, problem.inner_max_iters)
+        for row, exc in errors.items():
+            if isinstance(exc, ConvergenceError):
+                errors[row] = ConvergenceError(exc.residual, f"inner solver failed at outer iteration {k}: {exc}")
+            else:
+                errors[row] = DivergenceError(k, f"non-finite state at iteration {k}: {exc}")
+        if errors or not (np.isfinite(X).all() and np.isfinite(Y).all()):
+            for row in np.flatnonzero(~(np.isfinite(X).all(axis=1) & np.isfinite(Y).all(axis=1))):
+                errors.setdefault(int(row), DivergenceError(k, f"non-finite state at iteration {k}"))
+            keep = rows.drop(errors, outcomes)
+            X, Y = X[keep], Y[keep]
+            if not rows.index:
+                break
 
-        if k % config.trace_thinning == 0 or k == N:
-            iterate = PrimalDualPoint(x, y)
-            average = PrimalDualPoint(avg_x, avg_y)
+        y_norm = np.sqrt(_row_dots(Y, Y))
+        y_step = np.abs(y_norm - rows.y_norm)
+        rows.y_step_max = np.maximum(rows.y_step_max, y_step)
+        if audit_bounds:
+            D = X - rows.X
+            x_bound = rows.sigma * ((constants.kappa_f + constants.nu_g * constants.kappa_g * rows.sigma)
+                                    + constants.kappa_g * rows.y_norm)
+            rows.x_ratio_max = np.maximum(rows.x_ratio_max, np.sqrt(_row_dots(D, D)) / x_bound)
+            rows.y_ratio_max = np.maximum(rows.y_ratio_max, y_step / (rows.sigma * constants.beta0))
+        if averaging:
+            rows.avg_x = rows.avg_x + (X - rows.avg_x) / k
+            rows.avg_y = rows.avg_y + (Y - rows.avg_y) / k
+        else:
+            rows.avg_x, rows.avg_y = X, Y
+        rows.y_norm = y_norm
+        rows.y_norm_max = np.maximum(rows.y_norm_max, y_norm)
+        rows.X, rows.Y = X, Y
+
+        errors, ended = {}, []
+        for row, (N, thinning) in enumerate(zip(rows.horizons, rows.thinnings)):
+            if k % thinning and k != N:
+                continue
+            # Views: the loop rebinds its arrays and never writes them in place.
+            iterate = PrimalDualPoint(X[row], Y[row])
+            average = PrimalDualPoint(rows.avg_x[row], rows.avg_y[row])
             values = {}
-            for hook in metric_hooks:
-                values.update(hook(k, iterate, average))
-            record.append(k, sigma, values, time.perf_counter() - t0)
-
-    record.final_iterate = PrimalDualPoint(x, y)
-    record.final_average = PrimalDualPoint(avg_x, avg_y)
-    record.final_metrics = {
-        "sigma": sigma,
-        "y_norm_max": y_norm_max,
-        "y_step_max": y_step_max,
-    }
-    if audit_bounds:
-        record.final_metrics["x_step_bound_ratio_max"] = x_ratio_max
-        record.final_metrics["y_step_bound_ratio_max"] = y_ratio_max
-    return record
+            try:
+                for hook in metric_hooks:
+                    values.update(hook(k, iterate, average))
+            except DivergenceError as exc:
+                errors[row] = exc
+                continue
+            record = rows.records[row]
+            record.append(k, rows.sigma[row], values, time.perf_counter() - t0)
+            if k < N:
+                continue
+            record.final_iterate = PrimalDualPoint(X[row].copy(), Y[row].copy())
+            record.final_average = PrimalDualPoint(rows.avg_x[row].copy(), rows.avg_y[row].copy())
+            record.final_metrics = {"sigma": float(rows.sigma[row]), "y_norm_max": float(rows.y_norm_max[row]),
+                                    "y_step_max": float(rows.y_step_max[row])}
+            if audit_bounds:
+                record.final_metrics.update(x_step_bound_ratio_max=float(rows.x_ratio_max[row]),
+                                            y_step_bound_ratio_max=float(rows.y_ratio_max[row]))
+            outcomes[rows.index[row]] = record
+            ended.append(row)
+        if errors or ended:
+            rows.drop(errors, outcomes, ended)
+    return outcomes
 
 
 @dataclass(frozen=True)

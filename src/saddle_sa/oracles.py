@@ -9,10 +9,12 @@ checks. `draws(rng, count)` stacks count draws with the bits of count single
 ones; each row rounds as the 1-D arithmetic does at that point and draw.
 Conic oracles return sampled objective and constraint data with the
 constraint Jacobian as a dense array. The Neyman-Pearson oracle serves LSAAL,
-one sample per outer iteration: `draws(rng, count)` as above,
-`evaluate(x, draw)` takes one of them, and `sample(rng, x)` is the two in one
-call. Its full-batch average has the row form `full_batch_rows(X)`, of which
-`full_batch(x)` is the one-row case.
+one sample per outer iteration and trial: `draws(rng, count)` as above, and
+`evaluate_rows(X, draws)` evaluates row t of X at draw t, stacked as the
+full batches are; `evaluate(x, draw)` is its one-row case, and
+`sample(rng, x)` is `draws` and `evaluate` in one call. Its full-batch
+average has the row form `full_batch_rows(X)`, of which `full_batch(x)` is
+the one-row case.
 """
 
 from __future__ import annotations
@@ -222,8 +224,13 @@ class NeymanPearsonOracle:
         # Every class's points stacked, class i's starting at row _starts[i].
         self._points = np.concatenate(self._matrices)
         self._starts = np.cumsum(self._counts) - self._counts
-        self._off_diagonal = ~np.eye(self.m, dtype=bool)
-        self._others = [np.flatnonzero(row) for row in self._off_diagonal]
+        off_diagonal = ~np.eye(self.m, dtype=bool)
+        self._others = [np.flatnonzero(row) for row in off_diagonal]
+        # (class i, other block l) index pairs, as two (m, m-1) arrays, and
+        # the diagonal and off-diagonal positions of a flattened (m, m) array.
+        self._pairs = np.repeat(np.arange(self.m)[:, None], self.m - 1, axis=1), np.array(self._others)
+        self._flat_diagonal = np.arange(self.m) * (self.m + 1)
+        self._flat_off_diagonal = np.flatnonzero(off_diagonal)
 
     def blocks(self, x: np.ndarray) -> np.ndarray:
         x = as_vector(x, dim=self.dim, name="stacked x")
@@ -241,26 +248,38 @@ class NeymanPearsonOracle:
         return self.evaluate(x, self.draws(rng, 1)[0])
 
     def evaluate(self, x: np.ndarray, idx) -> ConicSample:
-        # The full-batch arithmetic on one point per class, without the class
-        # loop, so a one-point-per-class dataset reproduces full_batch bit for bit.
-        m, n = self.m, self.n
-        X = self.blocks(x)
-        Psi = self._points[self._starts + idx]  # (m, n): row i is class i's point
+        """The sample at x for one draw idx: the one-row case of evaluate_rows."""
+        s = self.evaluate_rows(as_vector(x, dim=self.dim, name="stacked x")[None], np.asarray(idx)[None])
+        return ConicSample(float(s.f_value[0]), s.f_grad[0], s.g_value[0], s.g_jacobian[0])
+
+    def evaluate_rows(self, X: np.ndarray, idx: np.ndarray) -> ConicSample:
+        """The sample at each row of the (T, dim) array X for the draw in the
+        same row of the (T, m) index array idx, stacked as full_batch_rows
+        stacks; X is unchecked.
+
+        The full-batch arithmetic on one point per class, without the class
+        loop, so a one-point-per-class dataset reproduces full_batch bit for
+        bit, and each row has the bits of its point and draw alone.
+        """
+        m, n, T = self.m, self.n, X.shape[0]
+        Psi = self._points[self._starts + idx]  # (T, m, n): row i of each is class i's point
         # A (1, n) @ (n, m) product per class: a plain Psi @ X.T can round differently.
-        margins = np.matmul(Psi[:, None, :], X.T).reshape(m, m)  # psi_i . x_l
-        t = (np.diagonal(margins)[:, None] - margins)[self._off_diagonal].reshape(m, m - 1)
-        values = _phi(t).sum(axis=1)
+        margins = np.matmul(Psi[:, :, None, :], X.reshape(T, 1, m, n).transpose(0, 1, 3, 2)).reshape(T, m, m)
+        i, others = self._pairs
+        t = margins[:, i, i] - margins[:, i, others]  # (T, m, m-1): psi_i . x_i - psi_i . x_l
+        values = _phi(t).sum(axis=2)
         w = _phi_prime(t)
-        coef = np.diag(w.sum(axis=1))
-        coef[self._off_diagonal] = -w.reshape(-1)
-        # grads[i, l] = coef[i, l] * psi_i is class i's gradient in block l;
+        coef = np.empty((T, m * m))
+        coef[:, self._flat_diagonal] = w.sum(axis=2)
+        coef[:, self._flat_off_diagonal] = -w.reshape(T, -1)
+        # grads[:, i, l] = coef[:, i, l] * psi_i is class i's gradient in block l;
         # adding 0.0 gives zeros the sign that full_batch's 0.0 + and 0.0 - give them.
-        grads = coef[:, :, None] * Psi[:, None, :] + 0.0
+        grads = coef.reshape(T, m, m, 1) * Psi[:, :, None, :] + 0.0
         return ConicSample(
-            float(values[0]),
-            grads[0].reshape(-1),
-            values[1:] - self.r,
-            grads[1:].reshape(m - 1, m * n),
+            values[:, 0],
+            grads[:, 0].reshape(T, m * n),
+            values[:, 1:] - self.r,
+            grads[:, 1:].reshape(T, m - 1, m * n),
         )
 
     def full_batch(self, x: np.ndarray) -> ConicSample:

@@ -257,15 +257,17 @@ def lsaal_sweep(np_instance):
     constants = estimate_constants(oracle, sa.RandomSource(999).generator(),
                                    n_full=1000, n_sample=500)
     problem = sa.LsaalProblem(oracle, constants=constants)
-    sweep = {}
-    for N in (250, 1000, 4000):
-        records = []
-        for seed in range(10):
-            cfg = sa.RunConfig(horizon=N, seed=seed,
-                               schedule=sa.StepSchedule("const_over_sqrt_n"),
-                               trace_thinning=N)
-            records.append(sa.run_lsaal(problem, cfg))
-        sweep[N] = records
+    # The 30 (N, seed) runs advance together as one batch; each row is bit
+    # for bit the run alone.
+    runs = [(N, seed) for N in (250, 1000, 4000) for seed in range(10)]
+    outcomes = sa.run_lsaal_batch(problem, [sa.RunConfig(horizon=N, seed=seed,
+                                                         schedule=sa.StepSchedule("const_over_sqrt_n"),
+                                                         trace_thinning=N)
+                                            for N, seed in runs])
+    for outcome in outcomes:
+        if isinstance(outcome, Exception):
+            raise outcome
+    sweep = {N: [rec for (n, _), rec in zip(runs, outcomes) if n == N] for N in (250, 1000, 4000)}
     return oracle, constants, sweep
 
 

@@ -369,18 +369,19 @@ class TestMainEntry:
         assert main([command, str(cfg_path), "--out", str(tmp_path / "out"), "--set", override]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()  # a failed config writes nothing
 
     def test_np_trials_pass_no_schedule(self, monkeypatch):
         seen = []
-        run_lsaal = cli.run_lsaal
+        run_lsaal_batch = cli.run_lsaal_batch
 
-        def recording(problem, config, hooks=()):
-            seen.append(config.schedule)
-            return run_lsaal(problem, config, hooks)
+        def recording(problem, configs, hooks=(), full_batch=False):
+            seen.extend(config.schedule for config in configs)
+            return run_lsaal_batch(problem, configs, hooks, full_batch)
 
-        monkeypatch.setattr(cli, "run_lsaal", recording)
+        monkeypatch.setattr(cli, "run_lsaal_batch", recording)
         cfg = load_config(NP_HOOK_TEXT)
-        cli.run_trial_batch(cfg, 10, [0, 1], cli._experiment_shared(cfg))
+        cli.run_trial_batch(cfg, [(10, 0), (10, 1)], cli._experiment_shared(cfg))
         assert seen == [None, None]
 
     def test_np_config_with_default_schedule_keys_runs(self, tmp_path, capsys):
@@ -509,8 +510,8 @@ class TestDivergenceReporting:
     def test_all_trials_diverged_gives_exit_code_2(self, tmp_path, monkeypatch):
         from saddle_sa import cli as cli_mod
 
-        def fake_batch(config, N, trials, shared):
-            return [DivergenceError(1, "blew up") for trial in trials]
+        def fake_batch(config, pairs, shared):
+            return [DivergenceError(1, "blew up") for pair in pairs]
 
         monkeypatch.setattr(cli_mod, "run_trial_batch", fake_batch)
         cfg = load_config(bilinear_text(N_list="10", trials=2, output_dir=tmp_path))
@@ -525,13 +526,13 @@ class TestDivergenceReporting:
         from saddle_sa import cli as cli_mod
         real_batch = cli_mod.run_trial_batch
 
-        def fake_batch(config, N, trials, shared):
+        def fake_batch(config, pairs, shared):
             # Every trial fails except trial 0 at N=20, where trial 1's inner
             # solver does not converge and trial 2 diverges.
             return [outcome if (N, trial) == (20, 0)
                     else ConvergenceError(0.5, f"stalled in trial {trial}") if (N, trial) == (20, 1)
                     else DivergenceError(1, f"blew up in trial {trial}")
-                    for trial, outcome in zip(trials, real_batch(config, N, trials, shared))]
+                    for (N, trial), outcome in zip(pairs, real_batch(config, pairs, shared))]
 
         monkeypatch.setattr(cli_mod, "run_trial_batch", fake_batch)
         cfg_path = tmp_path / "bilinear.cfg"
@@ -581,13 +582,73 @@ class TestParallelDeterminism:
         "ref_pool_size=10\nref_iters=50\n",
     ], ids=["bilinear", "tanh"])
     def test_output_bytes_do_not_depend_on_chunking(self, tmp_path, text):
-        # parallel=2 and 3 split each horizon's five trials into 2+3 and 1+2+2.
+        # parallel=2 and 3 deal the ten (N, trial) pairs into tasks of 5+5 and 4+3+3.
         digests = set()
         for parallel in (1, 2, 3):
             out = tmp_path / f"p{parallel}"
             run_experiment(load_config(text + f"parallel={parallel}\noutput_dir={out}\n"))
             digests.add(tuple((p.name, p.read_bytes()) for p in sorted(out.iterdir())))
         assert len(digests) == 1
+
+
+    @pytest.mark.parametrize("algorithm", ["lsaal", "laam"])
+    def test_neyman_pearson_bytes_do_not_depend_on_the_task_split(self, tmp_path, algorithm):
+        # 3 horizons x 3 trials: parallel=2 and 3 give tasks of 5+4 and 3+3+3
+        # pairs, each one lockstep batch over every horizon.
+        text = (f"experiment=neyman_pearson\nalgorithm={algorithm}\nn=4\nm_classes=3\npoints_per_class=10\n"
+                "N_list=20,45,60\ntrials=3\nseed=4\ntrace_thinning=4\n")
+        digests = set()
+        for parallel in (1, 2, 3):
+            out = tmp_path / f"p{parallel}"
+            run_experiment(load_config(text + f"parallel={parallel}\noutput_dir={out}\n"))
+            digests.add(tuple((p.name, p.read_bytes()) for p in sorted(out.iterdir())))
+        assert len(digests) == 1
+        assert len(digests.pop()) == 9 + 2  # every trace, aggregate.csv and summary.csv
+
+
+class InlinePool:
+    """ProcessPoolExecutor stand-in that runs each task in this process."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+class TestTaskSplit:
+    @pytest.mark.parametrize("N_list, trials, parallel, expected", [
+        ("5,6,7", 1, 2, [[(5, 0), (7, 0)], [(6, 0)]]),
+        ("5,6", 3, 4, [[(5, 0), (6, 1)], [(5, 1), (6, 2)], [(5, 2)], [(6, 0)]]),
+        ("5,6,7", 2, 1, [[(5, 0), (5, 1), (6, 0), (6, 1), (7, 0), (7, 1)]]),
+        ("5", 2, 8, [[(5, 0)], [(5, 1)]]),
+    ])
+    def test_every_pair_runs_once(self, tmp_path, monkeypatch, N_list, trials, parallel, expected):
+        # Pair i goes to task i mod workers: a single trial per horizon still
+        # fills two workers, and every (N, trial) pair runs exactly once.
+        tasks = []
+        real_batch = cli.run_trial_batch
+
+        def recording(config, pairs, shared):
+            tasks.append(list(pairs))
+            return real_batch(config, pairs, shared)
+
+        monkeypatch.setattr(cli, "run_trial_batch", recording)
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+        result = run_experiment(load_config(bilinear_text(N_list=N_list, trials=trials, parallel=parallel,
+                                                          output_dir=tmp_path)))
+        assert tasks == expected
+        assert sorted(pair for task in tasks for pair in task) == [
+            (int(N), trial) for N in N_list.split(",") for trial in range(trials)]
+        assert len(result.trace_paths) == len(N_list.split(",")) * trials
 
 
 class TestWorkerCount:
@@ -615,7 +676,7 @@ class TestWorkerCount:
                 return False
 
             def submit(self, fn, *args):
-                chunks.append((args[1], list(args[2])))  # (N, trials)
+                chunks.append(list(args[1]))  # the task's (N, trial) pairs
                 future = Future()
                 future.set_result(fn(*args))
                 return future
@@ -628,11 +689,11 @@ class TestWorkerCount:
         run_experiment(load_config(bilinear_text(N_list="5", trials=2, parallel=1000,
                                                  output_dir=tmp_path / "wide")))
         assert sizes == [2]
-        # One task per (N, contiguous chunk of trials), at most `parallel` chunks per N.
+        # One task per worker; pair i of the (N, trial) pairs goes to task i mod 2.
         chunks.clear()
         run_experiment(load_config(bilinear_text(N_list="5,6", trials=5, parallel=2,
                                                  output_dir=tmp_path / "chunks")))
-        assert chunks == [(5, [0, 1]), (5, [2, 3, 4]), (6, [0, 1]), (6, [2, 3, 4])]
+        assert chunks == [[(5, 0), (5, 2), (5, 4), (6, 1), (6, 3)], [(5, 1), (5, 3), (6, 0), (6, 2), (6, 4)]]
 
 
 NP_HOOK_TEXT = ("experiment=neyman_pearson\nalgorithm=lsaal\nn=4\nm_classes=2\n"
@@ -664,7 +725,7 @@ class TestNeymanPearsonHook:
         # full_batch_rows call over 1 + 2 * rows points, after the run.
         calls = watch_full_batch_rows(monkeypatch)
         cfg = load_config(NP_HOOK_TEXT)
-        [record] = cli.run_trial_batch(cfg, 30, [0], cli._experiment_shared(cfg))
+        [record] = cli.run_trial_batch(cfg, [(30, 0)], cli._experiment_shared(cfg))
         assert len(record.ks) == 8
         assert calls == [1 + 2 * len(record.ks)]
 
@@ -674,7 +735,7 @@ class TestNeymanPearsonHook:
         # ValueError. Point 3 is the average of the second row, k = 8.
         watch_full_batch_rows(monkeypatch, poison_from=3)
         cfg = load_config(NP_HOOK_TEXT)
-        [outcome] = cli.run_trial_batch(cfg, 30, [0], cli._experiment_shared(cfg))
+        [outcome] = cli.run_trial_batch(cfg, [(30, 0)], cli._experiment_shared(cfg))
         assert isinstance(outcome, DivergenceError)
         assert outcome.iteration == 8 and "iteration 8" in str(outcome)
         cfg_path = tmp_path / "np.cfg"
@@ -684,23 +745,24 @@ class TestNeymanPearsonHook:
     def test_divergence_at_a_row_comes_before_a_later_solver_error(self, monkeypatch):
         # The solver fails at outer iteration 6, after the row at k = 4; a
         # non-finite full batch at that row was met first, so it is the outcome.
-        solve = lsaal_module.solve_x_subproblem
+        solve = lsaal_module._solve_rows
         solves = []
 
         def failing(*args):
             solves.append(1)
+            X, Y, errors = solve(*args)
             if len(solves) == 6:
-                raise ConvergenceError(1.0)
-            return solve(*args)
+                errors[0] = ConvergenceError(1.0)
+            return X, Y, errors
 
-        monkeypatch.setattr(lsaal_module, "solve_x_subproblem", failing)
+        monkeypatch.setattr(lsaal_module, "_solve_rows", failing)
         cfg = load_config(NP_HOOK_TEXT)
         shared = cli._experiment_shared(cfg)
-        [outcome] = cli.run_trial_batch(cfg, 30, [0], shared)
+        [outcome] = cli.run_trial_batch(cfg, [(30, 0)], shared)
         assert isinstance(outcome, ConvergenceError) and "outer iteration 6" in str(outcome)
         solves.clear()
         watch_full_batch_rows(monkeypatch, poison_from=2)  # the iterate of row k = 4
-        [outcome] = cli.run_trial_batch(cfg, 30, [0], shared)
+        [outcome] = cli.run_trial_batch(cfg, [(30, 0)], shared)
         assert isinstance(outcome, DivergenceError)
         assert outcome.iteration == 4 and str(outcome) == "non-finite oracle sample at iteration 4"
 
@@ -748,7 +810,7 @@ class TestNeymanPearsonMetrics:
             points[:, dim:] = np.maximum(rng.normal(size=(rows, m - 1)), 0.0) * rng.uniform(0.0, 4.0, size=(rows, 1))
         kept.ks.extend(range(1, rows + 1))
         z0 = PrimalDualPoint(indicator_points(oracle.feasible_set, rng, 1)[0], np.zeros(m - 1))
-        metrics, base = cli._np_metrics(problem, z0, kept)
+        metrics, base = cli._np_metrics(problem, z0, kept.iterates, kept.averages, kept.ks)
         expected, expected_base = reference_np_metrics(problem, z0, kept)
         assert list(metrics[0]) == ["constraint_violation", "proj_kkt", "grad_norm_raw", "grad_norm_avg", "y_norm"]
         assert np.array_equal([list(row.values()) for row in metrics], expected)
@@ -816,10 +878,10 @@ class TestSapsBatchPostPass:
         for name in ("BilinearOracle", "TanhOracle"):
             monkeypatch.setattr(cli, name, blow_up(getattr(cli, name), stream, 9))
         shared = cli._experiment_shared(cfg)
-        batch = cli.run_trial_batch(cfg, N, [0, 1, 2], shared)
+        batch = cli.run_trial_batch(cfg, [(N, 0), (N, 1), (N, 2)], shared)
         assert isinstance(batch[1], DivergenceError) and batch[1].iteration == 9
         for trial in (0, 2):
-            [solo] = cli.run_trial_batch(cfg, N, [trial], shared)
+            [solo] = cli.run_trial_batch(cfg, [(N, trial)], shared)
             assert batch[trial].ks == solo.ks == list(range(1, N + 1))
             assert batch[trial].metrics == solo.metrics
             assert batch[trial].final_average.allclose(solo.final_average)

@@ -25,10 +25,11 @@ from saddle_sa import (
     proj_kkt,
     run_laam,
     run_lsaal,
+    run_lsaal_batch,
     solve_x_subproblem,
     synth_gaussian_classes,
 )
-from saddle_sa.lsaal import _linearized
+from saddle_sa import lsaal as lsaal_module
 from saddle_sa.oracles import NeymanPearsonOracle
 
 
@@ -42,8 +43,10 @@ def spec_1d(sigma=1.0, x_k=0.0, y_k=0.0, **kw):
 
 
 def multiplier_step(spec, x):
-    """The solver's multiplier step P_polar(y_k + sigma*(G + DG (x - x_k)))."""
-    return spec.cone._polar_project(_linearized(spec, x))
+    """The solver's multiplier step P_polar(y_k + sigma*(G + DG (x - x_k))),
+    with the unchecked polar projection."""
+    s = spec.sample
+    return spec.cone._polar_project(spec.y_k + spec.sigma * (s.g_value + s.g_jacobian @ (x - spec.x_k)))
 
 
 def subproblem_gradient(spec, x):
@@ -371,16 +374,10 @@ class TestRunners:
             cone = NonpositiveOrthant(1)
             feasible_set = BallIndicator(np.zeros(2), 3.0)
 
-            def full_batch(self, x):
-                return ConicSample(
-                    float(((x - center) ** 2).sum() / 2.0),
-                    x - center,
-                    np.array([((x - center) ** 2).sum() / 2.0 - 1.0]),
-                    (x - center)[None, :],
-                )
-
-            def sample(self, rng, x):
-                return self.full_batch(x)
+            def full_batch_rows(self, X):
+                D = X - center
+                half_sq = (D ** 2).sum(axis=1) / 2.0
+                return ConicSample(half_sq, D, half_sq[:, None] - 1.0, D[:, None, :])
 
             def slater_point(self):
                 return center
@@ -475,7 +472,8 @@ class TestRunners:
 
 
 class CorruptingOracle:
-    """Wraps an oracle; from evaluate call `at` on, `corrupt` edits each sample."""
+    """Wraps an oracle; from evaluate_rows call `at` on, `corrupt` edits each
+    stacked sample."""
 
     def __init__(self, oracle, at, corrupt):
         self.oracle, self.at, self.corrupt = oracle, at, corrupt
@@ -485,9 +483,9 @@ class CorruptingOracle:
     def draws(self, rng, count):
         return self.oracle.draws(rng, count)
 
-    def evaluate(self, x, draw):
+    def evaluate_rows(self, X, draws):
         self.calls += 1
-        s = self.oracle.evaluate(x, draw)
+        s = self.oracle.evaluate_rows(X, draws)
         if self.calls < self.at:
             return s
         return self.corrupt(s)
@@ -511,7 +509,7 @@ class TestSampleGuard:
 
     def test_shape_mismatch_is_value_error(self, np_instance):
         def short_grad(s):
-            return ConicSample(s.f_value, s.f_grad[:-1], s.g_value, s.g_jacobian)
+            return ConicSample(s.f_value, s.f_grad[:, :-1], s.g_value, s.g_jacobian)
 
         problem = LsaalProblem(CorruptingOracle(np_instance, 3, short_grad))
         with pytest.raises(ValueError):
@@ -521,7 +519,7 @@ class TestSampleGuard:
 class HugeGradientOracle:
     """A 3-dimensional conic oracle with one inactive constraint whose
     objective gradient (or, with field="g_jacobian", constraint Jacobian)
-    jumps to 1e300 from evaluate call `at` on."""
+    jumps to 1e300 from evaluate_rows call `at` on."""
 
     dim = 3
     cone = NonpositiveOrthant(1)
@@ -533,12 +531,12 @@ class HugeGradientOracle:
     def draws(self, rng, count):
         return rng.normal(size=(count, 3))
 
-    def evaluate(self, x, draw):
+    def evaluate_rows(self, X, draws):
         self.calls += 1
-        huge = self.calls >= self.at
-        f_grad = np.full(3, 1e300) if huge and self.field == "f_grad" else draw
-        jacobian = np.full((1, 3), 1e300) if huge and self.field == "g_jacobian" else np.zeros((1, 3))
-        return ConicSample(0.0, f_grad, np.array([-1.0]), jacobian)
+        huge, T = self.calls >= self.at, len(X)
+        f_grad = np.full((T, 3), 1e300) if huge and self.field == "f_grad" else draws
+        jacobian = np.full((T, 1, 3), 1e300) if huge and self.field == "g_jacobian" else np.zeros((T, 1, 3))
+        return ConicSample(np.zeros(T), f_grad, np.full((T, 1), -1.0), jacobian)
 
 
 class TestInnerSolverOverflow:
@@ -559,6 +557,136 @@ class TestInnerSolverOverflow:
             run_lsaal(problem, run_config(10, seed=1))
         assert err.value.iteration == 4
         assert str(err.value).endswith("multiplier step has non-finite entries")
+
+
+def probe_hook(k, z, avg):
+    """Metric hook whose values are the row's two points, as bytes."""
+    return {"iterate": z.stacked().tobytes(), "average": avg.stacked().tobytes()}
+
+
+def batch_problem(m, oracle=None, **knobs):
+    """An m-class instance with audit constants: the feasible set's diameter
+    and the oracle's analytic envelopes."""
+    rng = np.random.default_rng(60 + m)
+    base = NeymanPearsonOracle(synth_gaussian_classes(rng, m, 4, 12, 1.0).normalize(), 3.0)
+    constants = ProblemConstants(R=base.feasible_set.diameter(), **base.envelope_constants())
+    return LsaalProblem(oracle(base) if oracle else base, constants=constants, **knobs)
+
+
+def batch_configs(T, oracle, averaging=True):
+    """T trials with horizons 10, 37 and 100 in turn, thinnings 1, 3 and 7,
+    and every fourth from a given start."""
+    configs = []
+    for t in range(T):
+        initial = None
+        if t % 4 == 3:
+            rng = np.random.default_rng(t)
+            initial = PrimalDualPoint(rng.normal(size=oracle.dim) * 2.0, np.abs(rng.normal(size=oracle.cone.dim)))
+        configs.append(RunConfig(horizon=(10, 37, 100)[t % 3], seed=7, stream_id=t, trace_thinning=(1, 3, 7)[t % 3],
+                                 averaging=averaging, initial=initial))
+    return configs
+
+
+def assert_same_run(rec, solo):
+    assert (rec.ks, rec.gammas, rec.metrics) == (solo.ks, solo.gammas, solo.metrics)
+    assert np.array_equal(rec.final_iterate.stacked(), solo.final_iterate.stacked())
+    assert np.array_equal(rec.final_average.stacked(), solo.final_average.stacked())
+    assert rec.final_metrics == solo.final_metrics
+    assert set(rec.final_metrics) >= {"sigma", "y_norm_max", "y_step_max",
+                                      "x_step_bound_ratio_max", "y_step_bound_ratio_max"}
+
+
+class PoisonedOracle:
+    """Wraps an oracle; from iteration `at` on, the trial on stream `stream`
+    gets `edit` applied to the `field` array of its sample rows, which its
+    draws flag in an extra column."""
+
+    def __init__(self, oracle, stream, at, field, edit):
+        self.oracle, self.stream, self.at, self.field, self.edit = oracle, stream, at, field, edit
+        self.dim, self.cone, self.feasible_set = oracle.dim, oracle.cone, oracle.feasible_set
+
+    def draws(self, rng, count):
+        # One block per trial: the horizons stay below PREFETCH_ROWS.
+        flags = np.zeros((count, 1), dtype=np.int64)
+        if rng.bit_generator.seed_seq.spawn_key == (self.stream,):
+            flags[self.at - 1:] = 1
+        return np.concatenate([self.oracle.draws(rng, count), flags], axis=1)
+
+    def evaluate_rows(self, X, draws):
+        s = self.oracle.evaluate_rows(X, draws[:, :-1])
+        hit = draws[:, -1] == 1
+        if not hit.any():
+            return s
+        a = getattr(s, self.field)
+        return replace(s, **{self.field: np.where(hit.reshape((-1,) + (1,) * (a.ndim - 1)), self.edit(a), a)})
+
+
+POISONS = {
+    # (field, edit, problem knobs, the error's message): caught by the sample
+    # check, the solver's screen, its residual, and its budget.
+    "non_finite_sample": ("g_value", lambda a: a * np.nan, {}, "non-finite oracle sample at iteration 12"),
+    "overflowing_gradient": ("f_grad", lambda a: np.where(a != 0.0, np.copysign(1e308, a), a), {"sigma": 3.0},
+                             "non-finite state at iteration 12: vector has non-finite entries"),
+    "overflowing_jacobian": ("g_jacobian", lambda a: a * 1e300, {},
+                             "non-finite state at iteration 12: multiplier step has non-finite entries"),
+    "stiff_subproblem": ("g_jacobian", lambda a: a * 1e3, {"inner_max_iters": 3},
+                         "inner solver failed at outer iteration 12: inner solver did not converge"),
+}
+
+
+class TestBatchKernel:
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    @pytest.mark.parametrize("runner", [run_lsaal, run_laam], ids=["lsaal", "laam"])
+    def test_rows_match_solo_runs(self, m, runner, monkeypatch):
+        # Mixed horizons, thinnings and starts: each row of a batch of any
+        # size is bit for bit its trial run alone, metrics, final points and
+        # audit ratios included.
+        problem = batch_problem(m)
+        full_batch = runner is run_laam
+        for averaging in (True, False):
+            solo = [runner(problem, cfg, [probe_hook]) for cfg in batch_configs(10, problem.oracle, averaging)]
+            # Small prefetch blocks: the batch refills its draws, and pads the
+            # rows that end inside a block.
+            monkeypatch.setattr(lsaal_module, "PREFETCH_ROWS", 4)
+            for T in (1, 2, 5, 10):
+                records = run_lsaal_batch(problem, batch_configs(T, problem.oracle, averaging), [probe_hook],
+                                          full_batch=full_batch)
+                for rec, ref in zip(records, solo):
+                    assert_same_run(rec, ref)
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("kind", sorted(POISONS))
+    def test_failing_row_leaves_with_its_solo_error(self, kind):
+        # Trial 4 (horizon 37) fails at iteration 12; it leaves the batch with
+        # the error it raises alone, and the other rows run on unchanged.
+        field, edit, knobs, message = POISONS[kind]
+        poisoned = batch_problem(3, lambda oracle: PoisonedOracle(oracle, 4, 12, field, edit), **knobs)
+        clean = batch_problem(3, **knobs)
+        configs = batch_configs(10, clean.oracle)
+        with np.errstate(over="ignore", invalid="ignore"):
+            batch = run_lsaal_batch(poisoned, configs, [probe_hook])
+            with pytest.raises((DivergenceError, ConvergenceError)) as err:
+                run_lsaal(poisoned, configs[4], [probe_hook])
+        solo = err.value
+        failed = batch[4]
+        assert type(failed) is type(solo) and str(failed) == str(solo)
+        assert str(failed).startswith(message)
+        if isinstance(solo, DivergenceError):
+            assert failed.iteration == solo.iteration == 12
+        else:
+            assert failed.residual == solo.residual
+        assert failed.record.ks == list(range(3, 12, 3))  # the rows recorded before it
+        for t, cfg in enumerate(configs):
+            if t != 4:
+                assert_same_run(batch[t], run_lsaal(clean, cfg, [probe_hook]))
+
+    def test_configs_must_share_averaging(self, np_instance):
+        configs = [run_config(5, seed=0), replace(run_config(5, seed=1), averaging=False)]
+        with pytest.raises(ValueError, match="averaging"):
+            run_lsaal_batch(LsaalProblem(np_instance), configs)
+
+    def test_empty_batch(self, np_instance):
+        assert run_lsaal_batch(LsaalProblem(np_instance), []) == []
 
 
 class TestLinearizedPolarMonotonicity:

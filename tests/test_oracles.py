@@ -361,6 +361,27 @@ class TestNeymanPearsonOracle:
                     a, b = getattr(rows, name)[p], getattr(one, name)
                     assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b)), (K, p, name)
 
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_evaluate_rows_match_one_row_calls_bit_for_bit(self, m):
+        # The stacked samples of the LSAAL batch: each row has the bits of its
+        # point and draw evaluated alone, signed zeros included.
+        rng = np.random.default_rng(900 + m)
+        mats = {label: rng.normal(loc=0.5 * label, size=(4 + 5 * label, 6)) for label in range(m)}
+        for mat in mats.values():
+            mat[:, 2] = 0.0
+        oracle = NeymanPearsonOracle(ClassGroupedDataset(mats, 6), 3.0, r=rng.uniform(0.5, 2.0, size=m - 1))
+        X = np.array([oracle.feasible_set.prox(1.0, rng.normal(size=oracle.dim) * 4.0) for _ in range(12)])
+        X[5] = -0.0
+        idx = oracle.draws(rng, 12)
+        for K in (1, 2, 12):
+            rows = oracle.evaluate_rows(X[:K], idx[:K])
+            assert rows.f_value.shape == (K,) and rows.g_jacobian.shape == (K, m - 1, oracle.dim)
+            for p in range(K):
+                one = oracle.evaluate(X[p], idx[p])
+                for name in ("f_value", "f_grad", "g_value", "g_jacobian"):
+                    a, b = getattr(rows, name)[p], getattr(one, name)
+                    assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b)), (K, p, name)
+
     @pytest.mark.parametrize("sizes", [(100, 100, 100), (37, 100, 5000)])
     def test_draws_match_one_class_at_a_time(self, sizes):
         rng = np.random.default_rng(5)
