@@ -323,37 +323,6 @@ def _experiment_shared(config: ExperimentConfig):
     return EXPERIMENTS[config.experiment].shared(config)
 
 
-_KEPT_ROW = "kept_row"  # the one metric value the runners record per row
-
-
-class _KeptRows:
-    """The iterate and average of every row a runner records, in the order
-    it records them, stacked as (x | y).
-
-    `keep` is the runner's one metric hook: it copies the row's two points
-    and returns the row's index as the row's only value, so each RunRecord
-    row names its own kept point however the batch's rows come and go. The
-    metrics are computed from the kept points after the run.
-    """
-
-    def __init__(self, rows: int, dim: int):
-        self.iterates = np.empty((rows, dim))
-        self.averages = np.empty((rows, dim))
-        self.ks = []
-
-    def keep(self, k, z, avg):
-        i = len(self.ks)
-        np.concatenate((z.x, z.y), out=self.iterates[i])
-        np.concatenate((avg.x, avg.y), out=self.averages[i])
-        self.ks.append(k)
-        return {_KEPT_ROW: i}
-
-    def of(self, record: RunRecord):
-        """(iterates, averages) of the record's rows."""
-        rows = [values[_KEPT_ROW] for values in record.metrics]
-        return self.iterates[rows], self.averages[rows]
-
-
 def run_trial_batch(config: ExperimentConfig, pairs, shared: dict) -> list:
     """Execute the given (N, trial) pairs; one outcome per pair, in order.
 
@@ -368,27 +337,27 @@ def run_trial_batch(config: ExperimentConfig, pairs, shared: dict) -> list:
                          averaging=config.averaging, stream_id=derive_stream_id(config.seed, N, trial)),
                RandomSource(config.seed, derive_stream_id(config.seed, N, trial, "init")).generator())
               for N, trial in pairs]
-    return EXPERIMENTS[config.experiment].run_batch(config, starts, shared)
-
-
-def _recorded(run_cfg: RunConfig) -> int:
-    """Rows a run records: every trace_thinning-th k, and k = N."""
-    return -(-run_cfg.horizon // run_cfg.trace_thinning)
+    outcomes = EXPERIMENTS[config.experiment].run_batch(config, starts, shared)
+    for outcome in outcomes:
+        if isinstance(outcome, RunRecord):
+            # Scored: the CSVs read only its metrics, and a pool worker's
+            # records need not carry their points back to the parent process.
+            outcome.iterates = outcome.averages = None
+    return outcomes
 
 
 def _saps_batch(config, starts, problem: SapsProblem, score) -> list:
     """Run the starts as one run_saps_batch per horizon; `score` maps a
-    record's kept rows to its metrics."""
+    record's iterates and averages to its metrics."""
     configs = [replace(run_cfg, initial=PrimalDualPoint(init_rng.uniform(-1.0, 1.0, size=config.n),
                                                         init_rng.uniform(-1.0, 1.0, size=config.n)))
                for run_cfg, init_rng in starts]
-    kept = _KeptRows(sum(map(_recorded, configs)), 2 * config.n)
     outcomes = [None] * len(configs)
     for N in dict.fromkeys(c.horizon for c in configs):
         group = [i for i, c in enumerate(configs) if c.horizon == N]
-        for i, outcome in zip(group, run_saps_batch(problem, [configs[i] for i in group], [kept.keep])):
+        for i, outcome in zip(group, run_saps_batch(problem, [configs[i] for i in group])):
             if isinstance(outcome, RunRecord):
-                outcome.metrics = score(*kept.of(outcome))
+                outcome.metrics = score(outcome.iterates, outcome.averages)
             outcomes[i] = outcome
     return outcomes
 
@@ -441,21 +410,20 @@ def _np_shared(config: ExperimentConfig):
 
 def _np_batch(config, starts, shared: dict) -> list:
     """The starts as one run_lsaal_batch (full_batch for laam), each trial
-    then scored on its kept rows."""
+    then scored on its recorded rows."""
     problem = shared["problem"]
     oracle = problem.oracle
     z0s = [PrimalDualPoint(oracle.feasible_set.prox(1.0, init_rng.uniform(-1.0, 1.0, size=oracle.dim)),
                            np.zeros(oracle.cone.dim)) for _, init_rng in starts]
     configs = [replace(run_cfg, initial=z0) for (run_cfg, _), z0 in zip(starts, z0s)]
-    kept = _KeptRows(sum(map(_recorded, configs)), oracle.dim + oracle.cone.dim)
-    outcomes = run_lsaal_batch(problem, configs, [kept.keep], full_batch=config.algorithm == "laam")
+    outcomes = run_lsaal_batch(problem, configs, full_batch=config.algorithm == "laam")
     for i, (outcome, z0) in enumerate(zip(outcomes, z0s)):
         # A failed trial is still scored on the rows it recorded: a divergence
         # at one of them came before the solver's error.
         failed = isinstance(outcome, (DivergenceError, ConvergenceError))
         record = outcome.record if failed else outcome
         try:
-            metrics, base_norm = _np_metrics(problem, z0, *kept.of(record), record.ks)
+            metrics, base_norm = _np_metrics(problem, z0, record.iterates, record.averages, record.ks)
         except DivergenceError as exc:
             outcomes[i] = exc
             continue
@@ -471,7 +439,7 @@ def _np_batch(config, starts, shared: dict) -> list:
 
 
 def _np_metrics(problem: LsaalProblem, z0: PrimalDualPoint, Z, A, ks):
-    """The metric rows of a Neyman-Pearson trial's kept iterates Z and
+    """The metric rows of a Neyman-Pearson trial's recorded iterates Z and
     averages A, recorded at iterations ks, and the Lagrangian-gradient norm
     at its start z0.
 
@@ -511,18 +479,24 @@ def _np_diagnose(config: ExperimentConfig) -> None:
     problem = _experiment_shared(config)["problem"]
     N = max(config.N_list)
     rng = RandomSource(config.seed, derive_stream_id(config.seed, "diagnose")).generator()
-    constants = estimate_constants(problem.oracle, rng)
     sigma = problem.resolve_sigma(N)
     s = math.isqrt(N - 1) + 1  # ceil(sqrt(N))
+    # A degenerate instance (a ball too large or too small for double
+    # precision, or data normalized to zero) has no finite positive constants.
+    try:
+        constants = estimate_constants(problem.oracle, rng)
+        diag = multiplier_bound_diagnostics(constants, sigma, s) if constants.slater_margin else None
+    except (ValueError, OverflowError) as exc:
+        reason = "a constant overflows" if isinstance(exc, OverflowError) else exc
+        raise ConfigError(f"cannot estimate the instance constants of this config: {reason}") from None
     print(f"# constants estimated by sampled maximization (N={N}, sigma={sigma!r}, s={s})")
     print(f"R={constants.R!r} (exact from feasible-set geometry)")
     for name in ("nu_g", "kappa_f", "kappa_g", "nu_f", "slater_margin"):
         print(f"{name}={getattr(constants, name)!r} (estimated)")
     print(f"beta0={constants.beta0!r} (estimated)")
-    if constants.slater_margin is None:
+    if diag is None:
         print("# multiplier diagnostics skipped: no Slater margin")
         return
-    diag = multiplier_bound_diagnostics(constants, sigma, s)
     for name in ("kappa1", "kappa2", "kappa3", "delta1", "theta_sigma_s"):
         print(f"{name}={getattr(diag, name)!r} (estimated)")
 

@@ -1,5 +1,6 @@
 """Shared numeric types: primal-dual points, step schedules, run configuration,
-per-run traces, problem constants, and the reproducible random-stream contract.
+per-run traces, the rows of a running solver batch, problem constants, and the
+reproducible random-stream contract.
 
 All vectors are 1-D float64 numpy arrays with finite entries. Scalars are
 double precision throughout; finiteness means exact IEEE finiteness.
@@ -10,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import math
 import numbers
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -228,18 +230,19 @@ class RunRecord:
 
     One row per recorded (possibly thinned) iteration: iteration index, step
     size, metric values, and the solver's elapsed wall time in seconds. The
-    points of a row reach the metric hooks and are not stored here. The CLI's
-    one hook keeps them elsewhere and returns the row's index as its metric
-    values; after the run the CLI replaces each row's values with the metrics
-    computed from its kept points, so `elapsed` leaves that work out. The
-    run's last iterate and average land in `final_iterate`/`final_average`,
-    run-level scalars in `final_metrics`.
+    row's iterate and average are copied into row i of `iterates` and
+    `averages`, two (rows, n + m) arrays of stacked (x | y); metric hooks see
+    views of those copies, and a caller without hooks scores the arrays
+    after the run. The run's last iterate and average land in
+    `final_iterate`/`final_average`, run-level scalars in `final_metrics`.
     """
 
     ks: list = field(default_factory=list)
     gammas: list = field(default_factory=list)
     metrics: list = field(default_factory=list)
     elapsed: list = field(default_factory=list)
+    iterates: np.ndarray | None = None
+    averages: np.ndarray | None = None
     final_average: PrimalDualPoint | None = None
     final_iterate: PrimalDualPoint | None = None
     final_metrics: dict = field(default_factory=dict)
@@ -253,6 +256,100 @@ class RunRecord:
         self.gammas.append(float(gamma))
         self.metrics.append(dict(metric_values))
         self.elapsed.append(float(elapsed_s))
+
+
+class _Rows:
+    """The rows still running in a solver batch: each one's random stream,
+    RunRecord, horizon and thinning, their prefetched oracle draws, and the
+    kernel's own per-row arrays, given as keyword arguments.
+
+    Row t of the kernel's stacked state is the trial at position index[t] of
+    its caller's list. A row records every thinning-th iteration and its
+    last one; `due` is the next iteration at which any row records, so an
+    iteration that records no row costs the kernel one comparison with it.
+    """
+
+    def __init__(self, oracle, configs, rngs, n: int, dim: int, **state):
+        self.oracle, self.rngs, self.n = oracle, list(rngs), n
+        self.index = list(range(len(configs)))
+        self.horizons = [c.horizon for c in configs]
+        self.thinnings = [c.trace_thinning for c in configs]
+        # One array pair for the batch, each record holding its own rows' slice.
+        counts = [-(-c.horizon // c.trace_thinning) for c in configs]
+        stops = np.cumsum(counts).tolist()
+        iterates, averages = np.empty((stops[-1], dim)), np.empty((stops[-1], dim))
+        self.records = [RunRecord(iterates=iterates[stop - count:stop], averages=averages[stop - count:stop])
+                        for count, stop in zip(counts, stops)]
+        self.nexts = [min(t, N) for N, t in zip(self.horizons, self.thinnings)]
+        self.due = min(self.nexts)
+        self.block = None  # prefetched draws, (draws, rows, ...)
+        self.state = tuple(state)
+        self.__dict__.update(state)
+        self.t0 = time.perf_counter()
+
+    def draws(self, k: int) -> np.ndarray:
+        """The rows' draws for iteration k. Each stream serves min(PREFETCH_ROWS,
+        N - k + 1) draws at a time, exactly its horizon N in all; a row with
+        fewer draws left than the block holds is padded with zeros past N."""
+        at = (k - 1) % PREFETCH_ROWS
+        if at == 0:
+            blocks = [self.oracle.draws(rng, min(PREFETCH_ROWS, N - k + 1)) for rng, N in zip(self.rngs, self.horizons)]
+            self.block = np.zeros((max(map(len, blocks)), len(blocks)) + blocks[0].shape[1:], dtype=blocks[0].dtype)
+            for row, block in enumerate(blocks):
+                self.block[:len(block), row] = block
+        return self.block[at]
+
+    def record(self, k: int, gamma, Z, A, hooks=()) -> dict:
+        """Record the rows due at iteration k = `due`: copy each one's iterate
+        Z[row] and average A[row] into its RunRecord with its step (gamma, or
+        gamma[row] for an array), and call the hooks on views of the copies.
+
+        Returns row -> the DivergenceError a hook raised; that row records
+        nothing at k.
+        """
+        errors = {}
+        gammas = np.broadcast_to(gamma, len(self.index))
+        n = self.n
+        for row, (N, thinning) in enumerate(zip(self.horizons, self.thinnings)):
+            if self.nexts[row] != k:
+                continue
+            record = self.records[row]
+            z, a = record.iterates[len(record.ks)], record.averages[len(record.ks)]
+            z[:], a[:] = Z[row], A[row]
+            values = {}
+            if hooks:
+                iterate, average = PrimalDualPoint(z[:n], z[n:]), PrimalDualPoint(a[:n], a[n:])
+                try:
+                    for hook in hooks:
+                        values.update(hook(k, iterate, average))
+                except DivergenceError as exc:
+                    errors[row] = exc
+                    continue
+            record.append(k, gammas[row], values, time.perf_counter() - self.t0)
+            self.nexts[row] = min(k + thinning, N)
+        self.due = min(self.nexts)
+        return errors
+
+    def drop(self, errors: dict, outcomes: list, finished=()) -> np.ndarray:
+        """Hand each row in `errors` its error, with the rows the trial
+        recorded before it as the error's `record`, and forget those rows
+        and the finished ones. Returns the mask of the rows that run on."""
+        keep = np.ones(len(self.index), dtype=bool)
+        keep[list(finished)] = False
+        for row, exc in errors.items():
+            record = self.records[row]
+            record.iterates, record.averages = record.iterates[:len(record.ks)], record.averages[:len(record.ks)]
+            exc.record = record
+            outcomes[self.index[row]] = exc
+            keep[row] = False
+        for name in ("rngs", "index", "records", "horizons", "thinnings", "nexts"):
+            setattr(self, name, [v for v, kept in zip(getattr(self, name), keep) if kept])
+        for name in self.state:
+            setattr(self, name, getattr(self, name)[keep])
+        if self.block is not None:
+            self.block = self.block[:, keep]
+        self.due = min(self.nexts, default=0)
+        return keep
 
 
 @dataclass(frozen=True)

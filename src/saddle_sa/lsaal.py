@@ -31,13 +31,11 @@ kappa1/(sigma*s) + kappa2*sigma + kappa3*sigma*s for a window length s.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
-    PREFETCH_ROWS,
     ConvergenceError,
     DivergenceError,
     ProblemConstants,
@@ -45,10 +43,11 @@ from .core import (
     RunConfig,
     RunRecord,
     _row_dots,
+    _Rows,
     as_vector,
 )
 from .cones import ConvexCone
-from .oracles import ConicSample
+from .oracles import ConicSample, _one_row
 from .prox import ProximableFunction
 
 __all__ = [
@@ -108,10 +107,6 @@ class XSubproblemSpec:
     sample: ConicSample
     sigma: float
     cone: ConvexCone
-
-
-def _one_row(sample: ConicSample) -> ConicSample:
-    return ConicSample(sample.f_value, sample.f_grad[None], sample.g_value[None], sample.g_jacobian[None])
 
 
 def _take(sample: ConicSample, rows) -> ConicSample:
@@ -270,10 +265,11 @@ def run_lsaal(problem: LsaalProblem, config: RunConfig, metric_hooks=()) -> RunR
     """Stochastic run: one oracle sample per outer iteration; the one-row
     case of run_lsaal_batch.
 
-    Metric hooks are called at recorded iterations as hook(k, iterate,
-    average) and return name->value maps; the points share memory with the
-    solver's state, which is never updated in place, so a hook may keep them
-    but must not write to them.
+    Every trace_thinning-th outer iteration and the last are recorded: the
+    record keeps their iterates and averages, and metric hooks are called
+    there as hook(k, iterate, average) and return name->value maps. The
+    points are views of the record's copies, so a hook may keep them but
+    must not write to them.
     """
     return _one(run_lsaal_batch(problem, [config], metric_hooks))
 
@@ -298,45 +294,6 @@ def _start(config: RunConfig, rng: np.random.Generator, oracle):
         return (oracle.feasible_set.prox(1.0, np.asarray(config.initial.x, dtype=float)),
                 as_vector(config.initial.y, dim=oracle.cone.dim, name="initial y"))
     return oracle.feasible_set.prox(1.0, rng.uniform(-1.0, 1.0, size=oracle.dim)), np.zeros(oracle.cone.dim)
-
-
-class _Rows:
-    """The rows still running in a batch: one entry per row in each of the
-    columns given at construction (numpy arrays along their first axis, the
-    prefetched draws along their second, or lists)."""
-
-    def __init__(self, **columns):
-        self.columns = tuple(columns)
-        self.__dict__.update(columns)
-
-    def drop(self, errors: dict, outcomes: list, finished=()) -> np.ndarray:
-        """Hand each row in `errors` its error, with the rows the trial
-        recorded before it as the error's `record`, and forget those rows
-        and the finished ones. Returns the mask of the rows that run on."""
-        keep = np.ones(len(self.index), dtype=bool)
-        keep[list(finished)] = False
-        for row, exc in errors.items():
-            exc.record = self.records[row]
-            outcomes[self.index[row]] = exc
-            keep[row] = False
-        for name in self.columns:
-            value = getattr(self, name)
-            if isinstance(value, list):
-                setattr(self, name, [v for v, k in zip(value, keep) if k])
-            else:
-                setattr(self, name, value[:, keep] if name == "draws" else value[keep])
-        return keep
-
-
-def _draw_block(oracle, rngs, remaining) -> np.ndarray:
-    """Each row's next min(PREFETCH_ROWS, remaining) draws from its stream,
-    as one (draws, rows, ...) array; a row with fewer draws left is padded
-    with zeros past its horizon."""
-    blocks = [oracle.draws(rng, min(PREFETCH_ROWS, left)) for rng, left in zip(rngs, remaining)]
-    out = np.zeros((max(map(len, blocks)), len(blocks)) + blocks[0].shape[1:], dtype=blocks[0].dtype)
-    for row, block in enumerate(blocks):
-        out[:len(block), row] = block
-    return out
 
 
 def run_lsaal_batch(problem: LsaalProblem, configs, metric_hooks=(), full_batch: bool = False) -> list:
@@ -371,26 +328,19 @@ def run_lsaal_batch(problem: LsaalProblem, configs, metric_hooks=(), full_batch:
     starts = [_start(c, rng, oracle) for c, rng in zip(configs, rngs)]
     X, Y = np.stack([x for x, _ in starts]), np.stack([y for _, y in starts])
     zeros = np.zeros(len(configs))
-    rows = _Rows(index=list(range(len(configs))), rngs=rngs, records=[RunRecord() for _ in configs],
-                 horizons=[c.horizon for c in configs], thinnings=[c.trace_thinning for c in configs],
+    rows = _Rows(oracle, configs, rngs, oracle.dim, oracle.dim + cone.dim,
                  sigma=np.array([problem.resolve_sigma(c.horizon) for c in configs]),
                  X=X, Y=Y, avg_x=np.zeros_like(X), avg_y=np.zeros_like(Y),
                  y_norm=np.sqrt(_row_dots(Y, Y)), y_norm_max=zeros, y_step_max=zeros, x_ratio_max=zeros,
-                 y_ratio_max=zeros, draws=np.empty((0, len(configs))))
+                 y_ratio_max=zeros)
 
     constants = problem.constants
     audit_bounds = constants is not None and None not in (
         constants.R, constants.nu_g, constants.kappa_f, constants.kappa_g)
-    t0 = time.perf_counter()
     k = 0
     while rows.index:
         k += 1
-        if full_batch:
-            S = oracle.full_batch_rows(rows.X)
-        else:
-            if (k - 1) % PREFETCH_ROWS == 0:
-                rows.draws = _draw_block(oracle, rows.rngs, [N - k + 1 for N in rows.horizons])
-            S = oracle.evaluate_rows(rows.X, rows.draws[(k - 1) % PREFETCH_ROWS])
+        S = oracle.full_batch_rows(rows.X) if full_batch else oracle.evaluate_rows(rows.X, rows.draws(k))
         errors = _check_sample_rows(S, oracle, k)
         if errors:
             S = _take(S, rows.drop(errors, outcomes))
@@ -428,25 +378,13 @@ def run_lsaal_batch(problem: LsaalProblem, configs, metric_hooks=(), full_batch:
         rows.y_norm = y_norm
         rows.y_norm_max = np.maximum(rows.y_norm_max, y_norm)
         rows.X, rows.Y = X, Y
+        if k != rows.due:
+            continue
 
-        errors, ended = {}, []
-        for row, (N, thinning) in enumerate(zip(rows.horizons, rows.thinnings)):
-            if k % thinning and k != N:
-                continue
-            # Views: the loop rebinds its arrays and never writes them in place.
-            iterate = PrimalDualPoint(X[row], Y[row])
-            average = PrimalDualPoint(rows.avg_x[row], rows.avg_y[row])
-            values = {}
-            try:
-                for hook in metric_hooks:
-                    values.update(hook(k, iterate, average))
-            except DivergenceError as exc:
-                errors[row] = exc
-                continue
+        errors = rows.record(k, rows.sigma, np.hstack((X, Y)), np.hstack((rows.avg_x, rows.avg_y)), metric_hooks)
+        ended = [row for row, N in enumerate(rows.horizons) if N == k and row not in errors]
+        for row in ended:
             record = rows.records[row]
-            record.append(k, rows.sigma[row], values, time.perf_counter() - t0)
-            if k < N:
-                continue
             record.final_iterate = PrimalDualPoint(X[row].copy(), Y[row].copy())
             record.final_average = PrimalDualPoint(rows.avg_x[row].copy(), rows.avg_y[row].copy())
             record.final_metrics = {"sigma": float(rows.sigma[row]), "y_norm_max": float(rows.y_norm_max[row]),
@@ -455,7 +393,6 @@ def run_lsaal_batch(problem: LsaalProblem, configs, metric_hooks=(), full_batch:
                 record.final_metrics.update(x_step_bound_ratio_max=float(rows.x_ratio_max[row]),
                                             y_step_bound_ratio_max=float(rows.y_ratio_max[row]))
             outcomes[rows.index[row]] = record
-            ended.append(row)
         if errors or ended:
             rows.drop(errors, outcomes, ended)
     return outcomes

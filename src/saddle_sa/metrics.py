@@ -9,12 +9,13 @@ KKT residuals, log-log rate fits, and tail tallies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import PrimalDualPoint, _row_dots, as_vector
 from .cones import ConvexCone
+from .oracles import _one_row
 from .prox import ProximableFunction
 
 __all__ = [
@@ -95,11 +96,6 @@ def lagrangian_grad(fb, y: np.ndarray) -> np.ndarray:
     """Stacked gradient (grad_x l, grad_y l) = (grad f + Dg^T y, g(x)) of the
     Lagrangian l(x,y) = f(x) + <y, g(x)>, from the full-batch sample `fb` at x."""
     return _lagrangian_grad_rows(_one_row(fb), np.asarray(y, dtype=float)[None])[0]
-
-
-def _one_row(fb):
-    """A one-point sample as a stack of one row."""
-    return replace(fb, f_grad=fb.f_grad[None], g_value=fb.g_value[None], g_jacobian=fb.g_jacobian[None])
 
 
 def _lagrangian_grad_rows(fb, Y: np.ndarray) -> np.ndarray:

@@ -50,6 +50,11 @@ class ConicSample:
     g_jacobian: np.ndarray
 
 
+def _one_row(sample: ConicSample) -> ConicSample:
+    """A one-point sample as a stack of one row (its f_value stays a scalar)."""
+    return ConicSample(sample.f_value, sample.f_grad[None], sample.g_value[None], sample.g_jacobian[None])
+
+
 def _pair_dots(S: np.ndarray, Z: np.ndarray) -> np.ndarray:
     """(T, 2) array of (s1.x, s2.y) for the draws S, a (T, 2, n) stack of
     (s1, s2) or a (T, 1, n) stack of s1 = s2, and the rows z = (x | y) of Z,

@@ -24,18 +24,17 @@ returns one (n + m) direction row per trial.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
     DIVERGENCE_NORM_BOUND,
-    PREFETCH_ROWS,
     DivergenceError,
     PrimalDualPoint,
     RunConfig,
     RunRecord,
+    _Rows,
     gamma_at,
 )
 from .prox import BlockSeparable, ProximableFunction
@@ -69,54 +68,11 @@ def _default_initial(rng: np.random.Generator, n: int, m: int) -> PrimalDualPoin
     return PrimalDualPoint(v[:n], v[n:])
 
 
-class _Trials:
-    """The rows still running in a batch: their streams, records and draws.
-
-    Each trial's draws come from `oracle.draws(rng, count)`, PREFETCH_ROWS at
-    a time, which yields the bits of one draw per iteration; each step's
-    directions come from one `oracle.directions(Z, draws)`.
-    """
-
-    def __init__(self, oracle, rngs, horizon: int):
-        self.oracle = oracle
-        self.rngs = rngs
-        self.index = list(range(len(rngs)))  # row -> position in the caller's list
-        self.records = [RunRecord() for _ in rngs]
-        self.undrawn = horizon
-        self.block = np.empty((0, len(rngs)))  # prefetched draws, (draws, rows, ...); none yet
-        self.cursor = 0
-
-    def directions(self, Z):
-        if self.cursor == self.block.shape[0]:
-            count = min(PREFETCH_ROWS, self.undrawn)
-            self.block = np.stack([self.oracle.draws(rng, count) for rng in self.rngs], axis=1)
-            self.undrawn -= count
-            self.cursor = 0
-        D = self.oracle.directions(Z, self.block[self.cursor])
-        self.cursor += 1
-        return D
-
-    def drop(self, errors: dict, outcomes: list):
-        """Hand each row in `errors` its DivergenceError and forget it.
-
-        Returns the mask of the rows that run on.
-        """
-        keep = np.ones(len(self.index), dtype=bool)
-        for row, exc in errors.items():
-            outcomes[self.index[row]] = exc
-            keep[row] = False
-        self.rngs = [r for r, k in zip(self.rngs, keep) if k]
-        self.index = [i for i, k in zip(self.index, keep) if k]
-        self.records = [r for r, k in zip(self.records, keep) if k]
-        self.block = self.block[:, keep]
-        return keep
-
-
 def _shared_settings(configs):
     first = configs[0]
-    settings = (first.horizon, first.schedule, first.trace_thinning, first.averaging)
-    if any((c.horizon, c.schedule, c.trace_thinning, c.averaging) != settings for c in configs):
-        raise ValueError("trials of one batch must share horizon, schedule, trace_thinning and averaging")
+    settings = (first.horizon, first.schedule, first.averaging)
+    if any((c.horizon, c.schedule, c.averaging) != settings for c in configs):
+        raise ValueError("trials of one batch must share horizon, schedule and averaging")
     return settings
 
 
@@ -136,20 +92,21 @@ def _guard(Z, n: int, k: int):
 def run_saps_batch(problem: SapsProblem, configs, metric_hooks=()) -> list:
     """Run one prox-subgradient trial per config, all advancing together.
 
-    The configs must share horizon, schedule, trace_thinning and averaging;
-    each brings its own random stream (seed, stream_id) and initial point.
-    A trial draws its default initial point first, then its oracle draws, all
-    from its own stream, so its row is bit-for-bit the trial run alone.
+    The configs must share horizon, schedule and averaging; each brings its
+    own random stream (seed, stream_id), initial point and trace_thinning.
+    A trial draws its default initial point first, then its oracle draws,
+    all from its own stream, so its row is bit-for-bit the trial run alone.
 
     Returns one entry per config: its RunRecord, or the DivergenceError that
-    ended it. A trial that diverges leaves the batch; the others run on. The
+    ended it, with the rows the trial recorded before it as the error's
+    `record`. A trial that diverges leaves the batch; the others run on. The
     recording contract is run_saps's.
     """
     configs = list(configs)
     outcomes = [None] * len(configs)
     if not configs:
         return outcomes
-    horizon, schedule, thinning, averaging = _shared_settings(configs)
+    horizon, schedule, averaging = _shared_settings(configs)
     if schedule is None:
         raise ValueError("SAPS needs a step-size schedule; RunConfig.schedule is None")
     oracle = problem.oracle
@@ -159,34 +116,21 @@ def run_saps_batch(problem: SapsProblem, configs, metric_hooks=()) -> list:
     n, m = starts[0].n, starts[0].m
     if any((z.n, z.m) != (n, m) for z in starts):
         raise ValueError("initial points of one batch must have equal dimensions")
-    trials = _Trials(oracle, rngs, horizon)
+    rows = _Rows(oracle, configs, rngs, n, n + m)
     Z = np.stack([z.stacked() for z in starts])
     # With theta is omega (the same object) over blocks of equal size this is
     # one row prox over 2T rows.
     block_prox = BlockSeparable([(problem.theta, n), (problem.omega, m)])
     avg, weight = Z, 0.0
-    t0 = time.perf_counter()
     for k in range(1, horizon + 1):
         gamma = gamma_at(schedule, k, horizon)  # positive and finite: RunConfig checks the last step
         if averaging:
             avg, weight = _fold(avg, weight, Z, gamma)
         else:
             avg = Z
-        errors = {}  # row -> the DivergenceError that ends it at this iteration
-        if k % thinning == 0 or k == horizon:
-            for row, record in enumerate(trials.records):
-                # Views: the loop rebinds Z and avg and never writes them in place.
-                z = PrimalDualPoint(Z[row, :n], Z[row, n:])
-                a = PrimalDualPoint(avg[row, :n], avg[row, n:]) if averaging else z
-                values = {}
-                try:
-                    for hook in metric_hooks:
-                        values.update(hook(k, z, a))
-                except DivergenceError as exc:
-                    errors[row] = exc
-                    continue
-                record.append(k, gamma, values, time.perf_counter() - t0)
-        D = trials.directions(Z)  # descent in x, ascent in y
+        # row -> the DivergenceError that ends it at this iteration
+        errors = rows.record(k, gamma, Z, avg, metric_hooks) if k == rows.due else {}
+        D = oracle.directions(Z, rows.draws(k))  # descent in x, ascent in y
         # A shape mismatch is a programming error, not divergence.
         if D.shape != Z.shape:
             raise ValueError(f"sample direction dimensions do not match the iterate at iteration {k}")
@@ -200,17 +144,17 @@ def run_saps_batch(problem: SapsProblem, configs, metric_hooks=()) -> list:
         # Leave before the prox: the row prox is unchecked, and some (PositivePartSum)
         # map NaN to 0, so a NaN gradient would turn silently into a finite iterate.
         if errors:
-            keep = trials.drop(errors, outcomes)
+            keep = rows.drop(errors, outcomes)
             V, avg = V[keep], avg[keep]
-            if not trials.index:
+            if not rows.index:
                 break
         Z = block_prox._prox_rows(gamma, V)
         if not np.abs(Z).max() <= DIVERGENCE_NORM_BOUND:
-            keep = trials.drop(_guard(Z, n, k), outcomes)
+            keep = rows.drop(_guard(Z, n, k), outcomes)
             Z, avg = Z[keep], avg[keep]
-            if not trials.index:
+            if not rows.index:
                 break
-    for row, (i, record) in enumerate(zip(trials.index, trials.records)):
+    for row, (i, record) in enumerate(zip(rows.index, rows.records)):
         record.final_average = PrimalDualPoint(avg[row, :n].copy(), avg[row, n:].copy())
         record.final_iterate = PrimalDualPoint(Z[row, :n].copy(), Z[row, n:].copy())
         outcomes[i] = record
@@ -221,10 +165,11 @@ def run_saps(problem: SapsProblem, config: RunConfig, metric_hooks=()) -> RunRec
     """Run the prox-subgradient solver for config.horizon iterations.
 
     The average covers the pre-update iterates z^1..z^N (the returned final
-    iterate z^{N+1} is not folded in). Metric hooks are called at recorded
-    iterations as hook(k, iterate, average) and return name->value maps;
-    the points share memory with the solver's state, which is never updated
-    in place, so a hook may keep them but must not write to them.
+    iterate z^{N+1} is not folded in). Every trace_thinning-th iteration and
+    the last are recorded: the record keeps their iterates and averages, and
+    metric hooks are called there as hook(k, iterate, average) and return
+    name->value maps. The points are views of the record's copies, so a hook
+    may keep them but must not write to them.
     With averaging disabled the averaged slots carry the raw iterate.
     This is the one-trial case of run_saps_batch.
     """

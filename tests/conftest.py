@@ -214,6 +214,20 @@ def recording_hook(seen: list):
     return hook
 
 
+def point_hook(k, z, avg):
+    """Metric hook whose values are the row's two points, as bytes."""
+    return {"iterate": z.stacked().tobytes(), "average": avg.stacked().tobytes()}
+
+
+def assert_kept_points_seen(record, dim: int):
+    """The record's iterates and averages are, row for row, the points
+    point_hook saw, with one row per recorded iteration."""
+    for name, kept in (("iterate", record.iterates), ("average", record.averages)):
+        seen = np.array([np.frombuffer(values[name]) for values in record.metrics]).reshape(len(record.ks), dim)
+        assert kept.shape == (len(record.ks), dim)
+        assert np.array_equal(kept, seen)
+
+
 def random_prox_instances(rng: np.random.Generator, dim: int):
     """One random instance of every prox kind, with a value-grid bound."""
     mu = float(rng.uniform(0.1, 2.0))

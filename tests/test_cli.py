@@ -20,7 +20,7 @@ from saddle_sa.cli import (
     run_experiment,
 )
 from saddle_sa import lsaal as lsaal_module
-from saddle_sa.core import ConvergenceError, DivergenceError, PrimalDualPoint
+from saddle_sa.core import ConvergenceError, DivergenceError, PrimalDualPoint, RunRecord
 from saddle_sa.oracles import ConicSample, NeymanPearsonOracle
 
 
@@ -432,6 +432,26 @@ class TestMainEntry:
         assert "multiplier diagnostics skipped: no Slater margin" in out
         assert "kappa1" not in out
 
+    @pytest.mark.parametrize("override, reason", [
+        ("lambda=1e200", "a constant overflows"),
+        ("lambda=1e308", "feasible set must be bounded to estimate a diameter"),
+        ("separation=1e300", "kappa_f must be strictly positive and finite, got 0.0"),
+    ], ids=["overflowing_diameter", "unbounded_ball", "zero_gradients"])
+    def test_degenerate_instance_diagnose_is_config_error(self, tmp_path, capsys, override, reason):
+        # run accepts each of these configs; diagnose finds no finite positive
+        # constants to print and says so in one line.
+        cfg_path = tmp_path / "np.cfg"
+        cfg_path.write_text("experiment=neyman_pearson\nalgorithm=lsaal\nn=3\nm_classes=2\n"
+                            "points_per_class=10\nN_list=10,20\ntrials=2\nparallel=1\n", encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert main(["run", str(cfg_path), "--out", str(tmp_path / "out"), "--set", override]) == 0
+        capsys.readouterr()
+        assert main(["diagnose", str(cfg_path), "--set", override]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot estimate the instance constants of this config: {reason}\n"
+
     def test_one_class_dataset_is_data_error(self, tmp_path, capsys):
         data = tmp_path / "one.libsvm"
         data.write_text("1 1:0.5 2:0.1\n1 1:0.2\n", encoding="utf-8")
@@ -804,7 +824,7 @@ class TestNeymanPearsonMetrics:
         oracle = NeymanPearsonOracle(synth_gaussian_classes(rng, m, 4, 12, 1.0), 2.0)
         problem = LsaalProblem(oracle)
         rows, dim = 1200, oracle.dim
-        kept = cli._KeptRows(rows, dim + m - 1)
+        kept = RunRecord(iterates=np.empty((rows, dim + m - 1)), averages=np.empty((rows, dim + m - 1)))
         for points in (kept.iterates, kept.averages):
             points[:, :dim] = indicator_points(oracle.feasible_set, rng, rows)
             points[:, dim:] = np.maximum(rng.normal(size=(rows, m - 1)), 0.0) * rng.uniform(0.0, 4.0, size=(rows, 1))
@@ -926,6 +946,30 @@ class TestAnyNumericValue:
                     code = main(["run", str(cfg_path), "--out", str(Path(tmp) / "out"),
                                  "--set", f"{key}={value}"])
             assert code in (0, 1, 2)
+
+        check()
+
+    def test_diagnose_exits_0_or_1(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        values = st.one_of(
+            st.integers(-3, 12).map(str),
+            st.floats(allow_nan=True, allow_infinity=True).map(repr),
+            st.sampled_from(["nan", "-inf", "inf", "-0.0", "1e308", "1e200", "1e-300", "5e-324", "2.5", "", "1,2"]),
+        )
+
+        @hypothesis.settings(max_examples=200, deadline=None, derandomize=True,
+                             suppress_health_check=[hypothesis.HealthCheck.too_slow])
+        @hypothesis.given(st.sampled_from(sorted(TINY_CONFIGS)), st.sampled_from(_numeric_keys()),
+                          values)
+        def check(pair, key, value):
+            with tempfile.TemporaryDirectory() as tmp:
+                cfg_path = Path(tmp) / "tiny.cfg"
+                cfg_path.write_text(TINY_CONFIGS[pair] + "N_list=4\ntrials=1\nparallel=1\n", encoding="utf-8")
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", RuntimeWarning)
+                    code = main(["diagnose", str(cfg_path), "--set", f"{key}={value}"])
+            assert code in (0, 1)
 
         check()
 

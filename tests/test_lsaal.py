@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import recording_hook
+from conftest import assert_kept_points_seen, point_hook, recording_hook
 from saddle_sa import (
     BallIndicator,
     BoxIndicator,
@@ -29,7 +29,7 @@ from saddle_sa import (
     solve_x_subproblem,
     synth_gaussian_classes,
 )
-from saddle_sa import lsaal as lsaal_module
+from saddle_sa import core as core_module
 from saddle_sa.oracles import NeymanPearsonOracle
 
 
@@ -647,7 +647,7 @@ class TestBatchKernel:
             solo = [runner(problem, cfg, [probe_hook]) for cfg in batch_configs(10, problem.oracle, averaging)]
             # Small prefetch blocks: the batch refills its draws, and pads the
             # rows that end inside a block.
-            monkeypatch.setattr(lsaal_module, "PREFETCH_ROWS", 4)
+            monkeypatch.setattr(core_module, "PREFETCH_ROWS", 4)
             for T in (1, 2, 5, 10):
                 records = run_lsaal_batch(problem, batch_configs(T, problem.oracle, averaging), [probe_hook],
                                           full_batch=full_batch)
@@ -679,6 +679,27 @@ class TestBatchKernel:
         for t, cfg in enumerate(configs):
             if t != 4:
                 assert_same_run(batch[t], run_lsaal(clean, cfg, [probe_hook]))
+
+    @pytest.mark.parametrize("T", [1, 2, 5])
+    @pytest.mark.parametrize("runner", [run_lsaal, run_laam], ids=["lsaal", "laam"])
+    def test_records_keep_the_points_hooks_see(self, T, runner):
+        # Thinnings 3 and 7 on horizons 37 and 100, which they do not divide:
+        # each record keeps the points its hook saw, with or without hooks.
+        problem = batch_problem(3)
+        dim = problem.oracle.dim + problem.oracle.cone.dim
+        full_batch = runner is run_laam
+        for averaging in (True, False):
+            configs = batch_configs(T, problem.oracle, averaging)
+            records = run_lsaal_batch(problem, configs, [point_hook], full_batch=full_batch)
+            for cfg, rec, bare in zip(configs, records, run_lsaal_batch(problem, configs, full_batch=full_batch)):
+                N, thinning = cfg.horizon, cfg.trace_thinning
+                assert rec.ks == [k for k in range(1, N + 1) if k % thinning == 0 or k == N]
+                assert_kept_points_seen(rec, dim)
+                assert np.array_equal(rec.iterates, bare.iterates)
+                assert np.array_equal(rec.averages, bare.averages)
+                assert np.array_equal(rec.iterates[-1], rec.final_iterate.stacked())
+                if not averaging:
+                    assert np.array_equal(rec.averages, rec.iterates)
 
     def test_configs_must_share_averaging(self, np_instance):
         configs = [run_config(5, seed=0), replace(run_config(5, seed=1), averaging=False)]

@@ -1,9 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import recording_hook, scalar_evaluate
+from conftest import assert_kept_points_seen, point_hook, recording_hook, scalar_evaluate
 from saddle_sa import (
     BilinearEvaluator,
     BilinearOracle,
@@ -23,7 +24,7 @@ from saddle_sa import (
     run_saps,
     run_saps_batch,
 )
-from saddle_sa import saps as saps_module
+from saddle_sa import core as core_module
 
 
 class DeterministicOracle:
@@ -361,7 +362,7 @@ class TestBatchKernel:
                         solo[averaging, thin, given, t] = run_saps(
                             problem, trial_config(t, N, thin, averaging, given), [probe_hook])
         # Small prefetch blocks: the batch refills its draws six times in N = 25.
-        monkeypatch.setattr(saps_module, "PREFETCH_ROWS", 4)
+        monkeypatch.setattr(core_module, "PREFETCH_ROWS", 4)
         for T in (1, 2, 5):
             for averaging in (True, False):
                 for thin in (1, 3, N):
@@ -411,12 +412,57 @@ class TestBatchKernel:
                             assert (rec.ks, rec.gammas, rec.metrics) == (ref["ks"], ref["gammas"], ref["metrics"])
 
     def test_mismatched_settings_rejected(self):
+        # Horizon, schedule and averaging are shared; thinnings may differ.
         problem = kernel_problem("bilinear", "l1")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="share horizon"):
             run_saps_batch(problem, [trial_config(0, 10, 1, True, True), trial_config(1, 11, 1, True, True)])
-        with pytest.raises(ValueError):
-            run_saps_batch(problem, [trial_config(0, 10, 1, True, True), trial_config(1, 10, 2, True, True)])
+        with pytest.raises(ValueError, match="share horizon"):
+            run_saps_batch(problem, [trial_config(0, 10, 1, True, True), trial_config(1, 10, 1, False, True)])
+        other_schedule = replace(trial_config(1, 10, 1, True, True), schedule=StepSchedule("harmonic"))
+        with pytest.raises(ValueError, match="share horizon"):
+            run_saps_batch(problem, [trial_config(0, 10, 1, True, True), other_schedule])
         assert run_saps_batch(problem, []) == []
+
+
+class TestRecordedPoints:
+    @pytest.mark.parametrize("T", [1, 2, 5])
+    @pytest.mark.parametrize("averaging", [True, False])
+    def test_records_keep_the_points_hooks_see(self, T, averaging, monkeypatch):
+        # Thinnings 1, 3 and 7 in one batch, on a horizon that 3 and 7 do not
+        # divide: each record keeps the points its hook saw, with or without
+        # hooks, and each row is its solo run.
+        monkeypatch.setattr(core_module, "PREFETCH_ROWS", 4)
+        problem = kernel_problem("tanh", "max")
+        N = 20
+        configs = [trial_config(t, N, (1, 3, 7)[t % 3], averaging, t % 2 == 0) for t in range(T)]
+        records = run_saps_batch(problem, configs, [point_hook])
+        for cfg, rec, bare in zip(configs, records, run_saps_batch(problem, configs)):
+            assert rec.ks == [k for k in range(1, N + 1) if k % cfg.trace_thinning == 0 or k == N]
+            assert_kept_points_seen(rec, 6)
+            solo = run_saps(problem, cfg, [point_hook])
+            assert_same_run(rec, solo)
+            for other in (solo, bare):
+                assert np.array_equal(rec.iterates, other.iterates)
+                assert np.array_equal(rec.averages, other.averages)
+            if not averaging:
+                assert np.array_equal(rec.averages, rec.iterates)
+
+    @pytest.mark.parametrize("thinning", [1, 3, 7])
+    def test_diverged_row_keeps_the_rows_it_recorded(self, thinning):
+        # Trial 1 diverges at k = 7: its error's record holds the rows it
+        # recorded up to then (k = 7 is recorded before that step), equal to
+        # the rows of the same trial without the blow-up.
+        N = 20
+        configs = [trial_config(t, N, thinning, True, False) for t in range(3)]
+        blow_up = SapsProblem(BlowUpOracle(3, configs[1].stream_id, 7, 1e15), ZeroFunction(), ZeroFunction())
+        error = run_saps_batch(blow_up, configs, [point_hook])[1]
+        assert isinstance(error, DivergenceError) and error.iteration == 7
+        rows = [k for k in range(1, 8) if k % thinning == 0]
+        assert error.record.ks == rows
+        assert_kept_points_seen(error.record, 6)
+        clean = run_saps(SapsProblem(BilinearOracle(3), ZeroFunction(), ZeroFunction()), configs[1])
+        assert np.array_equal(error.record.iterates, clean.iterates[:len(rows)])
+        assert np.array_equal(error.record.averages, clean.averages[:len(rows)])
 
 
 class BlowUpOracle(BilinearOracle):
@@ -446,7 +492,7 @@ class TestBatchDivergence:
     def test_diverged_row_leaves_and_others_run_on(self, factor, monkeypatch):
         # PositivePartSum's prox maps NaN to 0: only the check before the
         # prox stops a NaN gradient from becoming a finite iterate.
-        monkeypatch.setattr(saps_module, "PREFETCH_ROWS", 4)
+        monkeypatch.setattr(core_module, "PREFETCH_ROWS", 4)
         N = 20
         configs = [trial_config(t, N, 3, True, t % 2 == 0) for t in range(5)]
         stream = configs[2].stream_id

@@ -79,9 +79,16 @@ CASES = [
     # One Newton step per subproblem is too few at sigma = 100: every trial fails.
     ("np-inner-max-iters-1", "run", NP_SYNTH + "N_list = 10,20\ntrials = 3\nseed = 8\n",
      ["inner_max_iters=1", "sigma=100"]),
+    # Some trials fail and leave their batch midway while the others run on.
+    ("bilinear-some-diverged", "run", BILINEAR + "N_list = 30,60,120\ntrials = 6\nseed = 14\n",
+     ["schedule=harmonic", "theta=26", "mu=0", "trace_thinning=7"]),
+    ("np-some-not-converged", "run", NP_SYNTH + "N_list = 20,40,80\ntrials = 3\nseed = 8\n",
+     ["sigma=100", "inner_max_iters=12", "trace_thinning=3"]),
+    ("np-no-averaging", "run", NP_SYNTH + "N_list = 20,40,80\ntrials = 3\nseed = 8\n",
+     ["trace_thinning=3", "averaging=false"]),
     ("np-diagnose", "diagnose", NP_SYNTH + "N_list = 250,1000\nseed = 0\n", []),
     # Every iteration recorded: 1 + 2 * 130 full-batch points cross several
-    # full_batch_rows chunks, and the kept-row arrays fill to the last row.
+    # full_batch_rows chunks, and the records' point arrays fill to the last row.
     ("np-thinning-1", "run", NP_SYNTH + "N_list = 50,130\ntrials = 2\nseed = 11\n", ["trace_thinning=1"]),
     ("tanh-thinning-1", "run", "experiment = tanh\nalgorithm = saps\nn = 3\nregularizer = max\n"
      "N_list = 100,300\ntrials = 3\nref_pool_size = 50\nref_iters = 500\nseed = 12\nparallel = 1\n",
