@@ -14,12 +14,10 @@ Exit codes: 0 success, 1 config/data error, 2 numerical failure.
 
 from __future__ import annotations
 
-import argparse
 import csv
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -41,7 +39,8 @@ from .core import (
 from .data import DataError, ParseError, parse_libsvm, synth_gaussian_classes
 from .lsaal import (
     LsaalProblem,
-    check_sample,
+    _check_sample_rows,
+    _take,
     estimate_constants,
     multiplier_bound_diagnostics,
     run_lsaal_batch,
@@ -51,14 +50,14 @@ from .metrics import (
     FiniteSumMinimaxEvaluator,
     _constraint_violation_rows,
     _lagrangian_grad_rows,
+    _minimax_gap_rows,
     _proj_kkt_rows,
     estimate_m_star,
     kkt_errors,
-    minimax_gap,
     rate_slope_fit,
     tail_tally,
 )
-from .oracles import BilinearOracle, ConicSample, NeymanPearsonOracle, TanhOracle
+from .oracles import BilinearOracle, NeymanPearsonOracle, TanhOracle
 from .prox import PositivePartSum, ScaledL1, ScaledL2, ZeroFunction
 from .saps import SapsProblem, run_saps, run_saps_batch
 
@@ -363,15 +362,15 @@ def _saps_batch(config, starts, problem: SapsProblem, score) -> list:
 
 
 def _bilinear_batch(config, starts, shared: dict) -> list:
-    """Scored by the minimax gap and the distances to the known saddle 0."""
-    n = config.n
+    """Scored by the minimax gap, one row pass per trial, and the distances
+    to the known saddle 0."""
     theta = _regularizer(config.regularizer, config.mu)
-    oracle = BilinearOracle(n)
-    z_star = PrimalDualPoint(np.zeros(n), np.zeros(n))
+    oracle = BilinearOracle(config.n)
+    z_star = PrimalDualPoint(np.zeros(config.n), np.zeros(config.n))
     evaluator = BilinearEvaluator(oracle, theta, theta)
 
     def bilinear_metrics(Z, A):
-        gaps = [minimax_gap(evaluator, PrimalDualPoint(avg[:n], avg[n:]), z_star) for avg in A]
+        gaps = _minimax_gap_rows(evaluator, A, z_star).tolist()
         return [{"minimax_gap": max(gap, 0.0), "minimax_gap_raw": gap,
                  "dist_to_saddle": avg, "dist_last": last}
                 for gap, avg, last in zip(gaps, _row_distances(A, z_star), _row_distances(Z, z_star))]
@@ -457,12 +456,13 @@ def _np_metrics(problem: LsaalProblem, z0: PrimalDualPoint, Z, A, ks):
     finite = (np.isfinite(fb.f_grad).all(axis=1) & np.isfinite(fb.g_value).all(axis=1)
               & np.isfinite(fb.g_jacobian).all(axis=(1, 2)))
     for p in (0, int(np.argmin(finite))):  # the start's shapes, then the first non-finite point
-        check_sample(ConicSample(fb.f_value[p], fb.f_grad[p], fb.g_value[p], fb.g_jacobian[p]),
-                     oracle, 0 if p == 0 else ks[(p - 1) // 2])
+        errors = _check_sample_rows(_take(fb, [p]), oracle, 0 if p == 0 else ks[(p - 1) // 2])
+        if errors:
+            raise errors[0]
 
     grads = _lagrangian_grad_rows(fb, points[:, dim:])
     norms = np.sqrt(_row_dots(grads, grads))
-    fb_avg = ConicSample(fb.f_value[1::2], fb.f_grad[1::2], fb.g_value[1::2], fb.g_jacobian[1::2])
+    fb_avg = _take(fb, np.s_[1::2])
     Y = Z[:, dim:]
     columns = {
         "constraint_violation": _constraint_violation_rows(cone, fb_avg.g_value),
@@ -603,6 +603,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     if workers == 1:
         batches = [run_trial_batch(config, task, shared) for task in tasks]
     else:
+        from concurrent.futures import ProcessPoolExecutor  # a serial run never loads multiprocessing
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(run_trial_batch, config, task, shared) for task in tasks]
             batches = [fut.result() for fut in futures]
@@ -689,7 +691,9 @@ def _check_data(path: str) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
+    import argparse  # only the command line needs it
+
     parser = argparse.ArgumentParser(prog="saddle-sa", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -45,7 +45,14 @@ class BilinearEvaluator:
         self.omega = omega
 
     def phi(self, x: np.ndarray, y: np.ndarray) -> float:
-        return self.theta.value(x) + float(x @ self.Q @ y) - self.omega.value(y)
+        return float(self._phi_rows(as_vector(x)[None], as_vector(y)[None])[0])
+
+    def _phi_rows(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        """Unchecked objective at each row pair (x, y) of X and Y; `phi` is
+        its checked one-row case. A (1, n) @ (n, n) product per row, then a
+        row dot, rounds as the one-row (x @ Q) @ y does; a plain X @ Q need not."""
+        coupling = _row_dots(np.matmul(X[:, None, :], self.Q)[:, 0], Y)
+        return self.theta._value_rows(X) + coupling - self.omega._value_rows(Y)
 
 
 class FiniteSumMinimaxEvaluator:
@@ -79,8 +86,16 @@ class FiniteSumMinimaxEvaluator:
         return self.oracle.mean_directions(Z, self.pool)
 
     def phi(self, x: np.ndarray, y: np.ndarray) -> float:
-        value = float(np.mean(self.oracle.values(np.concatenate((x, y))[None], self.pool)))
-        return self.theta.value(x) + value - self.omega.value(y)
+        return float(self._phi_rows(as_vector(x)[None], as_vector(y)[None])[0])
+
+    def _phi_rows(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        """Unchecked objective at each row pair (x, y) of X and Y; `phi` is
+        its checked one-row case. The oracle values every (row, draw) pair in
+        one call, each row's pool mean a contiguous row of that grid."""
+        rows, k = len(X), len(self.pool)
+        Z = np.repeat(np.concatenate((X, Y), axis=1), k, axis=0)
+        values = self.oracle.values(Z, self.pool[np.tile(np.arange(k), rows)]).reshape(rows, k)
+        return self.theta._value_rows(X) + np.mean(values, axis=1) - self.omega._value_rows(Y)
 
 
 def minimax_gap(evaluator, z: PrimalDualPoint, z_star: PrimalDualPoint) -> float:
@@ -88,8 +103,18 @@ def minimax_gap(evaluator, z: PrimalDualPoint, z_star: PrimalDualPoint) -> float
 
     Returns the raw difference (tiny negatives up to rounding are possible);
     callers that report it may clamp at zero but should keep the raw value.
+    The one-row case of `_minimax_gap_rows`.
     """
-    return evaluator.phi(z.x, z_star.y) - evaluator.phi(z_star.x, z.y)
+    return float(_minimax_gap_rows(evaluator, z.stacked()[None], z_star)[0])
+
+
+def _minimax_gap_rows(evaluator, P: np.ndarray, z_star: PrimalDualPoint) -> np.ndarray:
+    """`minimax_gap` at each stacked (x | y) row of P, from two calls of the
+    evaluator's row objective `_phi_rows(X, Y)`; unchecked."""
+    X, Y = P[:, :z_star.n], P[:, z_star.n:]
+    # z*'s blocks as contiguous rows, which the row dots round as one point.
+    X_star, Y_star = np.tile(z_star.x, (len(P), 1)), np.tile(z_star.y, (len(P), 1))
+    return evaluator._phi_rows(X, Y_star) - evaluator._phi_rows(X_star, Y)
 
 
 def lagrangian_grad(fb, y: np.ndarray) -> np.ndarray:

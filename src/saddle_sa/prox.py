@@ -4,9 +4,10 @@ Every kind here admits a closed-form prox; none is solved by an inner
 iteration, which keeps the prox exact to rounding and removes one error
 source from rate measurements. `f.prox(gamma, v)` returns the unique
 minimizer of  f(w) + ||w - v||^2 / (2*gamma); each kind writes it once, as
-the row-wise `_prox_rows`. The indicator kinds also give their projection's
-generalized Jacobian (`_jacobian_rows`) and the distance to their normal
-cone (`_normal_cone_distance_rows`), row-wise as well.
+the row-wise `_prox_rows`. The penalty kinds write `f.value(v)` once in the
+same way, as the row-wise `_value_rows`. The indicator kinds also give their
+projection's generalized Jacobian (`_jacobian_rows`) and the distance to
+their normal cone (`_normal_cone_distance_rows`), row-wise as well.
 """
 
 from __future__ import annotations
@@ -37,6 +38,12 @@ class ProximableFunction:
 
     def value(self, v: np.ndarray) -> float:
         raise NotImplementedError
+
+    def _value_rows(self, V: np.ndarray) -> np.ndarray:
+        """Unchecked value at each row of the 2-D float array V; the penalty
+        kinds' `value` is its checked one-row case, and the other kinds
+        score row by row."""
+        return np.array([self.value(v) for v in V])
 
     def prox(self, gamma: float, v: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -87,8 +94,10 @@ class ZeroFunction(ProximableFunction):
     is_indicator = True  # indicator of the whole space
 
     def value(self, v):
-        as_vector(v)
-        return 0.0
+        return float(self._value_rows(as_vector(v)[None])[0])
+
+    def _value_rows(self, V):
+        return np.zeros(len(V))
 
     def prox(self, gamma, v):
         return self._prox_rows(self._check_gamma(gamma), as_vector(v))
@@ -132,7 +141,10 @@ class ScaledL1(_Weighted):
     """f(v) = mu * sum |v_i|; prox is the componentwise soft threshold at mu*gamma."""
 
     def value(self, v):
-        return self.mu * float(np.abs(as_vector(v)).sum())
+        return float(self._value_rows(as_vector(v)[None])[0])
+
+    def _value_rows(self, V):
+        return self.mu * np.abs(V).sum(axis=1)
 
     def prox(self, gamma, v):
         # Elementwise, so the row-wise form serves a single vector too.
@@ -151,7 +163,10 @@ class ScaledL2(_Weighted):
     """f(v) = mu * ||v||_2; prox is the block soft threshold (shrink toward 0)."""
 
     def value(self, v):
-        return self.mu * float(np.linalg.norm(as_vector(v)))
+        return float(self._value_rows(as_vector(v)[None])[0])
+
+    def _value_rows(self, V):
+        return self.mu * np.sqrt(_row_dots(V, V))  # rounds as np.linalg.norm does on one row
 
     def prox(self, gamma, v):
         return self._prox_rows(self._check_gamma(gamma), as_vector(v)[None])[0]
@@ -181,7 +196,10 @@ class PositivePartSum(_Weighted):
     """
 
     def value(self, v):
-        return self.mu * float(np.maximum(as_vector(v), 0.0).sum())
+        return float(self._value_rows(as_vector(v)[None])[0])
+
+    def _value_rows(self, V):
+        return self.mu * np.maximum(V, 0.0).sum(axis=1)
 
     def prox(self, gamma, v):
         # Elementwise, so the row-wise form serves a single vector too.

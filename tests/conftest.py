@@ -146,6 +146,28 @@ def evaluate_one(oracle, z, d):
     return Sample(float(oracle.values(Z, draws)[0]), -step[:z.n], step[z.n:])
 
 
+def reference_value(fn, v) -> float:
+    """The one-point value of a penalty kind, restated as each kind first
+    wrote it on a 1-D vector."""
+    if isinstance(fn, ScaledL1):
+        return fn.mu * float(np.abs(v).sum())
+    if isinstance(fn, ScaledL2):
+        return fn.mu * float(np.linalg.norm(v))
+    if isinstance(fn, PositivePartSum):
+        return fn.mu * float(np.maximum(v, 0.0).sum())
+    assert isinstance(fn, ZeroFunction)
+    return 0.0
+
+
+def reference_minimax_gap(Q, theta, omega, x, y, x_star, y_star) -> float:
+    """phi(x, y*) - phi(x*, y) for the bilinear objective, with each phi
+    written on 1-D vectors as theta(x) + (x @ Q) @ y - omega(y)."""
+    def phi(u, w):
+        return reference_value(theta, u) + float(u @ Q @ w) - reference_value(omega, w)
+
+    return phi(x, y_star) - phi(x_star, y)
+
+
 def reference_normal_cone_distance(fn, x, v, boundary_tol=1e-9):
     """The one-point normal-cone distance of an indicator, restated as each
     kind first wrote it: a block sum squares each part's distance with the

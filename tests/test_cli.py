@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import math
 import os
@@ -662,7 +663,7 @@ class TestTaskSplit:
             return real_batch(config, pairs, shared)
 
         monkeypatch.setattr(cli, "run_trial_batch", recording)
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         result = run_experiment(load_config(bilinear_text(N_list=N_list, trials=trials, parallel=parallel,
                                                           output_dir=tmp_path)))
         assert tasks == expected
@@ -701,7 +702,7 @@ class TestWorkerCount:
                 future.set_result(fn(*args))
                 return future
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr(cli, "_available_cpus", lambda: 1)
         run_experiment(load_config(bilinear_text(N_list="5", trials=2, parallel=0,
                                                  output_dir=tmp_path / "auto")))
@@ -970,6 +971,34 @@ class TestAnyNumericValue:
                     warnings.simplefilter("ignore", RuntimeWarning)
                     code = main(["diagnose", str(cfg_path), "--set", f"{key}={value}"])
             assert code in (0, 1)
+
+        check()
+
+    @pytest.mark.parametrize("command", ["run", "diagnose"])
+    def test_neyman_pearson_data_keys_at_extreme_magnitudes(self, command):
+        # The draws above seldom pair a Neyman-Pearson config with its data
+        # keys; here every draw does, at magnitudes that overflow the ball
+        # geometry or the class margins, or underflow them to zero.
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        magnitudes = ["1e200", "1e308", "1e-300", "1e300", "5e-324", "inf", "nan"]
+
+        @hypothesis.settings(max_examples=200, deadline=None, derandomize=True,
+                             suppress_health_check=[hypothesis.HealthCheck.too_slow])
+        @hypothesis.given(st.sampled_from(["lsaal", "laam"]),
+                          st.sampled_from(["lambda", "separation", "r", "points_per_class"]),
+                          st.sampled_from(magnitudes), st.sampled_from(["", "-"]))
+        def check(pair, key, magnitude, sign):
+            with tempfile.TemporaryDirectory() as tmp:
+                cfg_path = Path(tmp) / "tiny.cfg"
+                cfg_path.write_text(TINY_CONFIGS[pair] + "N_list=4\ntrials=1\nparallel=1\n", encoding="utf-8")
+                argv = [command, str(cfg_path), "--set", f"{key}={sign}{magnitude}"]
+                if command == "run":
+                    argv += ["--out", str(Path(tmp) / "out")]
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", RuntimeWarning)
+                    code = main(argv)
+            assert code in ((0, 1, 2) if command == "run" else (0, 1))
 
         check()
 

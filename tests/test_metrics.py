@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import evaluate_one, scalar_evaluate
+from conftest import evaluate_one, reference_minimax_gap, scalar_evaluate
 from saddle_sa import (
     BallIndicator,
     BilinearEvaluator,
@@ -13,6 +13,7 @@ from saddle_sa import (
     ConicSample,
     FiniteSumMinimaxEvaluator,
     NonpositiveOrthant,
+    PositivePartSum,
     PrimalDualPoint,
     RandomSource,
     RunConfig,
@@ -33,6 +34,7 @@ from saddle_sa import (
     run_saps,
     tail_tally,
 )
+from saddle_sa.metrics import _minimax_gap_rows
 
 
 class TestMinimaxGap:
@@ -55,11 +57,29 @@ class TestMinimaxGap:
         ev, z_star = self.make()
 
         class Shifted:
-            def phi(self, x, y):
-                return ev.phi(x, y) + 42.0
+            def _phi_rows(self, X, Y):
+                return ev._phi_rows(X, Y) + 42.0
 
         z = PrimalDualPoint([0.3], [-0.7])
         assert minimax_gap(Shifted(), z, z_star) == pytest.approx(minimax_gap(ev, z, z_star), rel=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 3, 9, 17])
+    @pytest.mark.parametrize("theta", [ZeroFunction(), ScaledL1(0.7), ScaledL2(0.7), PositivePartSum(0.7)],
+                             ids=["zero", "l1", "l2", "max"])
+    def test_rows_match_one_point_formula_bit_for_bit(self, theta, n):
+        rng = np.random.default_rng(n)
+        oracle = BilinearOracle(n)
+        ev = BilinearEvaluator(oracle, theta, theta)
+        P = np.concatenate([scale * rng.normal(size=(30, 2 * n)) for scale in (1e-8, 1.0, 1e6)])
+        P[0], P[1] = 0.0, -0.0
+        for z_star in (PrimalDualPoint(np.zeros(n), np.zeros(n)),
+                       PrimalDualPoint(rng.normal(size=n), rng.normal(size=n))):
+            gaps = _minimax_gap_rows(ev, P, z_star)
+            expect = np.array([reference_minimax_gap(oracle.Q, theta, theta, p[:n], p[n:], z_star.x, z_star.y)
+                               for p in P])
+            assert_same_bits(gaps, expect)
+            for p, gap in zip(P[:10], gaps):
+                assert_same_bits(minimax_gap(ev, PrimalDualPoint(p[:n], p[n:]), z_star), gap)
 
 
 def grad_norms(trace):
@@ -233,6 +253,20 @@ class TestEvaluators:
         pooled = ev.directions(z.stacked()[None], ev.draws(None, 1))[0]
         np.testing.assert_allclose(-pooled[:3], np.mean([s.grad_x for s in per_draw], axis=0), rtol=1e-12)
         np.testing.assert_allclose(pooled[3:], np.mean([s.grad_y for s in per_draw], axis=0), rtol=1e-12)
+
+    @pytest.mark.parametrize("theta", [ScaledL1(0.7), ScaledL2(0.7), PositivePartSum(0.7)], ids=["l1", "l2", "max"])
+    def test_finite_sum_rows_match_one_point_phi(self, theta):
+        rng = RandomSource(4).generator()
+        oracle = TanhOracle(rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3))
+        ev = FiniteSumMinimaxEvaluator(oracle, oracle.draws(rng, 40), theta, theta)
+        P = rng.normal(size=(12, 6)) * 3.0
+        P[0] = 0.0
+        rows = ev._phi_rows(P[:, :3], P[:, 3:])
+        assert rows.shape == (12,)
+        for p, value in zip(P, rows):
+            assert_same_bits(ev.phi(p[:3], p[3:]), value)
+            one = float(np.mean(oracle.values(p[None], ev.pool)))  # one point against the whole pool
+            assert_same_bits(theta.value(p[:3]) + one - theta.value(p[3:]), value)
 
     def test_finite_sum_serves_saps_and_m_star_without_an_initial_point(self):
         # The evaluator has its oracle's n and m, so run_saps can draw the

@@ -10,6 +10,7 @@ from conftest import (
     indicator_points,
     random_prox_instances,
     reference_normal_cone_distance,
+    reference_value,
 )
 from saddle_sa import (
     BallIndicator,
@@ -326,6 +327,45 @@ class TestRowWiseProx:
         assert out.shape == V.shape
         for row, v in zip(out, V):
             assert np.array_equal(row, fn.prox(0.9, v))
+
+
+def value_rows(rng, n):
+    """Rows of dimension n: zero, -0.0 and mixed-sign zero rows, then random
+    rows at tiny, unit and huge scales (squares still finite), as column
+    slices of wider rows."""
+    W = np.concatenate([scale * rng.normal(size=(20, 2 * n)) for scale in (1e-300, 1e-8, 1.0, 1e6, 1e150)])
+    W[0], W[1] = 0.0, -0.0
+    W[2, ::2] = -0.0
+    return W[:, :n]
+
+
+class TestRowWiseValue:
+    @pytest.mark.parametrize("n", [1, 3, 8, 9, 17])
+    @pytest.mark.parametrize("fn", [ZeroFunction(), ScaledL1(0.7), ScaledL2(0.7), PositivePartSum(0.7)],
+                             ids=["zero", "l1", "l2", "max"])
+    def test_rows_match_value_of_each_row_bit_for_bit(self, fn, n):
+        # n >= 8 reaches numpy's unrolled pairwise row sums; the slices are
+        # the strided views a row pass hands in.
+        V = value_rows(np.random.default_rng(n), n)
+        out = fn._value_rows(V)
+        assert out.shape == (len(V),)
+        for i, v in enumerate(V):
+            expect = np.array([fn.value(v), reference_value(fn, v)])
+            assert np.array_equal(out[[i, i]], expect)
+            assert np.array_equal(np.signbit(out[[i, i]]), np.signbit(expect))
+
+    def test_value_checks_its_vector(self):
+        for fn in (ZeroFunction(), ScaledL1(0.7), ScaledL2(0.7), PositivePartSum(0.7)):
+            assert fn.value(2.0) == reference_value(fn, np.array([2.0]))
+            with pytest.raises(ValueError, match="non-finite"):
+                fn.value(np.array([1.0, math.nan]))
+            with pytest.raises(ValueError, match="1-D"):
+                fn.value(np.zeros((2, 2)))
+
+    def test_indicators_score_row_by_row(self):
+        ball = BallIndicator(np.zeros(2), 1.0)
+        V = np.array([[0.0, 0.5], [3.0, 0.0]])
+        assert np.array_equal(ball._value_rows(V), [0.0, math.inf])
 
 
 class TestNormalConeDistance:

@@ -73,6 +73,9 @@ CASES = [
      "N_list = 100,300,1000\ntrials = 5\nref_pool_size = 50\nref_iters = 500\nseed = 13\nparallel = 1\n", []),
     ("bilinear-l2-no-averaging", "run", BILINEAR + "N_list = 100,300,1000\ntrials = 3\nseed = 4\n",
      ["regularizer=l2", "averaging=false"]),
+    # n = 9 rows reach numpy's unrolled pairwise row sums (n >= 8) in the gap.
+    ("bilinear-l1-n9", "run", BILINEAR + "N_list = 50,100,200\ntrials = 3\nseed = 5\n", ["n=9", "regularizer=l1"]),
+    ("bilinear-max-n9", "run", BILINEAR + "N_list = 50,100,200\ntrials = 3\nseed = 5\n", ["n=9", "regularizer=max"]),
     ("bilinear-parallel2", "run", BILINEAR + "N_list = 100,300,1000\ntrials = 5\nseed = 6\n", ["parallel=2"]),
     ("bilinear-all-diverged", "run", BILINEAR + "N_list = 10,20\ntrials = 3\nseed = 7\n",
      ["schedule=harmonic", "theta=1e13", "mu=0"]),
