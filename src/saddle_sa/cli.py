@@ -204,17 +204,16 @@ def _validate(config: ExperimentConfig) -> None:
         raise ConfigError("need n >= 1 and m_classes >= 2")
     if config.subsample_per_class < 1 or config.subsample_per_class > SUBSAMPLE_CAP:
         raise ConfigError(f"subsample_per_class must be in [1, {SUBSAMPLE_CAP}]")
-    for name, value in (("lambda", config.lam), ("sigma", config.sigma), ("r", config.r)):
+    for name, value in (("lambda", config.lam), ("sigma", config.sigma), ("r", config.r),
+                        ("inner_tol", config.inner_tol), ("tail_multiplier", config.tail_multiplier)):
         if value is not None and not 0.0 < value < math.inf:
             raise ConfigError(f"{name} must be positive and finite")
-    if not config.inner_tol > 0.0 or config.inner_max_iters < 1:
-        raise ConfigError("need inner_tol > 0 and inner_max_iters >= 1")
+    if config.inner_max_iters < 1:
+        raise ConfigError("inner_max_iters must be >= 1")
     if config.points_per_class < 1:
         raise ConfigError("points_per_class must be >= 1")
     if not math.isfinite(config.separation):
         raise ConfigError("separation must be finite")
-    if not config.tail_multiplier > 0.0:
-        raise ConfigError("tail_multiplier must be positive")
     if config.parallel < 0 or config.trace_thinning < 0:
         raise ConfigError("need parallel >= 0 and trace_thinning >= 0")
     if config.ref_pool_size < 1 or config.ref_iters < 1:

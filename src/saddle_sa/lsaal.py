@@ -26,6 +26,10 @@ one-row case.
 
 Multiplier-bound diagnostics expose the constants that control E||y_k||:
 kappa1/(sigma*s) + kappa2*sigma + kappa3*sigma*s for a window length s.
+`estimate_constants` samples those constants in one stacked pass as well:
+its loop only draws random numbers, and the oracle's row forms evaluate the
+points. The runners and the estimate read of the oracle only its cone,
+feasible_set, dim, slater_point(), draws, evaluate_rows and full_batch_rows.
 """
 
 from __future__ import annotations
@@ -54,7 +58,6 @@ __all__ = [
     "LsaalProblem",
     "XSubproblemSpec",
     "solve_x_subproblem",
-    "check_sample",
     "run_lsaal",
     "run_laam",
     "run_lsaal_batch",
@@ -91,8 +94,8 @@ class LsaalProblem:
             raise ValueError("feasible_set must be an indicator function with a projection")
         if self.sigma is not None and not 0.0 < self.sigma < math.inf:
             raise ValueError("sigma must be positive and finite")
-        if not self.inner_tol > 0.0 or self.inner_max_iters < 1:
-            raise ValueError("inner_tol must be positive and inner_max_iters >= 1")
+        if not 0.0 < self.inner_tol < math.inf or self.inner_max_iters < 1:
+            raise ValueError("inner_tol must be positive and finite and inner_max_iters >= 1")
 
     def resolve_sigma(self, horizon: int) -> float:
         return self.sigma if self.sigma is not None else 1.0 / math.sqrt(horizon)
@@ -246,19 +249,6 @@ def _check_sample_rows(S: ConicSample, oracle, k: int) -> dict:
         return {}
     bad = ~(np.isfinite(S.f_grad).all(axis=1) & np.isfinite(S.g_value).all(axis=1) & np.isfinite(jac).all(axis=(1, 2)))
     return {int(row): DivergenceError(k, f"non-finite oracle sample at iteration {k}") for row in np.flatnonzero(bad)}
-
-
-def check_sample(sample: ConicSample, oracle, k: int) -> ConicSample:
-    """Validate one output of a conic oracle at (outer) iteration k.
-
-    Shapes that do not fit an oracle.dim-dimensional point and oracle.cone
-    raise ValueError; non-finite gradient, constraint or Jacobian entries
-    raise DivergenceError(k).
-    """
-    errors = _check_sample_rows(_one_row(sample), oracle, k)
-    if errors:
-        raise errors[0]
-    return sample
 
 
 def run_lsaal(problem: LsaalProblem, config: RunConfig, metric_hooks=()) -> RunRecord:
@@ -454,6 +444,12 @@ def estimate_constants(oracle, rng: np.random.Generator, n_full: int = 2000,
     The diameter comes from the feasible-set geometry and the Slater margin
     from the full-batch constraint value at the oracle's Slater point. The
     result is an estimate (lower-biased for sup bounds), flagged as such.
+
+    Point i of each part takes rng.uniform(-R, R, dim), then rng.random()
+    for even i (which scales the projected point into the interior), then in
+    the sampled part oracle.draws(rng, 1): the stream order of a per-point
+    loop. The points are then projected and evaluated as stacks
+    (full_batch_rows, evaluate_rows), and the maxima taken in point order.
     """
     feasible = oracle.feasible_set
     dim = oracle.dim
@@ -461,31 +457,30 @@ def estimate_constants(oracle, rng: np.random.Generator, n_full: int = 2000,
     if not math.isfinite(R):
         raise ValueError("feasible set must be bounded to estimate a diameter")
 
-    def random_feasible(interior: bool) -> np.ndarray:
-        v = feasible.prox(1.0, rng.uniform(-R, R, size=dim))
-        if interior:
-            v = v * rng.random()
-        return v
+    def random_feasible(count: int, sampled: bool):
+        """count random feasible points, stacked, and with sampled=True their draws."""
+        U, scale, draws = np.empty((count, dim)), np.ones(count), []
+        for i in range(count):
+            U[i] = rng.uniform(-R, R, size=dim)
+            if i % 2 == 0:
+                scale[i] = rng.random()
+            if sampled:
+                draws.append(oracle.draws(rng, 1))
+        return feasible._prox_rows(1.0, U) * scale[:, None], draws
 
-    # The full batches use no randomness: their points are drawn first, as a
-    # per-point loop draws them, and evaluated as one stack. Python's max
-    # takes the norms in that loop's order.
-    full_points = np.array([random_feasible(i % 2 == 0) for i in range(n_full)]).reshape(n_full, dim)
-    full = oracle.full_batch_rows(full_points)
-    nu_g = max([0.0, *np.sqrt(_row_dots(full.g_value, full.g_value)).tolist()])
-    kappa_f = max([0.0, *np.sqrt(_row_dots(full.f_grad, full.f_grad)).tolist()])
-    kappa_g = max([0.0, *np.linalg.norm(full.g_jacobian, 2, axis=(1, 2)).tolist()])
-    sample_points = np.empty((n_sample, dim))
-    sample_values = np.empty(n_sample)
-    for i in range(n_sample):
-        x = random_feasible(i % 2 == 0)
-        s = oracle.sample(rng, x)
-        nu_g = max(nu_g, float(np.linalg.norm(s.g_value)))
-        kappa_f = max(kappa_f, float(np.linalg.norm(s.f_grad)))
-        kappa_g = max(kappa_g, float(np.linalg.norm(s.g_jacobian, 2)))
-        sample_points[i], sample_values[i] = x, s.f_value
-    deviations = np.abs(sample_values - oracle.full_batch_rows(sample_points).f_value)
-    nu_f = max([0.0, *deviations.tolist()])
+    def raised(maxima, S: ConicSample) -> list:
+        """The maxima (nu_g, kappa_f, kappa_g) raised by the row norms of S, in row order."""
+        norms = (np.sqrt(_row_dots(S.g_value, S.g_value)), np.sqrt(_row_dots(S.f_grad, S.f_grad)),
+                 np.linalg.norm(S.g_jacobian, 2, axis=(1, 2)))
+        return [max([start, *row_norms.tolist()]) for start, row_norms in zip(maxima, norms)]
+
+    nu_g, kappa_f, kappa_g = raised((0.0, 0.0, 0.0), oracle.full_batch_rows(random_feasible(n_full, False)[0]))
+    nu_f = 0.0
+    points, draws = random_feasible(n_sample, True)
+    if draws:
+        sampled = oracle.evaluate_rows(points, np.concatenate(draws))
+        nu_g, kappa_f, kappa_g = raised((nu_g, kappa_f, kappa_g), sampled)
+        nu_f = max([0.0, *np.abs(sampled.f_value - oracle.full_batch_rows(points).f_value).tolist()])
 
     margin = oracle.cone.interior_distance(oracle.full_batch(oracle.slater_point()).g_value)
     return ProblemConstants(

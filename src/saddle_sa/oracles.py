@@ -8,13 +8,14 @@ along it as it is. `values(Z, draws)` is the sampled F of each row, for
 checks. `draws(rng, count)` stacks count draws with the bits of count single
 ones; each row rounds as the 1-D arithmetic does at that point and draw.
 Conic oracles return sampled objective and constraint data with the
-constraint Jacobian as a dense array. The Neyman-Pearson oracle serves LSAAL,
-one sample per outer iteration and trial: `draws(rng, count)` as above, and
-`evaluate_rows(X, draws)` evaluates row t of X at draw t, stacked as the
-full batches are; `evaluate(x, draw)` is its one-row case, and
-`sample(rng, x)` is `draws` and `evaluate` in one call. Its full-batch
-average has the row form `full_batch_rows(X)`, of which `full_batch(x)` is
-the one-row case.
+constraint Jacobian as a dense array, in row form only. The Neyman-Pearson
+oracle serves LSAAL, one sample per outer iteration and trial:
+`draws(rng, count)` as above, and `evaluate_rows(X, draws)` evaluates row t
+of X at draw t, stacked as the full batches are; one sample is its one-row
+case. Its full-batch average has the row form `full_batch_rows(X)`, of which
+`full_batch(x)` is the one-point case that the one-point metrics take. With
+`cone`, `feasible_set`, `dim` and `slater_point()` that is all the runners
+and `lsaal.estimate_constants` read of a conic oracle.
 """
 
 from __future__ import annotations
@@ -237,10 +238,6 @@ class NeymanPearsonOracle:
         self._flat_diagonal = np.arange(self.m) * (self.m + 1)
         self._flat_off_diagonal = np.flatnonzero(off_diagonal)
 
-    def blocks(self, x: np.ndarray) -> np.ndarray:
-        x = as_vector(x, dim=self.dim, name="stacked x")
-        return x.reshape(self.m, self.n)
-
     def slater_point(self) -> np.ndarray:
         return np.zeros(self.dim)
 
@@ -248,14 +245,6 @@ class NeymanPearsonOracle:
         """count draws as a (count, m) index array, row j holding one point per
         class; the bits and stream position of count one-class-at-a-time draws."""
         return rng.integers(self._counts, size=(count, self.m))
-
-    def sample(self, rng: np.random.Generator, x: np.ndarray) -> ConicSample:
-        return self.evaluate(x, self.draws(rng, 1)[0])
-
-    def evaluate(self, x: np.ndarray, idx) -> ConicSample:
-        """The sample at x for one draw idx: the one-row case of evaluate_rows."""
-        s = self.evaluate_rows(as_vector(x, dim=self.dim, name="stacked x")[None], np.asarray(idx)[None])
-        return ConicSample(float(s.f_value[0]), s.f_grad[0], s.g_value[0], s.g_jacobian[0])
 
     def evaluate_rows(self, X: np.ndarray, idx: np.ndarray) -> ConicSample:
         """The sample at each row of the (T, dim) array X for the draw in the
@@ -288,7 +277,8 @@ class NeymanPearsonOracle:
         )
 
     def full_batch(self, x: np.ndarray) -> ConicSample:
-        """Exact finite-sum version over the empirical class distributions."""
+        """Exact finite-sum version over the empirical class distributions:
+        the one-point case of full_batch_rows."""
         s = self.full_batch_rows(np.asarray(x, dtype=float)[None])
         return ConicSample(float(s.f_value[0]), s.f_grad[0], s.g_value[0], s.g_jacobian[0])
 

@@ -18,6 +18,7 @@ from saddle_sa import (
     BilinearOracle,
     BlockSeparable,
     BoxIndicator,
+    ConicSample,
     NeymanPearsonOracle,
     PositivePartSum,
     ScaledL1,
@@ -129,6 +130,13 @@ def scalar_evaluate(oracle, z, d):
     a = math.tanh(v1 * float(z.x @ u1))
     b = math.tanh(v2 * float(z.y @ u2))
     return 1.0 - a * b, (-v1 * (1.0 - a * a) * b) * u1, (-v2 * a * (1.0 - b * b)) * u2
+
+
+def conic_evaluate(oracle, x, idx) -> ConicSample:
+    """A conic oracle's sample at one point x and one draw idx: the one-row
+    case of its `evaluate_rows`, with a float f_value."""
+    s = oracle.evaluate_rows(np.asarray(x, dtype=float)[None], np.asarray(idx)[None])
+    return ConicSample(float(s.f_value[0]), s.f_grad[0], s.g_value[0], s.g_jacobian[0])
 
 
 class Sample(NamedTuple):

@@ -15,7 +15,7 @@ import saddle_sa as sa
 from saddle_sa import metrics as M
 from saddle_sa.cli import load_config, run_experiment
 from saddle_sa.lsaal import estimate_constants, multiplier_bound_diagnostics
-from conftest import evaluate_one, grid_prox_1d, grid_prox_2d, random_prox_instances
+from conftest import conic_evaluate, evaluate_one, grid_prox_1d, grid_prox_2d, random_prox_instances
 
 
 def check(num, name, ok, detail=""):
@@ -177,10 +177,10 @@ def test_criterion_04_oracle_unbiasedness_and_gradients(np_instance):
         npo = np_instance
         x = npo.feasible_set.prox(1.0, rng.normal(size=npo.dim) * 2.0)
         idx = npo.draws(rng, 1)[0]
-        sc = npo.evaluate(x, idx)
-        grad_ok &= fd_ok(lambda w: npo.evaluate(w, idx).f_value, sc.f_grad, x)
+        sc = conic_evaluate(npo, x, idx)
+        grad_ok &= fd_ok(lambda w: conic_evaluate(npo, w, idx).f_value, sc.f_grad, x)
         for row in range(npo.m - 1):
-            grad_ok &= fd_ok(lambda w, r=row: npo.evaluate(w, idx).g_value[r], sc.g_jacobian[row], x)
+            grad_ok &= fd_ok(lambda w, r=row: conic_evaluate(npo, w, idx).g_value[r], sc.g_jacobian[row], x)
 
     ok = unbiased_ok and grad_ok
     check(4, "oracle unbiasedness and gradient consistency", ok,
@@ -238,8 +238,8 @@ def test_criterion_07_graph_convexity_suites(np_instance):
         y = cone.polar_project(rng.normal(size=cone.dim))
         sigma = float(rng.uniform(0.05, 1.5))
         idx = oracle.draws(rng, 1)[0]
-        s_at_x = oracle.evaluate(x, idx)
-        s_at_z = oracle.evaluate(zz, idx)
+        s_at_x = conic_evaluate(oracle, x, idx)
+        s_at_z = conic_evaluate(oracle, zz, idx)
         lin_s = s_at_x.g_value + s_at_x.g_jacobian @ (zz - x)
         lhs = np.linalg.norm(cone.polar_project(y + sigma * s_at_z.g_value)) ** 2
         rhs = np.linalg.norm(cone.polar_project(y + sigma * lin_s)) ** 2

@@ -251,11 +251,12 @@ BAD_VALUES = {
     **{kv: [kv] for kv in (
         "seed=-1", "mu=nan", "mu=inf", "theta=nan", "lam=nan", "lam=inf",
         "sigma=0", "sigma=-1", "sigma=-inf", "sigma=nan", "sigma=inf",
-        "inner_tol=0", "inner_tol=-1", "inner_tol=-inf", "inner_tol=nan",
+        "inner_tol=0", "inner_tol=-1", "inner_tol=-inf", "inner_tol=nan", "inner_tol=inf",
         "inner_max_iters=0", "inner_max_iters=-1", "points_per_class=0", "points_per_class=-1",
         "separation=nan", "separation=inf", "separation=-inf",
         "r=nan", "r=inf", "r=-inf", "r=0", "r=-1",
-        "tail_multiplier=0", "tail_multiplier=-1", "parallel=-1", "trace_thinning=-1")},
+        "tail_multiplier=0", "tail_multiplier=-1", "tail_multiplier=inf",
+        "parallel=-1", "trace_thinning=-1")},
 }
 
 
@@ -283,6 +284,16 @@ class TestMainEntry:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_infinite_inner_tol_is_config_error(self, tmp_path, capsys):
+        # A Neyman-Pearson run reads inner_tol, so the value rule, not the
+        # unread-key rule of BAD_VALUES' tanh config, rejects it.
+        cfg_path = tmp_path / "np.cfg"
+        cfg_path.write_text("experiment=neyman_pearson\nalgorithm=lsaal\nn=3\nm_classes=2\npoints_per_class=5\n"
+                            "N_list=10\ntrials=1\nparallel=1\n", encoding="utf-8")
+        assert main(["run", str(cfg_path), "--out", str(tmp_path / "out"), "--set", "inner_tol=inf"]) == 1
+        assert capsys.readouterr().err == "error: inner_tol must be positive and finite\n"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("text, overrides, named", [

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import assert_kept_points_seen, point_hook, recording_hook
+from conftest import assert_kept_points_seen, conic_evaluate, point_hook, recording_hook
 from saddle_sa import (
     BallIndicator,
     BoxIndicator,
@@ -226,7 +226,8 @@ def random_neyman_pearson_subproblems(m):
         for _ in range(8):
             x_k = oracle.feasible_set.prox(1.0, rng.normal(size=oracle.dim) * 2.0)
             y_k = np.maximum(rng.normal(size=m - 1), 0.0) * 2.0
-            spec = XSubproblemSpec(x_k, y_k, oracle.sample(rng, x_k), sigma, oracle.cone)
+            sample = conic_evaluate(oracle, x_k, oracle.draws(rng, 1)[0])
+            spec = XSubproblemSpec(x_k, y_k, sample, sigma, oracle.cone)
             yield oracle.feasible_set, spec, 3 if sigma < 0.1 else 200
 
 
@@ -273,8 +274,8 @@ class TestSolverMatchesReference:
         # is evaluated afresh, and so is a read-only point.
         rng = np.random.default_rng(5)
         x_k = np_instance.feasible_set.prox(1.0, rng.normal(size=np_instance.dim))
-        spec = XSubproblemSpec(x_k, np.ones(np_instance.cone.dim), np_instance.sample(rng, x_k),
-                               0.1, np_instance.cone)
+        sample = conic_evaluate(np_instance, x_k, np_instance.draws(rng, 1)[0])
+        spec = XSubproblemSpec(x_k, np.ones(np_instance.cone.dim), sample, 0.1, np_instance.cone)
         out, y = solve_x_subproblem(spec, np_instance.feasible_set, 1e-8, 500)
         assert out.flags.writeable and y.flags.writeable
         assert out is not spec.x_k
@@ -319,6 +320,13 @@ class TestYUpdate:
         box = BoxIndicator(np.array([-1.0]), np.array([1.0]))
         with pytest.raises(ValueError, match="positive and finite"):
             LsaalProblem(SimpleNamespace(cone=NonpositiveOrthant(1), feasible_set=box), sigma=sigma)
+
+    @pytest.mark.parametrize("inner_tol", [0.0, -1.0, math.nan, math.inf])
+    def test_inner_tol_must_be_positive_and_finite(self, inner_tol):
+        # inner_tol = inf would end every subproblem at its warm start.
+        box = BoxIndicator(np.array([-1.0]), np.array([1.0]))
+        with pytest.raises(ValueError, match="positive and finite"):
+            LsaalProblem(SimpleNamespace(cone=NonpositiveOrthant(1), feasible_set=box), inner_tol=inner_tol)
 
 
 class TestRunners:
@@ -433,7 +441,7 @@ class TestRunners:
             runs[y0[0]] = seen
             # With an initial point no start is drawn, so the first sample is
             # the stream's first draw at x0.
-            sample = np_instance.sample(cfg.random_source().generator(), x0)
+            sample = conic_evaluate(np_instance, x0, np_instance.draws(cfg.random_source().generator(), 1)[0])
             (_, z1, _) = seen[0]
             spec = XSubproblemSpec(x0, y0, sample, problem.resolve_sigma(20), np_instance.cone)
             assert np.array_equal(z1.y, reference_multiplier(spec, z1.x))
@@ -723,8 +731,8 @@ class TestLinearizedPolarMonotonicity:
             y = cone.polar_project(rng.normal(size=cone.dim))
             sigma = float(rng.uniform(0.05, 1.5))
             idx = oracle.draws(rng, 1)[0]
-            s_at_xk = oracle.evaluate(xk, idx)
-            s_at_x = oracle.evaluate(x, idx)
+            s_at_xk = conic_evaluate(oracle, xk, idx)
+            s_at_x = conic_evaluate(oracle, x, idx)
             lin = s_at_xk.g_value + s_at_xk.g_jacobian @ (x - xk)
             lhs = np.linalg.norm(cone.polar_project(y + sigma * s_at_x.g_value)) ** 2
             rhs = np.linalg.norm(cone.polar_project(y + sigma * lin)) ** 2
@@ -810,29 +818,45 @@ class TestEstimateConstants:
         constants = estimate_constants(np_instance, rng, n_full=50, n_sample=50)
         assert constants.slater_margin == pytest.approx(2.0 * (1.0 - math.log(2.0)), rel=1e-12)
 
-    @pytest.mark.parametrize("n_full, n_sample", [(150, 100), (1, 0), (0, 3)])
-    def test_stacked_maxima_match_a_per_point_loop(self, np_instance, n_full, n_sample):
+    @pytest.mark.parametrize("n_full, n_sample", [(150, 100), (1, 0), (0, 3), (0, 0), (7, 5)])
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_stacked_maxima_match_a_per_point_loop(self, m, n_full, n_sample):
         # The loop estimate_constants replaced: each point drawn, then its
-        # full batch or its sample taken, the maxima kept point by point.
-        oracle, rng = np_instance, RandomSource(77).generator()
-        R = oracle.feasible_set.diameter()
+        # full batch or its one-row sample taken, the maxima kept point by
+        # point. With no point at all both reject the zero nu_g alike.
+        dataset = synth_gaussian_classes(np.random.default_rng(20240501), m, 10, 100, 1.0).normalize()
+        oracle = NeymanPearsonOracle(dataset, 5.0)
 
-        def random_feasible(interior):
-            v = oracle.feasible_set.prox(1.0, rng.uniform(-R, R, size=oracle.dim))
-            return v * rng.random() if interior else v
+        def per_point_loop(rng):
+            R = oracle.feasible_set.diameter()
 
-        nu_g = kappa_f = kappa_g = nu_f = 0.0
-        for i in range(n_full):
-            fb = oracle.full_batch(random_feasible(i % 2 == 0))
-            nu_g = max(nu_g, float(np.linalg.norm(fb.g_value)))
-            kappa_f = max(kappa_f, float(np.linalg.norm(fb.f_grad)))
-            kappa_g = max(kappa_g, float(np.linalg.norm(fb.g_jacobian, 2)))
-        for i in range(n_sample):
-            x = random_feasible(i % 2 == 0)
-            s = oracle.sample(rng, x)
-            nu_g = max(nu_g, float(np.linalg.norm(s.g_value)))
-            kappa_f = max(kappa_f, float(np.linalg.norm(s.f_grad)))
-            kappa_g = max(kappa_g, float(np.linalg.norm(s.g_jacobian, 2)))
-            nu_f = max(nu_f, abs(s.f_value - oracle.full_batch(x).f_value))
-        got = estimate_constants(oracle, RandomSource(77).generator(), n_full=n_full, n_sample=n_sample)
-        assert (got.nu_g, got.kappa_f, got.kappa_g, got.nu_f or 0.0) == (nu_g, kappa_f, kappa_g, nu_f)
+            def random_feasible(interior):
+                v = oracle.feasible_set.prox(1.0, rng.uniform(-R, R, size=oracle.dim))
+                return v * rng.random() if interior else v
+
+            nu_g = kappa_f = kappa_g = nu_f = 0.0
+            for i in range(n_full):
+                fb = oracle.full_batch(random_feasible(i % 2 == 0))
+                nu_g = max(nu_g, float(np.linalg.norm(fb.g_value)))
+                kappa_f = max(kappa_f, float(np.linalg.norm(fb.f_grad)))
+                kappa_g = max(kappa_g, float(np.linalg.norm(fb.g_jacobian, 2)))
+            for i in range(n_sample):
+                x = random_feasible(i % 2 == 0)
+                s = conic_evaluate(oracle, x, oracle.draws(rng, 1)[0])
+                nu_g = max(nu_g, float(np.linalg.norm(s.g_value)))
+                kappa_f = max(kappa_f, float(np.linalg.norm(s.f_grad)))
+                kappa_g = max(kappa_g, float(np.linalg.norm(s.g_jacobian, 2)))
+                nu_f = max(nu_f, abs(s.f_value - oracle.full_batch(x).f_value))
+            margin = oracle.cone.interior_distance(oracle.full_batch(oracle.slater_point()).g_value)
+            return ProblemConstants(R=R, nu_g=nu_g, kappa_f=kappa_f, kappa_g=kappa_g, nu_f=nu_f or None,
+                                    slater_margin=margin if margin > 0.0 else None, estimated=True)
+
+        def outcome(estimate):
+            try:
+                return estimate(RandomSource(77).generator())
+            except ValueError as exc:
+                return str(exc)
+
+        expected = outcome(per_point_loop)
+        assert expected == outcome(lambda rng: estimate_constants(oracle, rng, n_full=n_full, n_sample=n_sample))
+        assert isinstance(expected, ProblemConstants) == (n_full + n_sample > 0)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import evaluate_one, scalar_evaluate
+from conftest import conic_evaluate, evaluate_one, scalar_evaluate
 from saddle_sa import oracles
 from saddle_sa import (
     BilinearOracle,
@@ -250,7 +250,7 @@ class TestNeymanPearsonOracle:
         # phi'(0) = -1/2: every term contributes +/- psi/2 on its two blocks
         oracle = np_instance
         idx = (0, 0, 0)
-        s = oracle.evaluate(np.zeros(oracle.dim), idx)
+        s = conic_evaluate(oracle, np.zeros(oracle.dim), idx)
         psi1 = oracle.dataset.classes[oracle.labels[0]][0]
         grads = s.f_grad.reshape(oracle.m, oracle.n)
         np.testing.assert_allclose(grads[0], -(oracle.m - 1) * psi1 / 2.0, rtol=1e-12)
@@ -266,7 +266,7 @@ class TestNeymanPearsonOracle:
         acc_g = np.zeros_like(fb.g_value)
         acc_f = 0.0
         for _ in range(n_samples):
-            s = oracle.sample(rng, x)
+            s = conic_evaluate(oracle, x, oracle.draws(rng, 1)[0])
             acc_g += s.g_value
             acc_f += s.f_value
         np.testing.assert_allclose(acc_g / n_samples, fb.g_value, atol=0.05)
@@ -278,16 +278,16 @@ class TestNeymanPearsonOracle:
         for _ in range(5):
             x = oracle.feasible_set.prox(1.0, rng.normal(size=oracle.dim) * 2.0)
             idx = oracle.draws(rng, 1)[0]
-            s = oracle.evaluate(x, idx)
-            finite_diff_check(lambda w: oracle.evaluate(w, idx).f_value, s.f_grad, x)
+            s = conic_evaluate(oracle, x, idx)
+            finite_diff_check(lambda w: conic_evaluate(oracle, w, idx).f_value, s.f_grad, x)
             jac = s.g_jacobian
             for row in range(oracle.m - 1):
-                finite_diff_check(lambda w, r=row: oracle.evaluate(w, idx).g_value[r], jac[row], x)
+                finite_diff_check(lambda w, r=row: conic_evaluate(oracle, w, idx).g_value[r], jac[row], x)
 
     def test_jacobian_adjoint_consistency(self, np_instance):
         oracle = np_instance
         rng = RandomSource(41).generator()
-        s = oracle.sample(rng, np.zeros(oracle.dim))
+        s = conic_evaluate(oracle, np.zeros(oracle.dim), oracle.draws(rng, 1)[0])
         h = rng.normal(size=oracle.dim)
         w = rng.normal(size=oracle.m - 1)
         lhs = float(w @ (s.g_jacobian @ h))
@@ -300,7 +300,7 @@ class TestNeymanPearsonOracle:
         rng = RandomSource(51).generator()
         for _ in range(200):
             x = oracle.feasible_set.prox(1.0, rng.uniform(-6, 6, size=oracle.dim))
-            s = oracle.sample(rng, x)
+            s = conic_evaluate(oracle, x, oracle.draws(rng, 1)[0])
             assert np.linalg.norm(s.g_value) <= env["nu_g"] + 1e-9
             assert np.linalg.norm(s.f_grad) <= env["kappa_f"] + 1e-9
             assert np.linalg.norm(s.g_jacobian, 2) <= env["kappa_g"] + 1e-9
@@ -336,7 +336,7 @@ class TestNeymanPearsonOracle:
             X = x.reshape(m, oracle.n)
             idx = oracle.draws(rng, 1)[0]
             rows = [mat[j:j + 1] for mat, j in zip(mats, idx)]
-            assert_sample_equals(oracle.evaluate(x, idx), class_loop_assemble(oracle, X, rows))
+            assert_sample_equals(conic_evaluate(oracle, x, idx), class_loop_assemble(oracle, X, rows))
             assert_sample_equals(oracle.full_batch(x), class_loop_assemble(oracle, X, mats))
 
     @pytest.mark.parametrize("m", [2, 3, 4])
@@ -377,7 +377,7 @@ class TestNeymanPearsonOracle:
             rows = oracle.evaluate_rows(X[:K], idx[:K])
             assert rows.f_value.shape == (K,) and rows.g_jacobian.shape == (K, m - 1, oracle.dim)
             for p in range(K):
-                one = oracle.evaluate(X[p], idx[p])
+                one = conic_evaluate(oracle, X[p], idx[p])
                 for name in ("f_value", "f_grad", "g_value", "g_jacobian"):
                     a, b = getattr(rows, name)[p], getattr(one, name)
                     assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b)), (K, p, name)

@@ -90,6 +90,9 @@ CASES = [
     ("np-no-averaging", "run", NP_SYNTH + "N_list = 20,40,80\ntrials = 3\nseed = 8\n",
      ["trace_thinning=3", "averaging=false"]),
     ("np-diagnose", "diagnose", NP_SYNTH + "N_list = 250,1000\nseed = 0\n", []),
+    # Four classes: diagnose's constants over 3-row constraint Jacobians.
+    ("np-diagnose-m4", "diagnose", NP_SYNTH + "N_list = 250,1000\nseed = 0\n",
+     ["m_classes=4", "n=7", "points_per_class=33"]),
     # Every iteration recorded: 1 + 2 * 130 full-batch points cross several
     # full_batch_rows chunks, and the records' point arrays fill to the last row.
     ("np-thinning-1", "run", NP_SYNTH + "N_list = 50,130\ntrials = 2\nseed = 11\n", ["trace_thinning=1"]),
