@@ -44,13 +44,11 @@ from .saps import SapsProblem, run_saps, run_saps_batch
 from .lsaal import (
     LsaalProblem,
     MultiplierDiagnostics,
-    XSubproblemSpec,
     estimate_constants,
     multiplier_bound_diagnostics,
     run_laam,
     run_lsaal,
     run_lsaal_batch,
-    solve_x_subproblem,
 )
 from .data import (
     ClassGroupedDataset,

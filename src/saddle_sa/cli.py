@@ -346,7 +346,7 @@ def run_trial_batch(config: ExperimentConfig, pairs, shared: dict) -> list:
 
 def _saps_batch(config, starts, problem: SapsProblem, score) -> list:
     """Run the starts as one run_saps_batch per horizon; `score` maps a
-    record's iterates and averages to its metrics."""
+    record's iterates and averages to its metric columns."""
     configs = [replace(run_cfg, initial=PrimalDualPoint(init_rng.uniform(-1.0, 1.0, size=config.n),
                                                         init_rng.uniform(-1.0, 1.0, size=config.n)))
                for run_cfg, init_rng in starts]
@@ -370,9 +370,8 @@ def _bilinear_batch(config, starts, shared: dict) -> list:
 
     def bilinear_metrics(Z, A):
         gaps = _minimax_gap_rows(evaluator, A, z_star).tolist()
-        return [{"minimax_gap": max(gap, 0.0), "minimax_gap_raw": gap,
-                 "dist_to_saddle": avg, "dist_last": last}
-                for gap, avg, last in zip(gaps, _row_distances(A, z_star), _row_distances(Z, z_star))]
+        return {"minimax_gap": [max(gap, 0.0) for gap in gaps], "minimax_gap_raw": gaps,
+                "dist_to_saddle": _row_distances(A, z_star), "dist_last": _row_distances(Z, z_star)}
 
     return _saps_batch(config, starts, SapsProblem(oracle, theta, theta), bilinear_metrics)
 
@@ -383,8 +382,7 @@ def _tanh_batch(config, starts, shared: dict) -> list:
     z_ref = shared["z_ref"]
 
     def tanh_metrics(Z, A):
-        return [{"dist_avg_to_ref": avg, "dist_last_to_ref": last}
-                for avg, last in zip(_row_distances(A, z_ref), _row_distances(Z, z_ref))]
+        return {"dist_avg_to_ref": _row_distances(A, z_ref), "dist_last_to_ref": _row_distances(Z, z_ref)}
 
     problem = SapsProblem(TanhOracle(shared["xbar"], shared["ybar"]), theta, theta)
     return _saps_batch(config, starts, problem, tanh_metrics)
@@ -430,14 +428,13 @@ def _np_batch(config, starts, shared: dict) -> list:
         record.metrics = metrics
         # Relative KKT errors over the recorded trace, scored against the start.
         if base_norm > 0.0:
-            errors = kkt_errors([base_norm] + [row["grad_norm_raw"] for row in metrics],
-                                [row["grad_norm_avg"] for row in metrics])
+            errors = kkt_errors([base_norm] + metrics["grad_norm_raw"], metrics["grad_norm_avg"])
             record.final_metrics.update(rerror=errors.rerror, raerror=errors.raerror)
     return outcomes
 
 
 def _np_metrics(problem: LsaalProblem, z0: PrimalDualPoint, Z, A, ks):
-    """The metric rows of a Neyman-Pearson trial's recorded iterates Z and
+    """The metric columns of a Neyman-Pearson trial's recorded iterates Z and
     averages A, recorded at iterations ks, and the Lagrangian-gradient norm
     at its start z0.
 
@@ -470,8 +467,7 @@ def _np_metrics(problem: LsaalProblem, z0: PrimalDualPoint, Z, A, ks):
         "grad_norm_avg": norms[1::2],
         "y_norm": np.sqrt(_row_dots(Y, Y)),
     }
-    metrics = [dict(zip(columns, row)) for row in zip(*(column.tolist() for column in columns.values()))]
-    return metrics, float(norms[0])
+    return {name: column.tolist() for name, column in columns.items()}, float(norms[0])
 
 
 def _np_diagnose(config: ExperimentConfig) -> None:
@@ -547,18 +543,14 @@ def _trace_path(out_dir: Path, config: ExperimentConfig, N: int, trial: int) -> 
 
 
 def _emit_trace(out_dir: Path, config: ExperimentConfig, N: int, trial: int, record: RunRecord) -> Path:
-    names = sorted({name for metrics in record.metrics for name in metrics})
+    names = sorted(record.metrics)
     header = ["k", "gamma"] + names
+    columns = [record.ks, record.gammas] + [record.metrics[name] for name in names]
     if config.include_timing:
         header.append("elapsed_ms")
-    rows = []
-    for k, gamma, metrics, elapsed in zip(record.ks, record.gammas, record.metrics, record.elapsed):
-        row = [k, float(gamma)] + [float(metrics.get(n, math.nan)) for n in names]
-        if config.include_timing:
-            row.append(elapsed * 1e3)
-        rows.append(row)
+        columns.append([elapsed * 1e3 for elapsed in record.elapsed])
     path = _trace_path(out_dir, config, N, trial)
-    _write_csv(path, header, rows)
+    _write_csv(path, header, zip(*columns))
     return path
 
 
@@ -619,7 +611,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             failures[N].append((trial, outcome))
             continue
         trace_paths.append(_emit_trace(out_dir, config, N, trial, outcome))
-        finals[N].append({**outcome.metrics[-1], **outcome.final_metrics})
+        last_row = {name: column[-1] for name, column in outcome.metrics.items()}
+        finals[N].append({**last_row, **outcome.final_metrics})
 
     aggregate_rows = _aggregate(config, finals, failures)
     _write_csv(out_dir / "aggregate.csv",

@@ -229,17 +229,17 @@ class RunRecord:
     """Append-only trace of a single run.
 
     One row per recorded (possibly thinned) iteration: iteration index, step
-    size, metric values, and the solver's elapsed wall time in seconds. The
-    row's iterate and average are copied into row i of `iterates` and
-    `averages`, two (rows, n + m) arrays of stacked (x | y); metric hooks see
-    views of those copies, and a caller without hooks scores the arrays
-    after the run. The run's last iterate and average land in
-    `final_iterate`/`final_average`, run-level scalars in `final_metrics`.
+    size and the solver's elapsed wall time in seconds. The row's iterate and
+    average are copied into row i of `iterates` and `averages`, two
+    (rows, n + m) arrays of stacked (x | y), which callers score after the
+    run; `metrics` maps each score's name to its column, one value per row.
+    The run's last iterate and average land in `final_iterate`/
+    `final_average`, run-level scalars in `final_metrics`.
     """
 
     ks: list = field(default_factory=list)
     gammas: list = field(default_factory=list)
-    metrics: list = field(default_factory=list)
+    metrics: dict = field(default_factory=dict)
     elapsed: list = field(default_factory=list)
     iterates: np.ndarray | None = None
     averages: np.ndarray | None = None
@@ -247,15 +247,49 @@ class RunRecord:
     final_iterate: PrimalDualPoint | None = None
     final_metrics: dict = field(default_factory=dict)
 
-    def append(self, k, gamma, metric_values, elapsed_s):
+    def append(self, k, gamma, elapsed_s):
         if self.ks and k <= self.ks[-1]:
             raise ValueError(f"recorded iterations must strictly increase ({k} after {self.ks[-1]})")
         if self.elapsed and elapsed_s < self.elapsed[-1]:
             raise ValueError("elapsed time must be nondecreasing")
         self.ks.append(int(k))
         self.gammas.append(float(gamma))
-        self.metrics.append(dict(metric_values))
         self.elapsed.append(float(elapsed_s))
+
+
+def _run_hooks(outcome, hooks, n: int) -> RunRecord:
+    """A one-row runner's outcome with its metric hooks applied after the run.
+
+    outcome is a RunRecord, or the error that ended the run with the rows
+    recorded before it as its `record`. Each recorded row k, in order, calls
+    hook(k, iterate, average) on views of the record's copies (the first n
+    entries of a stacked row are x), and the hooks' name->value maps become
+    the record's metric columns. A hook that raises DivergenceError at row k
+    ends the run there: the error is raised with the rows before k as its
+    record. Otherwise the record is returned, or the outcome raised.
+    """
+    record = outcome.record if isinstance(outcome, Exception) else outcome
+    rows = []
+    for i, (k, z, a) in enumerate(zip(record.ks, record.iterates, record.averages)):
+        values = {}
+        try:
+            for hook in hooks:
+                values.update(hook(k, PrimalDualPoint(z[:n], z[n:]), PrimalDualPoint(a[:n], a[n:])))
+        except DivergenceError as exc:
+            exc.record = RunRecord(record.ks[:i], record.gammas[:i], _columns(rows), record.elapsed[:i],
+                                   record.iterates[:i], record.averages[:i])
+            raise
+        rows.append(values)
+    record.metrics = _columns(rows)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return record
+
+
+def _columns(rows) -> dict:
+    """name -> column of the per-row maps, NaN where a row lacks the name."""
+    names = dict.fromkeys(name for values in rows for name in values)
+    return {name: [values.get(name, math.nan) for values in rows] for name in names}
 
 
 class _Rows:
@@ -265,12 +299,14 @@ class _Rows:
 
     Row t of the kernel's stacked state is the trial at position index[t] of
     its caller's list. A row records every thinning-th iteration and its
-    last one; `due` is the next iteration at which any row records, so an
-    iteration that records no row costs the kernel one comparison with it.
+    last one, by copying its points into its RunRecord; scoring them is left
+    to the caller, after the run. `due` is the next iteration at which any
+    row records, so an iteration that records no row costs the kernel one
+    comparison with it.
     """
 
-    def __init__(self, oracle, configs, rngs, n: int, dim: int, **state):
-        self.oracle, self.rngs, self.n = oracle, list(rngs), n
+    def __init__(self, oracle, configs, rngs, dim: int, **state):
+        self.oracle, self.rngs = oracle, list(rngs)
         self.index = list(range(len(configs)))
         self.horizons = [c.horizon for c in configs]
         self.thinnings = [c.trace_thinning for c in configs]
@@ -299,36 +335,19 @@ class _Rows:
                 self.block[:len(block), row] = block
         return self.block[at]
 
-    def record(self, k: int, gamma, Z, A, hooks=()) -> dict:
+    def record(self, k: int, gamma, Z, A) -> None:
         """Record the rows due at iteration k = `due`: copy each one's iterate
         Z[row] and average A[row] into its RunRecord with its step (gamma, or
-        gamma[row] for an array), and call the hooks on views of the copies.
-
-        Returns row -> the DivergenceError a hook raised; that row records
-        nothing at k.
-        """
-        errors = {}
+        gamma[row] for an array)."""
         gammas = np.broadcast_to(gamma, len(self.index))
-        n = self.n
         for row, (N, thinning) in enumerate(zip(self.horizons, self.thinnings)):
             if self.nexts[row] != k:
                 continue
             record = self.records[row]
-            z, a = record.iterates[len(record.ks)], record.averages[len(record.ks)]
-            z[:], a[:] = Z[row], A[row]
-            values = {}
-            if hooks:
-                iterate, average = PrimalDualPoint(z[:n], z[n:]), PrimalDualPoint(a[:n], a[n:])
-                try:
-                    for hook in hooks:
-                        values.update(hook(k, iterate, average))
-                except DivergenceError as exc:
-                    errors[row] = exc
-                    continue
-            record.append(k, gammas[row], values, time.perf_counter() - self.t0)
+            record.iterates[len(record.ks)], record.averages[len(record.ks)] = Z[row], A[row]
+            record.append(k, gammas[row], time.perf_counter() - self.t0)
             self.nexts[row] = min(k + thinning, N)
         self.due = min(self.nexts)
-        return errors
 
     def drop(self, errors: dict, outcomes: list, finished=()) -> np.ndarray:
         """Hand each row in `errors` its error, with the rows the trial

@@ -48,16 +48,13 @@ from .core import (
     RunRecord,
     _row_dots,
     _Rows,
+    _run_hooks,
     as_vector,
 )
-from .cones import ConvexCone
-from .oracles import ConicSample, _one_row
-from .prox import ProximableFunction
+from .oracles import ConicSample
 
 __all__ = [
     "LsaalProblem",
-    "XSubproblemSpec",
-    "solve_x_subproblem",
     "run_lsaal",
     "run_laam",
     "run_lsaal_batch",
@@ -101,50 +98,27 @@ class LsaalProblem:
         return self.sigma if self.sigma is not None else 1.0 / math.sqrt(horizon)
 
 
-@dataclass(frozen=True, eq=False)
-class XSubproblemSpec:
-    """Frozen data of one primal subproblem (current point, multiplier, sample)."""
-
-    x_k: np.ndarray
-    y_k: np.ndarray
-    sample: ConicSample
-    sigma: float
-    cone: ConvexCone
-
-
 def _take(sample: ConicSample, rows) -> ConicSample:
     """The given rows of a stacked sample."""
     return ConicSample(sample.f_value[rows], sample.f_grad[rows], sample.g_value[rows], sample.g_jacobian[rows])
 
 
-def solve_x_subproblem(spec: XSubproblemSpec, feasible: ProximableFunction,
-                       inner_tol: float, inner_max_iters: int) -> tuple[np.ndarray, np.ndarray]:
-    """Semismooth Newton on the subproblem's dual, warm-started at u = y_k.
-
-    Returns x(u) and the multiplier step y = P_polar(w(x(u))) there, which is
-    the next multiplier. Terminates when the dual fixed-point residual
-    ||u - y|| drops to inner_tol; raises ConvergenceError when inner_max_iters
-    Newton steps do not get it there. A non-finite x_k - sigma*grad F or
-    residual raises ValueError. The one-row case of the solver the runners use.
-    """
-    X, Y, errors = _solve_rows(spec.x_k[None], spec.y_k[None], _one_row(spec.sample),
-                               np.array([spec.sigma]), spec.cone, feasible, inner_tol, inner_max_iters)
-    if errors:
-        raise errors[0]
-    return X[0], Y[0]
-
-
 def _solve_rows(Xk, Yk, S: ConicSample, sigma, cone, feasible, inner_tol, inner_max_iters):
-    """`solve_x_subproblem` on the rows of stacked subproblems, in lockstep.
+    """Semismooth Newton on the duals of stacked subproblems, in lockstep,
+    each warm-started at u = y_k.
 
     Row t is the subproblem at x_k = Xk[t], y_k = Yk[t] with the sample row
-    S[t] and penalty sigma[t]. Every step is one stacked pass over all rows,
-    with one (rows, c, c) solve; masks keep each row's own iteration: a row
-    moves only while its residual is above inner_tol, and the rows still
+    S[t] and penalty sigma[t]; its solution is x(u) and the multiplier step
+    y = P_polar(w(x(u))) there, which is the next multiplier. A row is solved
+    once its dual fixed-point residual ||u - y|| is at most inner_tol, and
+    fails with ConvergenceError when inner_max_iters Newton steps do not get
+    it there, or with ValueError when its x_k - sigma*grad F or residual is
+    not finite. Every step is one stacked pass over all rows, with one
+    (rows, c, c) solve; masks keep each row's own iteration: a row moves
+    only while its residual is above inner_tol, and the rows still
     backtracking share their step length. Every row gets the bits it gets
-    alone. Returns (X, Y, errors): errors maps a failed row to the
-    ValueError or ConvergenceError it raises alone, and its X and Y rows are
-    undefined.
+    alone. Returns (X, Y, errors): errors maps a failed row to its error,
+    and its X and Y rows are undefined.
     """
     jac, sig = S.g_jacobian, sigma[:, None]
     start = Xk - sig * S.f_grad
@@ -256,25 +230,22 @@ def run_lsaal(problem: LsaalProblem, config: RunConfig, metric_hooks=()) -> RunR
     case of run_lsaal_batch.
 
     Every trace_thinning-th outer iteration and the last are recorded: the
-    record keeps their iterates and averages, and metric hooks are called
-    there as hook(k, iterate, average) and return name->value maps. The
-    points are views of the record's copies, so a hook may keep them but
-    must not write to them.
+    record keeps their iterates and averages. Metric hooks run after the
+    run, once per recorded row as hook(k, iterate, average), and their
+    name->value maps become the record's metric columns (see
+    core._run_hooks); a hook that raises DivergenceError ends the run at its
+    row.
     """
-    return _one(run_lsaal_batch(problem, [config], metric_hooks))
+    outcome, = run_lsaal_batch(problem, [config])
+    return _run_hooks(outcome, metric_hooks, problem.oracle.dim)
 
 
 def run_laam(problem: LsaalProblem, config: RunConfig, metric_hooks=()) -> RunRecord:
     """Deterministic baseline: every sample replaced by the full-batch
-    average; the one-row case of run_lsaal_batch with full_batch=True."""
-    return _one(run_lsaal_batch(problem, [config], metric_hooks, full_batch=True))
-
-
-def _one(outcomes) -> RunRecord:
-    outcome, = outcomes
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
+    average; the one-row case of run_lsaal_batch with full_batch=True, with
+    run_lsaal's metric hooks."""
+    outcome, = run_lsaal_batch(problem, [config], full_batch=True)
+    return _run_hooks(outcome, metric_hooks, problem.oracle.dim)
 
 
 def _start(config: RunConfig, rng: np.random.Generator, oracle):
@@ -286,7 +257,7 @@ def _start(config: RunConfig, rng: np.random.Generator, oracle):
     return oracle.feasible_set.prox(1.0, rng.uniform(-1.0, 1.0, size=oracle.dim)), np.zeros(oracle.cone.dim)
 
 
-def run_lsaal_batch(problem: LsaalProblem, configs, metric_hooks=(), full_batch: bool = False) -> list:
+def run_lsaal_batch(problem: LsaalProblem, configs, full_batch: bool = False) -> list:
     """Run one LSAAL trial per config, all advancing together; with
     full_batch=True every sample is replaced by the full-batch average (LAAM).
 
@@ -303,7 +274,7 @@ def run_lsaal_batch(problem: LsaalProblem, configs, metric_hooks=(), full_batch:
     ConvergenceError that ended it, with the message it gets alone and the
     rows the trial recorded before it as the error's `record`. A trial
     leaves the batch at its horizon or at its error; the others run on. The
-    recording contract is run_lsaal's.
+    recording contract is run_lsaal's; the records carry no metrics.
     """
     configs = list(configs)
     outcomes = [None] * len(configs)
@@ -318,7 +289,7 @@ def run_lsaal_batch(problem: LsaalProblem, configs, metric_hooks=(), full_batch:
     starts = [_start(c, rng, oracle) for c, rng in zip(configs, rngs)]
     X, Y = np.stack([x for x, _ in starts]), np.stack([y for _, y in starts])
     zeros = np.zeros(len(configs))
-    rows = _Rows(oracle, configs, rngs, oracle.dim, oracle.dim + cone.dim,
+    rows = _Rows(oracle, configs, rngs, oracle.dim + cone.dim,
                  sigma=np.array([problem.resolve_sigma(c.horizon) for c in configs]),
                  X=X, Y=Y, avg_x=np.zeros_like(X), avg_y=np.zeros_like(Y),
                  y_norm=np.sqrt(_row_dots(Y, Y)), y_norm_max=zeros, y_step_max=zeros, x_ratio_max=zeros,
@@ -371,8 +342,8 @@ def run_lsaal_batch(problem: LsaalProblem, configs, metric_hooks=(), full_batch:
         if k != rows.due:
             continue
 
-        errors = rows.record(k, rows.sigma, np.hstack((X, Y)), np.hstack((rows.avg_x, rows.avg_y)), metric_hooks)
-        ended = [row for row, N in enumerate(rows.horizons) if N == k and row not in errors]
+        rows.record(k, rows.sigma, np.hstack((X, Y)), np.hstack((rows.avg_x, rows.avg_y)))
+        ended = [row for row, N in enumerate(rows.horizons) if N == k]
         for row in ended:
             record = rows.records[row]
             record.final_iterate = PrimalDualPoint(X[row].copy(), Y[row].copy())
@@ -383,8 +354,8 @@ def run_lsaal_batch(problem: LsaalProblem, configs, metric_hooks=(), full_batch:
                 record.final_metrics.update(x_step_bound_ratio_max=float(rows.x_ratio_max[row]),
                                             y_step_bound_ratio_max=float(rows.y_ratio_max[row]))
             outcomes[rows.index[row]] = record
-        if errors or ended:
-            rows.drop(errors, outcomes, ended)
+        if ended:
+            rows.drop({}, outcomes, ended)
     return outcomes
 
 
@@ -444,6 +415,7 @@ def estimate_constants(oracle, rng: np.random.Generator, n_full: int = 2000,
     The diameter comes from the feasible-set geometry and the Slater margin
     from the full-batch constraint value at the oracle's Slater point. The
     result is an estimate (lower-biased for sup bounds), flagged as such.
+    Neither size may be negative, and at least one must be positive.
 
     Point i of each part takes rng.uniform(-R, R, dim), then rng.random()
     for even i (which scales the projected point into the interior), then in
@@ -451,6 +423,9 @@ def estimate_constants(oracle, rng: np.random.Generator, n_full: int = 2000,
     loop. The points are then projected and evaluated as stacks
     (full_batch_rows, evaluate_rows), and the maxima taken in point order.
     """
+    if n_full < 0 or n_sample < 0 or n_full + n_sample == 0:
+        raise ValueError(f"estimate_constants needs n_full >= 0 and n_sample >= 0, not both 0 "
+                         f"(got n_full={n_full}, n_sample={n_sample})")
     feasible = oracle.feasible_set
     dim = oracle.dim
     R = feasible.diameter()

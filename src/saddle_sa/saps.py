@@ -35,6 +35,7 @@ from .core import (
     RunConfig,
     RunRecord,
     _Rows,
+    _run_hooks,
     gamma_at,
 )
 from .prox import BlockSeparable, ProximableFunction
@@ -89,7 +90,7 @@ def _guard(Z, n: int, k: int):
     return errors
 
 
-def run_saps_batch(problem: SapsProblem, configs, metric_hooks=()) -> list:
+def run_saps_batch(problem: SapsProblem, configs) -> list:
     """Run one prox-subgradient trial per config, all advancing together.
 
     The configs must share horizon, schedule and averaging; each brings its
@@ -100,7 +101,7 @@ def run_saps_batch(problem: SapsProblem, configs, metric_hooks=()) -> list:
     Returns one entry per config: its RunRecord, or the DivergenceError that
     ended it, with the rows the trial recorded before it as the error's
     `record`. A trial that diverges leaves the batch; the others run on. The
-    recording contract is run_saps's.
+    recording contract is run_saps's; the records carry no metrics.
     """
     configs = list(configs)
     outcomes = [None] * len(configs)
@@ -116,7 +117,7 @@ def run_saps_batch(problem: SapsProblem, configs, metric_hooks=()) -> list:
     n, m = starts[0].n, starts[0].m
     if any((z.n, z.m) != (n, m) for z in starts):
         raise ValueError("initial points of one batch must have equal dimensions")
-    rows = _Rows(oracle, configs, rngs, n, n + m)
+    rows = _Rows(oracle, configs, rngs, n + m)
     Z = np.stack([z.stacked() for z in starts])
     # With theta is omega (the same object) over blocks of equal size this is
     # one row prox over 2T rows.
@@ -128,23 +129,21 @@ def run_saps_batch(problem: SapsProblem, configs, metric_hooks=()) -> list:
             avg, weight = _fold(avg, weight, Z, gamma)
         else:
             avg = Z
-        # row -> the DivergenceError that ends it at this iteration
-        errors = rows.record(k, gamma, Z, avg, metric_hooks) if k == rows.due else {}
+        if k == rows.due:
+            rows.record(k, gamma, Z, avg)
         D = oracle.directions(Z, rows.draws(k))  # descent in x, ascent in y
         # A shape mismatch is a programming error, not divergence.
         if D.shape != Z.shape:
             raise ValueError(f"sample direction dimensions do not match the iterate at iteration {k}")
         V = Z + gamma * D
         # Any non-finite entry makes the sum non-finite; a sum that merely
-        # overflows costs the exact scan and finds nothing.
+        # overflows costs the exact scan and finds nothing. Leave before the
+        # prox: the row prox is unchecked, and some (PositivePartSum) map NaN
+        # to 0, so a NaN gradient would turn silently into a finite iterate.
         if not math.isfinite(V.sum()):
             message = f"non-finite iterate at iteration {k}: vector has non-finite entries"
-            for row in np.flatnonzero(~np.isfinite(V).all(axis=1)):
-                errors.setdefault(row, DivergenceError(k, message))
-        # Leave before the prox: the row prox is unchecked, and some (PositivePartSum)
-        # map NaN to 0, so a NaN gradient would turn silently into a finite iterate.
-        if errors:
-            keep = rows.drop(errors, outcomes)
+            bad = np.flatnonzero(~np.isfinite(V).all(axis=1))
+            keep = rows.drop({row: DivergenceError(k, message) for row in bad}, outcomes)
             V, avg = V[keep], avg[keep]
             if not rows.index:
                 break
@@ -166,14 +165,13 @@ def run_saps(problem: SapsProblem, config: RunConfig, metric_hooks=()) -> RunRec
 
     The average covers the pre-update iterates z^1..z^N (the returned final
     iterate z^{N+1} is not folded in). Every trace_thinning-th iteration and
-    the last are recorded: the record keeps their iterates and averages, and
-    metric hooks are called there as hook(k, iterate, average) and return
-    name->value maps. The points are views of the record's copies, so a hook
-    may keep them but must not write to them.
+    the last are recorded: the record keeps their iterates and averages.
     With averaging disabled the averaged slots carry the raw iterate.
-    This is the one-trial case of run_saps_batch.
+    This is the one-trial case of run_saps_batch. Metric hooks run after it,
+    once per recorded row as hook(k, iterate, average), and their name->value
+    maps become the record's metric columns (see core._run_hooks); a hook
+    that raises DivergenceError ends the run at its row.
     """
-    outcome, = run_saps_batch(problem, [config], metric_hooks)
-    if isinstance(outcome, DivergenceError):
-        raise outcome
-    return outcome
+    outcome, = run_saps_batch(problem, [config])
+    n = config.initial.n if config.initial is not None else problem.oracle.n
+    return _run_hooks(outcome, metric_hooks, n)

@@ -26,6 +26,8 @@ from saddle_sa import (
     ZeroFunction,
     synth_gaussian_classes,
 )
+from saddle_sa import lsaal
+from saddle_sa.oracles import _one_row
 
 GRID_STEP = 1e-4
 
@@ -137,6 +139,26 @@ def conic_evaluate(oracle, x, idx) -> ConicSample:
     case of its `evaluate_rows`, with a float f_value."""
     s = oracle.evaluate_rows(np.asarray(x, dtype=float)[None], np.asarray(idx)[None])
     return ConicSample(float(s.f_value[0]), s.f_grad[0], s.g_value[0], s.g_jacobian[0])
+
+
+class Subproblem(NamedTuple):
+    """One LSAAL subproblem: current point, multiplier, sample, penalty and cone."""
+
+    x_k: np.ndarray
+    y_k: np.ndarray
+    sample: ConicSample
+    sigma: float
+    cone: object
+
+
+def solve_subproblem(spec: Subproblem, feasible, inner_tol: float, inner_max_iters: int):
+    """The one-row case of the LSAAL solver's stacked subproblem solve: x(u)
+    and the multiplier step there, or the error the row fails with, raised."""
+    X, Y, errors = lsaal._solve_rows(spec.x_k[None], spec.y_k[None], _one_row(spec.sample), np.array([spec.sigma]),
+                                     spec.cone, feasible, inner_tol, inner_max_iters)
+    if errors:
+        raise errors[0]
+    return X[0], Y[0]
 
 
 class Sample(NamedTuple):
@@ -253,7 +275,7 @@ def assert_kept_points_seen(record, dim: int):
     """The record's iterates and averages are, row for row, the points
     point_hook saw, with one row per recorded iteration."""
     for name, kept in (("iterate", record.iterates), ("average", record.averages)):
-        seen = np.array([np.frombuffer(values[name]) for values in record.metrics]).reshape(len(record.ks), dim)
+        seen = np.array([np.frombuffer(value) for value in record.metrics[name]]).reshape(len(record.ks), dim)
         assert kept.shape == (len(record.ks), dim)
         assert np.array_equal(kept, seen)
 

@@ -387,9 +387,9 @@ class TestMainEntry:
         seen = []
         run_lsaal_batch = cli.run_lsaal_batch
 
-        def recording(problem, configs, hooks=(), full_batch=False):
+        def recording(problem, configs, full_batch=False):
             seen.extend(config.schedule for config in configs)
-            return run_lsaal_batch(problem, configs, hooks, full_batch)
+            return run_lsaal_batch(problem, configs, full_batch)
 
         monkeypatch.setattr(cli, "run_lsaal_batch", recording)
         cfg = load_config(NP_HOOK_TEXT)
@@ -844,8 +844,10 @@ class TestNeymanPearsonMetrics:
         z0 = PrimalDualPoint(indicator_points(oracle.feasible_set, rng, 1)[0], np.zeros(m - 1))
         metrics, base = cli._np_metrics(problem, z0, kept.iterates, kept.averages, kept.ks)
         expected, expected_base = reference_np_metrics(problem, z0, kept)
-        assert list(metrics[0]) == ["constraint_violation", "proj_kkt", "grad_norm_raw", "grad_norm_avg", "y_norm"]
-        assert np.array_equal([list(row.values()) for row in metrics], expected)
+        assert list(metrics) == ["constraint_violation", "proj_kkt", "grad_norm_raw", "grad_norm_avg", "y_norm"]
+        assert all(len(column) == rows for column in metrics.values())
+        assert all(type(value) is float for column in metrics.values() for value in column)
+        assert np.array_equal(np.array(list(metrics.values())).T, expected)
         assert base == expected_base
         # The rows reach both sides of every branch.
         assert 0 < sum(row[0] > 0.0 for row in expected) < rows

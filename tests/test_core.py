@@ -131,22 +131,22 @@ class TestRandomSource:
 class TestRunRecord:
     def test_append_and_validate(self):
         rec = RunRecord()
-        rec.append(1, 0.5, {"m": 1.0}, 0.0)
-        rec.append(3, 0.25, {"m": 2.0}, 0.1)
+        rec.append(1, 0.5, 0.0)
+        rec.append(3, 0.25, 0.1)
         assert (rec.ks, rec.gammas, rec.elapsed) == ([1, 3], [0.5, 0.25], [0.0, 0.1])
-        assert rec.metrics == [{"m": 1.0}, {"m": 2.0}]
+        assert rec.metrics == {}  # scores are columns set after the run
 
     def test_nonincreasing_k_rejected(self):
         rec = RunRecord()
-        rec.append(2, 0.5, {}, 0.0)
+        rec.append(2, 0.5, 0.0)
         with pytest.raises(ValueError):
-            rec.append(2, 0.5, {}, 0.1)
+            rec.append(2, 0.5, 0.1)
 
     def test_decreasing_time_rejected(self):
         rec = RunRecord()
-        rec.append(1, 0.5, {}, 1.0)
+        rec.append(1, 0.5, 1.0)
         with pytest.raises(ValueError):
-            rec.append(2, 0.5, {}, 0.5)
+            rec.append(2, 0.5, 0.5)
 
 
 class TestSolverErrors:

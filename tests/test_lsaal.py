@@ -5,7 +5,14 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import assert_kept_points_seen, conic_evaluate, point_hook, recording_hook
+from conftest import (
+    Subproblem,
+    assert_kept_points_seen,
+    conic_evaluate,
+    point_hook,
+    recording_hook,
+    solve_subproblem,
+)
 from saddle_sa import (
     BallIndicator,
     BoxIndicator,
@@ -19,14 +26,12 @@ from saddle_sa import (
     RandomSource,
     RunConfig,
     StepSchedule,
-    XSubproblemSpec,
     estimate_constants,
     multiplier_bound_diagnostics,
     proj_kkt,
     run_laam,
     run_lsaal,
     run_lsaal_batch,
-    solve_x_subproblem,
     synth_gaussian_classes,
 )
 from saddle_sa import core as core_module
@@ -38,8 +43,8 @@ def sample_1d(f_grad=1.0, g_value=0.5, dg=1.0):
 
 
 def spec_1d(sigma=1.0, x_k=0.0, y_k=0.0, **kw):
-    return XSubproblemSpec(np.array([x_k]), np.array([y_k]), sample_1d(**kw),
-                           sigma, NonpositiveOrthant(1))
+    return Subproblem(np.array([x_k]), np.array([y_k]), sample_1d(**kw),
+                      sigma, NonpositiveOrthant(1))
 
 
 def multiplier_step(spec, x):
@@ -86,8 +91,8 @@ class TestSubproblemGradient:
                 rng.normal(size=m),
                 rng.normal(size=(m, n)),
             )
-            spec = XSubproblemSpec(rng.normal(size=n), np.abs(rng.normal(size=m)),
-                                   sample, float(rng.uniform(0.2, 2.0)), NonpositiveOrthant(m))
+            spec = Subproblem(rng.normal(size=n), np.abs(rng.normal(size=m)),
+                              sample, float(rng.uniform(0.2, 2.0)), NonpositiveOrthant(m))
             x = rng.normal(size=n)
             grad = subproblem_gradient(spec, x)
             fd = np.empty(n)
@@ -101,11 +106,11 @@ class TestSubproblemGradient:
 
 class TestSolveSubproblem:
     def test_zero_data_returns_warm_start(self):
-        spec = XSubproblemSpec(np.array([0.3]), np.array([0.0]),
-                               sample_1d(f_grad=0.0, g_value=0.0, dg=0.0),
-                               1.0, NonpositiveOrthant(1))
+        spec = Subproblem(np.array([0.3]), np.array([0.0]),
+                          sample_1d(f_grad=0.0, g_value=0.0, dg=0.0),
+                          1.0, NonpositiveOrthant(1))
         box = BoxIndicator(np.array([-1.0]), np.array([1.0]))
-        out, _ = solve_x_subproblem(spec, box, 1e-12, 100)
+        out, _ = solve_subproblem(spec, box, 1e-12, 100)
         np.testing.assert_allclose(out, [0.3], atol=1e-11)
 
     def test_1d_worked_instance_hits_boundary(self):
@@ -113,7 +118,7 @@ class TestSolveSubproblem:
         # minimizer is the left endpoint
         spec = spec_1d()
         box = BoxIndicator(np.array([-1.0]), np.array([1.0]))
-        out, _ = solve_x_subproblem(spec, box, 1e-10, 500)
+        out, _ = solve_subproblem(spec, box, 1e-10, 500)
         grid = np.arange(-1.0, 1.0 + 1e-5, 1e-5)
         obj = grid + np.maximum(0.5 + grid, 0.0) ** 2 / 2.0 + grid ** 2 / 2.0
         best = grid[int(np.argmin(obj))]
@@ -134,7 +139,7 @@ class TestSolveSubproblem:
             fg = rng.uniform(-0.3, 0.3, size=2)
             x_k = rng.normal(size=2) * 0.1
             sample = ConicSample(0.0, fg, G, J)
-            spec = XSubproblemSpec(x_k, y, sample, sigma, NonpositiveOrthant(2))
+            spec = Subproblem(x_k, y, sample, sigma, NonpositiveOrthant(2))
             ball = BallIndicator(np.zeros(2), 50.0)  # effectively unconstrained
             # normal equations: (sigma I + I/sigma) dx = -(fg + y + sigma G)
             dx = np.linalg.solve((sigma + 1.0 / sigma) * np.eye(2), -(fg + y + sigma * G))
@@ -142,7 +147,7 @@ class TestSolveSubproblem:
             w = y + sigma * (G + J @ (x_expect - x_k))
             if not (w > 0.0).all():
                 continue  # identity-projection assumption broke; skip draw
-            out, _ = solve_x_subproblem(spec, ball, 1e-12, 2000)
+            out, _ = solve_subproblem(spec, ball, 1e-12, 2000)
             np.testing.assert_allclose(out, x_expect, atol=1e-9)
 
     def test_matches_dense_grid_search_2d(self):
@@ -159,8 +164,8 @@ class TestSolveSubproblem:
             y = np.abs(rng.normal(size=2))
             x_k = rng.uniform(-0.5, 0.5, size=2)
             sample = ConicSample(0.0, fg, G, J)
-            spec = XSubproblemSpec(x_k, y, sample, sigma, NonpositiveOrthant(2))
-            out, _ = solve_x_subproblem(spec, box, 1e-8, 3000)
+            spec = Subproblem(x_k, y, sample, sigma, NonpositiveOrthant(2))
+            out, _ = solve_subproblem(spec, box, 1e-8, 3000)
 
             def objective(W):
                 dx = W - x_k
@@ -189,12 +194,12 @@ class TestSolveSubproblem:
         # An active constraint over a disc: the projection onto the circle is
         # not affine, so one Newton step from y_k = 0 leaves a residual.
         sample = ConicSample(0.0, np.array([-1.0, -1.0]), np.array([0.5]), np.array([[1.0, 1.0]]))
-        spec = XSubproblemSpec(np.zeros(2), np.array([0.0]), sample, 10.0, NonpositiveOrthant(1))
+        spec = Subproblem(np.zeros(2), np.array([0.0]), sample, 10.0, NonpositiveOrthant(1))
         disc = BallIndicator(np.zeros(2), 1.0)
         with pytest.raises(ConvergenceError) as err:
-            solve_x_subproblem(spec, disc, 1e-12, 1)
+            solve_subproblem(spec, disc, 1e-12, 1)
         assert err.value.residual > 1e-12
-        x, y = solve_x_subproblem(spec, disc, 1e-12, 50)
+        x, y = solve_subproblem(spec, disc, 1e-12, 50)
         assert np.array_equal(y, multiplier_step(spec, x))
 
 
@@ -227,7 +232,7 @@ def random_neyman_pearson_subproblems(m):
             x_k = oracle.feasible_set.prox(1.0, rng.normal(size=oracle.dim) * 2.0)
             y_k = np.maximum(rng.normal(size=m - 1), 0.0) * 2.0
             sample = conic_evaluate(oracle, x_k, oracle.draws(rng, 1)[0])
-            spec = XSubproblemSpec(x_k, y_k, sample, sigma, oracle.cone)
+            spec = Subproblem(x_k, y_k, sample, sigma, oracle.cone)
             yield oracle.feasible_set, spec, 3 if sigma < 0.1 else 200
 
 
@@ -238,11 +243,11 @@ class TestSolverMatchesReference:
         # step at the returned x, and a solve from equal copies of the spec
         # returns the same bits.
         for feasible, spec, budget in random_neyman_pearson_subproblems(m):
-            x, y = solve_x_subproblem(spec, feasible, 1e-8, budget)
+            x, y = solve_subproblem(spec, feasible, 1e-8, budget)
             assert np.array_equal(y, reference_multiplier(spec, x))
-            twin = XSubproblemSpec(spec.x_k.copy(), spec.y_k.copy(), spec.sample,
-                                   spec.sigma, spec.cone)
-            x2, y2 = solve_x_subproblem(twin, feasible, 1e-8, budget)
+            twin = Subproblem(spec.x_k.copy(), spec.y_k.copy(), spec.sample,
+                              spec.sigma, spec.cone)
+            x2, y2 = solve_subproblem(twin, feasible, 1e-8, budget)
             assert np.array_equal(x2, x) and np.array_equal(y2, y)
 
     @pytest.mark.parametrize("m", [2, 3, 4])
@@ -258,7 +263,7 @@ class TestSolverMatchesReference:
         tol, active = 1e-8, 0
         for feasible, spec, budget in random_neyman_pearson_subproblems(m):
             sample, sigma = spec.sample, spec.sigma
-            x, y = solve_x_subproblem(spec, feasible, tol, budget)
+            x, y = solve_subproblem(spec, feasible, tol, budget)
             assert feasible.contains(x, tol=1e-12)
             assert np.array_equal(y, reference_multiplier(spec, x))
             active += bool((y > 0.0).any())
@@ -275,8 +280,8 @@ class TestSolverMatchesReference:
         rng = np.random.default_rng(5)
         x_k = np_instance.feasible_set.prox(1.0, rng.normal(size=np_instance.dim))
         sample = conic_evaluate(np_instance, x_k, np_instance.draws(rng, 1)[0])
-        spec = XSubproblemSpec(x_k, np.ones(np_instance.cone.dim), sample, 0.1, np_instance.cone)
-        out, y = solve_x_subproblem(spec, np_instance.feasible_set, 1e-8, 500)
+        spec = Subproblem(x_k, np.ones(np_instance.cone.dim), sample, 0.1, np_instance.cone)
+        out, y = solve_subproblem(spec, np_instance.feasible_set, 1e-8, 500)
         assert out.flags.writeable and y.flags.writeable
         assert out is not spec.x_k
         multiplier_step(spec, out)
@@ -311,7 +316,7 @@ class TestYUpdate:
                                  rng.normal(size=(3, 2)))
             y_k, sigma = np.abs(rng.normal(size=3)), float(rng.uniform(0.1, 2.0))
             x_next, x_k = rng.normal(size=2), rng.normal(size=2)
-            out = multiplier_step(XSubproblemSpec(x_k, y_k, sample, sigma, cone), x_next)
+            out = multiplier_step(Subproblem(x_k, y_k, sample, sigma, cone), x_next)
             assert cone.polar_contains(out, tol=1e-12)
 
     @pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan, math.inf])
@@ -443,7 +448,7 @@ class TestRunners:
             # the stream's first draw at x0.
             sample = conic_evaluate(np_instance, x0, np_instance.draws(cfg.random_source().generator(), 1)[0])
             (_, z1, _) = seen[0]
-            spec = XSubproblemSpec(x0, y0, sample, problem.resolve_sigma(20), np_instance.cone)
+            spec = Subproblem(x0, y0, sample, problem.resolve_sigma(20), np_instance.cone)
             assert np.array_equal(z1.y, reference_multiplier(spec, z1.x))
         assert not np.array_equal(runs[0.0][-1][1].stacked(), runs[0.7][-1][1].stacked())
 
@@ -457,7 +462,7 @@ class TestRunners:
     @pytest.mark.parametrize("runner", [run_lsaal, run_laam])
     @pytest.mark.parametrize("averaging", [True, False])
     def test_kept_hook_points_stay_valid(self, np_instance, runner, averaging):
-        # The hook points share memory with the solver's state; every point a
+        # The hook points are views of the record's copies; every point a
         # hook keeps must still hold the values it had when the hook ran, and
         # the average must be the running mean of the iterates.
         problem = LsaalProblem(np_instance)
@@ -567,11 +572,6 @@ class TestInnerSolverOverflow:
         assert str(err.value).endswith("multiplier step has non-finite entries")
 
 
-def probe_hook(k, z, avg):
-    """Metric hook whose values are the row's two points, as bytes."""
-    return {"iterate": z.stacked().tobytes(), "average": avg.stacked().tobytes()}
-
-
 def batch_problem(m, oracle=None, **knobs):
     """An m-class instance with audit constants: the feasible set's diameter
     and the oracle's analytic envelopes."""
@@ -597,6 +597,7 @@ def batch_configs(T, oracle, averaging=True):
 
 def assert_same_run(rec, solo):
     assert (rec.ks, rec.gammas, rec.metrics) == (solo.ks, solo.gammas, solo.metrics)
+    assert np.array_equal(rec.iterates, solo.iterates) and np.array_equal(rec.averages, solo.averages)
     assert np.array_equal(rec.final_iterate.stacked(), solo.final_iterate.stacked())
     assert np.array_equal(rec.final_average.stacked(), solo.final_average.stacked())
     assert rec.final_metrics == solo.final_metrics
@@ -647,18 +648,17 @@ class TestBatchKernel:
     @pytest.mark.parametrize("runner", [run_lsaal, run_laam], ids=["lsaal", "laam"])
     def test_rows_match_solo_runs(self, m, runner, monkeypatch):
         # Mixed horizons, thinnings and starts: each row of a batch of any
-        # size is bit for bit its trial run alone, metrics, final points and
-        # audit ratios included.
+        # size is bit for bit its trial run alone, recorded points, final
+        # points and audit ratios included.
         problem = batch_problem(m)
         full_batch = runner is run_laam
         for averaging in (True, False):
-            solo = [runner(problem, cfg, [probe_hook]) for cfg in batch_configs(10, problem.oracle, averaging)]
+            solo = [runner(problem, cfg) for cfg in batch_configs(10, problem.oracle, averaging)]
             # Small prefetch blocks: the batch refills its draws, and pads the
             # rows that end inside a block.
             monkeypatch.setattr(core_module, "PREFETCH_ROWS", 4)
             for T in (1, 2, 5, 10):
-                records = run_lsaal_batch(problem, batch_configs(T, problem.oracle, averaging), [probe_hook],
-                                          full_batch=full_batch)
+                records = run_lsaal_batch(problem, batch_configs(T, problem.oracle, averaging), full_batch=full_batch)
                 for rec, ref in zip(records, solo):
                     assert_same_run(rec, ref)
             monkeypatch.undo()
@@ -672,9 +672,9 @@ class TestBatchKernel:
         clean = batch_problem(3, **knobs)
         configs = batch_configs(10, clean.oracle)
         with np.errstate(over="ignore", invalid="ignore"):
-            batch = run_lsaal_batch(poisoned, configs, [probe_hook])
+            batch = run_lsaal_batch(poisoned, configs)
             with pytest.raises((DivergenceError, ConvergenceError)) as err:
-                run_lsaal(poisoned, configs[4], [probe_hook])
+                run_lsaal(poisoned, configs[4])
         solo = err.value
         failed = batch[4]
         assert type(failed) is type(solo) and str(failed) == str(solo)
@@ -684,27 +684,30 @@ class TestBatchKernel:
         else:
             assert failed.residual == solo.residual
         assert failed.record.ks == list(range(3, 12, 3))  # the rows recorded before it
+        assert np.array_equal(failed.record.iterates, solo.record.iterates)
+        assert np.array_equal(failed.record.averages, solo.record.averages)
         for t, cfg in enumerate(configs):
             if t != 4:
-                assert_same_run(batch[t], run_lsaal(clean, cfg, [probe_hook]))
+                assert_same_run(batch[t], run_lsaal(clean, cfg))
 
     @pytest.mark.parametrize("T", [1, 2, 5])
     @pytest.mark.parametrize("runner", [run_lsaal, run_laam], ids=["lsaal", "laam"])
     def test_records_keep_the_points_hooks_see(self, T, runner):
         # Thinnings 3 and 7 on horizons 37 and 100, which they do not divide:
-        # each record keeps the points its hook saw, with or without hooks.
+        # each batch record keeps the points a hook on its trial's one-row
+        # run sees.
         problem = batch_problem(3)
         dim = problem.oracle.dim + problem.oracle.cone.dim
         full_batch = runner is run_laam
         for averaging in (True, False):
             configs = batch_configs(T, problem.oracle, averaging)
-            records = run_lsaal_batch(problem, configs, [point_hook], full_batch=full_batch)
-            for cfg, rec, bare in zip(configs, records, run_lsaal_batch(problem, configs, full_batch=full_batch)):
+            for cfg, rec in zip(configs, run_lsaal_batch(problem, configs, full_batch=full_batch)):
                 N, thinning = cfg.horizon, cfg.trace_thinning
                 assert rec.ks == [k for k in range(1, N + 1) if k % thinning == 0 or k == N]
-                assert_kept_points_seen(rec, dim)
-                assert np.array_equal(rec.iterates, bare.iterates)
-                assert np.array_equal(rec.averages, bare.averages)
+                hooked = runner(problem, cfg, [point_hook])
+                assert_kept_points_seen(hooked, dim)
+                assert np.array_equal(rec.iterates, hooked.iterates)
+                assert np.array_equal(rec.averages, hooked.averages)
                 assert np.array_equal(rec.iterates[-1], rec.final_iterate.stacked())
                 if not averaging:
                     assert np.array_equal(rec.averages, rec.iterates)
@@ -716,6 +719,82 @@ class TestBatchKernel:
 
     def test_empty_batch(self, np_instance):
         assert run_lsaal_batch(LsaalProblem(np_instance), []) == []
+
+
+def point_columns(record, rows=None):
+    """The columns point_hook gives the first `rows` rows of a record."""
+    return {"iterate": [z.tobytes() for z in record.iterates[:rows]],
+            "average": [a.tobytes() for a in record.averages[:rows]]}
+
+
+def rejecting_at(k_bad):
+    """point_hook, raising DivergenceError at row k_bad."""
+
+    def hook(k, z, avg):
+        if k == k_bad:
+            raise DivergenceError(k, f"hook rejected the iterate at iteration {k}")
+        return point_hook(k, z, avg)
+
+    return hook
+
+
+class TestPostRunHooks:
+    """run_lsaal and run_laam call their metric hooks after the run, on the
+    recorded rows."""
+
+    @pytest.mark.parametrize("runner", [run_lsaal, run_laam], ids=["lsaal", "laam"])
+    def test_hooked_record_is_the_bare_record_plus_the_hook_columns(self, runner):
+        problem = batch_problem(3)
+        config = batch_configs(2, problem.oracle)[1]  # horizon 37, thinning 3
+        bare, hooked = runner(problem, config), runner(problem, config, [point_hook])
+        assert bare.metrics == {}
+        assert (hooked.ks, hooked.gammas) == (bare.ks, bare.gammas)
+        assert np.array_equal(hooked.iterates, bare.iterates) and np.array_equal(hooked.averages, bare.averages)
+        assert np.array_equal(hooked.final_iterate.stacked(), bare.final_iterate.stacked())
+        assert np.array_equal(hooked.final_average.stacked(), bare.final_average.stacked())
+        assert hooked.final_metrics == bare.final_metrics
+        assert hooked.metrics == point_columns(bare)
+
+    @pytest.mark.parametrize("runner", [run_lsaal, run_laam], ids=["lsaal", "laam"])
+    def test_hook_error_ends_the_run_at_its_row(self, runner):
+        # Rows 3, 6, 9, 12, ...: the hook rejects k = 12, so the error keeps
+        # the three rows before it, with their hook columns.
+        problem = batch_problem(3)
+        config = batch_configs(2, problem.oracle)[1]
+        bare = runner(problem, config)
+        with pytest.raises(DivergenceError) as err:
+            runner(problem, config, [rejecting_at(12)])
+        error = err.value
+        assert type(error) is DivergenceError and error.iteration == 12
+        assert str(error) == "hook rejected the iterate at iteration 12"
+        record = error.record
+        assert (record.ks, record.gammas) == ([3, 6, 9], bare.gammas[:3]) and len(record.elapsed) == 3
+        assert np.array_equal(record.iterates, bare.iterates[:3]) and np.array_equal(record.averages, bare.averages[:3])
+        assert record.metrics == point_columns(bare, 3)
+        assert (record.final_iterate, record.final_average, record.final_metrics) == (None, None, {})
+
+    @pytest.mark.parametrize("k_bad, first", [(9, "hook"), (15, "solver")])
+    def test_the_earlier_of_a_hook_error_and_a_solver_error_ends_the_run(self, k_bad, first):
+        # The solver fails at outer iteration 12. A hook that rejects row 9
+        # came first; one that would reject row 15 is never reached, and the
+        # solver's error keeps the hook columns of the rows before it.
+        field, edit, knobs, message = POISONS["non_finite_sample"]
+        poisoned = batch_problem(3, lambda oracle: PoisonedOracle(oracle, 4, 12, field, edit), **knobs)
+        config = batch_configs(5, poisoned.oracle)[4]  # horizon 37, thinning 3, stream 4
+        with np.errstate(invalid="ignore"), pytest.raises(DivergenceError) as bare:
+            run_lsaal(poisoned, config)
+        with np.errstate(invalid="ignore"), pytest.raises(DivergenceError) as hooked:
+            run_lsaal(poisoned, config, [rejecting_at(k_bad)])
+        error = hooked.value
+        if first == "hook":
+            assert (error.iteration, str(error)) == (9, "hook rejected the iterate at iteration 9")
+            assert error.record.ks == [3, 6]
+        else:
+            assert type(error) is type(bare.value) and str(error) == str(bare.value) == message
+            assert error.record.ks == bare.value.record.ks == [3, 6, 9]
+        rows = len(error.record.ks)
+        assert np.array_equal(error.record.iterates, bare.value.record.iterates[:rows])
+        assert error.record.metrics == point_columns(bare.value.record, rows)
 
 
 class TestLinearizedPolarMonotonicity:
@@ -823,7 +902,8 @@ class TestEstimateConstants:
     def test_stacked_maxima_match_a_per_point_loop(self, m, n_full, n_sample):
         # The loop estimate_constants replaced: each point drawn, then its
         # full batch or its one-row sample taken, the maxima kept point by
-        # point. With no point at all both reject the zero nu_g alike.
+        # point. With no point at all the loop rejects the zero nu_g, and
+        # estimate_constants rejects the sizes first.
         dataset = synth_gaussian_classes(np.random.default_rng(20240501), m, 10, 100, 1.0).normalize()
         oracle = NeymanPearsonOracle(dataset, 5.0)
 
@@ -858,5 +938,18 @@ class TestEstimateConstants:
                 return str(exc)
 
         expected = outcome(per_point_loop)
-        assert expected == outcome(lambda rng: estimate_constants(oracle, rng, n_full=n_full, n_sample=n_sample))
+        got = outcome(lambda rng: estimate_constants(oracle, rng, n_full=n_full, n_sample=n_sample))
         assert isinstance(expected, ProblemConstants) == (n_full + n_sample > 0)
+        if n_full + n_sample == 0:
+            assert expected.startswith("nu_g must be strictly positive")
+            expected = "estimate_constants needs n_full >= 0 and n_sample >= 0, not both 0 (got n_full=0, n_sample=0)"
+        assert got == expected
+
+    @pytest.mark.parametrize("n_full, n_sample", [(-1, 5), (5, -1), (-2, 0), (0, -3), (-4, -4)])
+    def test_negative_sizes_are_rejected_by_name(self, np_small_instance, n_full, n_sample):
+        # A negative size would otherwise reach numpy as a negative dimension.
+        message = (f"estimate_constants needs n_full >= 0 and n_sample >= 0, not both 0 "
+                   f"(got n_full={n_full}, n_sample={n_sample})")
+        with pytest.raises(ValueError) as err:
+            estimate_constants(np_small_instance, RandomSource(1).generator(), n_full=n_full, n_sample=n_sample)
+        assert str(err.value) == message

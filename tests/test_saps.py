@@ -232,7 +232,7 @@ class TestRunSaps:
 
         rec = run_saps(prob, make_config(5, thin=2), [hook])
         assert seen == [2, 4, 5]
-        assert [sorted(row) for row in rec.metrics] == [["d"]] * 3
+        assert list(rec.metrics) == ["d"] and len(rec.metrics["d"]) == 3
 
     def test_reproducible_given_seed(self):
         prob = SapsProblem(BilinearOracle(3), ScaledL2(1.0), ScaledL2(1.0))
@@ -275,7 +275,7 @@ def scalar_reference(problem, config, hooks=()):
     else:
         x, y = config.initial.x, config.initial.y
     ax, ay, weight = x, y, 0.0
-    out = {"ks": [], "gammas": [], "metrics": []}
+    out = {"ks": [], "gammas": [], "metrics": {}, "iterates": [], "averages": []}
     N = config.horizon
     for k in range(1, N + 1):
         gamma = gamma_at(config.schedule, k, N)
@@ -291,13 +291,17 @@ def scalar_reference(problem, config, hooks=()):
             values = {}
             for hook in hooks:
                 values.update(hook(k, PrimalDualPoint(x, y), PrimalDualPoint(ax, ay)))
+            for name, value in values.items():
+                out["metrics"].setdefault(name, []).append(value)
             out["ks"].append(k)
             out["gammas"].append(gamma)
-            out["metrics"].append(values)
+            out["iterates"].append(np.concatenate([x, y]))
+            out["averages"].append(np.concatenate([ax, ay]))
         _, gx, gy = scalar_evaluate(oracle, PrimalDualPoint(x, y), oracle.draws(rng, 1)[0])
         x = problem.theta.prox(gamma, x - gamma * gx)
         y = problem.omega.prox(gamma, y + gamma * gy)
     out["average"], out["iterate"] = np.concatenate([ax, ay]), np.concatenate([x, y])
+    out["iterates"], out["averages"] = np.array(out["iterates"]), np.array(out["averages"])
     return out
 
 
@@ -309,6 +313,14 @@ def assert_same_run(a: RunRecord, b: RunRecord):
     assert np.array_equal(a.final_average.stacked(), b.final_average.stacked())
     assert np.array_equal(a.final_iterate.stacked(), b.final_iterate.stacked())
     assert a.ks == b.ks and a.gammas == b.gammas and a.metrics == b.metrics
+    assert np.array_equal(a.iterates, b.iterates) and np.array_equal(a.averages, b.averages)
+
+
+def assert_matches_reference(rec: RunRecord, ref: dict):
+    assert np.array_equal(rec.final_average.stacked(), ref["average"])
+    assert np.array_equal(rec.final_iterate.stacked(), ref["iterate"])
+    assert (rec.ks, rec.gammas, rec.metrics) == (ref["ks"], ref["gammas"], ref["metrics"])
+    assert np.array_equal(rec.iterates, ref["iterates"]) and np.array_equal(rec.averages, ref["averages"])
 
 
 def kernel_problem(kind, reg):
@@ -345,10 +357,7 @@ class TestBatchKernel:
                 for given in (True, False):
                     cfg = trial_config(0, N, thin, averaging, given)
                     rec = run_saps(problem, cfg, [probe_hook])
-                    ref = scalar_reference(problem, cfg, [probe_hook])
-                    assert np.array_equal(rec.final_average.stacked(), ref["average"])
-                    assert np.array_equal(rec.final_iterate.stacked(), ref["iterate"])
-                    assert (rec.ks, rec.gammas, rec.metrics) == (ref["ks"], ref["gammas"], ref["metrics"])
+                    assert_matches_reference(rec, scalar_reference(problem, cfg, [probe_hook]))
 
     @pytest.mark.parametrize("kind,reg", KINDS)
     def test_rows_match_solo_runs(self, kind, reg, monkeypatch):
@@ -360,7 +369,7 @@ class TestBatchKernel:
                 for given in (True, False):
                     for t in range(5):
                         solo[averaging, thin, given, t] = run_saps(
-                            problem, trial_config(t, N, thin, averaging, given), [probe_hook])
+                            problem, trial_config(t, N, thin, averaging, given))
         # Small prefetch blocks: the batch refills its draws six times in N = 25.
         monkeypatch.setattr(core_module, "PREFETCH_ROWS", 4)
         for T in (1, 2, 5):
@@ -368,28 +377,29 @@ class TestBatchKernel:
                 for thin in (1, 3, N):
                     for given in (True, False):
                         configs = [trial_config(t, N, thin, averaging, given) for t in range(T)]
-                        records = run_saps_batch(problem, configs, [probe_hook])
+                        records = run_saps_batch(problem, configs)
                         for t, rec in enumerate(records):
                             assert_same_run(rec, solo[averaging, thin, given, t])
 
     @pytest.mark.parametrize("T", [1, 3])
     @pytest.mark.parametrize("averaging", [True, False])
     def test_kept_hook_points_stay_valid(self, T, averaging):
-        # The hook points share memory with the kernel's state; every point a
-        # hook keeps must still hold its row's values after the run.
+        # The hook points are views of the record's copies; every point a
+        # hook on a trial's one-row run keeps must still hold its row's
+        # values after the run, and the trial's batch row keeps them too.
         problem = kernel_problem("bilinear", "l1")
         configs = [trial_config(t, 25, 1, averaging, False) for t in range(T)]
-        seen = []
-        run_saps_batch(problem, configs, [recording_hook(seen)])
-        for t, cfg in enumerate(configs):
-            ref = []
+        for cfg, rec in zip(configs, run_saps_batch(problem, configs)):
+            seen, ref = [], []
+            run_saps(problem, cfg, [recording_hook(seen)])
             scalar_reference(problem, cfg, [recording_hook(ref)])
-            rows = seen[t::T]  # hooks run row by row within each recorded k
-            assert len(rows) == len(ref) == 25
-            for (k, z, avg), (k_ref, z_ref, avg_ref) in zip(rows, ref):
-                assert k == k_ref
+            assert len(seen) == len(ref) == 25
+            for row, ((k, z, avg), (k_ref, z_ref, avg_ref)) in enumerate(zip(seen, ref)):
+                assert k == k_ref == rec.ks[row]
                 assert np.array_equal(z.stacked(), z_ref.stacked())
                 assert np.array_equal(avg.stacked(), avg_ref.stacked())
+                assert np.array_equal(rec.iterates[row], z_ref.stacked())
+                assert np.array_equal(rec.averages[row], avg_ref.stacked())
 
     @pytest.mark.parametrize("kind", ["bilinear", "tanh"])
     def test_mixed_regularizers_match_scalar_reference(self, kind):
@@ -403,13 +413,11 @@ class TestBatchKernel:
                 for given in (True, False):
                     for T in (1, 2, 5):
                         configs = [trial_config(t, N, thin, averaging, given) for t in range(T)]
-                        records = [run_saps(problem, configs[0], [probe_hook])] if T == 1 else \
-                            run_saps_batch(problem, configs, [probe_hook])
+                        hooks = [probe_hook] if T == 1 else []  # only the one-row runner takes hooks
+                        records = [run_saps(problem, configs[0], hooks)] if T == 1 else \
+                            run_saps_batch(problem, configs)
                         for cfg, rec in zip(configs, records):
-                            ref = scalar_reference(problem, cfg, [probe_hook])
-                            assert np.array_equal(rec.final_average.stacked(), ref["average"])
-                            assert np.array_equal(rec.final_iterate.stacked(), ref["iterate"])
-                            assert (rec.ks, rec.gammas, rec.metrics) == (ref["ks"], ref["gammas"], ref["metrics"])
+                            assert_matches_reference(rec, scalar_reference(problem, cfg, hooks))
 
     def test_mismatched_settings_rejected(self):
         # Horizon, schedule and averaging are shared; thinnings may differ.
@@ -429,21 +437,19 @@ class TestRecordedPoints:
     @pytest.mark.parametrize("averaging", [True, False])
     def test_records_keep_the_points_hooks_see(self, T, averaging, monkeypatch):
         # Thinnings 1, 3 and 7 in one batch, on a horizon that 3 and 7 do not
-        # divide: each record keeps the points its hook saw, with or without
-        # hooks, and each row is its solo run.
+        # divide: each record keeps the points a hook on its trial's one-row
+        # run sees, and each row is its solo run.
         monkeypatch.setattr(core_module, "PREFETCH_ROWS", 4)
         problem = kernel_problem("tanh", "max")
         N = 20
         configs = [trial_config(t, N, (1, 3, 7)[t % 3], averaging, t % 2 == 0) for t in range(T)]
-        records = run_saps_batch(problem, configs, [point_hook])
-        for cfg, rec, bare in zip(configs, records, run_saps_batch(problem, configs)):
+        for cfg, rec in zip(configs, run_saps_batch(problem, configs)):
             assert rec.ks == [k for k in range(1, N + 1) if k % cfg.trace_thinning == 0 or k == N]
-            assert_kept_points_seen(rec, 6)
-            solo = run_saps(problem, cfg, [point_hook])
-            assert_same_run(rec, solo)
-            for other in (solo, bare):
-                assert np.array_equal(rec.iterates, other.iterates)
-                assert np.array_equal(rec.averages, other.averages)
+            assert_same_run(rec, run_saps(problem, cfg))
+            hooked = run_saps(problem, cfg, [point_hook])
+            assert_kept_points_seen(hooked, 6)
+            assert np.array_equal(rec.iterates, hooked.iterates)
+            assert np.array_equal(rec.averages, hooked.averages)
             if not averaging:
                 assert np.array_equal(rec.averages, rec.iterates)
 
@@ -454,12 +460,20 @@ class TestRecordedPoints:
         # the rows of the same trial without the blow-up.
         N = 20
         configs = [trial_config(t, N, thinning, True, False) for t in range(3)]
-        blow_up = SapsProblem(BlowUpOracle(3, configs[1].stream_id, 7, 1e15), ZeroFunction(), ZeroFunction())
-        error = run_saps_batch(blow_up, configs, [point_hook])[1]
+
+        def blow_up():
+            return SapsProblem(BlowUpOracle(3, configs[1].stream_id, 7, 1e15), ZeroFunction(), ZeroFunction())
+
+        error = run_saps_batch(blow_up(), configs)[1]
         assert isinstance(error, DivergenceError) and error.iteration == 7
         rows = [k for k in range(1, 8) if k % thinning == 0]
         assert error.record.ks == rows
-        assert_kept_points_seen(error.record, 6)
+        with pytest.raises(DivergenceError) as hooked:
+            run_saps(blow_up(), configs[1], [point_hook])
+        assert hooked.value.record.ks == rows
+        assert_kept_points_seen(hooked.value.record, 6)
+        assert np.array_equal(error.record.iterates, hooked.value.record.iterates)
+        assert np.array_equal(error.record.averages, hooked.value.record.averages)
         clean = run_saps(SapsProblem(BilinearOracle(3), ZeroFunction(), ZeroFunction()), configs[1])
         assert np.array_equal(error.record.iterates, clean.iterates[:len(rows)])
         assert np.array_equal(error.record.averages, clean.averages[:len(rows)])
@@ -501,16 +515,20 @@ class TestBatchDivergence:
             def problem():
                 return SapsProblem(BlowUpOracle(3, stream, 7, factor), regularizer, regularizer)
 
-            outcomes = run_saps_batch(problem(), configs, [probe_hook])
+            outcomes = run_saps_batch(problem(), configs)
             with pytest.raises(DivergenceError) as solo_error:
-                run_saps(problem(), configs[2], [probe_hook])
+                run_saps(problem(), configs[2])
             assert isinstance(outcomes[2], DivergenceError)
             assert outcomes[2].iteration == solo_error.value.iteration == 7
             assert str(outcomes[2]) == str(solo_error.value)
             for t in (0, 1, 3, 4):
-                assert_same_run(outcomes[t], run_saps(problem(), configs[t], [probe_hook]))
+                assert_same_run(outcomes[t], run_saps(problem(), configs[t]))
 
     def test_hook_divergence_ends_only_its_row(self):
+        # Hooks run on one-row runs, after the run: a hook that rejects a
+        # trial's row 6 ends that trial there, with the rows before it, and
+        # leaves the other trials, whose batch rows it does not see, as the
+        # hookless batch ran them plus the hook's columns.
         def hook(k, z, avg):
             if k == 6 and z.x[0] > 0.0:
                 raise DivergenceError(k, f"hook rejected the iterate at iteration {k}")
@@ -518,16 +536,19 @@ class TestBatchDivergence:
 
         problem = kernel_problem("bilinear", "mu0")
         configs = [trial_config(t, 20, 3, True, True) for t in range(6)]
-        outcomes = run_saps_batch(problem, configs, [hook])
+        outcomes = run_saps_batch(problem, configs)
         kinds = set()
         for config, outcome in zip(configs, outcomes):
             try:
                 solo = run_saps(problem, config, [hook])
             except DivergenceError as exc:
                 kinds.add("diverged")
-                assert outcome.iteration == exc.iteration == 6 and str(outcome) == str(exc)
+                assert exc.iteration == 6 and str(exc) == "hook rejected the iterate at iteration 6"
+                assert exc.record.ks == [3] and np.array_equal(exc.record.iterates, outcome.iterates[:1])
             else:
                 kinds.add("finished")
+                assert solo.metrics == scalar_reference(problem, config, [probe_hook])["metrics"]
+                outcome.metrics = solo.metrics
                 assert_same_run(outcome, solo)
         assert kinds == {"diverged", "finished"}
 
@@ -538,6 +559,76 @@ class TestBatchDivergence:
                              schedule=StepSchedule("const_over_sqrt_n")) for t in range(3)]
         outcomes = run_saps_batch(problem, configs)
         assert [o.iteration for o in outcomes] == [1, 1, 1]
+
+
+class TestPostRunHooks:
+    """run_saps calls its metric hooks after the run, on the recorded rows."""
+
+    def test_hooked_record_is_the_bare_record_plus_the_hook_columns(self):
+        problem = kernel_problem("tanh", "l1")
+        config = trial_config(0, 20, 3, True, False)
+        bare, hooked = run_saps(problem, config), run_saps(problem, config, [point_hook])
+        assert bare.metrics == {}
+        assert (hooked.ks, hooked.gammas) == (bare.ks, bare.gammas)
+        assert np.array_equal(hooked.iterates, bare.iterates) and np.array_equal(hooked.averages, bare.averages)
+        assert np.array_equal(hooked.final_iterate.stacked(), bare.final_iterate.stacked())
+        assert np.array_equal(hooked.final_average.stacked(), bare.final_average.stacked())
+        assert hooked.final_metrics == bare.final_metrics == {}
+        assert hooked.metrics == {"iterate": [z.tobytes() for z in bare.iterates],
+                                  "average": [a.tobytes() for a in bare.averages]}
+
+    def test_hook_error_ends_the_run_at_its_row(self):
+        # Rows 3, 6, 9, ...: the hook rejects k = 9, so the error keeps the
+        # two rows before it, with their hook columns.
+        problem = kernel_problem("bilinear", "l2")
+        config = trial_config(1, 20, 3, True, True)
+        bare = run_saps(problem, config)
+
+        def hook(k, z, avg):
+            if k == 9:
+                raise DivergenceError(k, f"hook rejected the iterate at iteration {k}")
+            return probe_hook(k, z, avg)
+
+        with pytest.raises(DivergenceError) as err:
+            run_saps(problem, config, [hook])
+        error = err.value
+        assert type(error) is DivergenceError and error.iteration == 9
+        assert str(error) == "hook rejected the iterate at iteration 9"
+        record = error.record
+        assert (record.ks, record.gammas) == ([3, 6], bare.gammas[:2]) and len(record.elapsed) == 2
+        assert np.array_equal(record.iterates, bare.iterates[:2]) and np.array_equal(record.averages, bare.averages[:2])
+        assert record.metrics == {name: column[:2] for name, column in
+                                  scalar_reference(problem, config, [probe_hook])["metrics"].items()}
+        assert (record.final_iterate, record.final_average) == (None, None)
+
+    @pytest.mark.parametrize("k_bad, first", [(7, "hook"), (8, "solver")])
+    def test_the_earlier_of_a_hook_error_and_a_divergence_ends_the_run(self, k_bad, first):
+        # The iterate diverges in the step of iteration 7, after row 7 is
+        # recorded: a hook that rejects row 7 came first, and one that would
+        # reject row 8 is never reached.
+        config = trial_config(0, 20, 1, True, True)
+
+        def problem():
+            return SapsProblem(BlowUpOracle(3, config.stream_id, 7, 1e15), ZeroFunction(), ZeroFunction())
+
+        def hook(k, z, avg):
+            if k == k_bad:
+                raise DivergenceError(k, f"hook rejected the iterate at iteration {k}")
+            return point_hook(k, z, avg)
+
+        with pytest.raises(DivergenceError) as bare:
+            run_saps(problem(), config)
+        with pytest.raises(DivergenceError) as hooked:
+            run_saps(problem(), config, [hook])
+        error = hooked.value
+        assert bare.value.iteration == 7 and bare.value.record.ks == list(range(1, 8))
+        if first == "hook":
+            assert str(error) == "hook rejected the iterate at iteration 7" and error.record.ks == list(range(1, 7))
+        else:
+            assert str(error) == str(bare.value) and error.record.ks == bare.value.record.ks
+        rows = len(error.record.ks)
+        assert np.array_equal(error.record.iterates, bare.value.record.iterates[:rows])
+        assert_kept_points_seen(error.record, 6)
 
 
 class TestGapTrend:

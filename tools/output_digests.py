@@ -77,6 +77,8 @@ CASES = [
     ("bilinear-l1-n9", "run", BILINEAR + "N_list = 50,100,200\ntrials = 3\nseed = 5\n", ["n=9", "regularizer=l1"]),
     ("bilinear-max-n9", "run", BILINEAR + "N_list = 50,100,200\ntrials = 3\nseed = 5\n", ["n=9", "regularizer=max"]),
     ("bilinear-parallel2", "run", BILINEAR + "N_list = 100,300,1000\ntrials = 5\nseed = 6\n", ["parallel=2"]),
+    # Pool workers send their records' metric columns back to the parent process.
+    ("np-parallel2", "run", NP_SYNTH + "N_list = 50,100,200\ntrials = 3\nseed = 15\n", ["parallel=2"]),
     ("bilinear-all-diverged", "run", BILINEAR + "N_list = 10,20\ntrials = 3\nseed = 7\n",
      ["schedule=harmonic", "theta=1e13", "mu=0"]),
     # One Newton step per subproblem is too few at sigma = 100: every trial fails.
