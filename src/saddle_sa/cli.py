@@ -392,7 +392,11 @@ def _m_star_diagnose(config: ExperimentConfig, oracle) -> None:
     """Print a sampled second-moment estimate of a SAPS experiment's oracle."""
     theta = _regularizer(config.regularizer, config.mu)
     rng = RandomSource(config.seed, derive_stream_id(config.seed, "diagnose")).generator()
-    print(f"M_star={estimate_m_star(oracle, theta, theta, rng)!r} (estimated)")
+    m_star = estimate_m_star(oracle, theta, theta, rng)
+    # As for the conic constants, an estimate that is not finite and positive is no estimate.
+    if not 0.0 < m_star < math.inf:
+        raise ConfigError(f"cannot estimate the instance constants of this config: M_star={m_star!r}")
+    print(f"M_star={m_star!r} (estimated)")
 
 
 def _np_shared(config: ExperimentConfig):
@@ -449,12 +453,9 @@ def _np_metrics(problem: LsaalProblem, z0: PrimalDualPoint, Z, A, ks):
     points = np.empty((1 + 2 * rows, dim + cone.dim))
     points[0], points[1::2], points[2::2] = z0.stacked(), A, Z
     fb = oracle.full_batch_rows(points[:, :dim])
-    finite = (np.isfinite(fb.f_grad).all(axis=1) & np.isfinite(fb.g_value).all(axis=1)
-              & np.isfinite(fb.g_jacobian).all(axis=(1, 2)))
-    for p in (0, int(np.argmin(finite))):  # the start's shapes, then the first non-finite point
-        errors = _check_sample_rows(_take(fb, [p]), oracle, 0 if p == 0 else ks[(p - 1) // 2])
-        if errors:
-            raise errors[0]
+    errors = _check_sample_rows(fb, oracle, [0, *np.repeat(ks, 2).tolist()])
+    if errors:
+        raise next(iter(errors.values()))
 
     grads = _lagrangian_grad_rows(fb, points[:, dim:])
     norms = np.sqrt(_row_dots(grads, grads))
@@ -637,12 +638,17 @@ def _aggregate(config: ExperimentConfig, finals: dict, failures: dict) -> list:
                 values_by_metric.setdefault(name, []).append(float(value))
         for name in sorted(values_by_metric):
             vals = np.asarray(values_by_metric[name], dtype=float)
-            median = float(np.median(vals))
-            stderr = float(np.std(vals, ddof=1) / math.sqrt(vals.size)) if vals.size > 1 else 0.0
+            # The statistics of vals / scale, scaled back: a power of two
+            # divides exactly, and keeps the sums and squares of huge values
+            # finite. Ordinary values have scale 1.
+            scale = 2.0 ** max(0, math.frexp(float(np.abs(vals).max()))[1] - 256)
+            scaled = vals / scale
+            median = float(np.median(scaled))
+            stderr = float(np.std(scaled, ddof=1) / math.sqrt(vals.size)) if vals.size > 1 else 0.0
             rows.append([
-                N, name, float(vals.mean()), median, stderr,
+                N, name, float(scaled.mean()) * scale, median * scale, stderr * scale,
                 float(vals.min()), float(vals.max()),
-                tail_tally(vals, config.tail_multiplier * median),
+                tail_tally(scaled, config.tail_multiplier * median),
             ])
         count = float(len(failures[N]))
         rows.append([N, "diverged_trials", count, count, 0.0, count, count, 0.0])

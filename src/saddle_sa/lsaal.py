@@ -29,7 +29,9 @@ kappa1/(sigma*s) + kappa2*sigma + kappa3*sigma*s for a window length s.
 `estimate_constants` samples those constants in one stacked pass as well:
 its loop only draws random numbers, and the oracle's row forms evaluate the
 points. The runners and the estimate read of the oracle only its cone,
-feasible_set, dim, slater_point(), draws, evaluate_rows and full_batch_rows.
+feasible_set, dim, slater_point(), draws, evaluate_rows and full_batch_rows,
+and every sample is a stack of rows (a one-point sample is one row), checked
+by `_check_sample_rows` alone.
 """
 
 from __future__ import annotations
@@ -205,12 +207,14 @@ def _solve_rows(Xk, Yk, S: ConicSample, sigma, cone, feasible, inner_tol, inner_
     return X, Y, errors
 
 
-def _check_sample_rows(S: ConicSample, oracle, k: int) -> dict:
-    """Validate the stacked output of a conic oracle at (outer) iteration k.
+def _check_sample_rows(S: ConicSample, oracle, ks) -> dict:
+    """Validate the stacked output of a conic oracle; ks is each row's
+    (outer) iteration, or one iteration for every row.
 
     Shapes that do not fit rows of an oracle.dim-dimensional point and
     oracle.cone raise ValueError; returns row -> DivergenceError(k) for each
-    row with non-finite gradient, constraint or Jacobian entries.
+    row with non-finite gradient, constraint or Jacobian entries, with k
+    that row's iteration, in row order.
     """
     dim, cone, jac = oracle.dim, oracle.cone, S.g_jacobian
     T = len(S.f_grad)
@@ -222,7 +226,9 @@ def _check_sample_rows(S: ConicSample, oracle, k: int) -> dict:
     if math.isfinite(S.f_grad.sum() + S.g_value.sum() + jac.sum()):
         return {}
     bad = ~(np.isfinite(S.f_grad).all(axis=1) & np.isfinite(S.g_value).all(axis=1) & np.isfinite(jac).all(axis=(1, 2)))
-    return {int(row): DivergenceError(k, f"non-finite oracle sample at iteration {k}") for row in np.flatnonzero(bad)}
+    ks = np.broadcast_to(ks, T).tolist()
+    return {int(row): DivergenceError(ks[row], f"non-finite oracle sample at iteration {ks[row]}")
+            for row in np.flatnonzero(bad)}
 
 
 def run_lsaal(problem: LsaalProblem, config: RunConfig, metric_hooks=()) -> RunRecord:
@@ -457,7 +463,7 @@ def estimate_constants(oracle, rng: np.random.Generator, n_full: int = 2000,
         nu_g, kappa_f, kappa_g = raised((nu_g, kappa_f, kappa_g), sampled)
         nu_f = max([0.0, *np.abs(sampled.f_value - oracle.full_batch_rows(points).f_value).tolist()])
 
-    margin = oracle.cone.interior_distance(oracle.full_batch(oracle.slater_point()).g_value)
+    margin = oracle.cone.interior_distance(oracle.full_batch_rows(oracle.slater_point()[None]).g_value[0])
     return ProblemConstants(
         R=R,
         nu_g=nu_g,

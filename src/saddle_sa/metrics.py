@@ -3,7 +3,9 @@
 Deterministic evaluators wrap the exact (or finite-sum) objective so the
 stochastic solvers can be scored against noise-free quantities: the minimax
 optimality gap, Lagrangian gradient norms, constraint violation, projected
-KKT residuals, log-log rate fits, and tail tallies.
+KKT residuals, log-log rate fits, and tail tallies. The conic metrics take
+the oracle and a point, `proj_kkt(oracle, z)`, and evaluate the full batch
+at z themselves, as the one-row case of their row forms.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ import numpy as np
 
 from .core import PrimalDualPoint, _row_dots, as_vector
 from .cones import ConvexCone
-from .oracles import _one_row
 from .prox import ProximableFunction
 
 __all__ = [
@@ -117,10 +118,11 @@ def _minimax_gap_rows(evaluator, P: np.ndarray, z_star: PrimalDualPoint) -> np.n
     return evaluator._phi_rows(X, Y_star) - evaluator._phi_rows(X_star, Y)
 
 
-def lagrangian_grad(fb, y: np.ndarray) -> np.ndarray:
+def lagrangian_grad(oracle, z: PrimalDualPoint) -> np.ndarray:
     """Stacked gradient (grad_x l, grad_y l) = (grad f + Dg^T y, g(x)) of the
-    Lagrangian l(x,y) = f(x) + <y, g(x)>, from the full-batch sample `fb` at x."""
-    return _lagrangian_grad_rows(_one_row(fb), np.asarray(y, dtype=float)[None])[0]
+    Lagrangian l(x,y) = f(x) + <y, g(x)> at z, from the conic oracle's full
+    batch at z.x."""
+    return _lagrangian_grad_rows(oracle.full_batch_rows(z.x[None]), z.y[None])[0]
 
 
 def _lagrangian_grad_rows(fb, Y: np.ndarray) -> np.ndarray:
@@ -163,9 +165,9 @@ def _constraint_violation_rows(cone: ConvexCone, G: np.ndarray) -> np.ndarray:
     return np.sqrt(_row_dots(P, P))
 
 
-def proj_kkt(fb, cone: ConvexCone, feasible: ProximableFunction, z: PrimalDualPoint) -> float:
-    """Projected KKT residual of a conic instance at (x, y), from the
-    full-batch sample `fb` at x.
+def proj_kkt(oracle, z: PrimalDualPoint) -> float:
+    """Projected KKT residual of a conic oracle's instance at z = (x, y),
+    from its full batch at x.
 
     Sum of the stationarity residual dist(-grad_x l(x,y), N_X(x)), with N_X
     the normal cone of the feasible set at x, and the combined feasibility/
@@ -174,8 +176,10 @@ def proj_kkt(fb, cone: ConvexCone, feasible: ProximableFunction, z: PrimalDualPo
     used instead of the raw gradient norm, which need not vanish at
     constrained optima.
     """
-    as_vector(lagrangian_grad(fb, z.y), dim=z.n + cone.dim, name="Lagrangian gradient")
-    return float(_proj_kkt_rows(_one_row(fb), cone, feasible, z.x[None], z.y[None])[0])
+    X, Y, cone = z.x[None], z.y[None], oracle.cone
+    fb = oracle.full_batch_rows(X)
+    as_vector(_lagrangian_grad_rows(fb, Y)[0], dim=z.n + cone.dim, name="Lagrangian gradient")
+    return float(_proj_kkt_rows(fb, cone, oracle.feasible_set, X, Y)[0])
 
 
 def _proj_kkt_rows(fb, cone: ConvexCone, feasible: ProximableFunction, X: np.ndarray,

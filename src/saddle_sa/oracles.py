@@ -8,14 +8,14 @@ along it as it is. `values(Z, draws)` is the sampled F of each row, for
 checks. `draws(rng, count)` stacks count draws with the bits of count single
 ones; each row rounds as the 1-D arithmetic does at that point and draw.
 Conic oracles return sampled objective and constraint data with the
-constraint Jacobian as a dense array, in row form only. The Neyman-Pearson
-oracle serves LSAAL, one sample per outer iteration and trial:
-`draws(rng, count)` as above, and `evaluate_rows(X, draws)` evaluates row t
-of X at draw t, stacked as the full batches are; one sample is its one-row
-case. Its full-batch average has the row form `full_batch_rows(X)`, of which
-`full_batch(x)` is the one-point case that the one-point metrics take. With
-`cone`, `feasible_set`, `dim` and `slater_point()` that is all the runners
-and `lsaal.estimate_constants` read of a conic oracle.
+constraint Jacobian as a dense array, always as a stack of rows (a
+`ConicSample`); one point is a stack of one row. The Neyman-Pearson oracle
+serves LSAAL, one sample per outer iteration and trial: `draws(rng, count)`
+as above, and `evaluate_rows(X, draws)` evaluates row t of X at draw t. Its
+full-batch average is `full_batch_rows(X)`, stacked the same way. With
+`cone`, `feasible_set`, `dim` and `slater_point()` that is the whole conic
+contract: all the runners, `lsaal.estimate_constants` and the conic metrics
+read of an oracle.
 """
 
 from __future__ import annotations
@@ -40,20 +40,14 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class ConicSample:
-    """One conic-oracle call: objective value/gradient, constraint value, and
-    the (constraints, dim) constraint Jacobian. `full_batch_rows` stacks
-    these over K points: arrays (K,), (K, dim), (K, constraints) and
-    (K, constraints, dim)."""
+    """Conic-oracle data at K points, one row each: objective values (K,)
+    and gradients (K, dim), constraint values (K, constraints) and
+    constraint Jacobians (K, constraints, dim)."""
 
-    f_value: float
+    f_value: np.ndarray
     f_grad: np.ndarray
     g_value: np.ndarray
     g_jacobian: np.ndarray
-
-
-def _one_row(sample: ConicSample) -> ConicSample:
-    """A one-point sample as a stack of one row (its f_value stays a scalar)."""
-    return ConicSample(sample.f_value, sample.f_grad[None], sample.g_value[None], sample.g_jacobian[None])
 
 
 def _pair_dots(S: np.ndarray, Z: np.ndarray) -> np.ndarray:
@@ -248,12 +242,11 @@ class NeymanPearsonOracle:
 
     def evaluate_rows(self, X: np.ndarray, idx: np.ndarray) -> ConicSample:
         """The sample at each row of the (T, dim) array X for the draw in the
-        same row of the (T, m) index array idx, stacked as full_batch_rows
-        stacks; X is unchecked.
+        same row of the (T, m) index array idx; X is unchecked.
 
         The full-batch arithmetic on one point per class, without the class
-        loop, so a one-point-per-class dataset reproduces full_batch bit for
-        bit, and each row has the bits of its point and draw alone.
+        loop, so a one-point-per-class dataset reproduces full_batch_rows bit
+        for bit, and each row has the bits of its point and draw alone.
         """
         m, n, T = self.m, self.n, X.shape[0]
         Psi = self._points[self._starts + idx]  # (T, m, n): row i of each is class i's point
@@ -267,7 +260,7 @@ class NeymanPearsonOracle:
         coef[:, self._flat_diagonal] = w.sum(axis=2)
         coef[:, self._flat_off_diagonal] = -w.reshape(T, -1)
         # grads[:, i, l] = coef[:, i, l] * psi_i is class i's gradient in block l;
-        # adding 0.0 gives zeros the sign that full_batch's 0.0 + and 0.0 - give them.
+        # adding 0.0 gives zeros the sign that full_batch_rows' 0.0 + and 0.0 - give them.
         grads = coef.reshape(T, m, m, 1) * Psi[:, :, None, :] + 0.0
         return ConicSample(
             values[:, 0],
@@ -276,14 +269,9 @@ class NeymanPearsonOracle:
             grads[:, 1:].reshape(T, m - 1, m * n),
         )
 
-    def full_batch(self, x: np.ndarray) -> ConicSample:
-        """Exact finite-sum version over the empirical class distributions:
-        the one-point case of full_batch_rows."""
-        s = self.full_batch_rows(np.asarray(x, dtype=float)[None])
-        return ConicSample(float(s.f_value[0]), s.f_grad[0], s.g_value[0], s.g_jacobian[0])
-
     def full_batch_rows(self, X: np.ndarray) -> ConicSample:
-        """`full_batch` at each row of the (K, dim) array X, stacked.
+        """The exact finite-sum sample over the empirical class distributions
+        at each row of the (K, dim) array X.
 
         Every product is a per-point matmul of the one-row shapes, so each
         row has the bits of its point evaluated alone. The rows go through

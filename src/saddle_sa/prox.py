@@ -4,10 +4,13 @@ Every kind here admits a closed-form prox; none is solved by an inner
 iteration, which keeps the prox exact to rounding and removes one error
 source from rate measurements. `f.prox(gamma, v)` returns the unique
 minimizer of  f(w) + ||w - v||^2 / (2*gamma); each kind writes it once, as
-the row-wise `_prox_rows`. The penalty kinds write `f.value(v)` once in the
+the row-wise `_prox_rows`. The penalty kinds write their value once in the
 same way, as the row-wise `_value_rows`. The indicator kinds also give their
 projection's generalized Jacobian (`_jacobian_rows`) and the distance to
-their normal cone (`_normal_cone_distance_rows`), row-wise as well.
+their normal cone (`_normal_cone_distance_rows`), row-wise as well. The
+one-point `value(v)` and `normal_cone_distance(x, v)` are written once, in
+`ProximableFunction`, as the checked one-row case of the row forms; only the
+indicators and block sums keep a `value` of their own.
 """
 
 from __future__ import annotations
@@ -30,19 +33,24 @@ __all__ = [
     "BlockSeparable",
 ]
 
+# An indicator's point counts as on the boundary of its set within this
+# tolerance, relative for a ball and absolute for a box face.
+_BOUNDARY_TOL = 1e-9
+
 
 class ProximableFunction:
     """A proper lsc convex function with evaluable value and exact prox map."""
 
     is_indicator = False
+    dim = None  # the dimension a point must have, for kinds that fix one
 
     def value(self, v: np.ndarray) -> float:
-        raise NotImplementedError
+        """The checked one-row case of `_value_rows`; a kind writes one of the two."""
+        return float(self._value_rows(as_vector(v, dim=self.dim)[None])[0])
 
     def _value_rows(self, V: np.ndarray) -> np.ndarray:
-        """Unchecked value at each row of the 2-D float array V; the penalty
-        kinds' `value` is its checked one-row case, and the other kinds
-        score row by row."""
+        """Unchecked value at each row of the 2-D float array V; the kinds
+        with a `value` of their own score row by row."""
         return np.array([self.value(v) for v in V])
 
     def prox(self, gamma: float, v: np.ndarray) -> np.ndarray:
@@ -76,7 +84,8 @@ class ProximableFunction:
 
     def normal_cone_distance(self, x: np.ndarray, v: np.ndarray) -> float:
         """Euclidean distance of v to the normal cone of the domain at x."""
-        raise NotImplementedError
+        x, v = as_vector(x, dim=self.dim), as_vector(v, dim=self.dim)
+        return float(self._normal_cone_distance_rows(x[None], v[None])[0])
 
     def _normal_cone_distance_rows(self, X: np.ndarray, V: np.ndarray) -> np.ndarray:
         """Unchecked `normal_cone_distance` of each row of V at the matching
@@ -92,9 +101,6 @@ class ZeroFunction(ProximableFunction):
     """f = 0; prox is the identity. Doubles as the free-space indicator."""
 
     is_indicator = True  # indicator of the whole space
-
-    def value(self, v):
-        return float(self._value_rows(as_vector(v)[None])[0])
 
     def _value_rows(self, V):
         return np.zeros(len(V))
@@ -113,9 +119,6 @@ class ZeroFunction(ProximableFunction):
 
     def _jacobian_rows(self, V, R):
         return R.copy()
-
-    def normal_cone_distance(self, x, v):
-        return float(self._normal_cone_distance_rows(as_vector(x)[None], as_vector(v)[None])[0])
 
     def _normal_cone_distance_rows(self, X, V):
         # Normal cone of the whole space is {0}.
@@ -140,9 +143,6 @@ class _Weighted(ProximableFunction):
 class ScaledL1(_Weighted):
     """f(v) = mu * sum |v_i|; prox is the componentwise soft threshold at mu*gamma."""
 
-    def value(self, v):
-        return float(self._value_rows(as_vector(v)[None])[0])
-
     def _value_rows(self, V):
         return self.mu * np.abs(V).sum(axis=1)
 
@@ -161,9 +161,6 @@ class ScaledL1(_Weighted):
 @dataclass(frozen=True)
 class ScaledL2(_Weighted):
     """f(v) = mu * ||v||_2; prox is the block soft threshold (shrink toward 0)."""
-
-    def value(self, v):
-        return float(self._value_rows(as_vector(v)[None])[0])
 
     def _value_rows(self, V):
         return self.mu * np.sqrt(_row_dots(V, V))  # rounds as np.linalg.norm does on one row
@@ -195,9 +192,6 @@ class PositivePartSum(_Weighted):
            = v_i             if v_i < 0
     """
 
-    def value(self, v):
-        return float(self._value_rows(as_vector(v)[None])[0])
-
     def _value_rows(self, V):
         return self.mu * np.maximum(V, 0.0).sum(axis=1)
 
@@ -221,6 +215,7 @@ class BallIndicator(ProximableFunction):
     center: np.ndarray
     radius: float
     is_indicator = True
+    dim = property(lambda self: self.center.shape[0])
 
     def __post_init__(self):
         object.__setattr__(self, "center", as_vector(self.center, name="center"))
@@ -234,8 +229,8 @@ class BallIndicator(ProximableFunction):
         return self._prox_rows(self._check_gamma(gamma), as_vector(v)[None])[0]
 
     def _prox_rows(self, gamma, V):
-        if V.shape[1] != self.center.shape[0]:
-            raise ValueError(f"vector must have dimension {self.center.shape[0]}, got {V.shape[1]}")
+        if V.shape[1] != self.dim:
+            raise ValueError(f"vector must have dimension {self.dim}, got {V.shape[1]}")
         D = V - self.center
         nrm = np.sqrt(_row_dots(D, D))  # rounds as np.linalg.norm does on one row
         far = nrm > self.radius
@@ -250,7 +245,7 @@ class BallIndicator(ProximableFunction):
         return np.zeros_like(as_vector(v))
 
     def contains(self, v, tol=1e-10):
-        v = as_vector(v, dim=self.center.shape[0])
+        v = as_vector(v, dim=self.dim)
         return float(np.linalg.norm(v - self.center)) <= self.radius + tol
 
     def _jacobian_rows(self, V, R):
@@ -265,12 +260,7 @@ class BallIndicator(ProximableFunction):
         U = D / nrm[:, None]
         return np.where(far[:, None], (self.radius / nrm)[:, None] * (R - _row_dots(U, R)[:, None] * U), R)
 
-    def normal_cone_distance(self, x, v, boundary_tol=1e-9):
-        x = as_vector(x, dim=self.center.shape[0])
-        v = as_vector(v, dim=self.center.shape[0])
-        return float(self._normal_cone_distance_rows(x[None], v[None], boundary_tol)[0])
-
-    def _normal_cone_distance_rows(self, X, V, boundary_tol=1e-9):
+    def _normal_cone_distance_rows(self, X, V):
         D = X - self.center
         nrm = np.sqrt(_row_dots(D, D))
         sq = nrm * nrm
@@ -278,7 +268,7 @@ class BallIndicator(ProximableFunction):
         # Interior rows keep t = 0, since their normal cone is {0}; on the
         # boundary it is the outward ray along d, and t is the larger of 0
         # and the projection coefficient of v on d.
-        boundary = nrm >= self.radius - boundary_tol * (1.0 + self.radius)
+        boundary = nrm >= self.radius - _BOUNDARY_TOL * (1.0 + self.radius)
         t = np.where(boundary & (nrm > 0.0) & (t > 0.0), t, 0.0)
         E = V - t[:, None] * D
         return np.sqrt(_row_dots(E, E))
@@ -294,6 +284,7 @@ class BoxIndicator(ProximableFunction):
     lo: np.ndarray
     hi: np.ndarray
     is_indicator = True
+    dim = property(lambda self: self.lo.shape[0])
 
     def __post_init__(self):
         object.__setattr__(self, "lo", as_vector(self.lo, name="lo"))
@@ -308,7 +299,7 @@ class BoxIndicator(ProximableFunction):
 
     def prox(self, gamma, v):
         # Elementwise, so the row-wise form serves a single vector too.
-        return self._prox_rows(self._check_gamma(gamma), as_vector(v, dim=self.lo.shape[0]))
+        return self._prox_rows(self._check_gamma(gamma), as_vector(v, dim=self.dim))
 
     def _prox_rows(self, gamma, V):
         return np.clip(V, self.lo, self.hi)
@@ -319,20 +310,15 @@ class BoxIndicator(ProximableFunction):
         return np.zeros_like(as_vector(v))
 
     def contains(self, v, tol=1e-10):
-        v = as_vector(v, dim=self.lo.shape[0])
+        v = as_vector(v, dim=self.dim)
         return bool((v >= self.lo - tol).all() and (v <= self.hi + tol).all())
 
     def _jacobian_rows(self, V, R):
         return np.where((self.lo <= V) & (V <= self.hi), R, 0.0)
 
-    def normal_cone_distance(self, x, v, boundary_tol=1e-9):
-        x = as_vector(x, dim=self.lo.shape[0])
-        v = as_vector(v, dim=self.lo.shape[0])
-        return float(self._normal_cone_distance_rows(x[None], v[None], boundary_tol)[0])
-
-    def _normal_cone_distance_rows(self, X, V, boundary_tol=1e-9):
-        at_hi = X >= self.hi - boundary_tol
-        at_lo = X <= self.lo + boundary_tol
+    def _normal_cone_distance_rows(self, X, V):
+        at_hi = X >= self.hi - _BOUNDARY_TOL
+        at_lo = X <= self.lo + _BOUNDARY_TOL
         # At an active face the normal cone admits the matching-sign component.
         E = np.where((at_hi & (V > 0.0)) | (at_lo & (V < 0.0)), 0.0, V)
         return np.sqrt(_row_dots(E, E))
@@ -397,11 +383,6 @@ class BlockSeparable(ProximableFunction):
             return np.concatenate([fn._jacobian_rows(V[:, a:b], R[:, a:b]) for fn, a, b in self.parts], axis=1)
         fn, _, size = self._rows
         return fn._jacobian_rows(V.reshape(-1, size), R.reshape(-1, size)).reshape(R.shape)
-
-    def normal_cone_distance(self, x, v):
-        x = as_vector(x, dim=self.dim)
-        v = as_vector(v, dim=self.dim)
-        return float(self._normal_cone_distance_rows(x[None], v[None])[0])
 
     def _normal_cone_distance_rows(self, X, V):
         # The parts' squares are summed in part order, each squared by the

@@ -27,7 +27,6 @@ from saddle_sa import (
     synth_gaussian_classes,
 )
 from saddle_sa import lsaal
-from saddle_sa.oracles import _one_row
 
 GRID_STEP = 1e-4
 
@@ -134,11 +133,32 @@ def scalar_evaluate(oracle, z, d):
     return 1.0 - a * b, (-v1 * (1.0 - a * a) * b) * u1, (-v2 * a * (1.0 - b * b)) * u2
 
 
-def conic_evaluate(oracle, x, idx) -> ConicSample:
+class PointSample(NamedTuple):
+    """Conic-oracle data at one point: a float objective value, the 1-D
+    gradient and constraint value, and the (constraints, dim) Jacobian. An
+    oracle's `ConicSample` is always a stack of rows; this is one row of it."""
+
+    f_value: float
+    f_grad: np.ndarray
+    g_value: np.ndarray
+    g_jacobian: np.ndarray
+
+
+def _point_sample(s: ConicSample) -> PointSample:
+    """The only row of a one-row ConicSample."""
+    return PointSample(float(s.f_value[0]), s.f_grad[0], s.g_value[0], s.g_jacobian[0])
+
+
+def conic_evaluate(oracle, x, idx) -> PointSample:
     """A conic oracle's sample at one point x and one draw idx: the one-row
-    case of its `evaluate_rows`, with a float f_value."""
-    s = oracle.evaluate_rows(np.asarray(x, dtype=float)[None], np.asarray(idx)[None])
-    return ConicSample(float(s.f_value[0]), s.f_grad[0], s.g_value[0], s.g_jacobian[0])
+    case of its `evaluate_rows`."""
+    return _point_sample(oracle.evaluate_rows(np.asarray(x, dtype=float)[None], np.asarray(idx)[None]))
+
+
+def conic_full_batch(oracle, x) -> PointSample:
+    """A conic oracle's full batch at one point x: the one-row case of its
+    `full_batch_rows`."""
+    return _point_sample(oracle.full_batch_rows(np.asarray(x, dtype=float)[None]))
 
 
 class Subproblem(NamedTuple):
@@ -146,7 +166,7 @@ class Subproblem(NamedTuple):
 
     x_k: np.ndarray
     y_k: np.ndarray
-    sample: ConicSample
+    sample: PointSample
     sigma: float
     cone: object
 
@@ -154,7 +174,9 @@ class Subproblem(NamedTuple):
 def solve_subproblem(spec: Subproblem, feasible, inner_tol: float, inner_max_iters: int):
     """The one-row case of the LSAAL solver's stacked subproblem solve: x(u)
     and the multiplier step there, or the error the row fails with, raised."""
-    X, Y, errors = lsaal._solve_rows(spec.x_k[None], spec.y_k[None], _one_row(spec.sample), np.array([spec.sigma]),
+    s = spec.sample
+    sample = ConicSample(np.array([s.f_value]), s.f_grad[None], s.g_value[None], s.g_jacobian[None])
+    X, Y, errors = lsaal._solve_rows(spec.x_k[None], spec.y_k[None], sample, np.array([spec.sigma]),
                                      spec.cone, feasible, inner_tol, inner_max_iters)
     if errors:
         raise errors[0]

@@ -15,7 +15,7 @@ import saddle_sa as sa
 from saddle_sa import metrics as M
 from saddle_sa.cli import load_config, run_experiment
 from saddle_sa.lsaal import estimate_constants, multiplier_bound_diagnostics
-from conftest import conic_evaluate, evaluate_one, grid_prox_1d, grid_prox_2d, random_prox_instances
+from conftest import conic_evaluate, conic_full_batch, evaluate_one, grid_prox_1d, grid_prox_2d, random_prox_instances
 
 
 def check(num, name, ok, detail=""):
@@ -227,8 +227,8 @@ def test_criterion_07_graph_convexity_suites(np_instance):
     for _ in range(1000):
         x = oracle.feasible_set.prox(1.0, rng.uniform(-6, 6, size=oracle.dim))
         zz = oracle.feasible_set.prox(1.0, rng.uniform(-6, 6, size=oracle.dim))
-        fx = oracle.full_batch(x)
-        fz = oracle.full_batch(zz)
+        fx = conic_full_batch(oracle, x)
+        fz = conic_full_batch(oracle, zz)
         lin = fx.g_value + fx.g_jacobian @ (zz - x)
         worst_lin = max(worst_lin, float((lin - fz.g_value).max()))
         worst_polar = max(worst_polar,
@@ -278,9 +278,9 @@ def test_criterion_08_lsaal_rate(lsaal_sweep):
     for N, records in sweep.items():
         viols, pks = [], []
         for rec in records:
-            fb = oracle.full_batch(rec.final_average.x)
+            fb = conic_full_batch(oracle, rec.final_average.x)
             viols.append(M.constraint_violation(oracle.cone, fb.g_value))
-            pks.append(M.proj_kkt(fb, oracle.cone, oracle.feasible_set, rec.final_average))
+            pks.append(M.proj_kkt(oracle, rec.final_average))
         med_viol.append(float(np.median(viols)))
         med_pk.append(float(np.median(pks)))
     nonincreasing = all(a >= b - 1e-15 for a, b in zip(med_viol, med_viol[1:]))

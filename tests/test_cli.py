@@ -140,6 +140,27 @@ class TestRunExperiment:
         rows[2][3] = 0.25
         assert [row[:2] for row in cli._summarize(cfg, rows)] == [["err", "median"]]
 
+    def test_statistics_of_huge_finite_values_are_finite(self):
+        # Their sum and squares overflow, but not those of the values scaled
+        # by a power of two; ordinary values keep the plain statistics' bits.
+        cfg = load_config(bilinear_text())
+        [row, _] = cli._aggregate(cfg, {10: [{"x": 1e308}, {"x": 1.5e308}]}, {10: []})
+        assert row[2:5] == pytest.approx([1.25e308, 1.25e308, 2.5e307], rel=1e-15)
+        assert row[5:] == [1e308, 1.5e308, 0.0]
+        vals = np.random.default_rng(3).lognormal(0.0, 5.0, 9)
+        [row, _] = cli._aggregate(cfg, {10: [{"x": v} for v in vals.tolist()]}, {10: []})
+        median = float(np.median(vals))
+        assert row[2:] == [float(vals.mean()), median, float(np.std(vals, ddof=1) / 3.0),
+                           float(vals.min()), float(vals.max()), float((vals >= 5.0 * median).mean())]
+
+    def test_huge_gaps_aggregate_to_finite_statistics(self, tmp_path):
+        cfg = load_config(bilinear_text(N_list="10,20,40", trials=3, output_dir=tmp_path), ["mu=1e300"])
+        result = run_experiment(cfg)
+        assert result.exit_code == 0
+        gaps = [row for row in result.aggregate_rows if row[1] == "minimax_gap"]
+        assert len(gaps) == 3 and all(row[2] > 1e297 for row in gaps)
+        assert all(math.isfinite(value) for row in result.aggregate_rows for value in row[2:])
+
     def test_aggregate_layout(self, tmp_path):
         cfg = load_config(bilinear_text(N_list="20", trials=3, output_dir=tmp_path))
         result = run_experiment(cfg)
@@ -529,6 +550,17 @@ class TestMainEntry:
         cfg_path.write_text(bilinear_text(), encoding="utf-8")
         assert main(["diagnose", str(cfg_path)]) == 0
         assert "M_star" in capsys.readouterr().out
+
+    def test_diagnose_saps_without_a_finite_estimate_is_config_error(self, tmp_path, capsys):
+        # As for the Neyman-Pearson constants: no finite positive M_star, one error line.
+        cfg_path = tmp_path / "b.cfg"
+        cfg_path.write_text(bilinear_text(), encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert main(["diagnose", str(cfg_path), "--set", "mu=1e308"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: cannot estimate the instance constants of this config: M_star=inf\n"
 
     def test_env_var_output_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SADDLE_SA_OUT", str(tmp_path / "env_out"))

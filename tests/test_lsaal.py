@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from conftest import (
+    PointSample,
     Subproblem,
     assert_kept_points_seen,
     conic_evaluate,
+    conic_full_batch,
     point_hook,
     recording_hook,
     solve_subproblem,
@@ -25,8 +27,10 @@ from saddle_sa import (
     ProblemConstants,
     RandomSource,
     RunConfig,
+    RunRecord,
     StepSchedule,
     estimate_constants,
+    lagrangian_grad,
     multiplier_bound_diagnostics,
     proj_kkt,
     run_laam,
@@ -34,12 +38,13 @@ from saddle_sa import (
     run_lsaal_batch,
     synth_gaussian_classes,
 )
+from saddle_sa import cli
 from saddle_sa import core as core_module
 from saddle_sa.oracles import NeymanPearsonOracle
 
 
 def sample_1d(f_grad=1.0, g_value=0.5, dg=1.0):
-    return ConicSample(0.0, np.array([f_grad]), np.array([g_value]), np.array([[dg]]))
+    return PointSample(0.0, np.array([f_grad]), np.array([g_value]), np.array([[dg]]))
 
 
 def spec_1d(sigma=1.0, x_k=0.0, y_k=0.0, **kw):
@@ -85,7 +90,7 @@ class TestSubproblemGradient:
         rng = RandomSource(3).generator()
         for _ in range(20):
             n, m = 4, 2
-            sample = ConicSample(
+            sample = PointSample(
                 0.0,
                 rng.normal(size=n),
                 rng.normal(size=m),
@@ -138,7 +143,7 @@ class TestSolveSubproblem:
             y = rng.uniform(0.5, 1.5, size=2)
             fg = rng.uniform(-0.3, 0.3, size=2)
             x_k = rng.normal(size=2) * 0.1
-            sample = ConicSample(0.0, fg, G, J)
+            sample = PointSample(0.0, fg, G, J)
             spec = Subproblem(x_k, y, sample, sigma, NonpositiveOrthant(2))
             ball = BallIndicator(np.zeros(2), 50.0)  # effectively unconstrained
             # normal equations: (sigma I + I/sigma) dx = -(fg + y + sigma G)
@@ -163,7 +168,7 @@ class TestSolveSubproblem:
             J = rng.normal(size=(2, 2))
             y = np.abs(rng.normal(size=2))
             x_k = rng.uniform(-0.5, 0.5, size=2)
-            sample = ConicSample(0.0, fg, G, J)
+            sample = PointSample(0.0, fg, G, J)
             spec = Subproblem(x_k, y, sample, sigma, NonpositiveOrthant(2))
             out, _ = solve_subproblem(spec, box, 1e-8, 3000)
 
@@ -193,7 +198,7 @@ class TestSolveSubproblem:
     def test_budget_exhaustion_raises(self):
         # An active constraint over a disc: the projection onto the circle is
         # not affine, so one Newton step from y_k = 0 leaves a residual.
-        sample = ConicSample(0.0, np.array([-1.0, -1.0]), np.array([0.5]), np.array([[1.0, 1.0]]))
+        sample = PointSample(0.0, np.array([-1.0, -1.0]), np.array([0.5]), np.array([[1.0, 1.0]]))
         spec = Subproblem(np.zeros(2), np.array([0.0]), sample, 10.0, NonpositiveOrthant(1))
         disc = BallIndicator(np.zeros(2), 1.0)
         with pytest.raises(ConvergenceError) as err:
@@ -312,7 +317,7 @@ class TestYUpdate:
         rng = RandomSource(4).generator()
         cone = NonpositiveOrthant(3)
         for _ in range(50):
-            sample = ConicSample(0.0, np.zeros(2), rng.normal(size=3),
+            sample = PointSample(0.0, np.zeros(2), rng.normal(size=3),
                                  rng.normal(size=(3, 2)))
             y_k, sigma = np.abs(rng.normal(size=3)), float(rng.uniform(0.1, 2.0))
             x_next, x_k = rng.normal(size=2), rng.normal(size=2)
@@ -410,8 +415,7 @@ class TestRunners:
         residuals = []
 
         def hook(k, z, avg):
-            residuals.append(proj_kkt(np_instance.full_batch(z.x), np_instance.cone,
-                                      np_instance.feasible_set, z))
+            residuals.append(proj_kkt(np_instance, z))
             return {}
 
         run_laam(problem, run_config(50, seed=1, thin=1), [hook])
@@ -603,6 +607,44 @@ def assert_same_run(rec, solo):
     assert rec.final_metrics == solo.final_metrics
     assert set(rec.final_metrics) >= {"sigma", "y_norm_max", "y_step_max",
                                       "x_step_bound_ratio_max", "y_step_bound_ratio_max"}
+
+
+class RowOnlyOracle:
+    """The conic-oracle contract of a wrapped oracle and nothing else: its
+    cone, feasible set, dimension, Slater point, draws and two row forms."""
+
+    __slots__ = ("cone", "feasible_set", "dim", "slater_point", "draws", "evaluate_rows", "full_batch_rows")
+
+    def __init__(self, oracle):
+        for name in self.__slots__:
+            setattr(self, name, getattr(oracle, name))
+
+
+class TestRowOnlyContract:
+    def test_runners_estimates_and_metrics_read_only_the_contract(self):
+        # Every consumer of a conic oracle gets the same bits from the seven
+        # contract attributes as from the whole Neyman-Pearson oracle.
+        full = batch_problem(3)
+        oracle = full.oracle
+        problem = replace(full, oracle=RowOnlyOracle(oracle))
+        assert not hasattr(problem.oracle, "m") and not hasattr(problem.oracle, "full_batch")
+        configs = batch_configs(6, oracle)
+        for full_batch in (False, True):
+            records = run_lsaal_batch(problem, configs, full_batch=full_batch)
+            for rec, ref in zip(records, run_lsaal_batch(full, configs, full_batch=full_batch)):
+                assert isinstance(rec, RunRecord)
+                assert_same_run(rec, ref)
+
+        def estimate(o):
+            return estimate_constants(o, RandomSource(5).generator(), n_full=20, n_sample=20)
+
+        assert estimate(problem.oracle) == estimate(oracle)
+        z0 = PrimalDualPoint(oracle.feasible_set.prox(1.0, np.full(oracle.dim, 0.3)), np.zeros(oracle.cone.dim))
+        for z in (z0, rec.final_iterate, rec.final_average):
+            assert proj_kkt(problem.oracle, z) == proj_kkt(oracle, z)
+            assert np.array_equal(lagrangian_grad(problem.oracle, z), lagrangian_grad(oracle, z))
+        metrics = cli._np_metrics(problem, z0, rec.iterates, rec.averages, rec.ks)
+        assert metrics == cli._np_metrics(full, z0, rec.iterates, rec.averages, rec.ks)
 
 
 class PoisonedOracle:
@@ -916,7 +958,7 @@ class TestEstimateConstants:
 
             nu_g = kappa_f = kappa_g = nu_f = 0.0
             for i in range(n_full):
-                fb = oracle.full_batch(random_feasible(i % 2 == 0))
+                fb = conic_full_batch(oracle, random_feasible(i % 2 == 0))
                 nu_g = max(nu_g, float(np.linalg.norm(fb.g_value)))
                 kappa_f = max(kappa_f, float(np.linalg.norm(fb.f_grad)))
                 kappa_g = max(kappa_g, float(np.linalg.norm(fb.g_jacobian, 2)))
@@ -926,8 +968,8 @@ class TestEstimateConstants:
                 nu_g = max(nu_g, float(np.linalg.norm(s.g_value)))
                 kappa_f = max(kappa_f, float(np.linalg.norm(s.f_grad)))
                 kappa_g = max(kappa_g, float(np.linalg.norm(s.g_jacobian, 2)))
-                nu_f = max(nu_f, abs(s.f_value - oracle.full_batch(x).f_value))
-            margin = oracle.cone.interior_distance(oracle.full_batch(oracle.slater_point()).g_value)
+                nu_f = max(nu_f, abs(s.f_value - conic_full_batch(oracle, x).f_value))
+            margin = oracle.cone.interior_distance(conic_full_batch(oracle, oracle.slater_point()).g_value)
             return ProblemConstants(R=R, nu_g=nu_g, kappa_f=kappa_f, kappa_g=kappa_g, nu_f=nu_f or None,
                                     slater_margin=margin if margin > 0.0 else None, estimated=True)
 

@@ -147,9 +147,9 @@ class TinyConicOracle:
         self.cone = NonpositiveOrthant(1)
         self.feasible_set = BoxIndicator(np.array([-1.0]), np.array([1.0]))
 
-    def full_batch(self, x):
-        return ConicSample(self.c * float(x[0]), np.array([self.c]),
-                           np.array([float(x[0])]), np.array([[1.0]]))
+    def full_batch_rows(self, X):
+        K = len(X)
+        return ConicSample(self.c * X[:, 0], np.full((K, 1), self.c), X.copy(), np.ones((K, 1, 1)))
 
 
 class TestProjKkt:
@@ -157,24 +157,24 @@ class TestProjKkt:
         # min x s.t. x <= 0 over [-1,1]: optimum x=-1 (X boundary), y=0
         oracle = TinyConicOracle(1.0)
         z = PrimalDualPoint([-1.0], [0.0])
-        assert proj_kkt(oracle.full_batch(z.x), oracle.cone, oracle.feasible_set, z) == pytest.approx(0.0, abs=1e-12)
+        assert proj_kkt(oracle, z) == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_at_active_kkt_point(self):
         # min -x s.t. x <= 0 over [-1,1]: optimum x=0 with multiplier y=1
         oracle = TinyConicOracle(-1.0)
         z = PrimalDualPoint([0.0], [1.0])
-        assert proj_kkt(oracle.full_batch(z.x), oracle.cone, oracle.feasible_set, z) == pytest.approx(0.0, abs=1e-12)
+        assert proj_kkt(oracle, z) == pytest.approx(0.0, abs=1e-12)
 
     def test_positive_away_from_kkt(self):
         oracle = TinyConicOracle(-1.0)
         z = PrimalDualPoint([0.5], [0.0])
-        assert proj_kkt(oracle.full_batch(z.x), oracle.cone, oracle.feasible_set, z) > 0.4
+        assert proj_kkt(oracle, z) > 0.4
 
     def test_detects_complementarity_violation(self):
         # feasible x=-1 with a positive multiplier violates complementarity
         oracle = TinyConicOracle(1.0)
         z = PrimalDualPoint([-1.0], [2.0])
-        assert proj_kkt(oracle.full_batch(z.x), oracle.cone, oracle.feasible_set, z) > 0.5
+        assert proj_kkt(oracle, z) > 0.5
 
 
 class TestRateSlopeFit:
@@ -322,7 +322,7 @@ class TestEvaluators:
     def test_conic_lagrangian_gradient(self):
         oracle = TinyConicOracle(-1.0)
         z = PrimalDualPoint([0.3], [2.0])
-        grad = lagrangian_grad(oracle.full_batch(z.x), z.y)
+        grad = lagrangian_grad(oracle, z)
         # grad_x l = c + y * Dg = -1 + 2; grad_y l = g(x) = 0.3
         np.testing.assert_allclose(grad, [1.0, 0.3], atol=1e-15)
 

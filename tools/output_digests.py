@@ -10,11 +10,13 @@ output under OUT/<name> (OUT must not exist yet) and prints
   <name> <exit code> <sha256>
 
 where the hash covers the output files (relative path and bytes, in sorted
-order), stdout and stderr, with OUT replaced by a placeholder in both
-streams.  A case that raises instead of returning prints `raised` as its exit
-code, adds the exception's type and message to the hashed stderr, and prints
-its traceback to the real stderr.  Two checkouts write the same outputs when
-their lines are identical:
+order), stdout and stderr, with OUT and the imported package's directory
+replaced by placeholders in both streams.  Each case runs under its own
+`warnings.catch_warnings()`, so a warning is printed in every case that
+raises it, whatever ran before.  A case that raises instead of returning
+prints `raised` as its exit code, adds the exception's type and message to
+the hashed stderr, and prints its traceback to the real stderr.  Two
+checkouts write the same outputs when their lines are identical:
 
   PYTHONPATH=src python3 tools/output_digests.py /tmp/new > new.txt
   PYTHONPATH=../old/src python3 tools/output_digests.py /tmp/old > old.txt
@@ -28,11 +30,15 @@ import hashlib
 import io
 import sys
 import traceback
+import warnings
 from pathlib import Path
 
 import numpy as np
 
+import saddle_sa
 from saddle_sa.cli import main
+
+PACKAGE_DIR = str(Path(saddle_sa.__file__).parent)
 
 BILINEAR = "experiment = bilinear\nalgorithm = saps\nn = 3\nparallel = 1\n"
 NP_SYNTH = ("experiment = neyman_pearson\nalgorithm = lsaal\nn = 10\nm_classes = 3\n"
@@ -79,6 +85,9 @@ CASES = [
     ("bilinear-parallel2", "run", BILINEAR + "N_list = 100,300,1000\ntrials = 5\nseed = 6\n", ["parallel=2"]),
     # Pool workers send their records' metric columns back to the parent process.
     ("np-parallel2", "run", NP_SYNTH + "N_list = 50,100,200\ntrials = 3\nseed = 15\n", ["parallel=2"]),
+    # Gaps near 1e300, whose sums and squares overflow a double: the
+    # aggregate statistics stay finite.
+    ("bilinear-huge-mu", "run", BILINEAR + "N_list = 10,20,40\ntrials = 3\nseed = 0\n", ["mu=1e300"]),
     ("bilinear-all-diverged", "run", BILINEAR + "N_list = 10,20\ntrials = 3\nseed = 7\n",
      ["schedule=harmonic", "theta=1e13", "mu=0"]),
     # One Newton step per subproblem is too few at sigma = 100: every trial fails.
@@ -103,6 +112,8 @@ CASES = [
      ["trace_thinning=1"]),
     # estimate_m_star on each minimax oracle's row form.
     ("bilinear-diagnose", "diagnose", BILINEAR + "N_list = 100,1000\nseed = 0\n", []),
+    # An M_star estimate that overflows: exit 1 with one error line.
+    ("bilinear-diagnose-overflow", "diagnose", BILINEAR + "N_list = 100,1000\nseed = 0\n", ["mu=1e308"]),
     ("tanh-diagnose", "diagnose", "experiment = tanh\nalgorithm = saps\nn = 3\nregularizer = max\n"
      "N_list = 100,1000\nseed = 1\nparallel = 1\n", []),
     # A step rule that RunConfig checks at the run's horizon.
@@ -138,7 +149,7 @@ def write_libsvm(path: Path) -> None:
 
 def digest(argv, out_root: Path, case_dir: Path | None) -> str:
     stdout, stderr = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+    with warnings.catch_warnings(), contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         try:
             code = str(main(argv))
         except Exception as exc:  # report it and go on to the next case
@@ -150,7 +161,8 @@ def digest(argv, out_root: Path, case_dir: Path | None) -> str:
         for path in sorted(p for p in case_dir.rglob("*") if p.is_file()):
             h.update(str(path.relative_to(case_dir)).encode() + b"\0" + path.read_bytes() + b"\0")
     for stream in (stdout, stderr):
-        h.update(stream.getvalue().replace(str(out_root), "<OUT>").encode() + b"\0")
+        text = stream.getvalue().replace(str(out_root), "<OUT>").replace(PACKAGE_DIR, "<saddle_sa>")
+        h.update(text.encode() + b"\0")
     return f"{code} {h.hexdigest()}"
 
 
