@@ -300,7 +300,9 @@ def _tanh_reference(config: ExperimentConfig):
     The reference problem is the empirical average over ref_pool_size frozen
     draws; its approximate saddle is the weighted average of a long SAPS run
     with inverse-sqrt steps on that deterministic oracle, computed once and
-    shared by every trial.
+    shared by every trial. The evaluator computes the pool mean once per
+    distinct iterate and hands back a read-only step, so the steps after
+    the iterate comes to rest at an exact fixed point cost no pool pass.
     """
     rng, xbar, ybar = _tanh_anchors(config)
     oracle = TanhOracle(xbar, ybar)
@@ -638,17 +640,23 @@ def _aggregate(config: ExperimentConfig, finals: dict, failures: dict) -> list:
                 values_by_metric.setdefault(name, []).append(float(value))
         for name in sorted(values_by_metric):
             vals = np.asarray(values_by_metric[name], dtype=float)
-            # The statistics of vals / scale, scaled back: a power of two
-            # divides exactly, and keeps the sums and squares of huge values
-            # finite. Ordinary values have scale 1.
+            # The mean and stderr of vals / scale, scaled back: a power of
+            # two divides exactly, and keeps the sums and squares of huge
+            # values finite. Ordinary values have scale 1. The median and the
+            # tail threshold come from the values themselves, whose small
+            # entries the scaling would flush toward 0; only a median that
+            # overflows (two huge middle values) is taken scaled.
             scale = 2.0 ** max(0, math.frexp(float(np.abs(vals).max()))[1] - 256)
             scaled = vals / scale
-            median = float(np.median(scaled))
+            with np.errstate(over="ignore"):
+                median = float(np.median(vals))
+            if not math.isfinite(median):
+                median = float(np.median(scaled)) * scale
             stderr = float(np.std(scaled, ddof=1) / math.sqrt(vals.size)) if vals.size > 1 else 0.0
             rows.append([
-                N, name, float(scaled.mean()) * scale, median * scale, stderr * scale,
+                N, name, float(scaled.mean()) * scale, median, stderr * scale,
                 float(vals.min()), float(vals.max()),
-                tail_tally(scaled, config.tail_multiplier * median),
+                tail_tally(vals, config.tail_multiplier * median),
             ])
         count = float(len(failures[N]))
         rows.append([N, "diverged_trials", count, count, 0.0, count, count, 0.0])

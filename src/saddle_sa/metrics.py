@@ -67,7 +67,9 @@ class FiniteSumMinimaxEvaluator:
     `values(Z, draws)` and the pool-mean step `mean_directions(Z, pool)`. As
     an oracle for run_saps it has the row form: empty draws that use no
     randomness, and `directions(Z, draws)` is the pool mean at each row; its
-    block sizes n and m are the oracle's.
+    block sizes n and m are the oracle's. The pool mean is computed once per
+    distinct Z: a deterministic solve that rests at an exact fixed point
+    passes the same iterate again, and gets the kept step back, read-only.
     """
 
     def __init__(self, oracle, draws, theta: ProximableFunction, omega: ProximableFunction):
@@ -79,12 +81,20 @@ class FiniteSumMinimaxEvaluator:
         self.pool = np.stack(draws)
         self.theta = theta
         self.omega = omega
+        self._last = (None, None)  # (key of the last Z, its read-only step)
 
     def draws(self, rng, count: int) -> np.ndarray:
         return np.empty((count, 0))
 
     def directions(self, Z: np.ndarray, _) -> np.ndarray:
-        return self.oracle.mean_directions(Z, self.pool)
+        # Keyed on the bits, not on value equality: -0.0 == 0.0, yet the two
+        # may give steps whose zeros differ in sign.
+        key = (Z.shape, Z.tobytes())
+        if key != self._last[0]:
+            step = self.oracle.mean_directions(Z, self.pool)
+            step.flags.writeable = False
+            self._last = (key, step)
+        return self._last[1]
 
     def phi(self, x: np.ndarray, y: np.ndarray) -> float:
         return float(self._phi_rows(as_vector(x)[None], as_vector(y)[None])[0])

@@ -22,7 +22,7 @@ from saddle_sa.cli import (
 )
 from saddle_sa import lsaal as lsaal_module
 from saddle_sa.core import ConvergenceError, DivergenceError, PrimalDualPoint, RunRecord
-from saddle_sa.oracles import ConicSample, NeymanPearsonOracle
+from saddle_sa.oracles import ConicSample, NeymanPearsonOracle, TanhOracle
 
 
 def bilinear_text(**overrides):
@@ -153,6 +153,16 @@ class TestRunExperiment:
         assert row[2:] == [float(vals.mean()), median, float(np.std(vals, ddof=1) / 3.0),
                            float(vals.min()), float(vals.max()), float((vals >= 5.0 * median).mean())]
 
+    @pytest.mark.parametrize("small", [1e-80, 1e-300])
+    def test_median_far_below_the_largest_value_keeps_its_bits(self, small):
+        # The scaling that keeps huge sums finite would flush these medians
+        # toward 0 (and a zero median puts every value in the tail).
+        cfg = load_config(bilinear_text())
+        [row, _] = cli._aggregate(cfg, {10: [{"x": small}, {"x": small}, {"x": 1e306}]}, {10: []})
+        assert row[3] == small
+        assert row[7] == 1.0 / 3.0
+        assert row[2] == pytest.approx(1e306 / 3.0, rel=1e-15)
+
     def test_huge_gaps_aggregate_to_finite_statistics(self, tmp_path):
         cfg = load_config(bilinear_text(N_list="10,20,40", trials=3, output_dir=tmp_path), ["mu=1e300"])
         result = run_experiment(cfg)
@@ -214,7 +224,12 @@ class TestRunExperiment:
 
 
 def hand_rolled_tanh_reference(config):
-    """The tanh reference solve written out as a plain loop, without run_saps."""
+    """The tanh reference solve written out as a plain loop, without run_saps.
+
+    Returns the reference point and the number of iterates that differ in
+    their bits from the one before, the first included: the pool means that
+    a solve keeping one step per distinct iterate computes.
+    """
     rng, xbar, ybar = cli._tanh_anchors(config)
     draws = rng.random((config.ref_pool_size, 2, config.n))  # the raw bits of ref_pool_size draws
     u1, u2 = draws[:, 0, :], draws[:, 1, :]
@@ -223,6 +238,7 @@ def hand_rolled_tanh_reference(config):
     x = rng.uniform(-1.0, 1.0, size=config.n)
     y = rng.uniform(-1.0, 1.0, size=config.n)
     ax, ay, weight = x, y, 0.0
+    last, distinct = None, 0
     for k in range(1, config.ref_iters + 1):
         gamma = 1.0 / math.sqrt(k)
         if weight == 0.0:
@@ -231,27 +247,54 @@ def hand_rolled_tanh_reference(config):
             weight += gamma
             step = gamma / weight
             ax, ay = ax + step * (x - ax), ay + step * (y - ay)
+        key = x.tobytes() + y.tobytes()
+        distinct += key != last
+        last = key
         # The pool-mean gradients, with the label signs applied per draw.
         a, b = np.tanh(v1 * (u1 @ x)), np.tanh(v2 * (u2 @ y))
         grad_x = u1.T @ (-v1 * (1.0 - a * a) * b) / len(draws)
         grad_y = u2.T @ (-v2 * a * (1.0 - b * b)) / len(draws)
         x = theta.prox(gamma, x - gamma * grad_x)
         y = theta.prox(gamma, y + gamma * grad_y)
-    return PrimalDualPoint(ax, ay)
+    return PrimalDualPoint(ax, ay), distinct
+
+
+def tanh_reference_config(regularizer, pool, iters, seed):
+    return load_config(
+        f"experiment=tanh\nalgorithm=saps\nn=3\nN_list=10\nseed={seed}\n"
+        f"regularizer={regularizer}\nref_pool_size={pool}\nref_iters={iters}\n")
 
 
 class TestTanhReference:
-    @pytest.mark.parametrize("regularizer,pool", [
-        pytest.param(reg, pool, id=reg if pool == 30 else f"{reg}-pool{pool}")
-        for pool in (30, 500) for reg in ("max", "l1", "l2")])
-    def test_matches_hand_rolled_loop_bit_for_bit(self, regularizer, pool):
-        cfg = load_config(
-            "experiment=tanh\nalgorithm=saps\nn=3\nN_list=10\nseed=4\n"
-            f"regularizer={regularizer}\nref_pool_size={pool}\nref_iters=200\n")
+    @pytest.mark.parametrize("regularizer,pool,iters,seed", [
+        pytest.param(reg, pool, 200, 4, id=reg if pool == 30 else f"{reg}-pool{pool}")
+        for pool in (30, 500) for reg in ("max", "l1", "l2")] + [
+        # Seed 0's solve rests at a fixed point only after 991 distinct iterates.
+        pytest.param("max", 500, 2000, 0, id="max-pool500-rests-late")])
+    def test_matches_hand_rolled_loop_bit_for_bit(self, regularizer, pool, iters, seed):
+        cfg = tanh_reference_config(regularizer, pool, iters, seed)
         z_ref = cli._tanh_reference(cfg)["z_ref"]
-        expect = hand_rolled_tanh_reference(cfg)
+        expect, _ = hand_rolled_tanh_reference(cfg)
         assert np.array_equal(z_ref.x, expect.x)
         assert np.array_equal(z_ref.y, expect.y)
+
+    @pytest.mark.parametrize("iters,seed,distinct", [(200, 4, 2), (20000, 0, 991)])
+    def test_computes_one_pool_mean_per_distinct_iterate(self, monkeypatch, iters, seed, distinct):
+        # The benchmark's tanh reference solve (pool 500, 20,000 steps) at
+        # seed 0 and a short one: the iterate stops moving, and the pool mean
+        # is computed once per distinct iterate, not once per step.
+        calls = []
+        mean_directions = TanhOracle.mean_directions
+
+        def counted(self, Z, pool):
+            calls.append(len(Z))
+            return mean_directions(self, Z, pool)
+
+        monkeypatch.setattr(TanhOracle, "mean_directions", counted)
+        cfg = tanh_reference_config("max", 500, iters, seed)
+        cli._tanh_reference(cfg)
+        _, expect = hand_rolled_tanh_reference(cfg)
+        assert len(calls) == expect == distinct < iters
 
 
 BAD_VALUES = {

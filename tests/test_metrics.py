@@ -304,6 +304,34 @@ class TestEvaluators:
                 assert_same_bits(rows[t], two_matvec_pool_mean(ev.pool, Z[t, :4], Z[t, 4:]))
         assert draw_rng.bit_generator.state == state  # the evaluator's draws use no randomness
 
+    def test_finite_sum_step_is_kept_per_distinct_iterate(self, monkeypatch):
+        # One kept step, keyed on the iterate's bits: a repeat returns it, any
+        # other iterate (a zero of the other sign, another shape) recomputes.
+        rng = RandomSource(9).generator()
+        oracle = TanhOracle(rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3))
+        ev = FiniteSumMinimaxEvaluator(oracle, oracle.draws(rng, 50), ScaledL1(1.0), ScaledL1(1.0))
+        calls = []
+        mean_directions = TanhOracle.mean_directions
+
+        def counted(self, Z, pool):
+            calls.append(Z.shape)
+            return mean_directions(self, Z, pool)
+
+        monkeypatch.setattr(TanhOracle, "mean_directions", counted)
+        Z1 = rng.uniform(-1, 1, (1, 6))
+        Z1[0, 1] = 0.0
+        Z2 = rng.uniform(-1, 1, (1, 6))
+        flipped = Z1.copy()
+        flipped[0, 1] = -0.0
+        stack = np.concatenate((Z1, Z2))
+        sequence = [Z1, Z1.copy(), Z2, Z1, flipped, stack, stack[:1]]
+        for Z in sequence:
+            step = ev.directions(Z, ev.draws(None, len(Z)))
+            assert_same_bits(step, mean_directions(oracle, Z, ev.pool))
+            with pytest.raises(ValueError):
+                step[0, 0] = 1.0
+        assert calls == [(1, 6), (1, 6), (1, 6), (1, 6), (2, 6), (1, 6)]
+
     @pytest.mark.parametrize("T", [1, 2, 5])
     def test_batched_pool_mean_equals_two_matvec_form(self, T):
         # 1,000 points per batch size; every fifth row has x = 0 (a = 0 for
