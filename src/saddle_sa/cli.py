@@ -631,6 +631,16 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     return ExperimentResult(out_dir, trace_paths, aggregate_rows, summary_rows, failures, exit_code)
 
 
+def _median(vals: np.ndarray):
+    """np.median of the nonempty 1-D float array vals, by np.median's own
+    arithmetic: np.median itself imports numpy.ma on its first call."""
+    n = vals.size
+    kth = [n // 2 - 1, n // 2] if n % 2 == 0 else [n // 2]
+    part = np.partition(vals, kth + [-1])  # a NaN sorts last
+    median = part[kth[0]:n // 2 + 1].mean()
+    return part[-1] if math.isnan(part[-1]) else median
+
+
 def _aggregate(config: ExperimentConfig, finals: dict, failures: dict) -> list:
     rows = []
     for N in sorted(finals):
@@ -649,9 +659,9 @@ def _aggregate(config: ExperimentConfig, finals: dict, failures: dict) -> list:
             scale = 2.0 ** max(0, math.frexp(float(np.abs(vals).max()))[1] - 256)
             scaled = vals / scale
             with np.errstate(over="ignore"):
-                median = float(np.median(vals))
+                median = float(_median(vals))
             if not math.isfinite(median):
-                median = float(np.median(scaled)) * scale
+                median = float(_median(scaled)) * scale
             stderr = float(np.std(scaled, ddof=1) / math.sqrt(vals.size)) if vals.size > 1 else 0.0
             rows.append([
                 N, name, float(scaled.mean()) * scale, median, stderr * scale,

@@ -102,10 +102,13 @@ def _sign_rows(t: np.ndarray) -> np.ndarray:
     return np.where(t >= 0.0, 1.0, -1.0)
 
 
+_STEP_SIGNS = np.array([1.0, -1.0])  # the tanh step descends in x and ascends in y
+
+
 def _tanh_pairs(S: np.ndarray, Z: np.ndarray) -> np.ndarray:
     """(T, 2) array of tanh(s1.x) and tanh(s2.y), with math.tanh per entry:
     np.tanh can differ from it in the last bit."""
-    return np.array([math.tanh(v) for v in _pair_dots(S, Z).ravel().tolist()]).reshape(-1, 2)
+    return np.array(list(map(math.tanh, _pair_dots(S, Z).ravel().tolist()))).reshape(-1, 2)
 
 
 class TanhOracle:
@@ -143,8 +146,7 @@ class TanhOracle:
         """Row t at z = Z[t] and signed draw (s1, s2) = S[t]: with
         a = tanh(s1.x) and b = tanh(s2.y), D = ((1 - a^2) b s1 | -a (1 - b^2) s2)."""
         A = _tanh_pairs(S, Z)
-        C = (1.0 - A * A) * A[:, ::-1]
-        C[:, 1] *= -1.0
+        C = (1.0 - A * A) * (A[:, ::-1] * _STEP_SIGNS)  # negation is exact
         return (C[:, :, None] * S).reshape(len(S), -1)
 
     def values(self, Z: np.ndarray, S: np.ndarray) -> np.ndarray:

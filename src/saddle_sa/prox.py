@@ -190,6 +190,9 @@ class PositivePartSum(_Weighted):
     prox_i = v_i - mu*gamma  if v_i >= mu*gamma
            = 0               if 0 <= v_i < mu*gamma
            = v_i             if v_i < 0
+
+    For mu*gamma > 0 that is max(v_i - mu*gamma, min(v_i, 0) + 0), where the
+    + 0 turns a -0 into +0; at mu*gamma = 0 it is v_i. A NaN entry stays NaN.
     """
 
     def _value_rows(self, V):
@@ -201,7 +204,9 @@ class PositivePartSum(_Weighted):
 
     def _prox_rows(self, gamma, V):
         t = self.mu * gamma
-        return np.where(V >= t, V - t, np.where(V < 0.0, V, 0.0))
+        if t == 0.0:  # mu * gamma can underflow; the clamp below would turn -0 into +0
+            return V - t
+        return np.maximum(V - t, np.minimum(V, 0.0) + 0.0)
 
     def subgradient(self, v):
         # Minimum-norm selection: mu on the positive side, 0 at and below the kink.

@@ -138,9 +138,10 @@ def run_saps_batch(problem: SapsProblem, configs) -> list:
         V = Z + gamma * D
         # Any non-finite entry makes the sum non-finite; a sum that merely
         # overflows costs the exact scan and finds nothing. Leave before the
-        # prox: the row prox is unchecked, and some (PositivePartSum) map NaN
+        # prox: the row prox is unchecked, and some (ScaledL2) map a NaN row
         # to 0, so a NaN gradient would turn silently into a finite iterate.
-        if not math.isfinite(V.sum()):
+        # The bare reductions skip V.sum()'s and max()'s Python wrappers.
+        if not math.isfinite(np.add.reduce(V, None)):
             message = f"non-finite iterate at iteration {k}: vector has non-finite entries"
             bad = np.flatnonzero(~np.isfinite(V).all(axis=1))
             keep = rows.drop({row: DivergenceError(k, message) for row in bad}, outcomes)
@@ -148,7 +149,7 @@ def run_saps_batch(problem: SapsProblem, configs) -> list:
             if not rows.index:
                 break
         Z = block_prox._prox_rows(gamma, V)
-        if not np.abs(Z).max() <= DIVERGENCE_NORM_BOUND:
+        if not np.maximum.reduce(np.abs(Z), None) <= DIVERGENCE_NORM_BOUND:
             keep = rows.drop(_guard(Z, n, k), outcomes)
             Z, avg = Z[keep], avg[keep]
             if not rows.index:

@@ -50,6 +50,13 @@ def batch_value(f, W: np.ndarray) -> np.ndarray:
     raise TypeError(f"no independent value formula for {type(f).__name__}")
 
 
+def reference_positive_part_prox(f, gamma: float, V: np.ndarray) -> np.ndarray:
+    """PositivePartSum's prox restated as its three defining cases, one
+    np.where each: V - t at or above t = mu*gamma, V below 0, else 0."""
+    t = f.mu * gamma
+    return np.where(V >= t, V - t, np.where(V < 0.0, V, 0.0))
+
+
 def grid_prox_1d(f, gamma: float, v: float, bound: float, step: float = GRID_STEP) -> float:
     """Dense 1-D grid argmin of f(w) + (w - v)^2 / (2 gamma)."""
     grid = np.arange(-bound, bound + step, step)

@@ -2,6 +2,8 @@ import concurrent.futures
 import csv
 import math
 import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from concurrent.futures import Future
@@ -162,6 +164,38 @@ class TestRunExperiment:
         assert row[3] == small
         assert row[7] == 1.0 / 3.0
         assert row[2] == pytest.approx(1e306 / 3.0, rel=1e-15)
+
+    def test_median_is_numpy_median_bit_for_bit(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        special = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, math.inf, -math.inf, math.nan])
+
+        @hypothesis.settings(max_examples=500, deadline=None, derandomize=True)
+        @hypothesis.given(st.lists(st.one_of(special, st.floats()), min_size=1, max_size=9))
+        def check(values):
+            vals = np.array(values)
+            with np.errstate(all="ignore"):
+                got, want = cli._median(vals), np.median(vals)
+            # Equal bits, the sign of zero included; any NaN equals any NaN.
+            assert (math.isnan(got) and math.isnan(want)) or np.float64(got).tobytes() == np.float64(want).tobytes()
+
+        check()
+
+    def test_runs_leave_numpy_ma_unloaded(self, tmp_path):
+        # np.median imports numpy.ma on its first call; a run's medians do not.
+        script = (
+            "import sys\n"
+            "from saddle_sa.cli import load_config, run_experiment\n"
+            "codes = [run_experiment(load_config(text + f'output_dir={sys.argv[1]}/{i}\\n')).exit_code\n"
+            "         for i, text in enumerate(sys.argv[2:])]\n"
+            "print(codes, 'numpy.ma' in sys.modules)\n"
+        )
+        configs = [TINY_CONFIGS[name] + "N_list=4\ntrials=2\nparallel=1\n" for name in ("bilinear", "tanh", "lsaal")]
+        src = str(Path(cli.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", script, str(tmp_path), *configs],
+                              capture_output=True, text=True, env=env, check=True)
+        assert proc.stdout.splitlines()[-1] == "[0, 0, 0] False"
 
     def test_huge_gaps_aggregate_to_finite_statistics(self, tmp_path):
         cfg = load_config(bilinear_text(N_list="10,20,40", trials=3, output_dir=tmp_path), ["mu=1e300"])

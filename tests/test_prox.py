@@ -10,6 +10,7 @@ from conftest import (
     indicator_points,
     random_prox_instances,
     reference_normal_cone_distance,
+    reference_positive_part_prox,
     reference_value,
 )
 from saddle_sa import (
@@ -327,6 +328,19 @@ class TestRowWiseProx:
         assert out.shape == V.shape
         for row, v in zip(out, V):
             assert np.array_equal(row, fn.prox(0.9, v))
+
+    # (mu, gamma) for t = mu * gamma in {0, 5e-324, 0.01, 1}; 5e-324 * 0.25
+    # underflows to t = 0 with mu > 0.
+    @pytest.mark.parametrize("mu, gamma", [(0.0, 1.0), (5e-324, 0.25), (5e-324, 1.0), (0.01, 1.0), (1.0, 1.0)])
+    def test_positive_part_matches_its_three_cases_bit_for_bit(self, mu, gamma):
+        f = PositivePartSum(mu)
+        t = mu * gamma
+        grid = [0.0, -0.0, 5e-324, -5e-324, t, -t, math.inf, -math.inf, 0.005, 0.5, 2.0, -3.0, 1e308, -1e308]
+        V = np.array([grid, grid[::-1]])
+        out = f._prox_rows(gamma, V)
+        # Equal int64 views: equal bits, the sign of zero included.
+        np.testing.assert_array_equal(out.view(np.int64), reference_positive_part_prox(f, gamma, V).view(np.int64))
+        assert np.isnan(f._prox_rows(gamma, np.array([[math.nan, 1.0]]))[0, 0])
 
 
 def value_rows(rng, n):

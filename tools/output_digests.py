@@ -38,34 +38,24 @@ import numpy as np
 import saddle_sa
 from saddle_sa.cli import main
 
+sys.path.append(str(Path(__file__).resolve().parents[1]))
+from perfbench.run import WORKLOADS  # noqa: E402  read only: the benchmark's own configs
+
 PACKAGE_DIR = str(Path(saddle_sa.__file__).parent)
 
 BILINEAR = "experiment = bilinear\nalgorithm = saps\nn = 3\nparallel = 1\n"
 NP_SYNTH = ("experiment = neyman_pearson\nalgorithm = lsaal\nn = 10\nm_classes = 3\n"
             "points_per_class = 100\nlambda = 5.0\nparallel = 1\n")
 
-# The benchmark's three workloads at seed 0, full and tiny.
-WORKLOADS = {
-    "bilinear_saps": ("experiment = bilinear\nalgorithm = saps\nn = 3\nregularizer = l1\nmu = 1.0\n"
-                      "N_list = 100,1000,10000\ntrials = 4\n",
-                      "N_list = 100,300,1000\ntrials = 2\n"),
-    "tanh_saps": ("experiment = tanh\nalgorithm = saps\nn = 3\nregularizer = max\nmu = 1.0\n"
-                  "N_list = 100,1000,10000\nref_pool_size = 500\nref_iters = 20000\ntrials = 6\n",
-                  "N_list = 100,300,1000\ntrials = 2\nref_pool_size = 50\nref_iters = 500\n"),
-    "np_lsaal": ("experiment = neyman_pearson\nalgorithm = lsaal\nn = 10\nm_classes = 3\n"
-                 "points_per_class = 100\nlambda = 5.0\nN_list = 250,1000,4000\ntrials = 2\n",
-                 "N_list = 50,100,200\npoints_per_class = 20\ntrials = 1\n"),
-}
-
 # {data} is the LIBSVM file that write_libsvm generates.
 LIBSVM = ("experiment = neyman_pearson\nalgorithm = lsaal\ndataset_path = {data}\n"
           "N_list = 50,100,200\ntrials = 2\nseed = 9\nparallel = 1\n")
 
-# (name, subcommand, config text, --set overrides)
+# (name, subcommand, config text, --set overrides); {out} is the case's output directory.
 CASES = [
-    *[(f"{name}-{size}", "run", full + "parallel = 1\nschedule = const_over_sqrt_n\n"
-       + (tiny if size == "tiny" else "") + "seed = 0\n", [])
-      for name, (full, tiny) in WORKLOADS.items() for size in ("full", "tiny")],
+    # The benchmark's three workloads at seed 0, full and tiny.
+    *[(f"{name}-{size}", "run", workload.config_text(0, size, "{out}"), [])
+      for name, workload in WORKLOADS.items() for size in ("full", "tiny")],
     # Acceptance criterion 11's two configs.
     ("criterion11-bilinear", "run", BILINEAR + "N_list = 30,60\ntrials = 2\nseed = 5\n", []),
     ("criterion11-neyman_pearson", "run", "experiment = neyman_pearson\nalgorithm = lsaal\nn = 5\n"
@@ -173,8 +163,8 @@ def main_digests(out_root: Path) -> None:
     print("libsvm-check-data", digest(["check-data", str(data)], out_root, None), flush=True)
     for name, command, text, overrides in CASES:
         cfg = out_root / f"{name}.cfg"
-        cfg.write_text(text.format(data=data), encoding="utf-8")
         case_dir = out_root / name
+        cfg.write_text(text.format(data=data, out=case_dir), encoding="utf-8")
         argv = [command, str(cfg), "--out", str(case_dir)]
         for item in overrides:
             argv += ["--set", item]
